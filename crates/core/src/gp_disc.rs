@@ -18,6 +18,7 @@
 //! Initialization: all nodes → bounded leftmost → middle twice → the last
 //! point of each (bounded) group once — only then does GP-UCB take over.
 
+use crate::strategy::predict_actions;
 use crate::{
     ActionDiagnostic, ActionSpace, DecisionTrace, History, PosteriorPoint, PosteriorSnapshot,
     Strategy, SurrogateOptions, SurrogatePrior,
@@ -26,8 +27,8 @@ use adaphet_gp::{
     estimate_noise_from_replicates, GpConfig, GpModel, Kernel, ModelCache, PairwiseDistances,
     Trend, UcbSchedule,
 };
-use adaphet_linalg::Mat;
 use adaphet_store::GpHyper;
+use std::borrow::Cow;
 
 /// What a surrogate fit consumes: inputs `xs`, LP residuals, the stage-1
 /// configuration, and per-point noise multipliers (empty when cold).
@@ -173,7 +174,7 @@ impl GpDiscontinuous {
     /// followed by one exploit probe at the donor's best action — the
     /// leftmost/middle/group probes exist only to make the first fit
     /// possible, and the prior pseudo-observations already do that.
-    fn init_action(&self, space: &ActionSpace, hist: &History) -> Option<usize> {
+    fn init_action(&self, space: &ActionSpace, hist: &History, cands: &[usize]) -> Option<usize> {
         let n = space.max_nodes;
         let t = hist.len();
         if t == 0 {
@@ -185,11 +186,10 @@ impl GpDiscontinuous {
             // then the GP takes over. `None` — donor optimum excluded by
             // the live bound or never observed — skips straight to the GP.
             if t == 1 {
-                return crate::warm::prior_best_action(&obs, &self.candidates(space, hist));
+                return crate::warm::prior_best_action(&obs, cands);
             }
             return None;
         }
-        let cands = self.candidates(space, hist);
         let nl = *cands.first().expect("bounded set non-empty");
         if t == 1 {
             return Some(nl);
@@ -227,21 +227,27 @@ impl GpDiscontinuous {
     }
 
     /// Observations, stage-1 hyper-parameters and per-point noise
-    /// multipliers for the residual surrogate; `None` with too little
+    /// multipliers for the residual surrogate over the candidate set
+    /// `cands` ([`Self::candidates`]); `None` with too little
     /// data. Warm-started sessions prepend the prior pseudo-observations
     /// (nugget inflated by κ) ahead of the live history; cold sessions
     /// get an empty multiplier vector and the exact pre-warm-start
     /// arithmetic.
-    fn fit_inputs(&self, space: &ActionSpace, hist: &History) -> Option<FitInputs> {
+    fn fit_inputs(
+        &self,
+        space: &ActionSpace,
+        hist: &History,
+        cands: &[usize],
+    ) -> Option<FitInputs> {
         let prior = self.prior_obs(space);
-        let (records, mults): (Vec<(usize, f64)>, Vec<f64>) = match &prior {
-            None => (hist.records().to_vec(), Vec::new()),
+        let (records, mults): (Cow<[(usize, f64)]>, Vec<f64>) = match &prior {
+            None => (Cow::Borrowed(hist.records()), Vec::new()),
             Some((obs, inflation)) => {
                 let mut recs = obs.clone();
                 recs.extend_from_slice(hist.records());
                 let mut m = vec![*inflation; obs.len()];
                 m.extend(std::iter::repeat_n(1.0, hist.len()));
-                (recs, m)
+                (Cow::Owned(recs), m)
             }
         };
         if (prior.is_none() && hist.len() < 3) || records.len() < 3 {
@@ -251,7 +257,6 @@ impl GpDiscontinuous {
         let rs: Vec<f64> = records.iter().map(|&(a, y)| y - self.lp(space, a)).collect();
         // Trend: linear + dummies, but only for groups with data (an
         // all-zero dummy column would make the GLS rank deficient).
-        let cands = self.candidates(space, hist);
         let trend = if self.options.use_dummies {
             let groups_with_data: Vec<(usize, usize)> = space
                 .groups
@@ -297,29 +302,20 @@ impl GpDiscontinuous {
     /// space; `None` with too little data or a rank-deficient trend
     /// (callers fall back).
     pub fn fit(&self, hist: &History) -> Option<GpModel> {
-        self.fit_in(&self.space, hist)
+        self.fit_in(&self.space, hist, &self.candidates(&self.space, hist))
     }
 
-    /// [`Self::fit`] over an explicit live space.
-    fn fit_in(&self, space: &ActionSpace, hist: &History) -> Option<GpModel> {
-        let (xs, rs, cfg, mults) = self.fit_inputs(space, hist)?;
+    /// [`Self::fit`] over an explicit live space and its candidate set.
+    fn fit_in(&self, space: &ActionSpace, hist: &History, cands: &[usize]) -> Option<GpModel> {
+        let (xs, rs, cfg, mults) = self.fit_inputs(space, hist, cands)?;
         let (alpha0, noise) = (cfg.process_var, cfg.noise_var);
-        let n = xs.len();
-        let dists = Mat::from_fn(n, n, |i, j| (xs[i] - xs[j]).abs());
-        let first =
-            GpModel::fit_with_distances_and_noise(cfg.clone(), &xs, &rs, &dists, &mults).ok()?;
+        let corr = cfg.kernel.corr_matrix_of(&xs);
+        let first = GpModel::fit_with_corr(cfg.clone(), &xs, &rs, &corr, &mults).ok()?;
         let alpha = Self::stage2_alpha(&first, &xs, &rs, alpha0, noise);
         if (alpha - alpha0).abs() < 1e-12 {
             return Some(first);
         }
-        GpModel::fit_with_distances_and_noise(
-            GpConfig { process_var: alpha, ..cfg },
-            &xs,
-            &rs,
-            &dists,
-            &mults,
-        )
-        .ok()
+        GpModel::fit_with_corr(GpConfig { process_var: alpha, ..cfg }, &xs, &rs, &corr, &mults).ok()
     }
 
     /// Bring the persistent surrogate in line with `hist`, incrementally
@@ -327,20 +323,18 @@ impl GpDiscontinuous {
     /// and by a distance-reusing refit otherwise. Returns `true` when a
     /// model is ready in [`Self::surrogate_model`]; the model is bitwise
     /// identical to what [`Self::fit`] would build from scratch.
-    fn refresh_surrogate(&mut self, space: &ActionSpace, hist: &History) -> bool {
+    fn refresh_surrogate(&mut self, space: &ActionSpace, hist: &History, cands: &[usize]) -> bool {
         self.surrogate.active = ActiveModel::None;
-        let Some((xs, rs, cfg, mults)) = self.fit_inputs(space, hist) else {
+        let Some((xs, rs, cfg, mults)) = self.fit_inputs(space, hist, cands) else {
             return false;
         };
         let (alpha0, noise) = (cfg.process_var, cfg.noise_var);
+        // Both stages fix θ = 1, so they share R — grown by one bordered
+        // row per proposal — and differ only in how they scale it.
         self.surrogate.dists.sync(&xs);
-        let Ok(first) = self.surrogate.pilot.fit_or_update_with_noise(
-            &cfg,
-            &xs,
-            &rs,
-            self.surrogate.dists.matrix(),
-            &mults,
-        ) else {
+        let corr = self.surrogate.dists.correlations(&cfg.kernel);
+        let Ok(first) = self.surrogate.pilot.fit_or_update_with_noise(&cfg, &xs, &rs, corr, &mults)
+        else {
             return false;
         };
         let alpha = Self::stage2_alpha(first, &xs, &rs, alpha0, noise);
@@ -349,13 +343,7 @@ impl GpDiscontinuous {
             return true;
         }
         let cfg2 = GpConfig { process_var: alpha, ..cfg };
-        match self.surrogate.tuned.fit_or_update_with_noise(
-            &cfg2,
-            &xs,
-            &rs,
-            self.surrogate.dists.matrix(),
-            &mults,
-        ) {
+        match self.surrogate.tuned.fit_or_update_with_noise(&cfg2, &xs, &rs, corr, &mults) {
             Ok(_) => {
                 self.surrogate.active = ActiveModel::Tuned;
                 true
@@ -376,21 +364,19 @@ impl GpDiscontinuous {
     /// Full surrogate curve for visualization (paper Fig. 4C): predicted
     /// duration and uncertainty per action, bound flags included.
     pub fn surrogate_curve(&self, hist: &History) -> Option<Vec<SurrogatePoint>> {
-        let model = self.fit(hist)?;
         let space = &self.space;
         let cands = self.candidates(space, hist);
+        let model = self.fit_in(space, hist, &cands)?;
+        let actions = space.actions();
         Some(
-            space
-                .actions()
-                .into_iter()
-                .map(|a| {
-                    let p = model.predict(a as f64);
-                    SurrogatePoint {
-                        n: a,
-                        mean: self.lp(space, a) + p.mean,
-                        sd: p.sd(),
-                        in_bounds: cands.contains(&a),
-                    }
+            actions
+                .iter()
+                .zip(predict_actions(&model, &actions))
+                .map(|(&a, p)| SurrogatePoint {
+                    n: a,
+                    mean: self.lp(space, a) + p.mean,
+                    sd: p.sd(),
+                    in_bounds: cands.contains(&a),
                 })
                 .collect(),
         )
@@ -421,25 +407,22 @@ impl Strategy for GpDiscontinuous {
     }
 
     fn propose(&mut self, space: &ActionSpace, hist: &History) -> usize {
-        if let Some(a) = self.init_action(space, hist) {
+        let cands = self.candidates(space, hist);
+        if let Some(a) = self.init_action(space, hist, &cands) {
             return a;
         }
-        let cands = self.candidates(space, hist);
         // Warm path: reuse the surrogate from the previous proposal
-        // (incremental update or distance-sharing refit) — bitwise the same
+        // (incremental update or R-sharing refit) — bitwise the same
         // model `self.fit(hist)` would build from scratch. A changed live
         // space changes the residuals, which the cache detects and refits.
-        match self.refresh_surrogate(space, hist) {
+        match self.refresh_surrogate(space, hist, &cands) {
             true => {
                 let model = self.surrogate_model().expect("refresh left a model");
-                let beta = self.schedule.beta(hist.len().max(1), cands.len());
+                let sqrt_beta = self.schedule.beta(hist.len().max(1), cands.len()).sqrt();
                 cands
                     .iter()
-                    .map(|&a| {
-                        let p = model.predict(a as f64);
-                        let score = self.lp(space, a) + p.mean - beta.sqrt() * p.sd();
-                        (a, score)
-                    })
+                    .zip(predict_actions(model, &cands))
+                    .map(|(&a, p)| (a, self.lp(space, a) + p.mean - sqrt_beta * p.sd()))
                     .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap())
                     .map(|(a, _)| a)
                     .expect("bounded set non-empty")
@@ -459,24 +442,19 @@ impl Strategy for GpDiscontinuous {
         let cands = self.candidates(space, hist);
         let excluded: Vec<usize> =
             space.actions().into_iter().filter(|a| !cands.contains(a)).collect();
-        if self.init_action(space, hist).is_some() {
+        if self.init_action(space, hist, &cands).is_some() {
             return DecisionTrace { diagnostics: Vec::new(), excluded, note: "init".into() };
         }
-        match self.fit_in(space, hist) {
+        match self.fit_in(space, hist, &cands) {
             Some(model) => {
-                let beta = self.schedule.beta(hist.len().max(1), cands.len());
+                let sqrt_beta = self.schedule.beta(hist.len().max(1), cands.len()).sqrt();
                 let diagnostics = cands
                     .iter()
-                    .map(|&a| {
-                        let p = model.predict(a as f64);
+                    .zip(predict_actions(&model, &cands))
+                    .map(|(&a, p)| {
                         let mean = self.lp(space, a) + p.mean;
                         let sd = p.sd();
-                        ActionDiagnostic {
-                            action: a,
-                            mean,
-                            sd,
-                            acquisition: mean - beta.sqrt() * sd,
-                        }
+                        ActionDiagnostic { action: a, mean, sd, acquisition: mean - sqrt_beta * sd }
                     })
                     .collect();
                 DecisionTrace { diagnostics, excluded, note: "gp-lcb".into() }
@@ -497,20 +475,18 @@ impl Strategy for GpDiscontinuous {
     }
 
     fn posterior_snapshot(&self, space: &ActionSpace, hist: &History) -> Option<PosteriorSnapshot> {
-        let model = self.fit_in(space, hist)?;
         let cands = self.candidates(space, hist);
-        let points = space
-            .actions()
-            .into_iter()
-            .map(|a| {
-                let p = model.predict(a as f64);
-                PosteriorPoint {
-                    action: a,
-                    mean: self.lp(space, a) + p.mean,
-                    sd: p.sd(),
-                    lp_bound: space.lp_at(a),
-                    excluded: !cands.contains(&a),
-                }
+        let model = self.fit_in(space, hist, &cands)?;
+        let actions = space.actions();
+        let points = actions
+            .iter()
+            .zip(predict_actions(&model, &actions))
+            .map(|(&a, p)| PosteriorPoint {
+                action: a,
+                mean: self.lp(space, a) + p.mean,
+                sd: p.sd(),
+                lp_bound: space.lp_at(a),
+                excluded: !cands.contains(&a),
             })
             .collect();
         Some(PosteriorSnapshot { points })
@@ -525,7 +501,7 @@ impl Strategy for GpDiscontinuous {
     }
 
     fn surrogate_hyper(&self, space: &ActionSpace, hist: &History) -> Option<GpHyper> {
-        let model = self.fit_in(space, hist)?;
+        let model = self.fit_in(space, hist, &self.candidates(space, hist))?;
         let cfg = model.config();
         Some(GpHyper {
             kernel_family: cfg.kernel.family().to_string(),
@@ -763,26 +739,24 @@ mod tests {
         for it in 0..40 {
             let a = g.propose(&space, &h);
             let fresh = GpDiscontinuous::new(&space);
-            let expected = match fresh.init_action(&space, &h) {
+            let cands = fresh.candidates(&space, &h);
+            let expected = match fresh.init_action(&space, &h, &cands) {
                 Some(e) => e,
-                None => {
-                    let cands = fresh.candidates(&space, &h);
-                    match fresh.fit(&h) {
-                        Some(model) => {
-                            let beta = fresh.schedule.beta(h.len().max(1), cands.len());
-                            cands
-                                .iter()
-                                .map(|&c| {
-                                    let p = model.predict(c as f64);
-                                    (c, fresh.lp(&space, c) + p.mean - beta.sqrt() * p.sd())
-                                })
-                                .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap())
-                                .map(|(c, _)| c)
-                                .unwrap()
-                        }
-                        None => cands.iter().copied().min_by_key(|&c| (h.count_for(c), c)).unwrap(),
+                None => match fresh.fit(&h) {
+                    Some(model) => {
+                        let beta = fresh.schedule.beta(h.len().max(1), cands.len());
+                        cands
+                            .iter()
+                            .map(|&c| {
+                                let p = model.predict(c as f64);
+                                (c, fresh.lp(&space, c) + p.mean - beta.sqrt() * p.sd())
+                            })
+                            .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap())
+                            .map(|(c, _)| c)
+                            .unwrap()
                     }
-                }
+                    None => cands.iter().copied().min_by_key(|&c| (h.count_for(c), c)).unwrap(),
+                },
             };
             assert_eq!(a, expected, "cached and scratch decisions diverged at iteration {it}");
             h.record(a, f(a));

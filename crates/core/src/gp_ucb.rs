@@ -1,6 +1,7 @@
 //! Plain GP-UCB (paper Section IV-D, first variant): constant trend,
 //! hyper-parameters estimated by maximum likelihood, no problem structure.
 
+use crate::strategy::predict_actions;
 use crate::{
     ActionDiagnostic, ActionSpace, DecisionTrace, History, PosteriorPoint, PosteriorSnapshot,
     Strategy, SurrogateOptions, SurrogatePrior,
@@ -11,6 +12,7 @@ use adaphet_gp::{
 };
 use adaphet_linalg::Mat;
 use adaphet_store::GpHyper;
+use std::borrow::Cow;
 
 /// Configuration of [`GpUcb`]: just the shared [`SurrogateOptions`]
 /// (warm-start prior, noise floor, MLE grid) — the β_t schedule stays a
@@ -82,14 +84,14 @@ impl GpUcb {
     ) -> (Vec<f64>, Vec<f64>, f64, MleSearch, Vec<f64>) {
         let sopt = &self.options.surrogate;
         let prior = self.prior_obs(space);
-        let (records, mults): (Vec<(usize, f64)>, Vec<f64>) = match &prior {
-            None => (hist.records().to_vec(), Vec::new()),
+        let (records, mults): (Cow<[(usize, f64)]>, Vec<f64>) = match &prior {
+            None => (Cow::Borrowed(hist.records()), Vec::new()),
             Some((obs, inflation)) => {
                 let mut recs = obs.clone();
                 recs.extend_from_slice(hist.records());
                 let mut m = vec![*inflation; obs.len()];
                 m.extend(std::iter::repeat_n(1.0, hist.len()));
-                (recs, m)
+                (Cow::Owned(recs), m)
             }
         };
         let xs: Vec<f64> = records.iter().map(|&(a, _)| a as f64).collect();
@@ -211,18 +213,18 @@ impl Strategy for GpUcb {
         }
         match self.fit_in(space, hist) {
             Some(model) => {
-                let beta = self.schedule.beta(t.max(1), space.max_nodes);
-                let diagnostics = space
-                    .actions()
-                    .into_iter()
-                    .map(|a| {
-                        let p = model.predict(a as f64);
+                let sqrt_beta = self.schedule.beta(t.max(1), space.max_nodes).sqrt();
+                let actions = space.actions();
+                let diagnostics = actions
+                    .iter()
+                    .zip(predict_actions(&model, &actions))
+                    .map(|(&a, p)| {
                         let sd = p.sd();
                         ActionDiagnostic {
                             action: a,
                             mean: p.mean,
                             sd,
-                            acquisition: p.mean - beta.sqrt() * sd,
+                            acquisition: p.mean - sqrt_beta * sd,
                         }
                     })
                     .collect();
@@ -236,18 +238,16 @@ impl Strategy for GpUcb {
         // No LP curve and no bound mechanism in this baseline: every
         // action is a candidate and `lp_bound` stays empty.
         let model = self.fit_in(space, hist)?;
-        let points = space
-            .actions()
-            .into_iter()
-            .map(|a| {
-                let p = model.predict(a as f64);
-                PosteriorPoint {
-                    action: a,
-                    mean: p.mean,
-                    sd: p.sd(),
-                    lp_bound: None,
-                    excluded: false,
-                }
+        let actions = space.actions();
+        let points = actions
+            .iter()
+            .zip(predict_actions(&model, &actions))
+            .map(|(&a, p)| PosteriorPoint {
+                action: a,
+                mean: p.mean,
+                sd: p.sd(),
+                lp_bound: None,
+                excluded: false,
             })
             .collect();
         Some(PosteriorSnapshot { points })

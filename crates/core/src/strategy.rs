@@ -2,7 +2,15 @@
 //! strategies.
 
 use crate::{ActionSpace, History, SurrogatePrior};
+use adaphet_gp::{GpModel, Prediction};
 use adaphet_store::GpHyper;
+
+/// The surrogate's posterior at every action of `actions`, in one batched
+/// scan ([`GpModel::predict_many`]).
+pub(crate) fn predict_actions(model: &GpModel, actions: &[usize]) -> Vec<Prediction> {
+    let xs: Vec<f64> = actions.iter().map(|&a| a as f64).collect();
+    model.predict_many(&xs)
+}
 
 /// Posterior / score diagnostics for one candidate action, as seen by the
 /// strategy right before it decided.

@@ -143,14 +143,13 @@ impl Strategy2d for GpUcb2d {
         }
         match self.fit(hist) {
             Some(model) => {
-                let beta = self.schedule.beta(hist.len(), n * n);
-                self.grid()
-                    .into_iter()
-                    .filter(|&(g, f)| g <= n && f <= n)
-                    .map(|a| {
-                        let p = model.predict(self.embed(a));
-                        (a, p.mean - beta.sqrt() * p.sd())
-                    })
+                let sqrt_beta = self.schedule.beta(hist.len(), n * n).sqrt();
+                let grid: Vec<(usize, usize)> =
+                    self.grid().into_iter().filter(|&(g, f)| g <= n && f <= n).collect();
+                let xs: Vec<f64> = grid.iter().map(|&a| self.embed(a)).collect();
+                grid.into_iter()
+                    .zip(model.predict_many(&xs))
+                    .map(|(a, p)| (a, p.mean - sqrt_beta * p.sd()))
                     .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap())
                     .map(|(a, _)| a)
                     .unwrap_or((n, n))

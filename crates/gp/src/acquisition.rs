@@ -45,10 +45,10 @@ pub fn lower_confidence_bound(model: &GpModel, x: f64, beta: f64) -> f64 {
 /// information), then toward the smaller x for determinism. Returns `None`
 /// for an empty candidate set.
 pub fn ucb_argmin(model: &GpModel, candidates: &[f64], beta: f64) -> Option<f64> {
+    let sqrt_beta = beta.sqrt();
     let mut best: Option<(f64, f64, f64)> = None; // (x, lcb, var)
-    for &x in candidates {
-        let p = model.predict(x);
-        let lcb = p.mean - beta.sqrt() * p.sd();
+    for (&x, p) in candidates.iter().zip(model.predict_many(candidates)) {
+        let lcb = p.mean - sqrt_beta * p.sd();
         let replace = match best {
             None => true,
             Some((bx, blcb, bvar)) => {

@@ -111,12 +111,12 @@ pub fn fit_profile_likelihood(
 }
 
 /// [`fit_profile_likelihood`] reusing a precomputed pairwise-distance
-/// matrix (see [`GpModel::fit_with_distances`]): the distances depend only
-/// on the history, so they are computed once and shared by every (θ, α)
-/// candidate — and across repeated searches when the caller keeps a
-/// [`crate::PairwiseDistances`] synced to the growing history.
+/// matrix: the distances depend only on the history, so they are computed
+/// once and shared by every (θ, α) candidate — and across repeated
+/// searches when the caller keeps a [`crate::PairwiseDistances`] synced to
+/// the growing history.
 ///
-/// The candidate fits are independent and fan out across cores; the best
+/// The θ candidates are independent and fan out across cores; the best
 /// model is selected by a sequential fold in the same nested (θ, α) order
 /// the sequential search used, so ties resolve identically and the result
 /// is bitwise the same.
@@ -132,7 +132,7 @@ pub fn fit_profile_likelihood_with_distances(
 
 /// [`fit_profile_likelihood_with_distances`] with per-point noise
 /// multipliers applied to every candidate fit (see
-/// [`GpModel::fit_with_distances_and_noise`]; empty = all ones). Warm
+/// [`GpModel::fit_with_corr`]; empty = all ones). Warm
 /// starts use this so the prior pseudo-points stay soft during the
 /// hyper-parameter search, not just in the final fit.
 pub fn fit_profile_likelihood_with_noise(
@@ -162,25 +162,33 @@ pub fn fit_profile_likelihood_with_noise(
         _ => ((span / 50.0).max(1e-3), span * 2.0),
     };
     let n_t = search.theta_points.max(2);
-    let mut candidates = Vec::with_capacity(n_t * search.alpha_grid.len());
-    for ti in 0..n_t {
-        let f = ti as f64 / (n_t - 1) as f64;
-        let theta = theta_min * (theta_max / theta_min).powf(f);
-        for &am in &search.alpha_grid {
-            candidates.push(GpConfig {
-                kernel: search.kernel.with_theta(theta),
-                process_var: am * var_y,
-                noise_var,
-                trend: search.trend.clone(),
-            });
-        }
-    }
-    let fits: Vec<Option<GpModel>> = candidates
+    let thetas: Vec<f64> = (0..n_t)
+        .map(|ti| theta_min * (theta_max / theta_min).powf(ti as f64 / (n_t - 1) as f64))
+        .collect();
+    // One task per θ: R(θ) is evaluated once and shared by its α
+    // candidates, which differ only in how they scale it.
+    let fits: Vec<Vec<Option<GpModel>>> = thetas
         .into_par_iter()
-        .map(|cfg| GpModel::fit_with_distances_and_noise(cfg, x, y, dists, noise_mults).ok())
+        .map(|theta| {
+            let kernel = search.kernel.with_theta(theta);
+            let corr = kernel.corr_matrix(dists);
+            search
+                .alpha_grid
+                .iter()
+                .map(|&am| {
+                    let cfg = GpConfig {
+                        kernel,
+                        process_var: am * var_y,
+                        noise_var,
+                        trend: search.trend.clone(),
+                    };
+                    GpModel::fit_with_corr(cfg, x, y, &corr, noise_mults).ok()
+                })
+                .collect()
+        })
         .collect();
     let mut best: Option<GpModel> = None;
-    for model in fits.into_iter().flatten() {
+    for model in fits.into_iter().flatten().flatten() {
         let better = match &best {
             None => true,
             Some(b) => model.log_likelihood() > b.log_likelihood(),
@@ -193,18 +201,21 @@ pub fn fit_profile_likelihood_with_noise(
     // everything failed, surface the factorization error from a last try.
     match best {
         Some(m) => Ok(m),
-        None => GpModel::fit_with_distances_and_noise(
-            GpConfig {
-                kernel: search.kernel.with_theta(span),
-                process_var: var_y,
-                noise_var: noise_var.max(1e-6 * var_y),
-                trend: search.trend.clone(),
-            },
-            x,
-            y,
-            dists,
-            noise_mults,
-        ),
+        None => {
+            let kernel = search.kernel.with_theta(span);
+            GpModel::fit_with_corr(
+                GpConfig {
+                    kernel,
+                    process_var: var_y,
+                    noise_var: noise_var.max(1e-6 * var_y),
+                    trend: search.trend.clone(),
+                },
+                x,
+                y,
+                &kernel.corr_matrix(dists),
+                noise_mults,
+            )
+        }
     }
 }
 

@@ -7,15 +7,19 @@
 //!   history. The distances depend only on the inputs — not on the kernel
 //!   hyper-parameters — so one matrix serves every (θ, α) candidate of an
 //!   MLE grid search and every trend configuration of a two-stage fit.
+//!   Next to it lives the correlation matrix `R(θ)` of the kernel last
+//!   asked for ([`PairwiseDistances::correlations`]), grown by one bordered
+//!   row per new point: fits that differ only in α, σ²_N or trend share it
+//!   instead of re-evaluating n² kernel values each.
 //! * [`ModelCache`] holds the last fitted [`GpModel`] and routes the next
-//!   request through [`GpModel::update`] when that is provably exact (same
-//!   hyper-parameters, history grew by appending), or through a full
-//!   [`GpModel::fit_with_distances`] otherwise.
+//!   request through [`GpModel::update_with_corr`] when that is provably
+//!   exact (same hyper-parameters, history grew by appending), or through a
+//!   full [`GpModel::fit_with_corr`] otherwise.
 //!
 //! Both paths produce bitwise-identical models; the cache only changes how
 //! much work is spent getting there.
 
-use crate::{GpConfig, GpModel};
+use crate::{GpConfig, GpModel, Kernel};
 use adaphet_linalg::Mat;
 
 /// Pairwise absolute distances `|x_i − x_j|` for a growing input history.
@@ -27,6 +31,10 @@ use adaphet_linalg::Mat;
 pub struct PairwiseDistances {
     x: Vec<f64>,
     d: Mat,
+    /// `R = kernel.corr(d)` for the kernel last passed to
+    /// [`PairwiseDistances::correlations`]; follows `d` through `push`,
+    /// dropped by `rebuild`.
+    corr: Option<(Kernel, Mat)>,
 }
 
 impl Default for PairwiseDistances {
@@ -38,7 +46,7 @@ impl Default for PairwiseDistances {
 impl PairwiseDistances {
     /// An empty distance matrix.
     pub fn new() -> Self {
-        Self { x: Vec::new(), d: Mat::zeros(0, 0) }
+        Self { x: Vec::new(), d: Mat::zeros(0, 0), corr: None }
     }
 
     /// Number of tracked inputs.
@@ -61,11 +69,26 @@ impl PairwiseDistances {
         &self.d
     }
 
+    /// The kernel correlation matrix `R[(i, j)] = kernel.corr(|x_i − x_j|)`
+    /// of the tracked inputs — bit-identical to evaluating the kernel over
+    /// [`PairwiseDistances::matrix`] afresh. The matrix is kept and grown by
+    /// a bordered row per [`PairwiseDistances::push`] for as long as the
+    /// same kernel keeps being asked for.
+    pub fn correlations(&mut self, kernel: &Kernel) -> &Mat {
+        if !matches!(&self.corr, Some((k, _)) if k == kernel) {
+            self.corr = Some((*kernel, kernel.corr_matrix(&self.d)));
+        }
+        &self.corr.as_ref().expect("just ensured").1
+    }
+
     /// Pre-size the matrix for `target_n` inputs.
     pub fn reserve(&mut self, target_n: usize) {
         if target_n > self.x.len() {
             self.x.reserve(target_n - self.x.len());
             self.d.reserve_dims(target_n, target_n);
+            if let Some((_, r)) = &mut self.corr {
+                r.reserve_dims(target_n, target_n);
+            }
         }
     }
 
@@ -81,6 +104,10 @@ impl PairwiseDistances {
         }
         self.d[(n, n)] = 0.0;
         self.x.push(x_new);
+        if let Some((kernel, r)) = &mut self.corr {
+            r.grow_square();
+            kernel.fill_corr_row(&self.d, r, n);
+        }
     }
 
     /// Bring the matrix in line with `xs`. When `xs` extends the tracked
@@ -105,6 +132,7 @@ impl PairwiseDistances {
         self.x.clear();
         self.x.extend_from_slice(xs);
         self.d = Mat::from_fn(xs.len(), xs.len(), |i, j| (xs[i] - xs[j]).abs());
+        self.corr = None;
     }
 }
 
@@ -118,11 +146,11 @@ impl PairwiseDistances {
 /// * the cached model was fitted with the same [`GpConfig`],
 /// * the cached observations are a prefix of `(xs, ys)`.
 ///
-/// New points whose input matches an already-observed one go through
-/// [`GpModel::update_replicate`] (copying a cached correlation column);
-/// genuinely new inputs go through [`GpModel::update`]. Everything else —
-/// changed hyper-parameters, a filtered or reset history — falls back to a
-/// full [`GpModel::fit_with_distances`], counted as `gp.fit.full`.
+/// Appended points go through [`GpModel::update_with_corr`], which reads
+/// the new point's correlation row from the shared `R` instead of
+/// evaluating the kernel. Everything else — changed hyper-parameters, a
+/// filtered or reset history — falls back to a full
+/// [`GpModel::fit_with_corr`], counted as `gp.fit.full`.
 #[derive(Debug, Clone, Default)]
 pub struct ModelCache {
     model: Option<GpModel>,
@@ -146,20 +174,21 @@ impl ModelCache {
 
     /// Return a model fitted to `(xs, ys)` under `config`, updating the
     /// cached one incrementally when that is exact and refitting otherwise.
-    /// `dists` must be the pairwise-distance matrix of `xs` (kept current
-    /// via [`PairwiseDistances::sync`]).
+    /// `corr` must be the kernel correlation matrix of `xs` under
+    /// `config.kernel` (kept current via [`PairwiseDistances::sync`] and
+    /// [`PairwiseDistances::correlations`]).
     pub fn fit_or_update(
         &mut self,
         config: &GpConfig,
         xs: &[f64],
         ys: &[f64],
-        dists: &Mat,
+        corr: &Mat,
     ) -> crate::Result<&GpModel> {
-        self.fit_or_update_with_noise(config, xs, ys, dists, &[])
+        self.fit_or_update_with_noise(config, xs, ys, corr, &[])
     }
 
     /// [`ModelCache::fit_or_update`] with per-point noise multipliers
-    /// (see [`GpModel::fit_with_distances_and_noise`]; empty = all ones).
+    /// (see [`GpModel::fit_with_corr`]; empty = all ones).
     /// The incremental route additionally requires the cached model's
     /// multipliers to match the requested ones bit-for-bit and every new
     /// point to be a live one (multiplier exactly 1) — anything else
@@ -169,7 +198,7 @@ impl ModelCache {
         config: &GpConfig,
         xs: &[f64],
         ys: &[f64],
-        dists: &Mat,
+        corr: &Mat,
         noise_mults: &[f64],
     ) -> crate::Result<&GpModel> {
         if let Some(model) = self.model.as_mut() {
@@ -188,15 +217,7 @@ impl ModelCache {
                 && mults_extend;
             if extends {
                 for i in n..xs.len() {
-                    // Replicates of an already-observed input reuse the
-                    // cached correlation column; new inputs evaluate the
-                    // kernel against the history.
-                    let result = if model.xs().contains(&xs[i]) {
-                        model.update_replicate(xs[i], ys[i])
-                    } else {
-                        model.update(xs[i], ys[i])
-                    };
-                    if let Err(e) = result {
+                    if let Err(e) = model.update_with_corr(xs[i], ys[i], corr) {
                         // Update errors leave the model unspecified.
                         self.model = None;
                         return Err(e);
@@ -206,8 +227,7 @@ impl ModelCache {
             }
         }
         adaphet_metrics::global().add("gp.fit.full", 1.0);
-        let model =
-            GpModel::fit_with_distances_and_noise(config.clone(), xs, ys, dists, noise_mults)?;
+        let model = GpModel::fit_with_corr(config.clone(), xs, ys, corr, noise_mults)?;
         Ok(self.model.insert(model))
     }
 }
@@ -240,6 +260,38 @@ mod tests {
     }
 
     #[test]
+    fn bordered_correlations_match_the_kernel_over_fresh_distances_bitwise() {
+        // Replicates (row copies), fresh inputs (kernel rows), a rebuild in
+        // the middle and a kernel switch: R must always equal the kernel
+        // evaluated entry by entry over freshly computed distances.
+        let xs = [3.0, 1.5, 8.0, 3.0, 0.25, 8.0, 8.0, 2.0, 1.5, 40.0, 3.0];
+        let kernels = [
+            Kernel::Exponential { theta: 1.0 },
+            Kernel::SquaredExponential { theta: 2.5 },
+            Kernel::Matern32 { theta: 0.7 },
+            Kernel::Matern52 { theta: 3.1 },
+        ];
+        let fresh = |k: &Kernel, xs: &[f64]| {
+            Mat::from_fn(xs.len(), xs.len(), |i, j| k.corr((xs[i] - xs[j]).abs()))
+        };
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for k in &kernels {
+            let mut d = PairwiseDistances::new();
+            for n in 1..=xs.len() {
+                assert!(d.sync(&xs[..n]));
+                assert_eq!(bits(d.correlations(k)), bits(&fresh(k, &xs[..n])), "{k:?}, n = {n}");
+            }
+            // A rewritten history drops R; the next request rebuilds it.
+            let rewritten = [xs[1], xs[0], xs[2], xs[1]];
+            assert!(!d.sync(&rewritten));
+            assert_eq!(bits(d.correlations(k)), bits(&fresh(k, &rewritten)));
+            // Another kernel replaces the kept matrix.
+            let other = k.with_theta(k.theta() * 2.0);
+            assert_eq!(bits(d.correlations(&other)), bits(&fresh(&other, &rewritten)));
+        }
+    }
+
+    #[test]
     fn sync_appends_or_rebuilds() {
         let mut d = PairwiseDistances::new();
         assert!(d.sync(&[1.0, 2.0]));
@@ -261,7 +313,9 @@ mod tests {
         let mut cache = ModelCache::new();
         for n in 2..=xs.len() {
             dists.sync(&xs[..n]);
-            let model = cache.fit_or_update(&cfg, &xs[..n], &ys[..n], dists.matrix()).unwrap();
+            let model = cache
+                .fit_or_update(&cfg, &xs[..n], &ys[..n], dists.correlations(&cfg.kernel))
+                .unwrap();
             let scratch = GpModel::fit(cfg.clone(), &xs[..n], &ys[..n]).unwrap();
             assert_eq!(model.log_likelihood(), scratch.log_likelihood(), "n = {n}");
             for q in 0..20 {
@@ -282,11 +336,13 @@ mod tests {
         dists.sync(&xs);
         let reg = adaphet_metrics::install_global(adaphet_metrics::Registry::new());
         let mut cache = ModelCache::new();
-        cache.fit_or_update(&config(1.0), &xs, &ys, dists.matrix()).unwrap();
+        let cfg = config(1.0);
+        cache.fit_or_update(&cfg, &xs, &ys, dists.correlations(&cfg.kernel)).unwrap();
         // Other tests in this binary may fit concurrently: assert the
         // monotone delta, not an exact count.
         let before = reg.counter_value("gp.fit.full");
-        cache.fit_or_update(&config(2.0), &xs, &ys, dists.matrix()).unwrap();
+        let cfg = config(2.0);
+        cache.fit_or_update(&cfg, &xs, &ys, dists.correlations(&cfg.kernel)).unwrap();
         assert!(
             reg.counter_value("gp.fit.full") - before >= 1.0,
             "config change must force a refit"
@@ -306,17 +362,12 @@ mod tests {
         let mut cache = ModelCache::new();
         for n in 2..=xs.len() {
             dists.sync(&xs[..n]);
+            let corr = dists.correlations(&cfg.kernel);
             let model = cache
-                .fit_or_update_with_noise(&cfg, &xs[..n], &ys[..n], dists.matrix(), &mults[..n])
+                .fit_or_update_with_noise(&cfg, &xs[..n], &ys[..n], corr, &mults[..n])
                 .unwrap();
-            let scratch = GpModel::fit_with_distances_and_noise(
-                cfg.clone(),
-                &xs[..n],
-                &ys[..n],
-                dists.matrix(),
-                &mults[..n],
-            )
-            .unwrap();
+            let scratch =
+                GpModel::fit_with_corr(cfg.clone(), &xs[..n], &ys[..n], corr, &mults[..n]).unwrap();
             assert_eq!(model.log_likelihood().to_bits(), scratch.log_likelihood().to_bits());
             for q in 0..15 {
                 let xq = q as f64 * 0.4;
@@ -335,10 +386,11 @@ mod tests {
         dists.sync(&xs);
         let reg = adaphet_metrics::install_global(adaphet_metrics::Registry::new());
         let mut cache = ModelCache::new();
-        cache.fit_or_update_with_noise(&cfg, &xs, &ys, dists.matrix(), &[4.0, 1.0, 1.0]).unwrap();
+        let corr = dists.correlations(&cfg.kernel);
+        cache.fit_or_update_with_noise(&cfg, &xs, &ys, corr, &[4.0, 1.0, 1.0]).unwrap();
         let before = reg.counter_value("gp.fit.full");
         // Same data, different multipliers: must not reuse the cached fit.
-        cache.fit_or_update(&cfg, &xs, &ys, dists.matrix()).unwrap();
+        cache.fit_or_update(&cfg, &xs, &ys, corr).unwrap();
         assert!(
             reg.counter_value("gp.fit.full") - before >= 1.0,
             "multiplier change must force a refit"
@@ -355,10 +407,10 @@ mod tests {
         let mut dists = PairwiseDistances::new();
         dists.sync(&xs[..2]);
         let mut cache = ModelCache::new();
-        cache.fit_or_update(&cfg, &xs[..2], &ys[..2], dists.matrix()).unwrap();
+        cache.fit_or_update(&cfg, &xs[..2], &ys[..2], dists.correlations(&cfg.kernel)).unwrap();
         let before = reg.counter_value("gp.fit.incremental");
         dists.sync(&xs);
-        cache.fit_or_update(&cfg, &xs, &ys, dists.matrix()).unwrap();
+        cache.fit_or_update(&cfg, &xs, &ys, dists.correlations(&cfg.kernel)).unwrap();
         assert!(reg.counter_value("gp.fit.incremental") - before >= 2.0);
     }
 }

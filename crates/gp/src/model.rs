@@ -1,9 +1,7 @@
 //! Universal-kriging model: fit, predict, and O(n²) incremental updates.
 
 use crate::{Kernel, Trend};
-use adaphet_linalg::{
-    backward_sub_in_place, forward_sub_in_place, gls_solve, Cholesky, GlsFit, LinalgError, Mat,
-};
+use adaphet_linalg::{gls_solve, Cholesky, GlsFit, LinalgError, Mat};
 
 /// Hyper-parameters of a GP model.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,10 +50,10 @@ pub struct GpModel {
     kinv_resid: Vec<f64>,
     /// Design matrix rows (needed for the variance correction).
     design: Mat,
-    /// Kernel correlation matrix `R` (no process variance, no nugget),
-    /// cached so replicate updates can copy a column instead of
-    /// re-evaluating the kernel and the jitter fallback can rebuild K.
-    corr: Mat,
+    /// `replicate_of[i]` is the first observation with the same input as
+    /// observation `i` (`i` itself for a new input): kernel values against
+    /// a replicate are copied from its twin instead of re-evaluated.
+    replicate_of: Vec<usize>,
     /// Per-point multipliers of the nugget (`K[(i,i)] += σ²_N · m_i`).
     /// Empty means every multiplier is exactly 1 — the homoscedastic
     /// model — and the diagonal is formed by the original expression, so
@@ -78,98 +76,83 @@ impl GpModel {
     /// # Panics
     /// Panics if `x` and `y` lengths differ or are empty.
     pub fn fit(config: GpConfig, x: &[f64], y: &[f64]) -> crate::Result<GpModel> {
-        assert_eq!(x.len(), y.len(), "x/y length mismatch");
-        assert!(!x.is_empty(), "cannot fit a GP with zero observations");
-        let n = x.len();
-        // `Kernel::corr` takes |d| first, so feeding absolute distances is
-        // bit-identical to feeding signed differences.
-        let dists = Mat::from_fn(n, n, |i, j| (x[i] - x[j]).abs());
-        Self::fit_with_distances(config, x, y, &dists)
+        let corr = config.kernel.corr_matrix_of(x);
+        Self::fit_with_corr(config, x, y, &corr, &[])
     }
 
-    /// Fit the model reusing a precomputed pairwise-distance matrix
-    /// (`dists[(i, j)] = |x[i] - x[j]|`). The distances depend only on the
-    /// history, not on the kernel hyper-parameters, so an MLE grid search
-    /// computes them once and shares them across every (θ, α) candidate.
+    /// Fit the model from an already-evaluated kernel correlation matrix
+    /// `corr[(i, j)] = config.kernel.corr(|x[i] − x[j]|)`
+    /// ([`Kernel::corr_matrix`]; only its lower triangle is read). `R`
+    /// depends on the inputs and the kernel alone, so fits that differ in
+    /// α, σ²_N, trend or noise multipliers share one matrix. Produces
+    /// bitwise-identical results to [`GpModel::fit`].
     ///
-    /// Produces bitwise-identical results to [`GpModel::fit`].
-    pub fn fit_with_distances(
-        config: GpConfig,
-        x: &[f64],
-        y: &[f64],
-        dists: &Mat,
-    ) -> crate::Result<GpModel> {
-        Self::fit_with_distances_and_noise(config, x, y, dists, &[])
-    }
-
-    /// [`GpModel::fit_with_distances`] with per-point noise multipliers:
-    /// observation `i` contributes `σ²_N · noise_mults[i]` to the
-    /// covariance diagonal instead of the flat `σ²_N`. An empty slice
-    /// means all-ones and is bit-identical to the plain fit.
-    ///
-    /// This is how warm-started strategies fold a prior in: the prior's
+    /// Observation `i` contributes `σ²_N · noise_mults[i]` to the
+    /// covariance diagonal instead of the flat `σ²_N`; an empty slice means
+    /// all-ones and is bit-identical to the homoscedastic fit. This is how
+    /// warm-started strategies fold a prior in: the prior's
     /// pseudo-observations get multipliers above 1, so they pull the
     /// posterior where nothing has been measured yet but are quickly
     /// overruled by live data. Points appended later through
     /// [`GpModel::update`] always carry multiplier 1 (they are live).
-    pub fn fit_with_distances_and_noise(
+    ///
+    /// # Panics
+    /// Panics if `x` and `y` lengths differ or are empty, or if `corr` or a
+    /// non-empty `noise_mults` does not match their length.
+    pub fn fit_with_corr(
         config: GpConfig,
         x: &[f64],
         y: &[f64],
-        dists: &Mat,
+        corr: &Mat,
         noise_mults: &[f64],
     ) -> crate::Result<GpModel> {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit a GP with zero observations");
         let n = x.len();
         assert!(
-            dists.rows() == n && dists.cols() == n,
-            "distance matrix is {}x{}, expected {n}x{n}",
-            dists.rows(),
-            dists.cols()
+            corr.rows() == n && corr.cols() == n,
+            "correlation matrix is {}x{}, expected {n}x{n}",
+            corr.rows(),
+            corr.cols()
         );
         assert!(
             noise_mults.is_empty() || noise_mults.len() == n,
             "noise_mults has {} entries for {n} observations",
             noise_mults.len()
         );
-        let corr = Mat::from_fn(n, n, |i, j| config.kernel.corr(dists[(i, j)]));
-        Self::fit_from_corr(config, x.to_vec(), y.to_vec(), corr, noise_mults.to_vec())
-    }
-
-    /// Core scratch fit from an already-evaluated correlation matrix. Both
-    /// the public fit paths and the incremental-update fallback funnel
-    /// through here, so all of them share one arithmetic sequence.
-    fn fit_from_corr(
-        config: GpConfig,
-        x: Vec<f64>,
-        y: Vec<f64>,
-        corr: Mat,
-        noise_mults: Vec<f64>,
-    ) -> crate::Result<GpModel> {
         let recorder = adaphet_metrics::global();
         recorder.add("gp.model.fits", 1.0);
         let _fit_timer = adaphet_metrics::Timer::start(recorder, "gp.model.fit_s");
-        let n = x.len();
         let alpha = config.process_var.max(1e-12);
 
         // K = α R + σ²_N diag(m). The homoscedastic case keeps the
         // original expression so it stays bit-identical.
-        let mut k = Mat::from_fn(n, n, |i, j| alpha * corr[(i, j)]);
-        if noise_mults.is_empty() {
-            for i in 0..n {
-                k[(i, i)] += config.noise_var;
+        let covariance = || {
+            let mut k = corr.clone();
+            for v in k.as_mut_slice() {
+                *v *= alpha;
             }
-        } else {
             for i in 0..n {
-                k[(i, i)] += config.noise_var * noise_mults[i];
+                k[(i, i)] += match noise_mults.get(i) {
+                    None => config.noise_var,
+                    Some(m) => config.noise_var * m,
+                };
             }
-        }
+            k
+        };
+        // The factor overwrites K; only a non-SPD K is rebuilt for the
+        // jitter ladder.
         let base_jitter = 1e-10 * alpha.max(config.noise_var).max(1e-12);
-        let (chol, jitter) = Cholesky::factor_with_jitter(&k, base_jitter, 14)?;
+        let (chol, jitter) = match Cholesky::factor_in_place(covariance()) {
+            Ok(chol) => (chol, 0.0),
+            Err(LinalgError::NotSpd(_)) => {
+                Cholesky::factor_with_jitter(&covariance(), base_jitter, 14)?
+            }
+            Err(e) => return Err(e),
+        };
 
         let design = Mat::from_fn(n, config.trend.len(), |i, j| config.trend.terms[j].eval(x[i]));
-        let gls = gls_solve(&chol, &design, &y)?;
+        let gls = gls_solve(&chol, &design, y)?;
         let kinv_resid = chol.solve(&gls.residuals);
 
         // Profile log marginal likelihood (trend coefficients plugged in).
@@ -177,16 +160,18 @@ impl GpModel {
         let log_likelihood =
             -0.5 * (quad + chol.log_det() + n as f64 * (2.0 * std::f64::consts::PI).ln());
 
+        let replicate_of =
+            (0..n).map(|i| x[..i].iter().position(|&xj| xj == x[i]).unwrap_or(i)).collect();
         Ok(GpModel {
             config,
-            x,
-            y,
+            x: x.to_vec(),
+            y: y.to_vec(),
             chol,
             gls,
             kinv_resid,
             design,
-            corr,
-            noise_mults,
+            replicate_of,
+            noise_mults: noise_mults.to_vec(),
             jitter,
             log_likelihood,
             ws_a: Vec::new(),
@@ -207,7 +192,7 @@ impl GpModel {
         self.kinv_resid.reserve(target_n - n);
         self.gls.whitened_y.reserve(target_n - n);
         self.chol.reserve(target_n);
-        self.corr.reserve_dims(target_n, target_n);
+        self.replicate_of.reserve(target_n - n);
         self.design.reserve_dims(target_n, self.design.cols());
         self.gls.whitened_design.reserve_dims(target_n, self.design.cols());
         self.ws_a.reserve(target_n);
@@ -239,49 +224,61 @@ impl GpModel {
         // expression the scratch fit evaluates for row n of R.
         let mut row = std::mem::take(&mut self.ws_a);
         row.clear();
-        row.extend(self.x.iter().map(|&xi| self.config.kernel.corr(x_new - xi)));
+        for (i, &xi) in self.x.iter().enumerate() {
+            let r = match self.replicate_of[i] {
+                j if j < i => row[j],
+                _ => self.config.kernel.corr(x_new - xi),
+            };
+            row.push(r);
+        }
         self.ws_a = row;
-        self.update_with_corr_row(x_new, y_new)
+        let rnn = self.config.kernel.corr(0.0);
+        self.absorb(x_new, y_new, rnn, |model| model.config.kernel.corr_matrix_of(&model.x))
     }
 
-    /// Like [`GpModel::update`] for a replicate of an already-observed
-    /// action: when some `x[j]` equals `x_new` bit-for-bit, the correlation
-    /// row is copied from the cached `R` column instead of re-evaluating
-    /// the kernel `n` times. Falls back to [`GpModel::update`] when the
-    /// input is actually new.
-    pub fn update_replicate(&mut self, x_new: f64, y_new: f64) -> crate::Result<()> {
-        match self.x.iter().position(|&xi| xi == x_new) {
-            Some(j) => {
-                // |x_i - x_new| == |x_i - x[j]| exactly, so column j of R
-                // already holds the correlations the scratch fit would
-                // compute for the replicate row.
-                let mut row = std::mem::take(&mut self.ws_a);
-                row.clear();
-                row.extend_from_slice(self.corr.col(j));
-                self.ws_a = row;
-                self.update_with_corr_row(x_new, y_new)
-            }
-            None => self.update(x_new, y_new),
+    /// [`GpModel::update`] reading the new point's correlations from `corr`,
+    /// the kernel correlation matrix of the extended history (row
+    /// `self.n_obs()` belongs to the new point; further rows are ignored)
+    /// — no kernel evaluation at all when the caller keeps `R` current
+    /// ([`PairwiseDistances::correlations`]).
+    ///
+    /// # Panics
+    /// Panics if `corr` has no row for the new point.
+    pub fn update_with_corr(&mut self, x_new: f64, y_new: f64, corr: &Mat) -> crate::Result<()> {
+        let n = self.x.len();
+        assert!(corr.rows() > n && corr.cols() > n, "corr has no row {n} for the new point");
+        self.ws_a.clear();
+        self.ws_a.extend_from_slice(&corr.col(n)[..n]);
+        self.absorb(x_new, y_new, corr[(n, n)], |_| Mat::from_fn(n + 1, n + 1, |i, j| corr[(i, j)]))
+    }
+
+    /// Append `(x_new, y_new)` to the stored observations (always live:
+    /// noise multiplier 1).
+    fn push_observation(&mut self, x_new: f64, y_new: f64) {
+        let n = self.x.len();
+        self.replicate_of.push(self.x.iter().position(|&xi| xi == x_new).unwrap_or(n));
+        self.x.push(x_new);
+        self.y.push(y_new);
+        if !self.noise_mults.is_empty() {
+            self.noise_mults.push(1.0);
         }
     }
 
-    /// Shared tail of [`GpModel::update`]/[`GpModel::update_replicate`]:
-    /// `self.ws_a` holds `r(x_new, x_i)` for the current history on entry.
-    fn update_with_corr_row(&mut self, x_new: f64, y_new: f64) -> crate::Result<()> {
+    /// Shared tail of [`GpModel::update`]/[`GpModel::update_with_corr`]:
+    /// `self.ws_a` holds `r(x_new, x_i)` for the current history on entry,
+    /// `rnn` is `r(x_new, x_new)`, and `extended_corr` builds the full `R` of
+    /// the extended history for the (rare) refit fallback.
+    fn absorb(
+        &mut self,
+        x_new: f64,
+        y_new: f64,
+        rnn: f64,
+        extended_corr: impl FnOnce(&GpModel) -> Mat,
+    ) -> crate::Result<()> {
         let recorder = adaphet_metrics::global();
         let _timer = adaphet_metrics::Timer::start(recorder, "gp.model.update_s");
         let n = self.x.len();
         let alpha = self.config.process_var.max(1e-12);
-
-        // Grow R first — both the incremental path and the refit fallback
-        // need the bordered correlation matrix.
-        let rnn = self.config.kernel.corr(0.0);
-        self.corr.grow_square();
-        for (i, &r) in self.ws_a.iter().enumerate() {
-            self.corr[(i, n)] = r;
-            self.corr[(n, i)] = r;
-        }
-        self.corr[(n, n)] = rnn;
 
         // Covariance column and diagonal exactly as the scratch K holds
         // them, plus the jitter this model's factorization settled on.
@@ -298,31 +295,24 @@ impl GpModel {
             Ok(()) => {}
             Err(LinalgError::NotSpd(_)) => {
                 // The bordered pivot went non-positive: refit through the
-                // same jitter ladder the scratch fit uses. R already has
-                // the bordered shape, so the refit is bit-identical to a
-                // scratch fit on the extended history.
+                // same jitter ladder the scratch fit uses — bit-identical
+                // to a scratch fit on the extended history.
                 recorder.add("gp.fit.full", 1.0);
-                let mut x = std::mem::take(&mut self.x);
-                let mut y = std::mem::take(&mut self.y);
-                x.push(x_new);
-                y.push(y_new);
-                let mut mults = std::mem::take(&mut self.noise_mults);
-                if !mults.is_empty() {
-                    mults.push(1.0);
-                }
-                let corr = std::mem::replace(&mut self.corr, Mat::zeros(0, 0));
-                *self = Self::fit_from_corr(self.config.clone(), x, y, corr, mults)?;
+                self.push_observation(x_new, y_new);
+                let corr = extended_corr(self);
+                *self = Self::fit_with_corr(
+                    self.config.clone(),
+                    &self.x,
+                    &self.y,
+                    &corr,
+                    &self.noise_mults,
+                )?;
                 return Ok(());
             }
             Err(other) => return Err(other),
         }
         recorder.add("gp.fit.incremental", 1.0);
-
-        self.x.push(x_new);
-        self.y.push(y_new);
-        if !self.noise_mults.is_empty() {
-            self.noise_mults.push(1.0);
-        }
+        self.push_observation(x_new, y_new);
 
         // Extend the design and its whitened image by one row. The leading
         // n entries of the bordered forward solve are untouched; entry n
@@ -379,12 +369,10 @@ impl GpModel {
             self.gls.residuals.extend_from_slice(&self.y);
         }
 
-        // K⁻¹ residuals via the in-place solves (same arithmetic as
-        // `Cholesky::solve`, no fresh allocation in steady state).
+        // K⁻¹ residuals, solved in the reused buffer.
         self.kinv_resid.clear();
         self.kinv_resid.extend_from_slice(&self.gls.residuals);
-        forward_sub_in_place(l, &mut self.kinv_resid)?;
-        backward_sub_in_place(l, &mut self.kinv_resid)?;
+        self.chol.solve_in_place(&mut self.kinv_resid);
 
         let quad: f64 = self.gls.residuals.iter().zip(&self.kinv_resid).map(|(r, kr)| r * kr).sum();
         self.log_likelihood = -0.5
@@ -404,37 +392,84 @@ impl GpModel {
 
     /// Posterior prediction of the latent `f` at `xq`.
     pub fn predict(&self, xq: f64) -> Prediction {
+        self.predict_many(&[xq])[0]
+    }
+
+    /// Posterior predictions at every input of `xq` — each one bit-identical
+    /// to predicting that input alone, for a fraction of the work: the
+    /// `m × n` kernel rows are evaluated once per *distinct* observed input
+    /// (replicates copy their twin's column), all `K⁻¹ k*` solves share one
+    /// [`Cholesky::solve_many`] sweep, and the O(n) sums run over the
+    /// candidates side by side, each candidate's terms still added in
+    /// ascending observation order.
+    pub fn predict_many(&self, xq: &[f64]) -> Vec<Prediction> {
         let alpha = self.config.process_var.max(1e-12);
-        let n = self.x.len();
-        // k* = α r(xq, X)
-        let kstar: Vec<f64> =
-            self.x.iter().map(|&xi| alpha * self.config.kernel.corr(xq - xi)).collect();
-        let g = self.config.trend.row(xq);
-
-        // mean = g*ᵀ γ̂ + k*ᵀ K⁻¹ resid
-        let mut mean: f64 = g.iter().zip(&self.gls.coefficients).map(|(gi, ci)| gi * ci).sum();
-        mean += kstar.iter().zip(&self.kinv_resid).map(|(a, b)| a * b).sum::<f64>();
-
-        // var = α − k*ᵀK⁻¹k* + u ᵀ(GᵀK⁻¹G)⁻¹ u, u = g* − Gᵀ K⁻¹ k*.
-        let kinv_kstar = self.chol.solve(&kstar);
-        let explained: f64 = kstar.iter().zip(&kinv_kstar).map(|(a, b)| a * b).sum();
-        let mut var = alpha - explained;
-        if !self.config.trend.is_empty() {
-            // u = g − Gᵀ (K⁻¹ k*)
-            let mut u = g.clone();
-            for (j, uj) in u.iter_mut().enumerate() {
-                let col = self.design.col(j);
-                let mut s = 0.0;
-                for i in 0..n {
-                    s += col[i] * kinv_kstar[i];
-                }
-                *uj -= s;
-            }
-            // + uᵀ coef_cov u
-            let cu = self.gls.coef_cov.matvec(&u);
-            var += u.iter().zip(&cu).map(|(a, b)| a * b).sum::<f64>();
+        let (m, n) = (xq.len(), self.x.len());
+        let p = self.config.trend.len();
+        if m == 0 {
+            return Vec::new();
         }
-        Prediction { mean, var: var.max(0.0) }
+
+        // k*[r, i] = α r(xq_r, x_i): one candidate per row, so column i
+        // holds every candidate's covariance with observation i.
+        let mut kstar = Vec::with_capacity(m * n);
+        for (i, &xi) in self.x.iter().enumerate() {
+            match self.replicate_of[i] {
+                j if j < i => kstar.extend_from_within(j * m..(j + 1) * m),
+                _ => kstar.extend(xq.iter().map(|&q| alpha * self.config.kernel.corr(q - xi))),
+            }
+        }
+        let kstar = Mat::from_col_major(m, n, kstar);
+        let mut kinv_kstar = kstar.clone();
+        self.chol.solve_many(&mut kinv_kstar);
+
+        // Per candidate: k*ᵀ K⁻¹ resid, k*ᵀ K⁻¹ k* and Gᵀ K⁻¹ k*, each a
+        // sum over observations in ascending i. The first two start from
+        // the value an iterator `sum()` starts from, the last from 0.0, as
+        // the one-candidate expressions always have.
+        let sum_start: f64 = std::iter::empty::<f64>().sum();
+        let mut k_resid = vec![sum_start; m];
+        let mut explained = vec![sum_start; m];
+        let columns =
+            || kstar.as_slice().chunks_exact(m).zip(kinv_kstar.as_slice().chunks_exact(m));
+        for ((kc, sc), &w) in columns().zip(&self.kinv_resid) {
+            for r in 0..m {
+                k_resid[r] += kc[r] * w;
+                explained[r] += kc[r] * sc[r];
+            }
+        }
+        let mut gt_kinv_kstar = Mat::zeros(m, p);
+        for j in 0..p {
+            let out = gt_kinv_kstar.col_mut(j);
+            for ((_, sc), &g) in columns().zip(self.design.col(j)) {
+                for (s, &v) in out.iter_mut().zip(sc) {
+                    *s += g * v;
+                }
+            }
+        }
+
+        let (mut g, mut u, mut cu) = (vec![0.0; p], vec![0.0; p], vec![0.0; p]);
+        (0..m)
+            .map(|r| {
+                for (gj, term) in g.iter_mut().zip(&self.config.trend.terms) {
+                    *gj = term.eval(xq[r]);
+                }
+                // mean = g*ᵀ γ̂ + k*ᵀ K⁻¹ resid
+                let mut mean: f64 =
+                    g.iter().zip(&self.gls.coefficients).map(|(gi, ci)| gi * ci).sum();
+                mean += k_resid[r];
+                // var = α − k*ᵀK⁻¹k* + uᵀ(GᵀK⁻¹G)⁻¹u, u = g* − Gᵀ K⁻¹ k*.
+                let mut var = alpha - explained[r];
+                if p > 0 {
+                    for (j, uj) in u.iter_mut().enumerate() {
+                        *uj = g[j] - gt_kinv_kstar[(r, j)];
+                    }
+                    self.gls.coef_cov.matvec_into(&u, &mut cu);
+                    var += u.iter().zip(&cu).map(|(a, b)| a * b).sum::<f64>();
+                }
+                Prediction { mean, var: var.max(0.0) }
+            })
+            .collect()
     }
 
     /// Posterior variance of a *new observation* at `xq` (latent variance
@@ -489,6 +524,117 @@ impl GpModel {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The one-candidate prediction [`GpModel::predict_many`] replaced: a
+    /// fresh `k*`, one scalar `solve` and sequential sums per call. Kept as
+    /// the executable definition of a prediction's bits.
+    fn predict_oracle(model: &GpModel, xq: f64) -> Prediction {
+        let alpha = model.config.process_var.max(1e-12);
+        let n = model.x.len();
+        let kstar: Vec<f64> =
+            model.x.iter().map(|&xi| alpha * model.config.kernel.corr(xq - xi)).collect();
+        let g = model.config.trend.row(xq);
+        let mut mean: f64 = g.iter().zip(&model.gls.coefficients).map(|(gi, ci)| gi * ci).sum();
+        mean += kstar.iter().zip(&model.kinv_resid).map(|(a, b)| a * b).sum::<f64>();
+        let kinv_kstar = model.chol.solve(&kstar);
+        let explained: f64 = kstar.iter().zip(&kinv_kstar).map(|(a, b)| a * b).sum();
+        let mut var = alpha - explained;
+        if !model.config.trend.is_empty() {
+            let mut u = g.clone();
+            for (j, uj) in u.iter_mut().enumerate() {
+                let col = model.design.col(j);
+                let mut s = 0.0;
+                for i in 0..n {
+                    s += col[i] * kinv_kstar[i];
+                }
+                *uj -= s;
+            }
+            let cu = model.gls.coef_cov.matvec(&u);
+            var += u.iter().zip(&cu).map(|(a, b)| a * b).sum::<f64>();
+        }
+        Prediction { mean, var: var.max(0.0) }
+    }
+
+    #[test]
+    fn predict_many_matches_the_scalar_oracle_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9a7c4);
+        let groups = [(0, 2), (3, 5), (6, 8), (9, 12)];
+        let mut compared = 0;
+        // Every history length up to past the solver's tiles (each `dot`
+        // tail, n < 4), candidate counts on both sides of a multiple of 8.
+        for n in 1..=130usize {
+            let theta = rng.random_range(0.3..4.0);
+            let kernel = match n % 4 {
+                0 => Kernel::Exponential { theta },
+                1 => Kernel::SquaredExponential { theta },
+                2 => Kernel::Matern32 { theta },
+                _ => Kernel::Matern52 { theta },
+            };
+            // 0, 1 or 5 trend terms (the dummies need a populated history).
+            let trend = match (n / 4) % 3 {
+                0 => Trend::none(),
+                1 => Trend::constant(),
+                _ if n >= 24 => Trend::linear_with_group_dummies(&groups),
+                _ => Trend::linear(),
+            };
+            let cfg = GpConfig {
+                kernel,
+                process_var: rng.random_range(0.2..5.0),
+                noise_var: rng.random_range(0.01..0.3),
+                trend,
+            };
+            // Mostly grid inputs, so replicates abound; some off-grid.
+            let xs: Vec<f64> = (0..n)
+                .map(|_| match rng.random_bool(0.8) {
+                    true => rng.random_range(0..13) as f64,
+                    false => rng.random_range(0.0..12.0),
+                })
+                .collect();
+            let ys: Vec<f64> =
+                xs.iter().map(|x| (0.6 * x).sin() + rng.random_range(-0.2..0.2)).collect();
+            // A third of the cases carry warm-start multipliers on a prefix;
+            // a third grow their tail through `update`.
+            let mults: Vec<f64> = match n % 3 {
+                0 => (0..n).map(|i| if i < n / 3 { 16.0 } else { 1.0 }).collect(),
+                _ => Vec::new(),
+            };
+            let head = if n % 3 == 1 { n - n / 4 } else { n };
+            let corr = cfg.kernel.corr_matrix_of(&xs[..head]);
+            let Ok(mut model) = GpModel::fit_with_corr(
+                cfg,
+                &xs[..head],
+                &ys[..head],
+                &corr,
+                &mults[..mults.len().min(head)],
+            ) else {
+                continue; // a dummy group without data: nothing to compare
+            };
+            if (head..n).any(|i| model.update(xs[i], ys[i]).is_err()) {
+                continue;
+            }
+            let m = [1, 3, 8, 9, 17, 31][n % 6];
+            let xq: Vec<f64> = (0..m)
+                .map(|r| match r % 4 {
+                    0 => xs[rng.random_range(0..n)], // on an observed input
+                    1 => 1e6 * (r as f64 + 1.0),     // every kernel value underflows
+                    _ => rng.random_range(-2.0..14.0),
+                })
+                .collect();
+            for (r, got) in model.predict_many(&xq).into_iter().enumerate() {
+                let want = predict_oracle(&model, xq[r]);
+                assert_eq!(
+                    got.mean.to_bits(),
+                    want.mean.to_bits(),
+                    "mean: n = {n}, xq = {}",
+                    xq[r]
+                );
+                assert_eq!(got.var.to_bits(), want.var.to_bits(), "var: n = {n}, xq = {}", xq[r]);
+                compared += 1;
+            }
+        }
+        assert!(compared > 1000, "only {compared} predictions were compared");
+    }
 
     fn base_config(theta: f64) -> GpConfig {
         GpConfig {
@@ -624,12 +770,11 @@ mod tests {
     fn all_ones_noise_mults_are_bitwise_identical_to_the_plain_fit() {
         let xs: [f64; 4] = [1.0, 3.0, 4.5, 7.0];
         let ys = [2.0, -1.0, 0.5, 3.0];
-        let n = xs.len();
-        let dists = Mat::from_fn(n, n, |i, j| (xs[i] - xs[j]).abs());
         let mut cfg = base_config(1.2);
         cfg.noise_var = 0.05;
-        let plain = GpModel::fit_with_distances(cfg.clone(), &xs, &ys, &dists).unwrap();
-        let ones = GpModel::fit_with_distances_and_noise(cfg, &xs, &ys, &dists, &[1.0; 4]).unwrap();
+        let corr = cfg.kernel.corr_matrix_of(&xs);
+        let plain = GpModel::fit(cfg.clone(), &xs, &ys).unwrap();
+        let ones = GpModel::fit_with_corr(cfg, &xs, &ys, &corr, &[1.0; 4]).unwrap();
         assert_eq!(plain.log_likelihood().to_bits(), ones.log_likelihood().to_bits());
         for q in 0..30 {
             let xq = q as f64 * 0.3;
@@ -646,14 +791,12 @@ mod tests {
         // inflated multiplier the fit trusts it much less.
         let xs: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
         let ys = [50.0, 1.0, 1.1, 0.9]; // the first point is the outlier prior
-        let n = xs.len();
-        let dists = Mat::from_fn(n, n, |i, j| (xs[i] - xs[j]).abs());
         let mut cfg = base_config(1.0);
         cfg.noise_var = 0.1;
-        let trusted = GpModel::fit_with_distances(cfg.clone(), &xs, &ys, &dists).unwrap();
+        let corr = cfg.kernel.corr_matrix_of(&xs);
+        let trusted = GpModel::fit(cfg.clone(), &xs, &ys).unwrap();
         let softened =
-            GpModel::fit_with_distances_and_noise(cfg, &xs, &ys, &dists, &[100.0, 1.0, 1.0, 1.0])
-                .unwrap();
+            GpModel::fit_with_corr(cfg, &xs, &ys, &corr, &[100.0, 1.0, 1.0, 1.0]).unwrap();
         let t = trusted.predict(1.0).mean;
         let s = softened.predict(1.0).mean;
         assert!(s < t, "softened mean {s} should sit below the trusted {t}");
@@ -669,19 +812,17 @@ mod tests {
         let xs: [f64; 3] = [1.0, 2.0, 3.0];
         let ys = [9.0, 1.0, 1.2];
         let mults = [16.0, 1.0, 1.0];
-        let n = xs.len();
-        let dists = Mat::from_fn(n, n, |i, j| (xs[i] - xs[j]).abs());
         let mut cfg = base_config(0.9);
         cfg.noise_var = 0.2;
         let mut inc =
-            GpModel::fit_with_distances_and_noise(cfg.clone(), &xs, &ys, &dists, &mults).unwrap();
+            GpModel::fit_with_corr(cfg.clone(), &xs, &ys, &cfg.kernel.corr_matrix_of(&xs), &mults)
+                .unwrap();
         inc.update(4.0, 0.8).unwrap();
         let xs2: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
         let ys2 = [9.0, 1.0, 1.2, 0.8];
-        let d2 = Mat::from_fn(4, 4, |i, j| (xs2[i] - xs2[j]).abs());
+        let corr2 = cfg.kernel.corr_matrix_of(&xs2);
         let scratch =
-            GpModel::fit_with_distances_and_noise(cfg, &xs2, &ys2, &d2, &[16.0, 1.0, 1.0, 1.0])
-                .unwrap();
+            GpModel::fit_with_corr(cfg, &xs2, &ys2, &corr2, &[16.0, 1.0, 1.0, 1.0]).unwrap();
         assert_eq!(inc.log_likelihood().to_bits(), scratch.log_likelihood().to_bits());
         for q in 0..20 {
             let xq = q as f64 * 0.35;

@@ -1,6 +1,6 @@
 //! Equivalence of incremental GP updates and scratch fits.
 //!
-//! The incremental paths ([`GpModel::update`], [`GpModel::update_replicate`]
+//! The incremental paths ([`GpModel::update`], [`GpModel::update_with_corr`]
 //! and the [`ModelCache`]) contract to reproduce the scratch fit **exactly**
 //! — the issue asks for 1e-9 agreement on predictions, variances and
 //! log-likelihood, but the implementation replays the scratch fit's
@@ -68,6 +68,7 @@ proptest! {
         // A rank-deficient seed history (e.g. dummy trend with an empty
         // group) gives nothing to compare — skip the case.
         if let Ok(mut model) = GpModel::fit(cfg.clone(), &xs, &ys) {
+            let mut dists = PairwiseDistances::new();
             'steps: for step in n0..total {
                 // Half the steps replicate an existing input, half explore.
                 let replicate = rng.random_bool(0.5);
@@ -80,8 +81,11 @@ proptest! {
                 xs.push(x_new);
                 ys.push(y_new);
                 let scratch = GpModel::fit(cfg.clone(), &xs, &ys);
+                // Replicate steps read their row from the shared, bordered
+                // R; exploring steps evaluate the kernel themselves.
+                dists.sync(&xs);
                 let inc = if replicate {
-                    model.update_replicate(x_new, y_new)
+                    model.update_with_corr(x_new, y_new, dists.correlations(&cfg.kernel))
                 } else {
                     model.update(x_new, y_new)
                 };
@@ -101,7 +105,7 @@ proptest! {
     }
 
     /// Same equivalence through the [`ModelCache`] front door, with the
-    /// distance matrix grown by [`PairwiseDistances::sync`].
+    /// distance and correlation matrices grown by [`PairwiseDistances::sync`].
     #[test]
     fn prop_model_cache_matches_scratch(seed in 0u64..60) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xcafe);
@@ -128,7 +132,8 @@ proptest! {
                 continue;
             }
             dists.sync(&xs);
-            let model = cache.fit_or_update(&cfg, &xs, &ys, dists.matrix()).unwrap();
+            let corr = dists.correlations(&cfg.kernel);
+            let model = cache.fit_or_update(&cfg, &xs, &ys, corr).unwrap();
             let scratch = GpModel::fit(cfg.clone(), &xs, &ys).unwrap();
             assert_models_identical(model, &scratch, &format!("seed {seed}, n = {}", xs.len()));
         }
@@ -154,7 +159,7 @@ fn jitter_fallback_on_replicate_matches_scratch() {
     assert_eq!(model.jitter(), 0.0, "precondition: the base factor needed no jitter");
 
     let before = reg.counter_value("gp.fit.full");
-    model.update_replicate(1.0, 0.5).unwrap();
+    model.update(1.0, 0.5).unwrap();
     assert!(
         reg.counter_value("gp.fit.full") - before >= 1.0,
         "an exact replicate of a zero-nugget model must take the fallback"
@@ -167,7 +172,7 @@ fn jitter_fallback_on_replicate_matches_scratch() {
     // A further replicate now finds the jitter already on the diagonal and
     // stays on the incremental path.
     let before_inc = reg.counter_value("gp.fit.incremental");
-    model.update_replicate(1.0, 0.5).unwrap();
+    model.update(1.0, 0.5).unwrap();
     assert!(reg.counter_value("gp.fit.incremental") - before_inc >= 1.0);
     let scratch2 =
         GpModel::fit(cfg, &[0.0, 1.0, 2.0, 3.0, 1.0, 1.0], &[0.1, 0.5, 0.2, 0.9, 0.5, 0.5])

@@ -1,6 +1,44 @@
 //! Cholesky factorization of symmetric positive-definite matrices.
 
-use crate::{backward_sub, forward_sub, LinalgError, Mat};
+use crate::{backward_sub_in_place, forward_sub, forward_sub_in_place, LinalgError, Mat};
+
+/// Rows of one column that [`Cholesky::factor_in_place`] keeps in registers
+/// while it subtracts the previous columns' contributions.
+const ROW_TILE: usize = 8;
+
+/// Right-hand sides that [`Cholesky::solve_many`] carries through a
+/// substitution sweep together (one `[f64; RHS_TILE]` per unknown).
+const RHS_TILE: usize = 8;
+
+/// For `W` rows of column `j` starting at row `i` — as many `W`-row tiles as
+/// fit below `i` — subtract `row_j[k] · l[rows, k]` for every finished column
+/// `k` in ascending order, skipping exact-zero multipliers. `done` holds
+/// columns `0..j` (column-major, `n` rows each), `cj` is column `j`.
+/// Returns the first row not covered.
+fn subtract_prior_columns<const W: usize>(
+    cj: &mut [f64],
+    done: &[f64],
+    row_j: &[f64],
+    n: usize,
+    mut i: usize,
+) -> usize {
+    while i + W <= n {
+        let mut acc = [0.0; W];
+        acc.copy_from_slice(&cj[i..i + W]);
+        for (k, &ljk) in row_j.iter().enumerate() {
+            if ljk == 0.0 {
+                continue;
+            }
+            let ck = &done[k * n + i..k * n + i + W];
+            for (a, &lik) in acc.iter_mut().zip(ck) {
+                *a -= ljk * lik;
+            }
+        }
+        cj[i..i + W].copy_from_slice(&acc);
+        i += W;
+    }
+    i
+}
 
 /// Lower-triangular Cholesky factor `L` of an SPD matrix `A = L Lᵀ`,
 /// together with solve and log-determinant helpers.
@@ -19,6 +57,21 @@ impl Cholesky {
     /// Returns [`LinalgError::NotSpd`] when a pivot is non-positive, which
     /// callers (e.g. the GP fitter) use to add jitter and retry.
     pub fn factor(a: &Mat) -> crate::Result<Self> {
+        Self::factor_in_place(a.clone())
+    }
+
+    /// [`Cholesky::factor`] consuming `a`: the factor overwrites the
+    /// caller's matrix instead of a clone of it.
+    ///
+    /// Left-looking column Cholesky, register-tiled: for column `j`, a tile
+    /// of [`ROW_TILE`] rows is loaded once, the contributions of all previous
+    /// columns `k < j` are subtracted from it in registers, and it is stored
+    /// once — instead of one load-modify-store axpy over the column per `k`.
+    /// Every element still sees `a[i,j] − l[j,0]·l[i,0] − l[j,1]·l[i,1] − …`
+    /// in ascending `k` (zero `l[j,k]` skipped), then the multiply by the
+    /// cached reciprocal pivot, so the factor is bit-identical to the
+    /// axpy form and [`Cholesky::append`] keeps reproducing it exactly.
+    pub fn factor_in_place(a: Mat) -> crate::Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::DimMismatch {
                 op: "cholesky",
@@ -27,38 +80,35 @@ impl Cholesky {
             });
         }
         let n = a.rows();
-        let mut l = a.clone();
-        // Left-looking column Cholesky: for each column j, subtract the
-        // contributions of previous columns, then scale.
+        let mut l = a;
+        // Row j of the finished columns, gathered once per column so the
+        // tile loop reads its multipliers contiguously.
+        let mut row_j = vec![0.0; n];
         for j in 0..n {
-            // l[j.., j] -= sum_{k<j} l[j, k] * l[j.., k]
-            for k in 0..j {
-                let ljk = l[(j, k)];
-                if ljk == 0.0 {
-                    continue;
-                }
-                let (ck, cj) = l.cols_mut_pair(k, j);
-                for i in j..n {
-                    cj[i] -= ljk * ck[i];
-                }
+            for (k, r) in row_j[..j].iter_mut().enumerate() {
+                *r = l[(j, k)];
             }
-            let d = l[(j, j)];
+            let (done, rest) = l.as_mut_slice().split_at_mut(j * n);
+            let cj = &mut rest[..n];
+            let mut i = j;
+            i = subtract_prior_columns::<ROW_TILE>(cj, done, &row_j[..j], n, i);
+            i = subtract_prior_columns::<4>(cj, done, &row_j[..j], n, i);
+            i = subtract_prior_columns::<2>(cj, done, &row_j[..j], n, i);
+            subtract_prior_columns::<1>(cj, done, &row_j[..j], n, i);
+            let d = cj[j];
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotSpd(j));
             }
             let s = d.sqrt();
-            l[(j, j)] = s;
+            cj[j] = s;
             let inv = 1.0 / s;
-            let cj = l.col_mut(j);
             for v in &mut cj[j + 1..] {
                 *v *= inv;
             }
         }
         // Zero the strictly-upper triangle so `l` is a clean factor.
         for j in 1..n {
-            for i in 0..j {
-                l[(i, j)] = 0.0;
-            }
+            l.col_mut(j)[..j].fill(0.0);
         }
         Ok(Cholesky { l })
     }
@@ -81,7 +131,7 @@ impl Cholesky {
             for i in 0..a.rows() {
                 aj[(i, i)] += jitter;
             }
-            match Cholesky::factor(&aj) {
+            match Cholesky::factor_in_place(aj) {
                 Ok(c) => return Ok((c, jitter)),
                 Err(LinalgError::NotSpd(_)) => jitter *= 10.0,
                 Err(e) => return Err(e),
@@ -180,8 +230,16 @@ impl Cholesky {
     /// Panics if `b.len() != self.dim()` (the factor is always nonsingular,
     /// so the underlying triangular solves cannot fail).
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let y = forward_sub(&self.l, b).expect("Cholesky factor is nonsingular");
-        backward_sub(&self.l, &y).expect("Cholesky factor is nonsingular")
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x);
+        x
+    }
+
+    /// [`Cholesky::solve`] overwriting `x` (the right-hand side on entry)
+    /// with the solution; no allocation.
+    pub fn solve_in_place(&self, x: &mut [f64]) {
+        forward_sub_in_place(&self.l, x).expect("Cholesky factor is nonsingular");
+        backward_sub_in_place(&self.l, x).expect("Cholesky factor is nonsingular");
     }
 
     /// Solve `A X = B` for a matrix right-hand side.
@@ -193,12 +251,64 @@ impl Cholesky {
                 expected: (self.dim(), b.cols()),
             });
         }
-        let mut x = Mat::zeros(b.rows(), b.cols());
+        let mut x = b.clone();
         for j in 0..b.cols() {
-            let sol = self.solve(b.col(j));
-            x.col_mut(j).copy_from_slice(&sol);
+            self.solve_in_place(x.col_mut(j));
         }
         Ok(x)
+    }
+
+    /// Solve `A x = b` for many right-hand sides at once, in place.
+    ///
+    /// `rhs` holds one right-hand side per **row** (`m × n`), so the `m`
+    /// values that belong to unknown `i` are the contiguous column `i`.
+    /// Each row ends up bit-identical to [`Cholesky::solve`] on that row:
+    /// the sweeps below only change which right-hand sides advance
+    /// together, never the order of operations inside one.
+    ///
+    /// # Panics
+    /// Panics if `rhs.cols() != self.dim()`.
+    pub fn solve_many(&self, rhs: &mut Mat) {
+        let n = self.dim();
+        assert_eq!(rhs.cols(), n, "solve_many: right-hand sides must have {n} entries");
+        let m = rhs.rows();
+        if m == 0 || n == 0 {
+            return;
+        }
+        if m == 1 {
+            // A lone right-hand side is its own contiguous vector.
+            return self.solve_in_place(rhs.as_mut_slice());
+        }
+        let rows = self.packed_rows();
+        // One tile of right-hand sides, unknown-major: `tile[i]` holds
+        // x_i of RHS_TILE right-hand sides. A short last tile is padded
+        // with zeros (0/d stays 0) and only its live lanes are copied back.
+        let mut tile = vec![[0.0; RHS_TILE]; n];
+        for r0 in (0..m).step_by(RHS_TILE) {
+            let w = RHS_TILE.min(m - r0);
+            for (i, t) in tile.iter_mut().enumerate() {
+                *t = [0.0; RHS_TILE];
+                t[..w].copy_from_slice(&rhs.col(i)[r0..r0 + w]);
+            }
+            forward_tile(&rows, &mut tile);
+            backward_tile(&self.l, &mut tile);
+            for (i, t) in tile.iter().enumerate() {
+                rhs.col_mut(i)[r0..r0 + w].copy_from_slice(&t[..w]);
+            }
+        }
+    }
+
+    /// Rows of `L` packed one after another (`row i` = `l[i, 0..=i]`), the
+    /// contiguous layout the row-form forward sweep reads.
+    fn packed_rows(&self) -> Vec<f64> {
+        let n = self.dim();
+        let mut rows = vec![0.0; n * (n + 1) / 2];
+        for j in 0..n {
+            for (i, &v) in self.l.col(j).iter().enumerate().skip(j) {
+                rows[i * (i + 1) / 2 + j] = v;
+            }
+        }
+        rows
     }
 
     /// Solve only the forward half, `L y = b` (used by kriging where
@@ -224,10 +334,205 @@ impl Cholesky {
     }
 }
 
+/// Row-form forward substitution `L x = b` on one tile of right-hand
+/// sides. [`forward_sub_in_place`] eliminates column by column
+/// (`x_i -= l[i,j]·x_j` for every `i > j` as soon as `x_j` is known); here
+/// each `x_i` collects the same subtractions, in the same ascending `j`,
+/// in a register before its division by `l[i,i]` — the two forms run the
+/// identical operation sequence on every element.
+fn forward_tile(packed_rows: &[f64], x: &mut [[f64; RHS_TILE]]) {
+    let mut start = 0;
+    for i in 0..x.len() {
+        let row = &packed_rows[start..start + i + 1];
+        start += i + 1;
+        let (solved, rest) = x.split_at_mut(i);
+        let mut s = rest[0];
+        for (&lij, xj) in row[..i].iter().zip(solved.iter()) {
+            for (sc, &xc) in s.iter_mut().zip(xj) {
+                *sc -= lij * xc;
+            }
+        }
+        let d = row[i];
+        for sc in &mut s {
+            *sc /= d;
+        }
+        rest[0] = s;
+    }
+}
+
+/// Backward substitution `Lᵀ x = b` on one tile of right-hand sides,
+/// mirroring [`backward_sub_in_place`]: `x_j = (x_j − dot(l[j+1.., j],
+/// x[j+1..])) / l[j,j]` with [`crate::dot`]'s association — four strided
+/// partial sums plus a sequential tail, added as `((a0+a1)+a2)+a3)+tail`.
+fn backward_tile(l: &Mat, x: &mut [[f64; RHS_TILE]]) {
+    let n = x.len();
+    for j in (0..n).rev() {
+        let col = &l.col(j)[j + 1..];
+        let (head, below) = x.split_at_mut(j + 1);
+        let chunks = col.len() / 4;
+        let mut acc = [[0.0; RHS_TILE]; 4];
+        for (lane, a) in acc.iter_mut().enumerate() {
+            for k in 0..chunks {
+                let lij = col[4 * k + lane];
+                for (ac, &xc) in a.iter_mut().zip(&below[4 * k + lane]) {
+                    *ac += lij * xc;
+                }
+            }
+        }
+        let mut tail = [0.0; RHS_TILE];
+        for (&lij, xi) in col[4 * chunks..].iter().zip(&below[4 * chunks..]) {
+            for (tc, &xc) in tail.iter_mut().zip(xi) {
+                *tc += lij * xc;
+            }
+        }
+        let d = l[(j, j)];
+        let xj = &mut head[j];
+        for c in 0..RHS_TILE {
+            let s = acc[0][c] + acc[1][c] + acc[2][c] + acc[3][c] + tail[c];
+            xj[c] = (xj[c] - s) / d;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The axpy-form factorization [`Cholesky::factor_in_place`] replaced:
+    /// one load-modify-store pass over column `j` per previous column `k`.
+    /// Kept as the executable definition of the factor's bits.
+    fn factor_axpy_oracle(a: &Mat) -> crate::Result<Mat> {
+        let n = a.rows();
+        let mut l = a.clone();
+        for j in 0..n {
+            for k in 0..j {
+                let ljk = l[(j, k)];
+                if ljk == 0.0 {
+                    continue;
+                }
+                let (ck, cj) = l.cols_mut_pair(k, j);
+                for i in j..n {
+                    cj[i] -= ljk * ck[i];
+                }
+            }
+            let d = l[(j, j)];
+            if d <= 0.0 || !d.is_finite() {
+                return Err(LinalgError::NotSpd(j));
+            }
+            let s = d.sqrt();
+            l[(j, j)] = s;
+            let inv = 1.0 / s;
+            for v in &mut l.col_mut(j)[j + 1..] {
+                *v *= inv;
+            }
+        }
+        for j in 1..n {
+            for i in 0..j {
+                l[(i, j)] = 0.0;
+            }
+        }
+        Ok(l)
+    }
+
+    /// A random SPD matrix; `band` zeroes entries further than that from
+    /// the diagonal, so the factor holds exact zeros (the skip branch).
+    fn random_spd(rng: &mut impl rand::Rng, n: usize, band: Option<usize>) -> Mat {
+        let b = Mat::from_fn(n, n, |_, _| rng.random_range(-1.0..1.0));
+        let mut a = b.matmul(&b.transpose()).unwrap();
+        for i in 0..n {
+            for j in 0..n {
+                if band.is_some_and(|w| i.abs_diff(j) > w) {
+                    a[(i, j)] = 0.0;
+                }
+            }
+            a[(i, i)] += n as f64;
+        }
+        a
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tiled_factor_matches_the_axpy_oracle_bitwise_for_every_size() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xfac7);
+        // Every n up to past two row tiles of slack: n < 4, every remainder
+        // of the 8/4/2/1 tile cascade, and the power-of-two stride at 128.
+        for n in 1..=130 {
+            let band = [None, Some(3), Some(0)][n % 3];
+            let a = random_spd(&mut rng, n, band);
+            let tiled = Cholesky::factor(&a).unwrap();
+            assert_eq!(bits(tiled.factor_l()), bits(&factor_axpy_oracle(&a).unwrap()), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn tiled_factor_fails_at_the_oracles_pivot_and_the_ladder_agrees() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9d);
+        let mut collapsed = 0;
+        for n in [1usize, 2, 5, 8, 9, 31, 64, 77] {
+            // Duplicate one row/column of an SPD matrix: exactly singular,
+            // so some pivot collapses (where is up to rounding — whatever
+            // the oracle says).
+            let mut a = random_spd(&mut rng, n, None);
+            if n > 1 {
+                let (src, dst) = (rng.random_range(0..n - 1), n - 1);
+                for k in 0..n {
+                    let v = a[(src, k)];
+                    a[(dst, k)] = v;
+                    a[(k, dst)] = v;
+                }
+                a[(dst, dst)] = a[(src, src)];
+            } else {
+                a[(0, 0)] = -1.0;
+            }
+            match (Cholesky::factor(&a), factor_axpy_oracle(&a)) {
+                (Err(got), Err(want)) => {
+                    assert_eq!(got, want, "n = {n}");
+                    collapsed += 1;
+                }
+                (Ok(got), Ok(want)) => assert_eq!(bits(got.factor_l()), bits(&want), "n = {n}"),
+                (got, want) => panic!("n = {n}: tiled {got:?} but oracle {want:?}"),
+            }
+            // The jitter ladder lands on the same rung with the same bits.
+            if let Ok((c, jitter)) = Cholesky::factor_with_jitter(&a, 1e-10, 14) {
+                let mut aj = a.clone();
+                for i in 0..n {
+                    aj[(i, i)] += jitter;
+                }
+                assert_eq!(bits(c.factor_l()), bits(&factor_axpy_oracle(&aj).unwrap()), "n = {n}");
+            }
+        }
+        assert!(collapsed >= 4, "only {collapsed} of the singular matrices lost a pivot");
+    }
+
+    #[test]
+    fn solve_many_matches_per_row_solve_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x50_17e);
+        // Every n (each `dot` tail length, n < 4) against right-hand-side
+        // counts around the tile width, including the one-row fast path.
+        for n in 1..=130 {
+            let c = Cholesky::factor(&random_spd(&mut rng, n, None)).unwrap();
+            let m = [1, 2, 7, 8, 9, 13, 16, 17][n % 8];
+            let rhs = Mat::from_fn(m, n, |_, _| rng.random_range(-5.0..5.0));
+            let mut x = rhs.clone();
+            c.solve_many(&mut x);
+            for r in 0..m {
+                let want = c.solve(&rhs.row(r));
+                let got = x.row(r);
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "n = {n}, m = {m}, row {r}"
+                );
+            }
+        }
+    }
 
     fn spd3() -> Mat {
         Mat::from_rows(3, 3, &[4.0, 2.0, 0.6, 2.0, 5.0, 1.0, 0.6, 1.0, 3.0])

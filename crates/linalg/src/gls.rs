@@ -6,7 +6,7 @@
 //! `γ̂ = (Gᵀ K⁻¹ G)⁻¹ Gᵀ K⁻¹ y` together with `(Gᵀ K⁻¹ G)⁻¹`, which the
 //! kriging variance needs to account for trend-estimation uncertainty.
 
-use crate::{solve_lower_mat, Cholesky, LinalgError, Mat};
+use crate::{forward_sub_in_place, Cholesky, LinalgError, Mat};
 
 /// Result of a generalized-least-squares fit.
 #[derive(Clone, Debug)]
@@ -49,7 +49,10 @@ pub fn gls_solve(chol_k: &Cholesky, g: &Mat, y: &[f64]) -> crate::Result<GlsFit>
         });
     }
     // Whiten: G̃ = L⁻¹ G, ỹ = L⁻¹ y; then it's ordinary least squares.
-    let g_w = solve_lower_mat(chol_k.factor_l(), g)?;
+    let mut g_w = g.clone();
+    for a in 0..p {
+        forward_sub_in_place(chol_k.factor_l(), g_w.col_mut(a))?;
+    }
     let y_w = chol_k.solve_forward(y);
 
     // Normal matrix M = G̃ᵀ G̃ (p x p, symmetric positive definite if G has

@@ -47,7 +47,7 @@ pub use kernels::{flops, gemm_update, potrf_tile, syrk_update, trsm_right_lt, Ti
 pub use matrix::Mat;
 pub use stats::{mean, pooled_replicate_variance, sample_variance};
 pub use triangular::{
-    backward_sub, backward_sub_in_place, forward_sub, forward_sub_in_place, solve_lower_mat,
+    backward_sub, backward_sub_in_place, forward_sub, forward_sub_in_place,
     solve_lower_transpose_mat,
 };
 pub use vector::{axpy, dot, norm2, scale_in_place};

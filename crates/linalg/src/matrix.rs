@@ -139,8 +139,19 @@ impl Mat {
     /// # Panics
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
         let mut y = vec![0.0; self.rows];
+        self.matvec_into(x, &mut y);
+        y
+    }
+
+    /// [`Mat::matvec`] writing `A * x` into a caller-provided `y`.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
+        assert_eq!(y.len(), self.rows, "matvec: output dimension mismatch");
+        y.fill(0.0);
         // Column-major: accumulate xj * col_j, contiguous reads.
         for (j, &xj) in x.iter().enumerate() {
             if xj == 0.0 {
@@ -150,7 +161,6 @@ impl Mat {
                 *yi += xj * aij;
             }
         }
-        y
     }
 
     /// Transposed matrix-vector product `Aᵀ x`.
