@@ -106,7 +106,7 @@ pub use session::{Observed, Proposal, Session, SessionError, Ticket};
 // shared surrogate knobs, and the persistent store it all rides on
 // (re-exported from `adaphet-store` so driver users need one crate).
 pub use adaphet_store::{
-    GpHyper, GroupSig, PlatformSignature, StoreError, SurrogateSnapshot, SurrogateStore,
+    GpHyper, GroupSig, IndexStats, PlatformSignature, StoreError, SurrogateSnapshot, SurrogateStore,
 };
 pub use warm::{
     signature_from_space, SurrogateOptions, SurrogatePrior, WarmStart, PRIOR_NOISE_INFLATION,

@@ -98,7 +98,7 @@ pub fn build_response(scenario: &Scenario, scale: Scale, reps: usize, seed: u64)
     let median = all[all.len() / 2];
     let sigma = scenario.noise_rel(scale) * median;
 
-    let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(&scenario.label()));
+    let mut rng = StdRng::seed_from_u64(seed ^ adaphet_store::fnv1a(scenario.label().as_bytes()));
     let noise = Normal::new(0.0, sigma).expect("valid sigma");
     let durations: Vec<Vec<f64>> = sim_base
         .iter()
@@ -156,16 +156,6 @@ pub fn build_response_2d(
             ((g, f), d)
         })
         .collect()
-}
-
-/// Deterministic label hash (FNV-1a) for per-scenario noise seeding.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

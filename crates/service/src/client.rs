@@ -117,7 +117,10 @@ pub struct Client<S: Read + Write> {
 impl Client<TcpStream> {
     /// Connect over TCP.
     pub fn connect_tcp(addr: &str) -> Result<Self, ClientError> {
-        Ok(Client { stream: TcpStream::connect(addr)? })
+        let stream = TcpStream::connect(addr)?;
+        // Frames are small and each waits for its reply.
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 }
 

@@ -467,17 +467,16 @@ impl SessionManager {
     /// idle timeout is configured).
     pub fn new(config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
-        let stats = Arc::new(ServiceStats::new(workers));
-        // One store handle, cloned per shard: `SurrogateStore` is a thin
-        // directory handle, and its writes are atomic (tmp + rename), so
-        // shards never see each other's half-written snapshots.
-        let store = config.store_dir.as_ref().and_then(|dir| {
-            let opened = SurrogateStore::open(dir).ok();
-            if opened.is_none() {
-                stats.count("service.store_error", 1.0);
-            }
-            opened
-        });
+        // One store handle, cloned per shard: the clones share one lookup
+        // index, and writes are atomic (tmp + rename), so shards never
+        // see each other's half-written snapshots.
+        let opened = config.store_dir.as_ref().map(SurrogateStore::open);
+        let open_failed = matches!(opened, Some(Err(_)));
+        let store = opened.and_then(Result::ok);
+        let stats = Arc::new(ServiceStats::new(workers, store.clone()));
+        if open_failed {
+            stats.count("service.store_error", 1.0);
+        }
         let mut shards = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for shard in 0..workers {
@@ -1027,6 +1026,44 @@ mod tests {
             "the warm session must not replay the cold initialization"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_lookups_are_visible_in_the_metrics_report() {
+        let dir = std::env::temp_dir().join(format!("adaphet-mgr-index-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let m = SessionManager::new(ServiceConfig {
+            idle_timeout: None,
+            store_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        });
+        let value = |name: &str| {
+            let report = m.stats().report(false);
+            let of = |list: &[(String, f64)]| list.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
+            of(&report.counters).or_else(|| of(&report.gauges))
+        };
+        let id = create(&m, spec(StrategyKind::GpDiscontinuous, 9));
+        drive(&m, id, 6);
+        std::fs::write(dir.join("gp-discontinuous-0000000000000bad.snap"), b"ADSS torn").unwrap();
+        let mut warm_spec = spec(StrategyKind::GpDiscontinuous, 9);
+        warm_spec.warm_start = Some(0.9);
+        for lookups in 1..=2 {
+            let id = create(&m, warm_spec.clone());
+            drive(&m, id, 2);
+            // The torn file is passed over on every lookup, never indexed.
+            assert_eq!(value("service.store.corrupt_skipped"), Some(f64::from(lookups)));
+            assert_eq!(value("service.store.index_entries"), Some(1.0));
+            assert_eq!(value("service.store.lookup_error"), Some(0.0));
+        }
+        // An unreadable directory fails the lookup; the create goes cold.
+        std::fs::remove_dir_all(&dir).unwrap();
+        create(&m, warm_spec);
+        assert_eq!(value("service.store.lookup_error"), Some(1.0));
+        let prometheus = m.stats().report(false).to_prometheus();
+        assert!(
+            prometheus.contains("adaphet_service_store_lookup_error_total 1\n"),
+            "{prometheus}"
+        );
     }
 
     #[test]

@@ -46,8 +46,13 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME ({MAX_FRAME})", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    // One write per frame: a prefix and a payload written apart are the
+    // write-write-read pattern that Nagle's algorithm and delayed ACKs
+    // stall on an unbuffered socket.
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -1400,6 +1405,24 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"type\":\"ping\"}");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"type\":\"shutdown\"}");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF between frames");
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Records each `write` call, as a socket would see them.
+        struct Calls(Vec<Vec<u8>>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut calls = Calls(Vec::new());
+        write_frame(&mut calls, "{\"type\":\"ping\"}").unwrap();
+        assert_eq!(calls.0, vec![b"\0\0\0\x0f{\"type\":\"ping\"}".to_vec()]);
     }
 
     #[test]

@@ -144,7 +144,12 @@ fn accept_loop(
 ) {
     loop {
         let conn: Option<Box<dyn Conn>> = match &listener {
-            AnyListener::Tcp(l) => l.accept().ok().map(|(s, _)| Box::new(s) as Box<dyn Conn>),
+            AnyListener::Tcp(l) => l.accept().ok().map(|(s, _)| {
+                // Replies are small and the client waits for each; a
+                // socket that refuses the option still serves.
+                let _ = s.set_nodelay(true);
+                Box::new(s) as Box<dyn Conn>
+            }),
             #[cfg(unix)]
             AnyListener::Uds(l) => l.accept().ok().map(|(s, _)| Box::new(s) as Box<dyn Conn>),
         };

@@ -15,6 +15,7 @@
 //! queues it is describing.
 
 use crate::protocol::{HealthInfo, SessionEvent, ShardStats, StatsSnapshot, VerbStats};
+use adaphet_core::{IndexStats, SurrogateStore};
 use adaphet_metrics::{MetricsReport, Recorder, Registry, Spans};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -31,11 +32,15 @@ pub struct ServiceStats {
     queue_depth: Vec<AtomicU64>,
     shard_sessions: Vec<AtomicU64>,
     health: Mutex<BTreeMap<u64, HealthInfo>>,
+    /// The manager's surrogate store, with the index counters as last
+    /// exported (the registry's counters take deltas).
+    store: Option<(SurrogateStore, Mutex<IndexStats>)>,
 }
 
 impl ServiceStats {
-    /// Fresh stats for a manager with `workers` shards.
-    pub fn new(workers: usize) -> Self {
+    /// Fresh stats for a manager with `workers` shards, exporting the
+    /// lookup-index counters of `store` when there is one.
+    pub fn new(workers: usize, store: Option<SurrogateStore>) -> Self {
         ServiceStats {
             registry: Registry::new(),
             spans: Spans::with_capacity(DEFAULT_SPANS_CAPACITY),
@@ -43,6 +48,7 @@ impl ServiceStats {
             queue_depth: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             shard_sessions: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             health: Mutex::new(BTreeMap::new()),
+            store: store.map(|s| (s, Mutex::default())),
         }
     }
 
@@ -197,6 +203,16 @@ impl ServiceStats {
         for (name, n) in by_state {
             self.registry.gauge(&format!("service.health.sessions.{name}"), n as f64);
         }
+        if let Some((store, exported)) = &self.store {
+            let now = store.index_stats();
+            let mut last = exported.lock().expect("no panic while exporting index counters");
+            self.registry.gauge("service.store.index_entries", now.entries as f64);
+            let skipped = now.corrupt_skipped - last.corrupt_skipped;
+            let errors = now.lookup_errors - last.lookup_errors;
+            self.count("service.store.corrupt_skipped", skipped as f64);
+            self.count("service.store.lookup_error", errors as f64);
+            *last = now;
+        }
         self.registry.snapshot()
     }
 }
@@ -260,7 +276,7 @@ mod tests {
 
     #[test]
     fn snapshot_reads_counters_verbs_and_shards() {
-        let s = ServiceStats::new(2);
+        let s = ServiceStats::new(2, None);
         s.count("service.request", 3.0);
         s.count("service.session.created", 2.0);
         s.observe("service.verb.ping_s", 0.0005);
@@ -285,7 +301,7 @@ mod tests {
 
     #[test]
     fn queue_pop_saturates_at_zero() {
-        let s = ServiceStats::new(1);
+        let s = ServiceStats::new(1, None);
         s.queue_pop(0);
         assert_eq!(s.snapshot("", false).shards[0].queue_depth, 0);
         s.queue_push(0);
@@ -296,7 +312,7 @@ mod tests {
 
     #[test]
     fn report_injects_live_gauges_for_the_exposition() {
-        let s = ServiceStats::new(1);
+        let s = ServiceStats::new(1, None);
         s.in_flight_add(1);
         s.queue_push(0);
         let p = s.report(true).to_prometheus();
@@ -352,7 +368,7 @@ mod tests {
 
     #[test]
     fn health_publishes_count_transitions_once() {
-        let s = ServiceStats::new(1);
+        let s = ServiceStats::new(1, None);
         s.set_health(health(1, "ok", 0));
         s.set_health(health(2, "warn", 1));
         // Re-publishing the same report must not recount its transition.
@@ -369,7 +385,7 @@ mod tests {
 
     #[test]
     fn report_gauges_sessions_per_health_state() {
-        let s = ServiceStats::new(1);
+        let s = ServiceStats::new(1, None);
         s.set_health(health(1, "ok", 0));
         s.set_health(health(2, "stalled", 1));
         s.set_health(health(3, "ok", 0));

@@ -44,7 +44,20 @@ pub use codec::{Reader, Writer};
 pub use error::StoreError;
 pub use signature::{GroupSig, PlatformSignature};
 pub use snapshot::{GpHyper, SurrogateSnapshot, FORMAT_VERSION, MAGIC};
-pub use store::SurrogateStore;
+pub use store::{IndexStats, SurrogateStore};
+
+/// 64-bit FNV-1a of `bytes` — the hash behind
+/// [`PlatformSignature::key`], and the workspace's one copy of it.
+///
+/// The multiplier is `0x1000_0000_01b3`, one zero more than the FNV
+/// specification's prime `0x100_0000_01b3`: snapshot file names and
+/// the eval crate's per-scenario seeds were derived with it, so it
+/// stays. Do not expect the specification's test vectors.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
+}
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes` —
 /// the checksum guarding every snapshot body.
@@ -76,6 +89,14 @@ const fn crc32_table() -> [u32; 256] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_values_are_pinned() {
+        // Computed outside this crate, with this workspace's multiplier.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0xf8ac_2471_f739_67e8);
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

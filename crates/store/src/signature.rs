@@ -43,21 +43,28 @@ impl PlatformSignature {
     /// the store's filename component. Equal signatures, equal keys;
     /// float features hash by bit pattern.
     pub fn key(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        eat(&self.workload.to_le_bytes());
-        eat(&(self.groups.len() as u64).to_le_bytes());
+        let mut w = crate::Writer::new();
+        w.u64(self.workload);
+        w.u64(self.groups.len() as u64);
         for g in &self.groups {
-            eat(&g.count.to_le_bytes());
-            eat(&g.speed.to_bits().to_le_bytes());
-            eat(&g.bw.to_bits().to_le_bytes());
+            w.u32(g.count);
+            w.f64(g.speed);
+            w.f64(g.bw);
         }
-        h
+        crate::fnv1a(&w.into_bytes())
+    }
+
+    /// Field-for-field equality with floats compared by bit pattern —
+    /// unlike `==`, true of a signature and itself even with a NaN
+    /// feature.
+    pub(crate) fn same_bits(&self, other: &PlatformSignature) -> bool {
+        self.workload == other.workload
+            && self.groups.len() == other.groups.len()
+            && self.groups.iter().zip(&other.groups).all(|(a, b)| {
+                a.count == b.count
+                    && a.speed.to_bits() == b.speed.to_bits()
+                    && a.bw.to_bits() == b.bw.to_bits()
+            })
     }
 
     /// How transferable a fit on `other` is to `self`, in `[0, 1]`.
@@ -117,6 +124,16 @@ mod tests {
         let b = a.clone();
         assert_eq!(a.key(), b.key());
         assert_eq!(a.similarity(&b), 1.0);
+    }
+
+    #[test]
+    fn key_value_is_pinned() {
+        // File names embed the key: a store written by an earlier build
+        // must keep resolving. Value computed outside this crate (the
+        // hash of `crate::fnv1a` over workload, group count, then
+        // count/speed bits/bw bits, all LE).
+        let a = sig(7, &[(2, 500.0, 100.0), (6, 200.0, 100.0)]);
+        assert_eq!(a.key(), 0xcb0c_baf0_f21d_9802);
     }
 
     #[test]
