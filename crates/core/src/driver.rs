@@ -20,6 +20,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::strategy::{DecisionTrace, PosteriorSnapshot, Strategy};
 use crate::{ActionSpace, History};
+use adaphet_metrics::json::{self, ToJson};
 
 /// Time attributed to one named application phase within an iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,27 +154,30 @@ pub struct IterationEvent {
     pub snapshot: Option<PosteriorSnapshot>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl ToJson for PhaseSlice {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("name", &self.name).field("seconds", &self.seconds);
+        });
     }
-    out
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+impl ToJson for GroupUtilization {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("name", &self.name)
+                .field("busy_s", &self.busy_s)
+                .field("idle_s", &self.idle_s)
+                .field("utilization", &self.utilization());
+        });
+    }
+}
+
+impl ToJson for PhaseBreakdown {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("phases", &self.phases).field("groups", &self.groups);
+        });
     }
 }
 
@@ -192,116 +196,25 @@ impl IterationEvent {
     /// the older 14-key schema keep reading a stable prefix). Non-finite
     /// floats serialize as `null`.
     pub fn to_json(&self) -> String {
+        let trace = self.trace.as_ref();
         let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "{{\"iteration\":{},\"strategy\":\"{}\",\"action\":{},\"duration\":{},\
-             \"cumulative_time\":{}",
-            self.iteration,
-            json_escape(&self.strategy),
-            self.action,
-            json_f64(self.duration),
-            json_f64(self.cumulative_time),
-        ));
-        s.push_str(&format!(",\"best_known\":{}", self.best_known.map_or("null".into(), json_f64)));
-        s.push_str(&format!(",\"regret\":{}", self.regret.map_or("null".into(), json_f64)));
-        s.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"seconds\":{}}}",
-                json_escape(&p.name),
-                json_f64(p.seconds)
-            ));
-        }
-        s.push_str("],\"posterior\":[");
-        if let Some(t) = &self.trace {
-            for (i, d) in t.diagnostics.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"action\":{},\"mean\":{},\"sd\":{},\"acquisition\":{}}}",
-                    d.action,
-                    json_f64(d.mean),
-                    json_f64(d.sd),
-                    json_f64(d.acquisition)
-                ));
-            }
-        }
-        s.push_str("],\"excluded\":[");
-        if let Some(t) = &self.trace {
-            for (i, a) in t.excluded.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{a}"));
-            }
-        }
-        s.push_str(&format!(
-            "],\"note\":\"{}\"",
-            json_escape(self.trace.as_ref().map_or("", |t| t.note.as_str()))
-        ));
-        s.push_str(",\"phase_breakdown\":");
-        match &self.phase_breakdown {
-            None => s.push_str("null"),
-            Some(b) => {
-                s.push_str("{\"phases\":[");
-                for (i, p) in b.phases.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"name\":\"{}\",\"seconds\":{}}}",
-                        json_escape(&p.name),
-                        json_f64(p.seconds)
-                    ));
-                }
-                s.push_str("],\"groups\":[");
-                for (i, g) in b.groups.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"name\":\"{}\",\"busy_s\":{},\"idle_s\":{},\"utilization\":{}}}",
-                        json_escape(&g.name),
-                        json_f64(g.busy_s),
-                        json_f64(g.idle_s),
-                        json_f64(g.utilization())
-                    ));
-                }
-                s.push_str("]}");
-            }
-        }
-        s.push_str(&format!(",\"retries\":{}", self.retries));
-        s.push_str(",\"fault\":");
-        match &self.fault {
-            None => s.push_str("null"),
-            Some(f) => s.push_str(&format!("\"{}\"", json_escape(f))),
-        }
-        s.push_str(",\"snapshot\":");
-        match &self.snapshot {
-            None => s.push_str("null"),
-            Some(snap) => {
-                s.push_str("{\"points\":[");
-                for (i, p) in snap.points.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"action\":{},\"mean\":{},\"sd\":{},\"lp_bound\":{},\"excluded\":{}}}",
-                        p.action,
-                        json_f64(p.mean),
-                        json_f64(p.sd),
-                        p.lp_bound.map_or("null".into(), json_f64),
-                        p.excluded,
-                    ));
-                }
-                s.push_str("]}");
-            }
-        }
-        s.push('}');
+        json::object(&mut s, |o| {
+            o.field("iteration", &self.iteration)
+                .field("strategy", &self.strategy)
+                .field("action", &self.action)
+                .field("duration", &self.duration)
+                .field("cumulative_time", &self.cumulative_time)
+                .field("best_known", &self.best_known)
+                .field("regret", &self.regret)
+                .field("phases", &self.phases)
+                .field("posterior", trace.map_or(&[][..], |t| &t.diagnostics))
+                .field("excluded", trace.map_or(&[][..], |t| &t.excluded))
+                .field("note", trace.map_or("", |t| &t.note))
+                .field("phase_breakdown", &self.phase_breakdown)
+                .field("retries", &self.retries)
+                .field("fault", &self.fault)
+                .field("snapshot", &self.snapshot);
+        });
         s
     }
 }

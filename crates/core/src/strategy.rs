@@ -3,6 +3,7 @@
 
 use crate::{ActionSpace, History, SurrogatePrior};
 use adaphet_gp::{GpModel, Prediction};
+use adaphet_metrics::json::{self, FromJson, Json, ToJson};
 use adaphet_store::GpHyper;
 
 /// The surrogate's posterior at every action of `actions`, in one batched
@@ -31,6 +32,17 @@ pub struct ActionDiagnostic {
     pub sd: f64,
     /// The acquisition score the strategy ranked this action by.
     pub acquisition: f64,
+}
+
+impl ToJson for ActionDiagnostic {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("action", &self.action)
+                .field("mean", &self.mean)
+                .field("sd", &self.sd)
+                .field("acquisition", &self.acquisition);
+        });
+    }
 }
 
 /// Why a strategy proposed what it proposed.
@@ -77,11 +89,47 @@ pub struct PosteriorPoint {
     pub excluded: bool,
 }
 
+/// The point object of the telemetry `snapshot` field and of the service's
+/// `posterior` frame: `{action, mean, sd, lp_bound, excluded}`.
+impl ToJson for PosteriorPoint {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("action", &self.action)
+                .field("mean", &self.mean)
+                .field("sd", &self.sd)
+                .field("lp_bound", &self.lp_bound)
+                .field("excluded", &self.excluded);
+        });
+    }
+}
+
+/// Reads a point back; a `null` mean or sd (a non-finite float at the
+/// emitter) is NaN.
+impl FromJson for PosteriorPoint {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(PosteriorPoint {
+            action: v.field("action")?,
+            mean: v.field_or("mean", f64::NAN)?,
+            sd: v.field_or("sd", f64::NAN)?,
+            lp_bound: v.field("lp_bound")?,
+            excluded: v.field_or("excluded", false)?,
+        })
+    }
+}
+
 /// The surrogate's posterior over the whole action space at one instant.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PosteriorSnapshot {
     /// One point per action of the live space, in ascending action order.
     pub points: Vec<PosteriorPoint>,
+}
+
+impl ToJson for PosteriorSnapshot {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("points", &self.points);
+        });
+    }
 }
 
 /// An online exploration strategy over node counts.

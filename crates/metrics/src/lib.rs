@@ -29,16 +29,17 @@
 //! all share the registry returned by the call, so assertions must be made
 //! on monotone deltas rather than absolute counter values.
 
+pub mod json;
 mod recorder;
 mod registry;
 mod report;
 mod span;
 
+pub use json::{json_escape, Json};
 pub use recorder::{NoopRecorder, Recorder, Timer};
 pub use registry::{HistogramSnapshot, Registry, SECONDS_BUCKETS};
 pub use report::{
-    json_escape, prometheus_name, GroupProfile, IterationProfile, MetricsReport,
-    METRICS_SCHEMA_VERSION,
+    prometheus_name, GroupProfile, IterationProfile, MetricsReport, METRICS_SCHEMA_VERSION,
 };
 pub use span::{Span, SpanRecord, Spans};
 

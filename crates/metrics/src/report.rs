@@ -1,5 +1,6 @@
 //! [`MetricsReport`]: a frozen, serializable view of a metrics run.
 
+use crate::json::{self, ToJson};
 use crate::registry::HistogramSnapshot;
 
 /// Version stamped into every report; bump on any schema change (the golden
@@ -70,35 +71,6 @@ pub struct MetricsReport {
     pub iterations: Vec<IterationProfile>,
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escape a string for embedding inside a JSON string literal (quotes,
-/// backslashes, and control characters). The workspace's hand-rolled JSON
-/// codecs (metrics reports, telemetry events, Chrome traces) share this
-/// single implementation so no emitter can produce invalid JSON from a
-/// user-supplied name.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Map a dotted adaphet metric name onto a Prometheus series name:
 /// `adaphet_` namespace, non-`[a-zA-Z0-9_]` characters replaced by `_`,
 /// and a trailing `_s` (the workspace convention for seconds) spelled out
@@ -116,73 +88,59 @@ pub fn prometheus_name(name: &str) -> String {
     out
 }
 
-fn json_map(entries: &[(String, f64)]) -> String {
-    let body: Vec<String> =
-        entries.iter().map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_f64(*v))).collect();
-    format!("{{{}}}", body.join(","))
+impl ToJson for GroupProfile {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("name", &self.name)
+                .field("busy_s", &self.busy_s)
+                .field("idle_s", &self.idle_s)
+                .field("utilization", &self.utilization());
+        });
+    }
+}
+
+fn write_map(out: &mut String, entries: &[(String, f64)]) {
+    json::object(out, |o| {
+        for (k, v) in entries {
+            o.field(k, v);
+        }
+    });
 }
 
 impl MetricsReport {
     /// Serialize as one JSON object with pinned key order: `version`,
     /// `monotonic_s`, `counters`, `gauges`, `histograms`, `iterations`.
     pub fn to_json(&self) -> String {
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "\"{}\":{{\"bounds\":[{}],\"counts\":[{}],\"count\":{},\"sum\":{}}}",
-                    json_escape(k),
-                    h.bounds.iter().map(|b| json_f64(*b)).collect::<Vec<_>>().join(","),
-                    h.counts.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(","),
-                    h.count,
-                    json_f64(h.sum),
-                )
-            })
-            .collect();
-        let iters: Vec<String> = self
-            .iterations
-            .iter()
-            .map(|it| {
-                let phases: Vec<String> = it
-                    .phases
-                    .iter()
-                    .map(|(n, s)| {
-                        format!("{{\"name\":\"{}\",\"seconds\":{}}}", json_escape(n), json_f64(*s))
-                    })
-                    .collect();
-                let groups: Vec<String> = it
-                    .groups
-                    .iter()
-                    .map(|g| {
-                        format!(
-                            "{{\"name\":\"{}\",\"busy_s\":{},\"idle_s\":{},\"utilization\":{}}}",
-                            json_escape(&g.name),
-                            json_f64(g.busy_s),
-                            json_f64(g.idle_s),
-                            json_f64(g.utilization()),
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"iteration\":{},\"action\":{},\"makespan_s\":{},\"phases\":[{}],\"groups\":[{}]}}",
-                    it.iteration,
-                    it.action,
-                    json_f64(it.makespan_s),
-                    phases.join(","),
-                    groups.join(","),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"version\":{},\"monotonic_s\":{},\"counters\":{},\"gauges\":{},\"histograms\":{{{}}},\"iterations\":[{}]}}",
-            METRICS_SCHEMA_VERSION,
-            json_f64(self.monotonic_s),
-            json_map(&self.counters),
-            json_map(&self.gauges),
-            hists.join(","),
-            iters.join(","),
-        )
+        let mut out = String::with_capacity(1024);
+        json::object(&mut out, |o| {
+            o.field("version", &METRICS_SCHEMA_VERSION).field("monotonic_s", &self.monotonic_s);
+            write_map(o.key("counters"), &self.counters);
+            write_map(o.key("gauges"), &self.gauges);
+            json::object(o.key("histograms"), |hists| {
+                for (k, h) in &self.histograms {
+                    json::object(hists.key(k), |o| {
+                        o.field("bounds", &h.bounds)
+                            .field("counts", &h.counts)
+                            .field("count", &h.count)
+                            .field("sum", &h.sum);
+                    });
+                }
+            });
+            json::array(o.key("iterations"), &self.iterations, |out, it| {
+                json::object(out, |o| {
+                    o.field("iteration", &it.iteration)
+                        .field("action", &it.action)
+                        .field("makespan_s", &it.makespan_s);
+                    json::array(o.key("phases"), &it.phases, |out, (name, seconds)| {
+                        json::object(out, |o| {
+                            o.field("name", name).field("seconds", seconds);
+                        });
+                    });
+                    o.field("groups", &it.groups);
+                });
+            });
+        });
+        out
     }
 
     /// Render in the Prometheus text exposition format (version 0.0.4).

@@ -11,9 +11,9 @@
 //! rebuilt over the survivors), and outlier spikes multiply the observed
 //! iteration duration at the measurement level.
 //!
-//! Plans serialize to/from a small hand-rolled JSON format (no external
-//! dependencies), so fault scenarios can be checked into a repo and passed
-//! to binaries via `--faults <plan.json>`:
+//! Plans serialize to/from a small JSON format (on the workspace's shared
+//! `adaphet_metrics::json` layer), so fault scenarios can be checked into a
+//! repo and passed to binaries via `--faults <plan.json>`:
 //!
 //! ```json
 //! {"seed":7,"events":[
@@ -26,6 +26,7 @@
 //! iteration the event fires; events whose rank exceeds the live platform
 //! size are ignored (the node they named is already gone).
 
+use adaphet_metrics::json::{self, FromJson, Json, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -245,195 +246,71 @@ impl FaultPlan {
     /// Serialize to the canonical JSON format accepted by
     /// [`FaultPlan::from_json`].
     pub fn to_json(&self) -> String {
-        let mut s = format!("{{\"seed\":{},\"events\":[", self.seed);
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match *e {
-                FaultEvent::NodeDeath { iteration, rank } => {
-                    s.push_str(&format!(
-                        "{{\"kind\":\"node_death\",\"iteration\":{iteration},\"rank\":{rank}}}"
-                    ));
-                }
-                FaultEvent::Slowdown { from, until, rank, factor } => {
-                    s.push_str(&format!(
-                        "{{\"kind\":\"slowdown\",\"from\":{from},\"until\":{until},\
-                         \"rank\":{rank},\"factor\":{factor}}}"
-                    ));
-                }
-                FaultEvent::Outlier { iteration, factor } => {
-                    s.push_str(&format!(
-                        "{{\"kind\":\"outlier\",\"iteration\":{iteration},\"factor\":{factor}}}"
-                    ));
-                }
-            }
-        }
-        s.push_str("]}");
-        s
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("seed", &self.seed).field("events", &self.events);
+        });
+        out
     }
 
-    /// Parse a plan from its JSON representation. The parser accepts any
-    /// whitespace and key order; unknown keys are rejected (a typo in a
-    /// fault plan should fail loudly, not silently do nothing).
+    /// Parse a plan from its JSON representation. Any whitespace and key
+    /// order is accepted; unknown and repeated keys are rejected (a typo
+    /// in a fault plan should fail loudly, not silently do nothing).
     pub fn from_json(text: &str) -> Result<Self, FaultPlanError> {
-        let mut p = Parser::new(text);
-        let plan = p.plan()?;
-        p.skip_ws();
-        if !p.done() {
-            return Err(FaultPlanError(format!("trailing input at byte {}", p.pos)));
-        }
-        Ok(plan)
+        let plan = |doc: Json| -> Result<FaultPlan, String> {
+            check_keys(&doc, "plan", &["seed", "events"])?;
+            Ok(FaultPlan { seed: doc.field("seed")?, events: doc.field("events")? })
+        };
+        Json::parse(text).and_then(plan).map_err(FaultPlanError)
     }
 }
 
-/// Minimal recursive-descent parser for the fault-plan JSON schema.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// `v` must be an object whose keys are all in `known`, none twice.
+fn check_keys(v: &Json, what: &str, known: &[&str]) -> Result<(), String> {
+    let Json::Obj(fields) = v else {
+        return Err(format!("{what} must be an object"));
+    };
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if !known.contains(&key.as_str()) {
+            return Err(format!("unknown {what} key \"{key}\""));
+        }
+        if fields[..i].iter().any(|(earlier, _)| earlier == key) {
+            return Err(format!("duplicate {what} key \"{key}\""));
+        }
+    }
+    Ok(())
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn done(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), FaultPlanError> {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(FaultPlanError(format!("expected '{}' at byte {}", c as char, self.pos)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, FaultPlanError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'"' {
-            if self.bytes[self.pos] == b'\\' {
-                return Err(FaultPlanError("escapes are not supported in plan strings".into()));
+impl ToJson for FaultEvent {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| match self {
+            FaultEvent::NodeDeath { iteration, rank } => {
+                o.field("kind", "node_death").field("iteration", iteration).field("rank", rank);
             }
-            self.pos += 1;
-        }
-        if self.pos >= self.bytes.len() {
-            return Err(FaultPlanError("unterminated string".into()));
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| FaultPlanError("non-UTF-8 string".into()))?
-            .to_string();
-        self.pos += 1; // closing quote
-        Ok(s)
+            FaultEvent::Slowdown { from, until, rank, factor } => {
+                o.field("kind", "slowdown")
+                    .field("from", from)
+                    .field("until", until)
+                    .field("rank", rank)
+                    .field("factor", factor);
+            }
+            FaultEvent::Outlier { iteration, factor } => {
+                o.field("kind", "outlier").field("iteration", iteration).field("factor", factor);
+            }
+        });
     }
+}
 
-    fn number(&mut self) -> Result<f64, FaultPlanError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        s.parse::<f64>().map_err(|_| FaultPlanError(format!("bad number at byte {start}")))
-    }
-
-    fn integer(&mut self, what: &str) -> Result<usize, FaultPlanError> {
-        let v = self.number()?;
-        if v < 0.0 || v.fract() != 0.0 || v > usize::MAX as f64 {
-            return Err(FaultPlanError(format!("{what} must be a non-negative integer, got {v}")));
-        }
-        Ok(v as usize)
-    }
-
-    fn plan(&mut self) -> Result<FaultPlan, FaultPlanError> {
-        self.expect(b'{')?;
-        let mut seed = None;
-        let mut events = None;
-        loop {
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "seed" => seed = Some(self.number()? as u64),
-                "events" => events = Some(self.events()?),
-                other => return Err(FaultPlanError(format!("unknown plan key \"{other}\""))),
-            }
-            if self.peek() == Some(b',') {
-                self.pos += 1;
-            }
-        }
-        Ok(FaultPlan {
-            seed: seed.ok_or_else(|| FaultPlanError("missing \"seed\"".into()))?,
-            events: events.ok_or_else(|| FaultPlanError("missing \"events\"".into()))?,
-        })
-    }
-
-    fn events(&mut self) -> Result<Vec<FaultEvent>, FaultPlanError> {
-        self.expect(b'[')?;
-        let mut evs = Vec::new();
-        loop {
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                break;
-            }
-            evs.push(self.event()?);
-            if self.peek() == Some(b',') {
-                self.pos += 1;
-            }
-        }
-        Ok(evs)
-    }
-
-    fn event(&mut self) -> Result<FaultEvent, FaultPlanError> {
-        self.expect(b'{')?;
-        let mut kind = None;
-        let mut iteration = None;
-        let mut rank = None;
-        let mut from = None;
-        let mut until = None;
-        let mut factor = None;
-        loop {
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "kind" => kind = Some(self.string()?),
-                "iteration" => iteration = Some(self.integer("iteration")?),
-                "rank" => rank = Some(self.integer("rank")?),
-                "from" => from = Some(self.integer("from")?),
-                "until" => until = Some(self.integer("until")?),
-                "factor" => factor = Some(self.number()?),
-                other => return Err(FaultPlanError(format!("unknown event key \"{other}\""))),
-            }
-            if self.peek() == Some(b',') {
-                self.pos += 1;
-            }
-        }
-        let miss = |k: &str| FaultPlanError(format!("event missing \"{k}\""));
-        match kind.as_deref() {
+impl FromJson for FaultEvent {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        check_keys(v, "event", &["kind", "iteration", "rank", "from", "until", "factor"])?;
+        // Every key present is type-checked, also those `kind` does not use.
+        let int = |key: &str| v.field::<Option<usize>>(key);
+        let (iteration, rank, from, until) =
+            (int("iteration")?, int("rank")?, int("from")?, int("until")?);
+        let factor: Option<f64> = v.field("factor")?;
+        let miss = |key: &str| format!("event missing \"{key}\"");
+        match v.field::<Option<String>>("kind")?.as_deref() {
             Some("node_death") => Ok(FaultEvent::NodeDeath {
                 iteration: iteration.ok_or_else(|| miss("iteration"))?,
                 rank: rank.ok_or_else(|| miss("rank"))?,
@@ -448,7 +325,7 @@ impl<'a> Parser<'a> {
                 iteration: iteration.ok_or_else(|| miss("iteration"))?,
                 factor: factor.ok_or_else(|| miss("factor"))?,
             }),
-            Some(other) => Err(FaultPlanError(format!("unknown event kind \"{other}\""))),
+            Some(other) => Err(format!("unknown event kind \"{other}\"")),
             None => Err(miss("kind")),
         }
     }
@@ -495,6 +372,45 @@ mod tests {
                 .is_err(),
             "outlier without iteration"
         );
+    }
+
+    #[test]
+    fn parser_rejects_text_that_is_not_json_and_repeated_keys() {
+        // Commas are not optional and do not trail.
+        let err = FaultPlan::from_json(r#"{"seed":1 "events":[]}"#).unwrap_err();
+        assert!(err.0.contains("at byte 10"), "{err}");
+        assert!(FaultPlan::from_json(r#"{"seed":1,"events":[],}"#).is_err());
+        let two = r#"{"kind":"outlier","iteration":1,"factor":2}"#;
+        assert!(FaultPlan::from_json(&format!(r#"{{"seed":1,"events":[{two} {two}]}}"#)).is_err());
+        assert!(FaultPlan::from_json(&format!(r#"{{"seed":1,"events":[{two},{two}]}}"#)).is_ok());
+        // A repeated key is refused, not resolved in favour of either.
+        let err = FaultPlan::from_json(r#"{"seed":1,"seed":2,"events":[]}"#).unwrap_err();
+        assert!(err.0.contains("duplicate plan key \"seed\""), "{err}");
+        let dup = r#"{"kind":"outlier","iteration":1,"iteration":2,"factor":2}"#;
+        let err = FaultPlan::from_json(&format!(r#"{{"seed":1,"events":[{dup}]}}"#)).unwrap_err();
+        assert!(err.0.contains("duplicate event key \"iteration\""), "{err}");
+    }
+
+    #[test]
+    fn integers_must_be_integers_and_errors_name_the_field() {
+        let event =
+            |body: &str| FaultPlan::from_json(&format!(r#"{{"seed":1,"events":[{{{body}}}]}}"#));
+        assert!(event(r#""kind":"node_death","iteration":3,"rank":2"#).is_ok());
+        for (bad, field) in [
+            (r#""kind":"node_death","iteration":3.5,"rank":2"#, "iteration"),
+            (r#""kind":"node_death","iteration":3,"rank":-2"#, "rank"),
+            (r#""kind":"slowdown","from":0.5,"until":4,"rank":1,"factor":2"#, "from"),
+            (r#""kind":"slowdown","from":0,"until":1e30,"rank":1,"factor":2"#, "until"),
+            (r#""kind":"outlier","iteration":1,"factor":2,"rank":1.5"#, "rank"),
+        ] {
+            let err = event(bad).unwrap_err();
+            assert!(err.0.contains(&format!("'{field}'")), "{bad}: {err}");
+        }
+        for bad_seed in ["7.9", "-3", "\"7\""] {
+            let err =
+                FaultPlan::from_json(&format!(r#"{{"seed":{bad_seed},"events":[]}}"#)).unwrap_err();
+            assert!(err.0.contains("'seed'"), "{bad_seed}: {err}");
+        }
     }
 
     #[test]

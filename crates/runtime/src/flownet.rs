@@ -21,9 +21,10 @@
 //! heap allocation. Flow routes live in a shared arena instead of one
 //! `Vec` per flow.
 //!
-//! [`ReferenceFlowNet`] is the original from-scratch implementation kept
-//! as an executable specification; a proptest pins the incremental engine
-//! to it with bit-exact (`f64::to_bits`) rate/remaining/busy equality.
+//! `ReferenceFlowNet` is the original from-scratch implementation kept
+//! (test builds only) as an executable specification; a proptest pins the
+//! incremental engine to it with bit-exact (`f64::to_bits`)
+//! rate/remaining/busy equality.
 
 /// Identifier of a link inside a [`FlowNet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -355,7 +356,7 @@ impl FlowNet {
     /// Progressive-filling max-min fair allocation over the touched links.
     ///
     /// Invariants that keep this bit-identical to the from-scratch
-    /// reference ([`ReferenceFlowNet`]):
+    /// reference (`ReferenceFlowNet`):
     /// * `touched` is sorted ascending, so the bottleneck scan considers
     ///   candidate links in the same index order as a full 0..n scan
     ///   (links with zero unfixed flows are skipped in both);
@@ -488,6 +489,7 @@ impl FlowNet {
 /// The speed side of the story lives in `sim_bench`, which measures the
 /// incremental engine against a recorded pre-optimization baseline run
 /// (`BENCH_sim_baseline.json`).
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceFlowNet {
     links: Vec<Link>,
@@ -496,6 +498,7 @@ pub struct ReferenceFlowNet {
     now: f64,
 }
 
+#[cfg(test)]
 #[derive(Debug, Clone)]
 struct RefFlow {
     route: Vec<LinkId>,
@@ -504,6 +507,7 @@ struct RefFlow {
     done: bool,
 }
 
+#[cfg(test)]
 impl ReferenceFlowNet {
     /// Empty network at time zero.
     pub fn new() -> Self {

@@ -25,9 +25,8 @@
 //! are parsed with its [`FromStr`](std::str::FromStr) — the registry in
 //! `adaphet-core` is the single source of truth, aliases included.
 
-use adaphet_analysis::Json;
 use adaphet_core::{ActionSpace, PosteriorPoint, PosteriorSnapshot, StrategyKind};
-use adaphet_metrics::json_escape;
+use adaphet_metrics::json::{self, FromJson, Json, ObjectWriter, ToJson};
 use std::io::{self, Read, Write};
 
 /// Hard cap on one frame's payload size (1 MiB).
@@ -317,7 +316,8 @@ pub struct SessionEvent {
 /// [`Request::GetHealth`] — the wire mirror of
 /// [`adaphet_core::HealthReport`]. Field order and the `state` enum
 /// spellings (`"ok"`, `"warn"`, `"stalled"`, `"diverging"`) are pinned
-/// by the golden test in `tests/health_schema.rs`.
+/// by the golden tests in `tests/health_observability.rs` and the
+/// workspace's `tests/wire_golden.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthInfo {
     /// Owning session.
@@ -354,25 +354,9 @@ impl HealthInfo {
     /// `type` tag — shared by the `health` wire frame and the sidecar's
     /// `/health` endpoint so both expose the identical pinned schema.
     pub fn json_fields(&self) -> String {
-        format!(
-            "\"session\":{},\"state\":\"{}\",\"reason\":{},\"records\":{},\"since_best\":{},\
-             \"regret_slope\":{},\"retries_window\":{},\"faults_window\":{},\
-             \"posterior_sd_max\":{},\"lp_gap\":{},\"band_record\":{},\"warm_started\":{},\
-             \"transitions\":{}",
-            self.session,
-            json_escape(&self.state),
-            self.reason.as_deref().map_or("null".into(), |r| format!("\"{}\"", json_escape(r))),
-            self.records,
-            self.since_best,
-            jopt_num(self.regret_slope),
-            self.retries_window,
-            self.faults_window,
-            jopt_num(self.posterior_sd_max),
-            jopt_num(self.lp_gap),
-            jopt_usize(self.band_record),
-            self.warm_started,
-            self.transitions,
-        )
+        let mut out = String::with_capacity(256);
+        self.write_members(&mut ObjectWriter::bare(&mut out));
+        out
     }
 }
 
@@ -536,576 +520,264 @@ pub enum Response {
     },
 }
 
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+// ---- The frame format ------------------------------------------------
+//
+// Everything below the adapters is the one list of what travels: per
+// carried struct and per frame, the members in wire order. A member is
+// named after the Rust field that holds it and decodes through that
+// field's `FromJson`: required, except that an `Option` reads an absent or
+// `null` member as `None`. `= default` is what an absent or `null` member
+// decodes to instead (members added after the first release, floats an
+// emitter may have written as `null`); `as Adapter` travels under one of
+// the spellings defined next. DESIGN.md "Wire frames" tabulates the same
+// lists for client authors.
+
+/// A strategy travels as its canonical registry name; aliases are
+/// accepted on the way in.
+struct Name(StrategyKind);
+
+impl ToJson for Name {
+    fn write_json(&self, out: &mut String) {
+        self.0.to_string().write_json(out);
     }
 }
 
-fn jopt_num(x: Option<f64>) -> String {
-    x.map_or("null".into(), jnum)
+impl FromJson for Name {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        String::from_json(v)?.parse().map(Name).map_err(|e| format!("{e}"))
+    }
 }
 
-fn jopt_usize(x: Option<usize>) -> String {
-    x.map_or("null".into(), |v| v.to_string())
+/// The resilience switch travels as `"standard"` / `"off"`; absent is off.
+struct Policy(bool);
+
+impl ToJson for Policy {
+    fn write_json(&self, out: &mut String) {
+        (if self.0 { "standard" } else { "off" }).write_json(out);
+    }
 }
 
-impl Request {
-    /// Serialize to the one-line JSON wire form.
-    pub fn to_json(&self) -> String {
-        match self {
-            Request::CreateSession(spec) => {
-                let groups = spec
-                    .groups
-                    .iter()
-                    .map(|&(lo, hi)| format!("[{lo},{hi}]"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let lp = match &spec.lp {
-                    None => "null".to_string(),
-                    Some(v) => {
-                        format!("[{}]", v.iter().map(|&x| jnum(x)).collect::<Vec<_>>().join(","))
-                    }
-                };
-                format!(
-                    "{{\"type\":\"create_session\",\"strategy\":\"{}\",\"seed\":{},\
-                     \"max_nodes\":{},\"groups\":[{}],\"lp\":{},\"iters\":{},\
-                     \"best_known\":{},\"oracle_best\":{},\"resilience\":\"{}\",\
-                     \"max_in_flight\":{},\"warm_start\":{}}}",
-                    json_escape(&spec.strategy.to_string()),
-                    spec.seed,
-                    spec.max_nodes,
-                    groups,
-                    lp,
-                    jopt_usize(spec.iters),
-                    jopt_num(spec.best_known),
-                    jopt_usize(spec.oracle_best),
-                    if spec.resilience { "standard" } else { "off" },
-                    jopt_usize(spec.max_in_flight),
-                    jopt_num(spec.warm_start),
-                )
-            }
-            Request::GetProposal { session } => {
-                format!("{{\"type\":\"get_proposal\",\"session\":{session}}}")
-            }
-            Request::SubmitObservation { session, ticket, duration } => format!(
-                "{{\"type\":\"submit_observation\",\"session\":{session},\"ticket\":{ticket},\
-                 \"duration\":{}}}",
-                jnum(*duration)
-            ),
-            Request::GetPosterior { session } => {
-                format!("{{\"type\":\"get_posterior\",\"session\":{session}}}")
-            }
-            Request::CloseSession { session } => {
-                format!("{{\"type\":\"close_session\",\"session\":{session}}}")
-            }
-            Request::GetStats => "{\"type\":\"get_stats\"}".to_string(),
-            Request::Inspect { session } => {
-                format!("{{\"type\":\"inspect\",\"session\":{session}}}")
-            }
-            Request::GetHealth { session } => {
-                format!("{{\"type\":\"get_health\",\"session\":{session}}}")
-            }
-            Request::Ping => "{\"type\":\"ping\"}".to_string(),
-            Request::Shutdown => "{\"type\":\"shutdown\"}".to_string(),
+impl FromJson for Policy {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(Policy(false)),
+            Json::Str(s) if s == "off" => Ok(Policy(false)),
+            Json::Str(s) if s == "standard" => Ok(Policy(true)),
+            _ => Err("expected \"standard\" or \"off\"".to_string()),
         }
     }
 
-    /// Parse a request from its JSON document.
-    pub fn from_json(v: &Json) -> Result<Request, String> {
-        let typ = v.get("type").and_then(Json::as_str).ok_or("missing 'type'")?;
-        let session = |v: &Json| -> Result<u64, String> {
-            v.get("session")
-                .and_then(Json::as_f64)
-                .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-                .map(|x| x as u64)
-                .ok_or_else(|| "missing or invalid 'session'".to_string())
-        };
-        Ok(match typ {
-            "create_session" => {
-                let strategy_name =
-                    v.get("strategy").and_then(Json::as_str).ok_or("missing 'strategy'")?;
-                let strategy: StrategyKind = strategy_name.parse().map_err(|e| format!("{e}"))?;
-                let max_nodes =
-                    v.get("max_nodes").and_then(Json::as_usize).ok_or("missing 'max_nodes'")?;
-                let groups = match v.get("groups").and_then(Json::as_arr) {
-                    None => Vec::new(),
-                    Some(items) => items
-                        .iter()
-                        .map(|g| {
-                            let pair = g.as_arr().filter(|a| a.len() == 2);
-                            match pair {
-                                Some(a) => Ok((
-                                    a[0].as_usize().ok_or("bad group bound")?,
-                                    a[1].as_usize().ok_or("bad group bound")?,
-                                )),
-                                None => Err("groups must be [lo,hi] pairs".to_string()),
-                            }
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                };
-                let lp = match v.get("lp") {
-                    None | Some(Json::Null) => None,
-                    Some(arr) => Some(
-                        arr.as_arr()
-                            .ok_or("'lp' must be an array")?
-                            .iter()
-                            .map(|x| x.as_f64().ok_or_else(|| "non-numeric lp value".to_string()))
-                            .collect::<Result<Vec<_>, String>>()?,
-                    ),
-                };
-                let resilience = match v.get("resilience").and_then(Json::as_str) {
-                    None | Some("off") => false,
-                    Some("standard") => true,
-                    Some(other) => {
-                        return Err(format!(
-                            "resilience must be \"standard\" or \"off\", got {other:?}"
-                        ))
-                    }
-                };
-                // Absent or null = cold start, so specs from clients that
-                // predate warm-starting parse unchanged.
-                let warm_start = match v.get("warm_start") {
-                    None | Some(Json::Null) => None,
-                    Some(x) => match x.as_f64() {
-                        Some(m) if (0.0..=1.0).contains(&m) => Some(m),
-                        _ => return Err("warm_start must be a similarity in [0, 1]".to_string()),
-                    },
-                };
-                Request::CreateSession(SessionSpec {
-                    strategy,
-                    seed: v.get("seed").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                    max_nodes,
-                    groups,
-                    lp,
-                    iters: v.get("iters").and_then(Json::as_usize),
-                    best_known: v.get("best_known").and_then(Json::as_f64),
-                    oracle_best: v.get("oracle_best").and_then(Json::as_usize),
-                    resilience,
-                    max_in_flight: v.get("max_in_flight").and_then(Json::as_usize),
-                    warm_start,
-                })
-            }
-            "get_proposal" => Request::GetProposal { session: session(v)? },
-            "submit_observation" => Request::SubmitObservation {
-                session: session(v)?,
-                ticket: v
-                    .get("ticket")
-                    .and_then(Json::as_f64)
-                    .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-                    .map(|x| x as u64)
-                    .ok_or("missing or invalid 'ticket'")?,
-                duration: v.get("duration").and_then(Json::as_f64).ok_or("missing 'duration'")?,
-            },
-            "get_posterior" => Request::GetPosterior { session: session(v)? },
-            "close_session" => Request::CloseSession { session: session(v)? },
-            "get_stats" => Request::GetStats,
-            "inspect" => Request::Inspect { session: session(v)? },
-            "get_health" => Request::GetHealth { session: session(v)? },
-            "ping" => Request::Ping,
-            "shutdown" => Request::Shutdown,
-            other => return Err(format!("unknown request type {other:?}")),
-        })
+    fn absent() -> Option<Self> {
+        Some(Policy(false))
     }
 }
 
-impl Response {
-    /// Serialize to the one-line JSON wire form.
-    pub fn to_json(&self) -> String {
-        match self {
-            Response::SessionCreated { session } => {
-                format!("{{\"type\":\"session_created\",\"session\":{session}}}")
-            }
-            Response::Proposal { session, ticket, iteration, action } => format!(
-                "{{\"type\":\"proposal\",\"session\":{session},\"ticket\":{ticket},\
-                 \"iteration\":{iteration},\"action\":{action}}}"
-            ),
-            Response::Recorded { session, iteration, action, duration, cumulative_time } => {
-                format!(
-                    "{{\"type\":\"recorded\",\"session\":{session},\"iteration\":{iteration},\
-                     \"action\":{action},\"duration\":{},\"cumulative_time\":{}}}",
-                    jnum(*duration),
-                    jnum(*cumulative_time)
-                )
-            }
-            Response::Retry { session, ticket, action, attempt } => format!(
-                "{{\"type\":\"retry\",\"session\":{session},\"ticket\":{ticket},\
-                 \"action\":{action},\"attempt\":{attempt}}}"
-            ),
-            Response::Posterior { session, points } => {
-                let body = match points {
-                    None => "null".to_string(),
-                    Some(ps) => {
-                        let items = ps
-                            .iter()
-                            .map(|p| {
-                                format!(
-                                    "{{\"action\":{},\"mean\":{},\"sd\":{},\"lp_bound\":{},\
-                                     \"excluded\":{}}}",
-                                    p.action,
-                                    jnum(p.mean),
-                                    jnum(p.sd),
-                                    jopt_num(p.lp_bound),
-                                    p.excluded
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(",");
-                        format!("[{items}]")
-                    }
-                };
-                format!("{{\"type\":\"posterior\",\"session\":{session},\"points\":{body}}}")
-            }
-            Response::Closed { session, iterations, total_time, best_action, history } => {
-                let hist = history
-                    .iter()
-                    .map(|&(a, y)| format!("[{a},{}]", jnum(y)))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    "{{\"type\":\"closed\",\"session\":{session},\"iterations\":{iterations},\
-                     \"total_time\":{},\"best_action\":{},\"history\":[{hist}]}}",
-                    jnum(*total_time),
-                    jopt_usize(*best_action)
-                )
-            }
-            Response::Stats(s) => {
-                let verbs = s
-                    .verbs
-                    .iter()
-                    .map(|v| {
-                        format!(
-                            "{{\"verb\":\"{}\",\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                            json_escape(&v.verb),
-                            v.count,
-                            jnum(v.p50),
-                            jnum(v.p95),
-                            jnum(v.p99)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let shards = s
-                    .shards
-                    .iter()
-                    .map(|sh| {
-                        format!(
-                            "{{\"shard\":{},\"sessions\":{},\"queue_depth\":{}}}",
-                            sh.shard, sh.sessions, sh.queue_depth
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    "{{\"type\":\"stats\",\"version\":\"{}\",\"uptime_s\":{},\
-                     \"draining\":{},\"sessions\":{{\"live\":{},\"created\":{},\"closed\":{},\
-                     \"evicted\":{},\"drained\":{}}},\"in_flight\":{},\"connections\":{},\
-                     \"requests\":{},\"malformed\":{},\"errors\":{},\"verbs\":[{verbs}],\
-                     \"shards\":[{shards}]}}",
-                    json_escape(&s.version),
-                    jnum(s.uptime_s),
-                    s.draining,
-                    s.sessions_live,
-                    s.sessions_created,
-                    s.sessions_closed,
-                    s.sessions_evicted,
-                    s.sessions_drained,
-                    s.in_flight,
-                    s.connections,
-                    s.requests,
-                    s.malformed,
-                    s.errors,
-                )
-            }
-            Response::Inspected {
-                session,
-                strategy,
-                iterations,
-                cumulative_time,
-                pending,
-                events,
-                events_dropped,
-            } => {
-                let pend = pending
-                    .iter()
-                    .map(|&(t, a)| format!("[{t},{a}]"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let evs = events
-                    .iter()
-                    .map(|e| {
-                        format!(
-                            "{{\"seq\":{},\"t_s\":{},\"kind\":\"{}\",\"ticket\":{},\
-                             \"action\":{},\"iteration\":{},\"duration\":{}}}",
-                            e.seq,
-                            jnum(e.t_s),
-                            json_escape(&e.kind),
-                            e.ticket.map_or("null".into(), |t| t.to_string()),
-                            jopt_usize(e.action),
-                            jopt_usize(e.iteration),
-                            jopt_num(e.duration)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    "{{\"type\":\"inspected\",\"session\":{session},\"strategy\":\"{}\",\
-                     \"iterations\":{iterations},\"cumulative_time\":{},\"pending\":[{pend}],\
-                     \"events\":[{evs}],\"events_dropped\":{events_dropped}}}",
-                    json_escape(strategy),
-                    jnum(*cumulative_time)
-                )
-            }
-            Response::Health(h) => {
-                format!("{{\"type\":\"health\",{}}}", h.json_fields())
-            }
-            Response::Pong { version, uptime_s } => format!(
-                "{{\"type\":\"pong\",\"version\":\"{}\",\"uptime_s\":{}}}",
-                json_escape(version),
-                jnum(*uptime_s)
-            ),
-            Response::ShuttingDown => "{\"type\":\"shutting_down\"}".to_string(),
-            Response::Error { code, message } => format!(
-                "{{\"type\":\"error\",\"code\":\"{}\",\"message\":\"{}\"}}",
-                code.as_str(),
-                json_escape(message)
-            ),
+/// The warm-start floor is a similarity in `[0, 1]`; absent or `null` is a
+/// cold start, so specs from clients that predate warm-starting parse
+/// unchanged.
+struct Similarity(Option<f64>);
+
+impl ToJson for Similarity {
+    fn write_json(&self, out: &mut String) {
+        self.0.write_json(out);
+    }
+}
+
+impl FromJson for Similarity {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(Similarity(None)),
+            Json::Num(m) if (0.0..=1.0).contains(m) => Ok(Similarity(Some(*m))),
+            _ => Err("expected a similarity in [0, 1]".to_string()),
         }
     }
 
-    /// Parse a response from its JSON document.
-    pub fn from_json(v: &Json) -> Result<Response, String> {
-        let typ = v.get("type").and_then(Json::as_str).ok_or("missing 'type'")?;
-        let num = |key: &str| v.get(key).and_then(Json::as_f64).ok_or(format!("missing '{key}'"));
-        let int = |key: &str| num(key).map(|x| x as u64);
-        let us = |key: &str| num(key).map(|x| x as usize);
-        Ok(match typ {
-            "session_created" => Response::SessionCreated { session: int("session")? },
-            "proposal" => Response::Proposal {
-                session: int("session")?,
-                ticket: int("ticket")?,
-                iteration: us("iteration")?,
-                action: us("action")?,
-            },
-            "recorded" => Response::Recorded {
-                session: int("session")?,
-                iteration: us("iteration")?,
-                action: us("action")?,
-                duration: num("duration")?,
-                cumulative_time: num("cumulative_time")?,
-            },
-            "retry" => Response::Retry {
-                session: int("session")?,
-                ticket: int("ticket")?,
-                action: us("action")?,
-                attempt: us("attempt")?,
-            },
-            "posterior" => {
-                let points = match v.get("points") {
-                    None | Some(Json::Null) => None,
-                    Some(arr) => Some(
-                        arr.as_arr()
-                            .ok_or("'points' must be an array")?
-                            .iter()
-                            .map(|p| {
-                                Ok(PosteriorPoint {
-                                    action: p
-                                        .get("action")
-                                        .and_then(Json::as_usize)
-                                        .ok_or("point without action")?,
-                                    mean: p.get("mean").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                                    sd: p.get("sd").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                                    lp_bound: p.get("lp_bound").and_then(Json::as_f64),
-                                    excluded: p
-                                        .get("excluded")
-                                        .and_then(Json::as_bool)
-                                        .unwrap_or(false),
-                                })
-                            })
-                            .collect::<Result<Vec<_>, String>>()?,
-                    ),
-                };
-                Response::Posterior { session: int("session")?, points }
-            }
-            "closed" => Response::Closed {
-                session: int("session")?,
-                iterations: us("iterations")?,
-                total_time: num("total_time")?,
-                best_action: v.get("best_action").and_then(Json::as_usize),
-                history: v
-                    .get("history")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing 'history'")?
-                    .iter()
-                    .map(|pair| {
-                        let a = pair.as_arr().filter(|a| a.len() == 2);
-                        match a {
-                            Some(a) => Ok((
-                                a[0].as_usize().ok_or("bad history action")?,
-                                a[1].as_f64().ok_or("bad history duration")?,
-                            )),
-                            None => Err("history entries must be [action,duration]".to_string()),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            },
-            "stats" => {
-                let sess = |key: &str| {
-                    v.get("sessions").and_then(|s| s.get(key)).and_then(Json::as_f64).unwrap_or(0.0)
-                        as u64
-                };
-                let count = |key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-                let verbs = v
-                    .get("verbs")
-                    .and_then(Json::as_arr)
-                    .map(|items| {
-                        items
-                            .iter()
-                            .filter_map(|e| {
-                                Some(VerbStats {
-                                    verb: e.get("verb").and_then(Json::as_str)?.to_string(),
-                                    count: e.get("count").and_then(Json::as_f64)? as u64,
-                                    p50: e.get("p50").and_then(Json::as_f64).unwrap_or(0.0),
-                                    p95: e.get("p95").and_then(Json::as_f64).unwrap_or(0.0),
-                                    p99: e.get("p99").and_then(Json::as_f64).unwrap_or(0.0),
-                                })
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let shards = v
-                    .get("shards")
-                    .and_then(Json::as_arr)
-                    .map(|items| {
-                        items
-                            .iter()
-                            .filter_map(|e| {
-                                Some(ShardStats {
-                                    shard: e.get("shard").and_then(Json::as_usize)?,
-                                    sessions: e.get("sessions").and_then(Json::as_f64)? as u64,
-                                    queue_depth: e.get("queue_depth").and_then(Json::as_f64)?
-                                        as u64,
-                                })
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                Response::Stats(StatsSnapshot {
-                    version: v
-                        .get("version")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    uptime_s: v.get("uptime_s").and_then(Json::as_f64).unwrap_or(0.0),
-                    draining: v.get("draining").and_then(Json::as_bool).unwrap_or(false),
-                    sessions_live: sess("live"),
-                    sessions_created: sess("created"),
-                    sessions_closed: sess("closed"),
-                    sessions_evicted: sess("evicted"),
-                    sessions_drained: sess("drained"),
-                    in_flight: count("in_flight"),
-                    connections: count("connections"),
-                    requests: count("requests"),
-                    malformed: count("malformed"),
-                    errors: count("errors"),
-                    verbs,
-                    shards,
-                })
-            }
-            "inspected" => Response::Inspected {
-                session: int("session")?,
-                strategy: v.get("strategy").and_then(Json::as_str).unwrap_or_default().to_string(),
-                iterations: us("iterations")?,
-                cumulative_time: num("cumulative_time")?,
-                pending: v
-                    .get("pending")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing 'pending'")?
-                    .iter()
-                    .map(|pair| {
-                        let a = pair.as_arr().filter(|a| a.len() == 2);
-                        match a {
-                            Some(a) => Ok((
-                                a[0].as_f64().ok_or("bad pending ticket")? as u64,
-                                a[1].as_usize().ok_or("bad pending action")?,
-                            )),
-                            None => Err("pending entries must be [ticket,action]".to_string()),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-                events: v
-                    .get("events")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing 'events'")?
-                    .iter()
-                    .map(|e| {
-                        Ok(SessionEvent {
-                            seq: e.get("seq").and_then(Json::as_f64).ok_or("event without seq")?
-                                as u64,
-                            t_s: e.get("t_s").and_then(Json::as_f64).unwrap_or(0.0),
-                            kind: e
-                                .get("kind")
-                                .and_then(Json::as_str)
-                                .ok_or("event without kind")?
-                                .to_string(),
-                            ticket: e.get("ticket").and_then(Json::as_f64).map(|x| x as u64),
-                            action: e.get("action").and_then(Json::as_usize),
-                            iteration: e.get("iteration").and_then(Json::as_usize),
-                            duration: e.get("duration").and_then(Json::as_f64),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-                // Absent on frames from daemons that predate drop
-                // accounting: nothing evicted is the only safe reading.
-                events_dropped: match v.get("events_dropped") {
-                    None | Some(Json::Null) => 0,
-                    Some(x) => x
-                        .as_f64()
-                        .filter(|d| *d >= 0.0 && d.fract() == 0.0)
-                        .ok_or("invalid 'events_dropped'")? as u64,
-                },
-            },
-            "health" => Response::Health(HealthInfo {
-                session: int("session")?,
-                state: v.get("state").and_then(Json::as_str).ok_or("missing 'state'")?.to_string(),
-                reason: match v.get("reason") {
-                    None | Some(Json::Null) => None,
-                    Some(x) => Some(x.as_str().ok_or("'reason' must be a string")?.to_string()),
-                },
-                records: us("records")?,
-                since_best: us("since_best")?,
-                regret_slope: v.get("regret_slope").and_then(Json::as_f64),
-                retries_window: us("retries_window")?,
-                faults_window: us("faults_window")?,
-                posterior_sd_max: v.get("posterior_sd_max").and_then(Json::as_f64),
-                lp_gap: v.get("lp_gap").and_then(Json::as_f64),
-                band_record: v.get("band_record").and_then(Json::as_usize),
-                warm_started: v.get("warm_started").and_then(Json::as_bool).unwrap_or(false),
-                transitions: v.get("transitions").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            }),
-            "pong" => Response::Pong {
-                version: v.get("version").and_then(Json::as_str).unwrap_or_default().to_string(),
-                uptime_s: v.get("uptime_s").and_then(Json::as_f64).unwrap_or(0.0),
-            },
-            "shutting_down" => Response::ShuttingDown,
-            "error" => Response::Error {
-                code: v
-                    .get("code")
-                    .and_then(Json::as_str)
-                    .and_then(ErrorCode::parse)
-                    .unwrap_or(ErrorCode::Internal),
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified error")
-                    .to_string(),
-            },
-            other => return Err(format!("unknown response type {other:?}")),
-        })
+    fn absent() -> Option<Self> {
+        Some(Similarity(None))
     }
 }
+
+impl ToJson for ErrorCode {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+/// A code this build does not know (a newer daemon's) reads as `internal`.
+impl FromJson for ErrorCode {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(v.as_str().and_then(ErrorCode::parse).unwrap_or(ErrorCode::Internal))
+    }
+}
+
+/// A struct that travels as the members of a JSON object, in wire order.
+trait WireFields: Sized {
+    fn write_members(&self, o: &mut ObjectWriter<'_>);
+    fn read_members(v: &Json) -> Result<Self, String>;
+}
+
+/// `wire_struct!(Type { member, member = default, member as Adapter,
+/// "name" { sub: field, … }, … })` — the last form is a nested object of
+/// counters that read 0 when absent. Generates [`WireFields`], plus
+/// `ToJson`/`FromJson` as a braced object so the struct can be a member
+/// of another frame.
+macro_rules! wire_struct {
+    ($ty:ident { $(
+        $( $group:literal { $( $sub:ident : $subfield:ident ),* } )?
+        $( $field:ident $( as $adapter:ident )? $( = $default:expr )? )?
+    ),* }) => {
+        impl WireFields for $ty {
+            fn write_members(&self, o: &mut ObjectWriter<'_>) {
+                $(
+                    $( o.field(stringify!($field), wire_struct!(@out self.$field $(, $adapter)?)); )?
+                    $( json::object(o.key($group), |g| {
+                        $( g.field(stringify!($sub), &self.$subfield); )*
+                    }); )?
+                )*
+            }
+
+            fn read_members(v: &Json) -> Result<Self, String> {
+                Ok($ty { $(
+                    $( $field: wire_struct!(@in v, $field $( as $adapter )? $( = $default )?), )?
+                    $( $( $subfield: v.get($group).unwrap_or(&Json::Null)
+                        .field_or(stringify!($sub), 0)?, )* )?
+                )* })
+            }
+        }
+
+        impl ToJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                json::object(out, |o| self.write_members(o));
+            }
+        }
+
+        impl FromJson for $ty {
+            fn from_json(v: &Json) -> Result<Self, String> {
+                Self::read_members(v)
+            }
+        }
+    };
+    (@out $value:expr) => { &$value };
+    (@out $value:expr, $adapter:ident) => { &$adapter($value) };
+    (@in $v:ident, $field:ident) => { $v.field(stringify!($field))? };
+    (@in $v:ident, $field:ident = $default:expr) => {
+        $v.field_or(stringify!($field), $default)?
+    };
+    (@in $v:ident, $field:ident as $adapter:ident) => {
+        $v.field::<$adapter>(stringify!($field))?.0
+    };
+}
+
+/// `wire_enum!(Type, "what" { "wire_name" => Variant, "wire_name" =>
+/// Variant(inner), "wire_name" => Variant { member, member = default },
+/// … })` — a unit frame carries only its `type` tag, a newtype frame the
+/// members of its [`WireFields`] struct next to the tag. Generates
+/// `wire_name`, `to_json` and `from_json`.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal { $(
+        $name:literal => $variant:ident
+            $( ( $inner:ident ) )?
+            $( { $( $field:ident $( = $default:expr )? ),* } )?
+    ),* }) => {
+        impl $ty {
+            /// The frame's `type` tag, as spelled on the wire.
+            pub fn wire_name(&self) -> &'static str {
+                match self { $(
+                    Self::$variant $( ( $inner ) )? $( { $( $field: _ ),* } )? => {
+                        $( let _ = $inner; )?
+                        $name
+                    }
+                )* }
+            }
+
+            /// Serialize to the one-line JSON wire form.
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(128);
+                json::object(&mut out, |o| {
+                    o.field("type", self.wire_name());
+                    match self { $(
+                        Self::$variant $( ( $inner ) )? $( { $( $field ),* } )? => {
+                            $( $inner.write_members(o); )?
+                            $( $( o.field(stringify!($field), $field); )* )?
+                        }
+                    )* }
+                });
+                out
+            }
+
+            /// Parse a frame from its JSON document.
+            pub fn from_json(v: &Json) -> Result<Self, String> {
+                let name = v.get("type").and_then(Json::as_str).ok_or("missing 'type'")?;
+                Ok(match name {
+                    $( $name => Self::$variant
+                        $( ({
+                            let $inner = WireFields::read_members(v)?;
+                            $inner
+                        }) )?
+                        $( { $( $field: wire_struct!(@in v, $field $( = $default )?) ),* } )?, )*
+                    other => return Err(format!(concat!("unknown ", $what, " type {:?}"), other)),
+                })
+            }
+        }
+    };
+}
+
+wire_struct!(SessionSpec {
+    strategy as Name, seed = 0, max_nodes, groups = Vec::new(), lp, iters, best_known,
+    oracle_best, resilience as Policy, max_in_flight, warm_start as Similarity
+});
+
+wire_struct!(VerbStats { verb, count, p50 = 0.0, p95 = 0.0, p99 = 0.0 });
+
+wire_struct!(ShardStats { shard, sessions, queue_depth });
+
+wire_struct!(StatsSnapshot {
+    version = String::new(), uptime_s = 0.0, draining = false,
+    "sessions" {
+        live: sessions_live, created: sessions_created, closed: sessions_closed,
+        evicted: sessions_evicted, drained: sessions_drained
+    },
+    in_flight = 0, connections = 0, requests = 0, malformed = 0, errors = 0,
+    verbs = Vec::new(), shards = Vec::new()
+});
+
+wire_struct!(SessionEvent { seq, t_s = 0.0, kind, ticket, action, iteration, duration });
+
+wire_struct!(HealthInfo {
+    session, state, reason, records, since_best, regret_slope, retries_window, faults_window,
+    posterior_sd_max, lp_gap, band_record, warm_started = false, transitions = 0
+});
+
+wire_enum!(Request, "request" {
+    "create_session" => CreateSession(spec),
+    "get_proposal" => GetProposal { session },
+    "submit_observation" => SubmitObservation { session, ticket, duration },
+    "get_posterior" => GetPosterior { session },
+    "close_session" => CloseSession { session },
+    "get_stats" => GetStats,
+    "inspect" => Inspect { session },
+    "get_health" => GetHealth { session },
+    "ping" => Ping,
+    "shutdown" => Shutdown
+});
+
+wire_enum!(Response, "response" {
+    "session_created" => SessionCreated { session },
+    "proposal" => Proposal { session, ticket, iteration, action },
+    "recorded" => Recorded { session, iteration, action, duration, cumulative_time },
+    "retry" => Retry { session, ticket, action, attempt },
+    "posterior" => Posterior { session, points },
+    "closed" => Closed { session, iterations, total_time, best_action, history },
+    "stats" => Stats(stats),
+    "inspected" => Inspected {
+        session, strategy = String::new(), iterations, cumulative_time, pending, events,
+        events_dropped = 0
+    },
+    "health" => Health(health),
+    "pong" => Pong { version = String::new(), uptime_s = 0.0 },
+    "shutting_down" => ShuttingDown,
+    "error" => Error { code = ErrorCode::Internal, message = "unspecified error".to_string() }
+});
 
 /// Build a full posterior response from a core snapshot.
 pub fn posterior_response(session: u64, snap: Option<PosteriorSnapshot>) -> Response {

@@ -75,6 +75,80 @@ fn malformed_frames_get_typed_errors_and_the_connection_lives_on() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Integers on the wire are finite, non-negative and integral or the
+/// frame is refused: no count is truncated or saturated into a session
+/// nobody asked for (`"max_nodes":7.9` used to create 7 nodes).
+#[test]
+fn non_integer_counts_are_bad_requests_and_the_connection_lives_on() {
+    let (path, mut server) = start("integers");
+    let mut conn = UnixStream::connect(&path).unwrap();
+    let create =
+        |members: &str| format!("{{\"type\":\"create_session\",\"strategy\":\"UCB\",{members}}}");
+    let bad = [
+        (create("\"max_nodes\":7.9"), "max_nodes"),
+        (create("\"max_nodes\":-4"), "max_nodes"),
+        (create("\"max_nodes\":4,\"seed\":-1"), "seed"),
+        (create("\"max_nodes\":4,\"iters\":2.5"), "iters"),
+        (create("\"max_nodes\":4,\"iters\":-3"), "iters"),
+        (create("\"max_nodes\":4,\"oracle_best\":1.5"), "oracle_best"),
+        (create("\"max_nodes\":4,\"oracle_best\":-1"), "oracle_best"),
+        (create("\"max_nodes\":4,\"max_in_flight\":0.5"), "max_in_flight"),
+        (create("\"max_nodes\":4,\"max_in_flight\":-2"), "max_in_flight"),
+        (create("\"max_nodes\":4,\"groups\":[[1,2.5],[3,4]]"), "groups"),
+        (create("\"max_nodes\":4,\"groups\":[[-1,4]]"), "groups"),
+        ("{\"type\":\"get_proposal\",\"session\":0.5}".to_string(), "session"),
+        (
+            "{\"type\":\"submit_observation\",\"session\":0,\"ticket\":-1,\"duration\":1}".into(),
+            "ticket",
+        ),
+    ];
+    for (frame, field) in &bad {
+        write_frame(&mut conn, frame).unwrap();
+        match read_reply(&mut conn) {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::BadRequest, "{frame}");
+                assert!(message.contains(&format!("'{field}'")), "{frame}: {message}");
+            }
+            other => panic!("{frame}: {other:?}"),
+        }
+    }
+
+    // The next valid frame on the same connection is served, and the
+    // session it creates has exactly the size it asked for.
+    write_frame(&mut conn, &create("\"max_nodes\":4,\"iters\":3,\"groups\":[[1,2],[3,4]]"))
+        .unwrap();
+    let Response::SessionCreated { session } = read_reply(&mut conn) else { panic!("no session") };
+    write_frame(&mut conn, &Request::GetProposal { session }.to_json()).unwrap();
+    match read_reply(&mut conn) {
+        Response::Proposal { action, .. } => assert!((1..=4).contains(&action)),
+        other => panic!("{other:?}"),
+    }
+
+    server.stop();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The client side of the same rule: a reply whose integers are not
+/// integers is a protocol error, not action 0.
+#[test]
+fn replies_with_mangled_integers_do_not_decode() {
+    let decode = |text: &str| Response::from_json(&Json::parse(text).unwrap());
+    let ok = "{\"type\":\"proposal\",\"session\":1,\"ticket\":0,\"iteration\":0,\"action\":3}";
+    assert!(decode(ok).is_ok());
+    for (from, to, field) in [
+        ("\"action\":3", "\"action\":-1", "action"),
+        ("\"iteration\":0", "\"iteration\":0.5", "iteration"),
+        ("\"session\":1", "\"session\":-1", "session"),
+        ("\"ticket\":0", "\"ticket\":1e30", "ticket"),
+    ] {
+        let err = decode(&ok.replace(from, to)).unwrap_err();
+        assert!(err.contains(&format!("'{field}'")), "{to}: {err}");
+    }
+    let closed = "{\"type\":\"closed\",\"session\":1,\"iterations\":1,\"total_time\":2,\
+                  \"best_action\":null,\"history\":[[2.5,2]]}";
+    assert!(decode(closed).unwrap_err().contains("'history'"));
+}
+
 #[test]
 fn sessions_survive_a_mid_measurement_disconnect() {
     let (path, mut server) = start("reconnect");

@@ -41,7 +41,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use adaphet_metrics::{json_escape, MetricsReport};
+use adaphet_metrics::json::{self, ToJson};
+use adaphet_metrics::MetricsReport;
 use adaphet_store::{crc32, Reader, StoreError, Writer};
 
 /// Magic bytes opening every history chunk file.
@@ -308,57 +309,34 @@ impl TimeSeriesStore {
     /// each series carries `name`, `points` (raw `[t, value]` pairs) and
     /// `coarse` (per resolution: `[t, min, max, mean, last, count]`).
     pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let series: Vec<String> = self
-            .series
-            .iter()
-            .map(|(name, s)| {
-                let raw: Vec<String> =
-                    s.raw.iter().map(|p| format!("[{},{}]", num(p.t_s), num(p.value))).collect();
-                let coarse: Vec<String> = s
-                    .coarse
-                    .iter()
-                    .map(|r| {
-                        let pts: Vec<String> = r
-                            .view()
-                            .iter()
-                            .map(|c| {
-                                format!(
-                                    "[{},{},{},{},{},{}]",
-                                    num(c.t_s),
-                                    num(c.min),
-                                    num(c.max),
-                                    num(c.mean()),
-                                    num(c.last),
-                                    c.count,
-                                )
-                            })
-                            .collect();
-                        format!("{{\"width_s\":{},\"points\":[{}]}}", num(r.width_s), pts.join(","))
-                    })
-                    .collect();
-                format!(
-                    "{{\"name\":\"{}\",\"points\":[{}],\"coarse\":[{}]}}",
-                    json_escape(name),
-                    raw.join(","),
-                    coarse.join(","),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"version\":{},\"capacity\":{},\"resolutions\":[{}],\"epoch_s\":{},\"series\":[{}]}}",
-            FORMAT_VERSION,
-            self.config.capacity,
-            self.config.resolutions.iter().map(|w| num(*w)).collect::<Vec<_>>().join(","),
-            num(self.epoch_s),
-            series.join(","),
-        )
+        let mut out = String::with_capacity(1024);
+        json::object(&mut out, |o| {
+            o.field("version", &FORMAT_VERSION)
+                .field("capacity", &self.config.capacity)
+                .field("resolutions", &self.config.resolutions)
+                .field("epoch_s", &self.epoch_s);
+            json::array(o.key("series"), &self.series, |out, (name, s)| {
+                json::object(out, |o| {
+                    o.field("name", name);
+                    json::array(o.key("points"), &s.raw, |out, p| (p.t_s, p.value).write_json(out));
+                    json::array(o.key("coarse"), &s.coarse, |out, r| {
+                        json::object(out, |o| {
+                            o.field("width_s", &r.width_s);
+                            json::array(o.key("points"), r.view(), |out, c| {
+                                out.push('[');
+                                for x in [c.t_s, c.min, c.max, c.mean(), c.last] {
+                                    x.write_json(out);
+                                    out.push(',');
+                                }
+                                c.count.write_json(out);
+                                out.push(']');
+                            });
+                        });
+                    });
+                });
+            });
+        });
+        out
     }
 
     // ---- chunk codec --------------------------------------------------
