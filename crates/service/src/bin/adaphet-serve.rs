@@ -34,7 +34,9 @@ const USAGE: &str = "usage: adaphet-serve (--uds PATH | --tcp ADDR) \
                      [--workers N] [--idle-timeout SECS] [--telemetry-dir DIR] \
                      [--store-dir DIR] [--max-in-flight N] [--metrics] \
                      [--metrics-addr ADDR] [--history-interval SECS] \
-                     [--history-capacity N] [--history-file FILE]";
+                     [--history-capacity N] [--history-file FILE]\n  \
+                     --workers N  session-map shards; requests run on their \
+                     connection's thread (default 4)";
 
 struct ServeArgs {
     endpoint: Endpoint,
@@ -155,7 +157,8 @@ fn main() {
     eprintln!("adaphet-serve: draining");
     drop(metrics_server);
     drop(server);
-    drop(manager); // last owner: runs the graceful worker shutdown
+    // Not left to the last `Arc` owner: a still-connected client holds one.
+    manager.shutdown();
     if let Some(registry) = registry {
         println!("{}", registry.snapshot().to_table());
     }

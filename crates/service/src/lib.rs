@@ -9,10 +9,10 @@
 //! and merely *consult* a tuner between iterations. This crate is that
 //! tuner as a daemon:
 //!
-//! * [`SessionManager`] — a fixed worker-thread pool owning every live
-//!   session, sharded by session id so per-session operations are
-//!   totally ordered (and therefore exactly as deterministic as the
-//!   single-threaded driver — pinned by equivalence tests, bit for bit);
+//! * [`SessionManager`] — every live session, sharded by session id; a
+//!   request runs on its caller's thread under its shard's lock, so
+//!   per-session operations are totally ordered (and therefore exactly as
+//!   deterministic as the single-threaded driver — pinned bit for bit);
 //! * [`protocol`] — the length-prefixed JSON wire vocabulary
 //!   (`create_session`, `get_proposal`, `submit_observation`,
 //!   `get_posterior`, `close_session`, plus typed errors), with
@@ -26,7 +26,7 @@
 //! Sessions are keyed by id, not by connection: clients may disconnect
 //! mid-measurement and resolve their tickets over a fresh connection.
 //! Idle sessions are evicted after [`ServiceConfig::idle_timeout`];
-//! shutdown drains in-flight work before the workers exit.
+//! shutdown waits for in-flight requests, then flushes what is left.
 //!
 //! # Observability plane
 //!

@@ -1,44 +1,53 @@
-//! The multi-tenant session manager: a fixed worker-thread pool that
-//! owns every live [`Session`], sharded by session id.
+//! The multi-tenant session manager: every live [`Session`], sharded by
+//! session id, each shard behind one mutex.
 //!
 //! # Threading model
 //!
-//! Connection handlers (and the in-process client) never touch a
-//! [`Session`] directly. Every request is routed by `session_id %
-//! workers` onto that shard's unbounded job channel and answered over a
-//! one-shot reply channel. Because a given session's requests all land on
-//! the same single-threaded worker, per-session operations are totally
-//! ordered without any per-session lock — two clients racing
-//! `GetProposal` against one session are serialized by the shard queue,
-//! and determinism (same seed → same proposal stream) is preserved no
-//! matter how many connections share the session.
+//! A request runs on the thread that brought it — a connection handler
+//! or the in-process caller: `session_id % workers` picks the shard, the
+//! caller takes that shard's lock, does the work and answers. The
+//! invariant: *a session is only touched under its shard's lock; nothing
+//! blocks while holding it except the session's own `propose`/`observe`/
+//! sink flush* (`finish`: the flush and the closing snapshot write). So a
+//! warm-start create does its store lookup before the lock, and
+//! back-pressure is the caller blocking on the lock.
+//!
+//! All requests of one session (and of one shard) take the same lock, so
+//! per-session operations are totally ordered without a per-session lock
+//! — two clients racing `GetProposal` against one session are serialized
+//! by the shard mutex, and determinism (same seed → same proposal stream)
+//! holds no matter how many connections share the session. Session code
+//! runs under `catch_unwind` inside the critical section: a panicking
+//! strategy costs exactly its own session and never poisons the mutex.
 //!
 //! # Lifecycle
 //!
 //! Sessions that go untouched for [`ServiceConfig::idle_timeout`] are
 //! evicted by periodic sweeps (a ticker thread, plus [`SessionManager::sweep_now`]
-//! for deterministic tests): open tickets are abandoned, telemetry sinks
-//! are flushed, and the id is forgotten. [`SessionManager::shutdown`] is
-//! graceful by construction — the stop sentinel enters each shard queue
-//! *behind* all previously submitted work, so in-flight requests drain
-//! before the workers flush remaining sessions and exit.
+//! for deterministic tests) that lock each shard in turn: open tickets
+//! are abandoned, telemetry sinks are flushed, and the id is forgotten.
+//! [`SessionManager::shutdown`] is graceful by construction — taking a
+//! shard's lock waits for the request in flight on it, so that work
+//! drains before the shard is stopped and its sessions are flushed;
+//! later requests get the typed `shutting-down` error.
 
 use crate::protocol::{
-    health_info, health_response, posterior_response, ErrorCode, Request, Response, SessionSpec,
+    health_info, health_response, posterior_response, ErrorCode, HealthInfo, Request, Response,
+    SessionSpec,
 };
 use crate::stats::{EventRing, ServiceStats};
 use adaphet_core::{
     JsonlSink, Observation, Observed, ResiliencePolicy, Session, SessionError, SurrogateStore,
     Ticket, TunerDriver, WarmStart,
 };
-use adaphet_metrics::{json, Span};
+use adaphet_metrics::json;
 use adaphet_tsdb::{TimeSeriesStore, TsdbConfig};
-use crossbeam::channel::{unbounded, Sender};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,7 +92,8 @@ impl HistoryConfig {
 /// Tuning knobs for a [`SessionManager`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (shards). Sessions are pinned to `id % workers`.
+    /// Session-map shards, one mutex each. Sessions are pinned to
+    /// `id % workers`; requests run on the thread that brought them.
     pub workers: usize,
     /// In-flight proposal cap applied when a `CreateSession` does not
     /// specify its own.
@@ -121,23 +131,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Queue-crossing observability baggage for one routed job: the
-/// queue-wait span guard travels with the job (a [`Span`] is `Send`) and
-/// drops — recording the wait — the moment the worker dequeues it.
-struct Trace {
-    shard: usize,
-    parent: Option<u64>,
-    queue_span: Span,
-}
-
-/// One unit of work for a shard worker.
-enum Job {
-    Create { id: u64, spec: SessionSpec, reply: mpsc::Sender<Response>, trace: Trace },
-    Session { request: Request, session: u64, reply: mpsc::Sender<Response>, trace: Trace },
-    Sweep { reply: Option<mpsc::Sender<Response>> },
-    Stop,
-}
-
 struct Entry {
     session: Session,
     last_touch: Instant,
@@ -147,15 +140,45 @@ struct Entry {
     events: EventRing,
 }
 
+/// One shard of the session map, only touched under its mutex.
+#[derive(Default)]
+struct Shard {
+    sessions: HashMap<u64, Entry>,
+    /// Set by `shutdown` as it flushes the shard; requests that find it
+    /// set are refused, so nothing registers after the drain.
+    stopped: bool,
+}
+
+/// Session code never unwinds through a held guard (see [`guarded`]) and
+/// the map is valid between any two statements, so a poisoned lock — a
+/// bug in this file — still must not wedge the shard's other sessions.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A background thread and the channel whose message ends it.
+type Background = (mpsc::Sender<()>, JoinHandle<()>);
+
+/// Run `work` every `period` on a thread of its own until stopped.
+fn every(period: Duration, mut work: impl FnMut() + Send + 'static) -> Background {
+    let (stop_tx, stop_rx) = mpsc::channel::<()>();
+    let handle = std::thread::spawn(move || {
+        while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(period) {
+            work();
+        }
+    });
+    (stop_tx, handle)
+}
+
 /// The shared multi-tenant session registry. Cheap to share behind an
 /// [`Arc`]; all methods take `&self`.
 pub struct SessionManager {
-    shards: Vec<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    ticker: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
-    sampler: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
+    shards: Arc<Vec<Mutex<Shard>>>,
+    config: ServiceConfig,
+    store: Option<SurrogateStore>,
+    /// The eviction ticker and the history sampler, until `shutdown`.
+    background: Mutex<Vec<Background>>,
     history: Option<Arc<Mutex<TimeSeriesStore>>>,
-    history_persist: Option<PathBuf>,
     next_id: AtomicU64,
     draining: Arc<AtomicBool>,
     stats: Arc<ServiceStats>,
@@ -168,169 +191,63 @@ fn err(code: ErrorCode, message: impl Into<String>) -> Response {
 }
 
 fn session_err(id: u64, e: SessionError) -> Response {
-    match e {
-        SessionError::UnknownTicket(t) => err(
-            ErrorCode::UnknownTicket,
-            format!("session {id}: {}", SessionError::UnknownTicket(t)),
-        ),
-        SessionError::TooManyInFlight { limit } => err(
-            ErrorCode::TooManyInFlight,
-            format!("session {id}: {}", SessionError::TooManyInFlight { limit }),
-        ),
-    }
+    let code = match e {
+        SessionError::UnknownTicket(_) => ErrorCode::UnknownTicket,
+        SessionError::TooManyInFlight { .. } => ErrorCode::TooManyInFlight,
+    };
+    err(code, format!("session {id}: {e}"))
 }
 
-/// Build a [`Session`] from a validated wire spec.
-fn build_session(
-    spec: &SessionSpec,
-    default_max_in_flight: usize,
-    store: Option<&SurrogateStore>,
-) -> Result<Session, String> {
-    let space = spec.space()?;
-    let mut b = TunerDriver::builder(&space)
-        .kind(spec.strategy)
-        .seed(spec.seed)
-        .max_in_flight(spec.max_in_flight.unwrap_or(default_max_in_flight));
-    if let Some(store) = store {
-        // Attaching the store alone makes the session persist a snapshot
-        // when it retires; warm-starting from it is the spec's opt-in.
-        b = b.store(store);
-        if let Some(min_similarity) = spec.warm_start {
-            b = b.warm_start(WarmStart::FromStore { min_similarity });
-        }
-    }
-    if let Some(iters) = spec.iters {
-        b = b.iters(iters);
-    }
-    if let Some(best) = spec.best_known {
-        b = b.best_known(best);
-    }
-    if let Some(best) = spec.oracle_best {
-        b = b.oracle_best(best);
-    }
-    if spec.resilience {
-        b = b.resilience(ResiliencePolicy::standard());
-    }
-    b.build_session().map_err(|e| e.to_string())
+fn panicked(id: u64) -> Response {
+    err(ErrorCode::Internal, format!("session {id}: strategy panicked; session closed"))
 }
 
-/// Flush a session's sinks and drop it, abandoning open tickets.
-fn retire(mut entry: Entry, stats: &ServiceStats) {
+/// Run session (strategy, sink) code; a panic becomes `None` and a tick
+/// of `service.session.panicked` instead of unwinding through the
+/// caller's shard guard. The caller drops the session the closure worked
+/// on — its state is never read again, which makes `AssertUnwindSafe` true.
+fn guarded<T>(stats: &ServiceStats, f: impl FnOnce() -> T) -> Option<T> {
+    let out = catch_unwind(AssertUnwindSafe(f)).ok();
+    if out.is_none() {
+        stats.count("service.session.panicked", 1.0);
+    }
+    out
+}
+
+/// Flush a session's sinks and drop it, abandoning open tickets;
+/// `outcome` is the lifecycle counter it ends under.
+fn retire(id: u64, mut entry: Entry, outcome: &str, stats: &ServiceStats) {
     for ticket in entry.session.pending_tickets() {
         if entry.session.abandon(ticket).is_ok() {
             stats.in_flight_add(-1);
         }
     }
-    if entry.session.finish().is_err() {
+    // `finish` asks the strategy for its closing snapshot.
+    if let Some(Err(_)) = guarded(stats, || entry.session.finish()) {
         stats.count("service.sink_error", 1.0);
     }
+    stats.remove_health(id);
+    stats.count(outcome, 1.0);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    shard: usize,
-    rx: crossbeam::channel::Receiver<Job>,
-    idle_timeout: Option<Duration>,
-    telemetry_dir: Option<PathBuf>,
-    default_max_in_flight: usize,
-    events_capacity: usize,
-    store: Option<SurrogateStore>,
-    stats: Arc<ServiceStats>,
-) {
-    let mut sessions: HashMap<u64, Entry> = HashMap::new();
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Stop => break,
-            Job::Sweep { reply } => {
-                if let Some(timeout) = idle_timeout {
-                    let now = Instant::now();
-                    let stale: Vec<u64> = sessions
-                        .iter()
-                        .filter(|(_, e)| now.duration_since(e.last_touch) >= timeout)
-                        .map(|(&id, _)| id)
-                        .collect();
-                    for id in stale {
-                        if let Some(entry) = sessions.remove(&id) {
-                            retire(entry, &stats);
-                            stats.remove_health(id);
-                            stats.count("service.session.evicted", 1.0);
-                        }
-                    }
-                    stats.set_shard_sessions(shard, sessions.len() as u64);
-                }
-                if let Some(reply) = reply {
-                    let _ = reply.send(Response::Pong { version: String::new(), uptime_s: 0.0 });
-                }
-            }
-            Job::Create { id, spec, reply, trace } => {
-                // Dequeued: the queue-wait span records itself now.
-                drop(trace.queue_span);
-                stats.queue_pop(trace.shard);
-                let response = match build_session(&spec, default_max_in_flight, store.as_ref()) {
-                    Err(message) => err(ErrorCode::BadRequest, message),
-                    Ok(mut session) => {
-                        if let Some(dir) = &telemetry_dir {
-                            match JsonlSink::create(dir.join(format!("session-{id}.jsonl"))) {
-                                Ok(sink) => session.add_sink(Box::new(sink)),
-                                Err(_) => stats.count("service.sink_error", 1.0),
-                            }
-                        }
-                        let mut events = EventRing::new(events_capacity);
-                        events.push(stats.uptime_s(), "created", None, None, None, None);
-                        stats.set_health(health_info(id, &session.health()));
-                        sessions.insert(
-                            id,
-                            Entry {
-                                session,
-                                last_touch: Instant::now(),
-                                strategy: spec.strategy.to_string(),
-                                events,
-                            },
-                        );
-                        stats.count("service.session.created", 1.0);
-                        stats.set_shard_sessions(shard, sessions.len() as u64);
-                        Response::SessionCreated { session: id }
-                    }
-                };
-                let _ = reply.send(response);
-            }
-            Job::Session { request, session: id, reply, trace } => {
-                drop(trace.queue_span);
-                stats.queue_pop(trace.shard);
-                let response = match sessions.get_mut(&id) {
-                    None => {
-                        err(ErrorCode::UnknownSession, format!("session {id} is not registered"))
-                    }
-                    Some(entry) => {
-                        // Inspect and GetHealth are read-only observers;
-                        // they must not keep an otherwise-idle session
-                        // alive.
-                        if !matches!(request, Request::Inspect { .. } | Request::GetHealth { .. }) {
-                            entry.last_touch = Instant::now();
-                        }
-                        answer(id, entry, &request, &stats, trace.parent)
-                    }
-                };
-                // CloseSession retires the entry after answering from it.
-                if matches!(request, Request::CloseSession { .. }) {
-                    if let Some(entry) = sessions.remove(&id) {
-                        retire(entry, &stats);
-                        stats.remove_health(id);
-                        stats.count("service.session.closed", 1.0);
-                        stats.set_shard_sessions(shard, sessions.len() as u64);
-                    }
-                }
-                let _ = reply.send(response);
+/// Evict every session of `shards` untouched for `timeout`.
+fn sweep(shards: &[Mutex<Shard>], timeout: Duration, stats: &ServiceStats) {
+    for (i, shard) in shards.iter().enumerate() {
+        let mut shard = lock(shard);
+        let now = Instant::now();
+        let stale: Vec<u64> = shard
+            .sessions
+            .iter()
+            .filter(|(_, e)| now.duration_since(e.last_touch) >= timeout)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in stale {
+            if let Some(entry) = shard.sessions.remove(&id) {
+                retire(id, entry, "service.session.evicted", stats);
             }
         }
+        stats.set_shard_sessions(i, shard.sessions.len() as u64);
     }
-    // Drain: flush whatever is still registered before the thread exits.
-    for (id, entry) in sessions.drain() {
-        retire(entry, &stats);
-        stats.remove_health(id);
-        stats.count("service.session.drained", 1.0);
-    }
-    stats.set_shard_sessions(shard, 0);
 }
 
 /// Answer one session-routed request against its live session, recording
@@ -440,62 +357,40 @@ fn answer(
             best_action: session.history().best_action(),
             history: session.history().records().to_vec(),
         },
-        // Routed requests are exactly the six above; `route` never sends
-        // anything else.
-        _ => err(ErrorCode::Internal, "request routed to a session worker by mistake"),
+        // `dispatch` routes exactly the six verbs above.
+        _ => err(ErrorCode::Internal, "request routed to a session by mistake"),
     }
 }
 
 impl SessionManager {
-    /// Spin up the worker pool (and the idle-eviction ticker, when an
-    /// idle timeout is configured).
-    pub fn new(config: ServiceConfig) -> Self {
-        let workers = config.workers.max(1);
-        // One store handle, cloned per shard: the clones share one lookup
-        // index, and writes are atomic (tmp + rename), so shards never
-        // see each other's half-written snapshots.
+    /// Set up the shards (and the idle-eviction ticker, when an idle
+    /// timeout is configured).
+    pub fn new(mut config: ServiceConfig) -> Self {
+        config.workers = config.workers.max(1);
+        config.default_max_in_flight = config.default_max_in_flight.max(1);
+        // One store handle, cloned per session: the clones share one
+        // lookup index, and writes are atomic (tmp + rename), so sessions
+        // never see each other's half-written snapshots.
         let opened = config.store_dir.as_ref().map(SurrogateStore::open);
         let open_failed = matches!(opened, Some(Err(_)));
         let store = opened.and_then(Result::ok);
-        let stats = Arc::new(ServiceStats::new(workers, store.clone()));
+        let stats = Arc::new(ServiceStats::new(config.workers, store.clone()));
         if open_failed {
             stats.count("service.store_error", 1.0);
         }
-        let mut shards = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for shard in 0..workers {
-            let (tx, rx) = unbounded::<Job>();
-            let idle = config.idle_timeout;
-            let dir = config.telemetry_dir.clone();
-            let cap = config.default_max_in_flight.max(1);
-            let events = config.events_capacity;
-            let store = store.clone();
-            let stats = Arc::clone(&stats);
-            shards.push(tx);
-            handles.push(std::thread::spawn(move || {
-                worker_loop(shard, rx, idle, dir, cap, events, store, stats)
-            }));
-        }
-        let ticker = config.idle_timeout.map(|timeout| {
+        let shards: Arc<Vec<Mutex<Shard>>> =
+            Arc::new((0..config.workers).map(|_| Mutex::default()).collect());
+        let mut background = Vec::new();
+        if let Some(timeout) = config.idle_timeout {
             let tick = (timeout / 4).clamp(Duration::from_millis(50), Duration::from_secs(30));
-            let shard_txs = shards.clone();
-            let (stop_tx, stop_rx) = mpsc::channel::<()>();
-            let handle = std::thread::spawn(move || {
-                while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(tick) {
-                    for tx in &shard_txs {
-                        let _ = tx.send(Job::Sweep { reply: None });
-                    }
-                }
-            });
-            (stop_tx, handle)
-        });
+            let (shards, stats) = (Arc::clone(&shards), Arc::clone(&stats));
+            background.push(every(tick, move || sweep(&shards, timeout, &stats)));
+        }
         let draining = Arc::new(AtomicBool::new(false));
         // The history plane only exists when asked for: no config means
         // no store, no mutex, no sampler thread — nothing for the
         // session hot path to even share a cache line with.
         let mut history = None;
-        let mut history_persist = None;
-        let mut sampler = None;
         if let Some(h) = &config.history {
             let store = match &h.persist {
                 None => TimeSeriesStore::new(h.tsdb_config()),
@@ -508,28 +403,21 @@ impl SessionManager {
                 }
             };
             let store = Arc::new(Mutex::new(store));
-            let (stop_tx, stop_rx) = mpsc::channel::<()>();
             let interval = h.interval.max(Duration::from_millis(10));
-            let thread_store = Arc::clone(&store);
-            let thread_stats = Arc::clone(&stats);
-            let thread_draining = Arc::clone(&draining);
-            let handle = std::thread::spawn(move || {
-                while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                    let report = thread_stats.report(thread_draining.load(Ordering::SeqCst));
-                    thread_store.lock().unwrap().ingest(&report);
-                }
-            });
+            let (sampled, stats, draining) =
+                (Arc::clone(&store), Arc::clone(&stats), Arc::clone(&draining));
+            background.push(every(interval, move || {
+                let report = stats.report(draining.load(Ordering::SeqCst));
+                sampled.lock().unwrap().ingest(&report);
+            }));
             history = Some(store);
-            history_persist = h.persist.clone();
-            sampler = Some((stop_tx, handle));
         }
         SessionManager {
             shards,
-            workers: handles,
-            ticker,
-            sampler,
+            config,
+            store,
+            background: Mutex::new(background),
             history,
-            history_persist,
             next_id: AtomicU64::new(1),
             draining,
             stats,
@@ -597,17 +485,16 @@ impl SessionManager {
 
     /// [`handle`](Self::handle) with an explicit parent span id, so the
     /// wire server's per-request root span encloses the dispatch,
-    /// queue-wait and session spans.
+    /// lock-wait and session spans.
     pub fn handle_traced(&self, request: Request, parent: Option<u64>) -> Response {
-        // The frame's wire name keys its latency histogram.
-        let verb = request.wire_name();
+        let latency_key = request.latency_key();
         self.stats.count("service.request", 1.0);
         let span = self.stats.spans().enter("dispatch", parent);
         let span_id = span.id();
         let start = Instant::now();
         let response = self.dispatch(request, span_id);
         span.exit();
-        self.stats.observe(&format!("service.verb.{verb}_s"), start.elapsed().as_secs_f64());
+        self.stats.observe(latency_key, start.elapsed().as_secs_f64());
         if matches!(response, Response::Error { .. }) {
             self.stats.count("service.error", 1.0);
         }
@@ -620,8 +507,8 @@ impl SessionManager {
                 version: env!("CARGO_PKG_VERSION").to_string(),
                 uptime_s: self.stats.uptime_s(),
             },
-            // Answered inline so the snapshot works mid-drain — watching
-            // a drain finish is half the point of the endpoint.
+            // Answered without a shard lock so the snapshot works mid-drain
+            // — watching a drain finish is half the point of the endpoint.
             Request::GetStats => Response::Stats(self.stats_snapshot()),
             Request::Shutdown => {
                 self.draining.store(true, Ordering::SeqCst);
@@ -632,12 +519,23 @@ impl SessionManager {
                     return err(ErrorCode::ShuttingDown, "daemon is draining; no new sessions");
                 }
                 // Validate before consuming an id, so bad specs are
-                // rejected without touching a worker.
+                // rejected without touching a shard.
                 if let Err(message) = spec.space() {
                     return err(ErrorCode::BadRequest, message);
                 }
                 let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-                self.route(id, parent, |reply, trace| Job::Create { id, spec, reply, trace })
+                // Built before the lock: a warm start's store lookup must
+                // not stall the shard's other sessions.
+                match guarded(&self.stats, || self.build_entry(id, &spec)) {
+                    None => panicked(id),
+                    Some(Err(message)) => err(ErrorCode::BadRequest, message),
+                    Some(Ok((entry, health))) => self.route(id, parent, |shard| {
+                        self.stats.set_health(health);
+                        shard.sessions.insert(id, entry);
+                        self.stats.count("service.session.created", 1.0);
+                        Response::SessionCreated { session: id }
+                    }),
+                }
             }
             // Draining still resolves open tickets, but issues no new
             // proposals.
@@ -649,79 +547,149 @@ impl SessionManager {
             | Request::GetPosterior { session }
             | Request::Inspect { session }
             | Request::GetHealth { session }
-            | Request::CloseSession { session } => self.route(session, parent, |reply, trace| {
-                Job::Session { request, session, reply, trace }
-            }),
+            | Request::CloseSession { session } => {
+                self.route(session, parent, |shard| self.serve(shard, session, &request, parent))
+            }
         }
+    }
+
+    /// Everything of a new session that needs no lock: the session built
+    /// from its validated wire spec (with the store lookup), its telemetry
+    /// sink, its event ring and its first health summary.
+    fn build_entry(&self, id: u64, spec: &SessionSpec) -> Result<(Entry, HealthInfo), String> {
+        let space = spec.space()?;
+        let mut b = TunerDriver::builder(&space)
+            .kind(spec.strategy)
+            .seed(spec.seed)
+            .max_in_flight(spec.max_in_flight.unwrap_or(self.config.default_max_in_flight));
+        if let Some(store) = &self.store {
+            // Attaching the store alone makes the session persist a
+            // snapshot when it retires; warm-starting from it is the
+            // spec's opt-in.
+            b = b.store(store);
+            if let Some(min_similarity) = spec.warm_start {
+                b = b.warm_start(WarmStart::FromStore { min_similarity });
+            }
+        }
+        if let Some(iters) = spec.iters {
+            b = b.iters(iters);
+        }
+        if let Some(best) = spec.best_known {
+            b = b.best_known(best);
+        }
+        if let Some(best) = spec.oracle_best {
+            b = b.oracle_best(best);
+        }
+        if spec.resilience {
+            b = b.resilience(ResiliencePolicy::standard());
+        }
+        let mut session = b.build_session().map_err(|e| e.to_string())?;
+        if let Some(dir) = &self.config.telemetry_dir {
+            match JsonlSink::create(dir.join(format!("session-{id}.jsonl"))) {
+                Ok(sink) => session.add_sink(Box::new(sink)),
+                Err(_) => self.stats.count("service.sink_error", 1.0),
+            }
+        }
+        let mut events = EventRing::new(self.config.events_capacity);
+        events.push(self.stats.uptime_s(), "created", None, None, None, None);
+        let health = health_info(id, &session.health());
+        let strategy = spec.strategy.to_string();
+        Ok((Entry { session, last_touch: Instant::now(), strategy, events }, health))
+    }
+
+    /// Answer one session verb against its (locked, live) shard.
+    fn serve(
+        &self,
+        shard: &mut Shard,
+        id: u64,
+        request: &Request,
+        parent: Option<u64>,
+    ) -> Response {
+        let stats = &*self.stats;
+        let Some(entry) = shard.sessions.get_mut(&id) else {
+            return err(ErrorCode::UnknownSession, format!("session {id} is not registered"));
+        };
+        // Inspect and GetHealth are read-only observers; they must not
+        // keep an otherwise-idle session alive.
+        if !matches!(request, Request::Inspect { .. } | Request::GetHealth { .. }) {
+            entry.last_touch = Instant::now();
+        }
+        // The in-flight gauge moves only after a verb returns, so this is
+        // the session's share of it should the verb panic.
+        let open = entry.session.in_flight() as i64;
+        let Some(response) = guarded(stats, || answer(id, entry, request, stats, parent)) else {
+            // Dropped as it is, running no more of its code than `Drop`.
+            shard.sessions.remove(&id);
+            stats.in_flight_add(-open);
+            stats.remove_health(id);
+            return panicked(id);
+        };
+        // CloseSession retires the entry after answering from it.
+        if matches!(request, Request::CloseSession { .. }) {
+            if let Some(entry) = shard.sessions.remove(&id) {
+                retire(id, entry, "service.session.closed", stats);
+            }
+        }
+        response
     }
 
     /// Run an idle-eviction sweep on every shard and wait for it to
     /// finish (deterministic alternative to the ticker, for tests and
     /// operator tooling).
     pub fn sweep_now(&self) {
-        let acks: Vec<mpsc::Receiver<Response>> = self
-            .shards
-            .iter()
-            .map(|tx| {
-                let (ack_tx, ack_rx) = mpsc::channel();
-                let _ = tx.send(Job::Sweep { reply: Some(ack_tx) });
-                ack_rx
-            })
-            .collect();
-        for ack in acks {
-            let _ = ack.recv();
+        if let Some(timeout) = self.config.idle_timeout {
+            sweep(&self.shards, timeout, &self.stats);
         }
     }
 
+    /// Run `work` on the calling thread under the lock of `id`'s shard, unless
+    /// [`shutdown`](Self::shutdown) stopped it. `queue_depth` counts the
+    /// callers waiting here; the `shard.queue_wait` span measures the wait.
     fn route(
         &self,
         id: u64,
         parent: Option<u64>,
-        job: impl FnOnce(mpsc::Sender<Response>, Trace) -> Job,
+        work: impl FnOnce(&mut Shard) -> Response,
     ) -> Response {
-        let shard = (id % self.shards.len() as u64) as usize;
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.stats.queue_push(shard);
-        let trace = Trace {
-            shard,
-            parent,
-            queue_span: self.stats.spans().enter("shard.queue_wait", parent),
-        };
-        if self.shards[shard].send(job(reply_tx, trace)).is_err() {
-            // The job never entered a live queue; undo its depth tick.
-            self.stats.queue_pop(shard);
-            return err(ErrorCode::ShuttingDown, "worker pool is stopped");
+        let index = (id % self.shards.len() as u64) as usize;
+        self.stats.queue_push(index);
+        let wait = self.stats.spans().enter("shard.queue_wait", parent);
+        let mut shard = lock(&self.shards[index]);
+        wait.exit();
+        self.stats.queue_pop(index);
+        if shard.stopped {
+            return err(ErrorCode::ShuttingDown, "daemon has shut down; sessions are flushed");
         }
-        match reply_rx.recv() {
-            Ok(response) => response,
-            Err(_) => err(ErrorCode::Internal, "worker dropped the request"),
-        }
+        let response = work(&mut shard);
+        self.stats.set_shard_sessions(index, shard.sessions.len() as u64);
+        response
     }
 
-    /// Graceful shutdown: stop the ticker, let every shard drain its
-    /// queued jobs, flush all remaining sessions, and join the workers.
-    /// Idempotent; also runs on drop.
-    pub fn shutdown(&mut self) {
+    /// Graceful shutdown: stop the ticker and the sampler, then take each
+    /// shard's lock — which waits for the request in flight on it — mark
+    /// it stopped and flush its remaining sessions; later requests are
+    /// refused with `shutting-down`. Idempotent; also runs on drop.
+    pub fn shutdown(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        if let Some((stop, handle)) = self.ticker.take() {
+        // Runs on drop too, so a poisoned lock must not panic here. Held to
+        // the end: a concurrent second caller returns after the drain too.
+        let mut background = self.background.lock().unwrap_or_else(PoisonError::into_inner);
+        for (stop, handle) in background.drain(..) {
             let _ = stop.send(());
             let _ = handle.join();
         }
-        if let Some((stop, handle)) = self.sampler.take() {
-            let _ = stop.send(());
-            let _ = handle.join();
-        }
-        for tx in &self.shards {
-            // FIFO: the sentinel lands behind all in-flight jobs, so they
-            // drain before the worker exits.
-            let _ = tx.send(Job::Stop);
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let mut shard = lock(shard);
+            shard.stopped = true;
+            for (id, entry) in shard.sessions.drain() {
+                retire(id, entry, "service.session.drained", &self.stats);
+            }
+            self.stats.set_shard_sessions(i, 0);
         }
         // Persist the history last, with a final sample covering the
         // drain itself, so a restarted daemon resumes a complete record.
-        if let (Some(store), Some(path)) = (&self.history, &self.history_persist) {
+        let persist = self.config.history.as_ref().and_then(|h| h.persist.as_ref());
+        if let (Some(store), Some(path)) = (&self.history, persist) {
             let report = self.stats.report(true);
             let mut store = store.lock().unwrap();
             store.ingest(&report);
@@ -742,7 +710,6 @@ impl Drop for SessionManager {
 mod tests {
     use super::*;
     use adaphet_core::StrategyKind;
-    use std::sync::Arc;
 
     fn response_curve(n: usize) -> f64 {
         30.0 / n as f64 + 0.8 * n as f64
@@ -792,45 +759,67 @@ mod tests {
         }
     }
 
-    /// The acceptance criterion's in-process half: concurrent managed
-    /// sessions are bit-identical to sequential single-threaded drivers
-    /// with the same seeds.
-    #[test]
-    fn concurrent_sessions_match_sequential_drivers_bitwise() {
-        let kinds = [
-            StrategyKind::GpDiscontinuous,
-            StrategyKind::Ucb,
-            StrategyKind::GpUcb,
-            StrategyKind::DivideConquer,
-        ];
-        type RunOutcome = (u64, StrategyKind, Vec<(usize, f64)>);
-        let m = Arc::new(manager());
-        let joined: Vec<RunOutcome> = {
-            let handles: Vec<_> = (0..8u64)
-                .map(|i| {
-                    let m = Arc::clone(&m);
-                    let kind = kinds[i as usize % kinds.len()];
-                    std::thread::spawn(move || {
-                        let id = create(&m, spec(kind, i));
-                        (i, kind, drive(&m, id, 30))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        };
-        for (seed, kind, history) in joined {
-            let mut d = TunerDriver::builder(&spec(kind, seed).space().unwrap())
-                .kind(kind)
-                .seed(seed)
-                .build()
-                .unwrap();
-            d.run(30, |n| Observation::of(response_curve(n)));
-            assert_eq!(
-                history,
-                d.history().records(),
-                "{kind} seed {seed}: service history diverged from the driver loop"
-            );
+    struct PanicsOnThirdPropose(usize);
+
+    impl adaphet_core::Strategy for PanicsOnThirdPropose {
+        fn name(&self) -> &'static str {
+            "panics-on-third-propose"
         }
+        fn propose(
+            &mut self,
+            space: &adaphet_core::ActionSpace,
+            _: &adaphet_core::History,
+        ) -> usize {
+            self.0 += 1;
+            assert!(self.0 < 3, "the strategy's third propose");
+            space.max_nodes
+        }
+    }
+
+    #[test]
+    fn a_panicking_strategy_costs_exactly_its_own_session() {
+        let m = SessionManager::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let healthy = create(&m, spec(StrategyKind::Ucb, 1));
+        // Registered next to it the way `create_session` would, with a
+        // strategy no wire spec can name.
+        let bad = m.next_id.fetch_add(1, Ordering::SeqCst);
+        let session = TunerDriver::builder(&spec(StrategyKind::Ucb, 2).space().unwrap())
+            .strategy(Box::new(PanicsOnThirdPropose(0)))
+            .max_in_flight(8)
+            .build_session()
+            .unwrap();
+        m.stats.set_health(health_info(bad, &session.health()));
+        let (last_touch, events) = (Instant::now(), EventRing::new(4));
+        let entry = Entry { session, last_touch, strategy: "panics".into(), events };
+        lock(&m.shards[0]).sessions.insert(bad, entry);
+        for _ in 0..2 {
+            let reply = m.handle(Request::GetProposal { session: bad });
+            assert!(matches!(reply, Response::Proposal { .. }), "{reply:?}");
+        }
+        assert_eq!(m.stats_snapshot().in_flight, 2);
+        let message = format!("session {bad}: strategy panicked; session closed");
+        assert_eq!(
+            m.handle(Request::GetProposal { session: bad }),
+            Response::Error { code: ErrorCode::Internal, message }
+        );
+        assert!(!m.shards[0].is_poisoned());
+        match m.handle(Request::GetProposal { session: bad }) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownSession),
+            other => panic!("{other:?}"),
+        }
+        // Its two open tickets left the gauge with it; the neighbour on
+        // the same shard keeps answering, and so does `get_stats`.
+        let reply = m.handle(Request::GetProposal { session: healthy });
+        assert!(matches!(reply, Response::Proposal { .. }), "{reply:?}");
+        let Response::Stats(snap) = m.handle(Request::GetStats) else { panic!("no stats") };
+        assert_eq!((snap.sessions_live, snap.in_flight), (1, 1));
+        assert_eq!(m.stats.health_infos().len(), 1);
+        let report = m.stats.report(false);
+        let panicked = report.counters.iter().find(|(k, _)| k == "service.session.panicked");
+        assert_eq!(panicked.map(|&(_, v)| v), Some(1.0));
+        m.shutdown();
+        let snap = m.stats_snapshot();
+        assert_eq!((snap.sessions_drained, snap.sessions_live, snap.in_flight), (1, 0, 0));
     }
 
     #[test]

@@ -246,14 +246,14 @@ pub struct VerbStats {
     pub p99: f64,
 }
 
-/// Live state of one shard worker.
+/// Live state of one session-map shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Shard index (sessions are pinned to `id % workers`).
     pub shard: usize,
     /// Sessions currently registered on this shard.
     pub sessions: u64,
-    /// Jobs sitting in the shard queue right now.
+    /// Requests waiting for the shard's lock right now.
     pub queue_depth: u64,
 }
 
@@ -672,7 +672,9 @@ macro_rules! wire_struct {
 /// Variant(inner), "wire_name" => Variant { member, member = default },
 /// … })` — a unit frame carries only its `type` tag, a newtype frame the
 /// members of its [`WireFields`] struct next to the tag. Generates
-/// `wire_name`, `to_json` and `from_json`.
+/// `wire_name`, `to_json` and `from_json`; with `timed` after the
+/// description the frames are verbs and `latency_key` names each one's
+/// latency histogram.
 macro_rules! wire_enum {
     ($ty:ident, $what:literal { $(
         $name:literal => $variant:ident
@@ -682,12 +684,7 @@ macro_rules! wire_enum {
         impl $ty {
             /// The frame's `type` tag, as spelled on the wire.
             pub fn wire_name(&self) -> &'static str {
-                match self { $(
-                    Self::$variant $( ( $inner ) )? $( { $( $field: _ ),* } )? => {
-                        $( let _ = $inner; )?
-                        $name
-                    }
-                )* }
+                match self { $( Self::$variant { .. } => $name, )* }
             }
 
             /// Serialize to the one-line JSON wire form.
@@ -720,6 +717,22 @@ macro_rules! wire_enum {
             }
         }
     };
+    ($ty:ident, $what:literal, timed { $( $table:tt )* }) => {
+        wire_enum!($ty, $what { $( $table )* });
+        wire_enum!(@timed $ty { $( $table )* });
+    };
+    (@timed $ty:ident { $(
+        $name:literal => $variant:ident $( ( $( $inner:tt )* ) )? $( { $( $members:tt )* } )?
+    ),* }) => {
+        impl $ty {
+            /// The verb's latency histogram, `service.verb.<wire_name>_s`.
+            pub fn latency_key(&self) -> &'static str {
+                match self { $(
+                    Self::$variant { .. } => concat!("service.verb.", $name, "_s"),
+                )* }
+            }
+        }
+    };
 }
 
 wire_struct!(SessionSpec {
@@ -748,7 +761,7 @@ wire_struct!(HealthInfo {
     posterior_sd_max, lp_gap, band_record, warm_started = false, transitions = 0
 });
 
-wire_enum!(Request, "request" {
+wire_enum!(Request, "request", timed {
     "create_session" => CreateSession(spec),
     "get_proposal" => GetProposal { session },
     "submit_observation" => SubmitObservation { session, ticket, duration },

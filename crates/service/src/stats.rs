@@ -9,10 +9,10 @@
 //! global mirror is a no-op until installed, so the dual write costs one
 //! atomic load on the cold path).
 //!
-//! Shard-level gauges (queue depth, registered sessions) and the
-//! in-flight ticket count live in plain atomics updated by the workers,
-//! so a `GetStats` snapshot never blocks on — or perturbs — the shard
-//! queues it is describing.
+//! Shard-level gauges (callers waiting on the shard's lock, registered
+//! sessions) and the in-flight ticket count live in plain atomics
+//! updated by the request threads, so a `GetStats` snapshot never takes —
+//! or perturbs — the shard locks it is describing.
 
 use crate::protocol::{HealthInfo, SessionEvent, ShardStats, StatsSnapshot, VerbStats};
 use adaphet_core::{IndexStats, SurrogateStore};
@@ -52,9 +52,9 @@ impl ServiceStats {
         }
     }
 
-    /// Publish one session's latest health report. Workers call this
+    /// Publish one session's latest health report. The manager calls this
     /// after every state-bearing verb so `/health` answers without
-    /// touching the shard queues. New transitions observed since the
+    /// taking a shard lock. New transitions observed since the
     /// previous publish bump the `service.health.transitions` counter.
     pub fn set_health(&self, info: HealthInfo) {
         let mut map = self.health.lock().unwrap();
@@ -109,14 +109,14 @@ impl ServiceStats {
         self.in_flight.load(Ordering::Relaxed).max(0) as u64
     }
 
-    /// A job entered shard `shard`'s queue.
+    /// A request started waiting for shard `shard`'s lock.
     pub fn queue_push(&self, shard: usize) {
         self.queue_depth[shard].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A job left shard `shard`'s queue (about to be processed).
+    /// A request got shard `shard`'s lock (about to be processed).
     pub fn queue_pop(&self, shard: usize) {
-        // Saturating: a Stop sentinel racing a late pop must not wrap.
+        // Saturating: an unpaired pop must not wrap the gauge.
         let _ = self.queue_depth[shard]
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));
     }
@@ -219,8 +219,8 @@ impl ServiceStats {
 
 /// A bounded, seq-numbered ring of one session's lifecycle events.
 ///
-/// Owned by the session's shard worker, so pushes are single-threaded
-/// and need no lock; `Inspect` reads it on the same worker.
+/// Lives in the session's entry, so pushes and `Inspect` reads happen
+/// under the session's shard lock and need none of their own.
 pub struct EventRing {
     capacity: usize,
     next_seq: u64,

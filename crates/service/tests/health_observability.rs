@@ -166,7 +166,7 @@ fn history_persists_across_manager_restarts() {
             .unwrap_or(0)
     };
 
-    let mut first = SessionManager::new(config());
+    let first = SessionManager::new(config());
     create(&first, SessionSpec::new(StrategyKind::DivideConquer, 1, 4));
     assert!(first.sample_history_now());
     let before = points_of(&first, "service.sessions.live");

@@ -183,7 +183,7 @@ fn eviction_and_drain_counters_are_observable() {
     use std::time::Duration;
 
     let path = uds_path("lifecycle");
-    let mut manager = SessionManager::new(ServiceConfig {
+    let manager = SessionManager::new(ServiceConfig {
         idle_timeout: Some(Duration::from_millis(20)),
         ..ServiceConfig::default()
     });

@@ -94,11 +94,6 @@ pub mod channel {
                 s = self.inner.ready.wait(s).unwrap();
             }
         }
-
-        /// Non-blocking dequeue; `None` when currently empty.
-        pub fn try_recv(&self) -> Option<T> {
-            self.inner.state.lock().unwrap().queue.pop_front()
-        }
     }
 
     impl<T> Clone for Receiver<T> {
