@@ -74,22 +74,22 @@ pub fn build_response(scenario: &Scenario, scale: Scale, reps: usize, seed: u64)
     let n = scenario.n_nodes();
     let sim_seeds: Vec<u64> = if scenario.real { vec![0, 1, 2] } else { vec![0] };
 
-    let sim_base: Vec<Vec<f64>> = (1..=n)
+    // One work item per (action, replicate) pair, not per action: a 10-node
+    // "(Real)" table offers the fan-out 30 items instead of 10.
+    let pairs: Vec<(usize, u64)> =
+        (1..=n).flat_map(|k| sim_seeds.iter().map(move |&s| (k, s))).collect();
+    let flat: Vec<f64> = pairs
         .into_par_iter()
-        .map(|k| {
-            sim_seeds
-                .iter()
-                .map(|&s| {
-                    steady_iteration(
-                        scenario,
-                        scale,
-                        seed ^ (s.wrapping_mul(0x9e37_79b9)),
-                        IterationChoice::fact_only(n, k),
-                    )
-                })
-                .collect()
+        .map(|(k, s)| {
+            steady_iteration(
+                scenario,
+                scale,
+                seed ^ (s.wrapping_mul(0x9e37_79b9)),
+                IterationChoice::fact_only(n, k),
+            )
         })
         .collect();
+    let sim_base: Vec<Vec<f64>> = flat.chunks(sim_seeds.len()).map(<[f64]>::to_vec).collect();
 
     // The paper's σ = 0.5 s is ≈2–5% of its 10–30 s iterations; keep the
     // same *relative* magnitude by anchoring σ to the median duration.

@@ -21,6 +21,16 @@
 //! heap allocation. Flow routes live in a shared arena instead of one
 //! `Vec` per flow.
 //!
+//! The two hot loops — the remaining-byte decay of every clock step and
+//! the flow-fixing rounds of every rebalance — perform no division per
+//! flow. The hot per-flow state (`remaining`, `rate`) lives in dense
+//! arrays parallel to `active`; every flow fixed in one progressive-filling
+//! round shares one rate, so the round remembers only the flow with the
+//! least remaining bytes (a `RateGroup`) and the next completion is
+//! folded from one flow per group. DESIGN.md §5d ("The flow-network
+//! arithmetic contract") states which operations are fixed per element and
+//! why this fold yields the same bits as one over every flow.
+//!
 //! `ReferenceFlowNet` is the original from-scratch implementation kept
 //! (test builds only) as an executable specification; a proptest pins the
 //! incremental engine to it with bit-exact (`f64::to_bits`)
@@ -42,18 +52,33 @@ struct Link {
     busy: f64,
 }
 
+/// The cold part of a flow; its remaining bytes and rate live in
+/// `FlowNet::remaining` / `FlowNet::rate` at index `pos` while it is active.
 #[derive(Debug, Clone)]
 struct Flow {
     /// `route_arena[route_start..route_start + route_len]`.
     route_start: u32,
     route_len: u32,
-    remaining: f64,
-    rate: f64,
+    /// Index into `active` / `remaining` / `rate` (stale once `done`).
+    pos: u32,
     done: bool,
     /// Rebalance epoch at which this flow's rate was fixed (0 = never):
     /// lets progressive filling skip already-fixed flows in O(1) without a
     /// per-round membership list.
     fixed_at: u64,
+}
+
+/// The flows fixed by one progressive-filling round: they share `rate`, so
+/// their completion order is their `remaining` order for as long as the
+/// rates stand, and the one with the least remaining bytes is the only
+/// one the completion fold has to look at.
+#[derive(Debug, Clone, Copy)]
+struct RateGroup {
+    /// The round's fair share.
+    rate: f64,
+    /// Dense position of a flow that held the group's least `remaining`
+    /// when the round fixed it.
+    min_pos: u32,
 }
 
 /// A set of capacitated links and the flows currently crossing them.
@@ -65,7 +90,14 @@ pub struct FlowNet {
     links: Vec<Link>,
     flows: Vec<Flow>,
     route_arena: Vec<LinkId>,
+    /// Ids of the flows still transferring, ascending.
     active: Vec<usize>,
+    /// `remaining[k]` / `rate[k]`: bytes left and current rate of flow
+    /// `active[k]`. The three are pushed and compacted together.
+    remaining: Vec<f64>,
+    rate: Vec<f64>,
+    /// One entry per round of the last rebalance; valid until the next.
+    groups: Vec<RateGroup>,
     now: f64,
     /// Per link: number of active flow-route occurrences crossing it
     /// (a route listing a link twice counts twice, matching the
@@ -93,8 +125,8 @@ pub struct FlowNet {
     /// are stale while set; every observation path settles first.
     dirty: bool,
     /// Cached [`FlowNet::next_completion`] value, kept current by
-    /// `rebalance` and `integrate_to` (both already walk the active set,
-    /// so the fold is free and bit-identical to an on-demand scan).
+    /// `rebalance` and `integrate_to`: a fold over `groups`, bit-identical
+    /// to an on-demand scan of every active flow.
     next_done: Option<f64>,
 }
 
@@ -144,10 +176,22 @@ impl FlowNet {
     /// Current rate of a flow (0 when done).
     pub fn flow_rate(&self, f: FlowId) -> f64 {
         debug_assert!(!self.dirty, "observed a flow network with deferred starts pending");
-        if self.flows[f.0].done {
+        let f = &self.flows[f.0];
+        if f.done {
             0.0
         } else {
-            self.flows[f.0].rate
+            self.rate[f.pos as usize]
+        }
+    }
+
+    /// Remaining bytes of a flow (0 when done).
+    #[cfg(test)]
+    fn flow_remaining(&self, f: FlowId) -> f64 {
+        let f = &self.flows[f.0];
+        if f.done {
+            0.0
+        } else {
+            self.remaining[f.pos as usize]
         }
     }
 
@@ -158,6 +202,9 @@ impl FlowNet {
         self.flows.clear();
         self.route_arena.clear();
         self.active.clear();
+        self.remaining.clear();
+        self.rate.clear();
+        self.groups.clear();
         self.now = 0.0;
         self.nflows.clear();
         self.touched.clear();
@@ -203,12 +250,13 @@ impl FlowNet {
         self.flows.push(Flow {
             route_start,
             route_len: route.len() as u32,
-            remaining: bytes,
-            rate: 0.0,
+            pos: self.active.len() as u32,
             done: false,
             fixed_at: 0,
         });
         self.active.push(id);
+        self.remaining.push(bytes);
+        self.rate.push(0.0);
         for l in route {
             if self.nflows[l.0] == 0 {
                 let at = self.touched.partition_point(|&t| t < l.0);
@@ -227,21 +275,6 @@ impl FlowNet {
         if self.dirty {
             self.dirty = false;
             self.rebalance();
-        }
-    }
-
-    /// Drop a finishing flow's route occurrences from the persistent
-    /// per-link counts and the touched-link set.
-    fn unlink_route(&mut self, i: usize) {
-        let f = &self.flows[i];
-        let route =
-            &self.route_arena[f.route_start as usize..(f.route_start + f.route_len) as usize];
-        for l in route {
-            self.nflows[l.0] -= 1;
-            if self.nflows[l.0] == 0 {
-                let at = self.touched.binary_search(&l.0).expect("touched link tracked");
-                self.touched.remove(at);
-            }
         }
     }
 
@@ -280,42 +313,56 @@ impl FlowNet {
             }
             let step = next.max(self.now);
             self.integrate_to(step);
-            // One pass: finish everything that hit zero at `step`, while
-            // tracking the closest survivor for the numerical-safety
-            // fallback (if rounding kept every remaining positive, the
-            // closest flow is forced to complete — same semantics as the
-            // reference's two-scan version, without the intermediate
-            // `Vec`s).
-            let mut finished_any = false;
-            let mut closest = usize::MAX;
-            let mut closest_rem = f64::INFINITY;
-            for idx in 0..self.active.len() {
-                let i = self.active[idx];
-                let rem = self.flows[i].remaining;
-                if rem <= 1e-9 {
-                    finished_any = true;
-                    self.flows[i].done = true;
-                    self.flows[i].remaining = 0.0;
-                    self.unlink_route(i);
-                    completed.push(FlowId(i));
-                } else if rem < closest_rem {
-                    closest_rem = rem;
-                    closest = i;
-                }
-            }
-            if !finished_any {
-                let i = closest;
-                debug_assert!(i != usize::MAX, "active flows exist");
-                self.flows[i].done = true;
-                self.flows[i].remaining = 0.0;
-                self.unlink_route(i);
-                completed.push(FlowId(i));
-            }
-            let flows = &self.flows;
-            self.active.retain(|&i| !flows[i].done);
+            self.finish_flows(completed);
             self.rebalance();
         }
         self.integrate_to(t);
+    }
+
+    /// Complete, in ascending id order, every active flow with at most
+    /// `1e-9` bytes left — or, if rounding kept every `remaining` above
+    /// that, the closest one (first minimum in id order) — and compact the
+    /// active arrays over the survivors.
+    fn finish_flows(&mut self, completed: &mut Vec<FlowId>) {
+        let FlowNet { flows, route_arena, active, remaining, rate, nflows, touched, .. } = self;
+        debug_assert!(!active.is_empty(), "a completion instant without active flows");
+        let first = remaining.iter().position(|&r| r <= 1e-9).unwrap_or_else(|| {
+            let mut closest = 0;
+            for k in 1..remaining.len() {
+                if remaining[k] < remaining[closest] {
+                    closest = k;
+                }
+            }
+            remaining[closest] = 0.0;
+            closest
+        });
+        let mut w = first;
+        for k in first..active.len() {
+            let i = active[k];
+            let f = &mut flows[i];
+            if remaining[k] <= 1e-9 {
+                f.done = true;
+                let route =
+                    &route_arena[f.route_start as usize..(f.route_start + f.route_len) as usize];
+                for l in route {
+                    nflows[l.0] -= 1;
+                    if nflows[l.0] == 0 {
+                        let at = touched.binary_search(&l.0).expect("touched link tracked");
+                        touched.remove(at);
+                    }
+                }
+                completed.push(FlowId(i));
+            } else {
+                f.pos = w as u32;
+                active[w] = i;
+                remaining[w] = remaining[k];
+                rate[w] = rate[k];
+                w += 1;
+            }
+        }
+        active.truncate(w);
+        remaining.truncate(w);
+        rate.truncate(w);
     }
 
     /// Move the clock to `t` (no completions in between).
@@ -329,26 +376,10 @@ impl FlowNet {
             for &l in &self.touched {
                 self.links[l].busy += dt;
             }
-            // Remaining-byte decay, with the completion cache refolded in
-            // the same pass (active order, first-minimal — identical to an
-            // on-demand scan at `new_now`).
-            let mut best: Option<f64> = None;
-            for &i in &self.active {
-                let f = &mut self.flows[i];
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
-                let tc = if f.remaining <= 0.0 {
-                    new_now
-                } else if f.rate > 0.0 {
-                    new_now + f.remaining / f.rate
-                } else {
-                    continue;
-                };
-                best = Some(match best {
-                    None => tc,
-                    Some(b) => b.min(tc),
-                });
+            for (rem, &rate) in self.remaining.iter_mut().zip(&self.rate) {
+                *rem = (*rem - rate * dt).max(0.0);
             }
-            self.next_done = best;
+            self.next_done = earliest_completion(&self.groups, &self.remaining, new_now);
         }
         self.now = new_now;
     }
@@ -365,11 +396,11 @@ impl FlowNet {
     ///   over an `active`-ordered unfixed list would visit them, because
     ///   `active` and every per-link list are both id-ascending;
     /// * residual capacities are decremented per route occurrence in the
-    ///   same flow-then-link order as the reference;
-    /// * the completion cache is folded at fix time with the just-assigned
-    ///   rate — a min over the same per-flow candidates as a final
-    ///   active-order scan, and `f64` min over NaN-free values is
-    ///   order-independent down to the bit pattern.
+    ///   same flow-then-link order as the reference — except on the
+    ///   bottleneck link itself: its count reaches zero in this round, so
+    ///   its residual is never read again;
+    /// * each round leaves one [`RateGroup`], and the completion cache is
+    ///   folded over those (see [`earliest_completion`]).
     fn rebalance(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -378,6 +409,9 @@ impl FlowNet {
             flows,
             route_arena,
             active,
+            remaining,
+            rate,
+            groups,
             nflows,
             touched,
             counts,
@@ -394,8 +428,8 @@ impl FlowNet {
         }
         live.clear();
         live.extend_from_slice(touched);
+        groups.clear();
         let mut unfixed_left = active.len();
-        let mut best: Option<f64> = None;
         while unfixed_left > 0 {
             // Bottleneck link: minimal fair share among used links (first
             // strict minimum wins, as in the reference — `live` is the
@@ -424,9 +458,9 @@ impl FlowNet {
                 // Unreachable (every unfixed flow keeps its links' counts
                 // positive), but mirror the reference: leftover flows rate
                 // to zero and do not enter the completion fold.
-                for &i in active.iter() {
+                for (k, &i) in active.iter().enumerate() {
                     if flows[i].fixed_at != epoch {
-                        flows[i].rate = 0.0;
+                        rate[k] = 0.0;
                     }
                 }
                 break;
@@ -436,47 +470,77 @@ impl FlowNet {
             // list. Finished entries are compacted out in place; repeat
             // occurrences (a route listing `bl` twice, or a flow already
             // fixed via an earlier bottleneck this rebalance) are skipped
-            // by the epoch stamp.
+            // by the epoch stamp. At least one flow is fixed (`counts[bl]`
+            // was positive), so `min_pos` is always set; `<=` rather than
+            // `<` so that also holds for flows of infinite size.
             let list = &mut link_flows[bl];
             let mut w = 0;
+            let mut min_rem = f64::INFINITY;
+            let mut min_pos = u32::MAX;
             for r in 0..list.len() {
                 let i = list[r];
-                if flows[i].done {
+                let f = &mut flows[i];
+                if f.done {
                     continue;
                 }
                 list[w] = i;
                 w += 1;
-                if flows[i].fixed_at == epoch {
+                if f.fixed_at == epoch {
                     continue;
                 }
-                flows[i].fixed_at = epoch;
-                flows[i].rate = share;
+                f.fixed_at = epoch;
                 unfixed_left -= 1;
-                let f = &flows[i];
-                let t = if f.remaining <= 0.0 {
-                    Some(*now)
-                } else if share > 0.0 {
-                    Some(*now + f.remaining / share)
-                } else {
-                    None
-                };
-                if let Some(t) = t {
-                    best = Some(match best {
-                        None => t,
-                        Some(b) => b.min(t),
-                    });
+                let pos = f.pos as usize;
+                rate[pos] = share;
+                if remaining[pos] <= min_rem {
+                    min_rem = remaining[pos];
+                    min_pos = f.pos;
                 }
                 let route =
                     &route_arena[f.route_start as usize..(f.route_start + f.route_len) as usize];
                 for l in route {
-                    resid[l.0] = (resid[l.0] - share).max(0.0);
                     counts[l.0] -= 1;
+                    if l.0 != bl {
+                        resid[l.0] = (resid[l.0] - share).max(0.0);
+                    }
                 }
             }
             list.truncate(w);
+            groups.push(RateGroup { rate: share, min_pos });
         }
-        *next_done = best;
+        *next_done = earliest_completion(groups, remaining, *now);
     }
+}
+
+/// Earliest completion time at clock `now`, folded from one flow per rate
+/// group.
+///
+/// A flow with `rem` bytes left at rate `r` completes at `now` if
+/// `rem <= 0`, at `now + rem / r` if `r > 0`, and never otherwise. Within
+/// one group `r` is one value, and `rem ↦ rem / r` and `x ↦ now + x` are
+/// monotone under correct rounding, so the group's earliest completion is
+/// that of a flow with its least `rem`. The decay step
+/// `rem ↦ max(rem − r·dt, 0)` is monotone too and applies one `r·dt` to
+/// the whole group, so the flow that held the least `rem` when the group
+/// was formed still holds it (possibly tied, then at equal value) after
+/// any number of steps. `min` over the groups is `min` over all flows.
+fn earliest_completion(groups: &[RateGroup], remaining: &[f64], now: f64) -> Option<f64> {
+    let mut best: Option<f64> = None;
+    for g in groups {
+        let rem = remaining[g.min_pos as usize];
+        let t = if rem <= 0.0 {
+            now
+        } else if g.rate > 0.0 {
+            now + rem / g.rate
+        } else {
+            continue;
+        };
+        best = Some(match best {
+            None => t,
+            Some(b) => b.min(t),
+        });
+    }
+    best
 }
 
 /// The original from-scratch progressive-filling implementation, kept as
@@ -920,6 +984,221 @@ mod tests {
             // Drain: identical completion tails.
             prop_assert_eq!(inc.advance_to(1e9), refn.advance_to(1e9));
             prop_assert_eq!(inc.active_flows(), 0);
+        }
+    }
+
+    /// A network shaped like the simulator's: link 0 is the backbone, node
+    /// `i` owns an up and a down link of one of two NIC speeds, and every
+    /// flow goes `[up(src), backbone, down(dst)]`.
+    struct Cluster {
+        backbone: LinkId,
+        up: Vec<LinkId>,
+        down: Vec<LinkId>,
+    }
+
+    impl Cluster {
+        fn build(
+            rng: &mut rand::rngs::StdRng,
+            n_nodes: usize,
+            mut add_link: impl FnMut(f64) -> LinkId,
+        ) -> Cluster {
+            use rand::Rng;
+            // Per-node NICs of 10 or 25 Gb/s under a backbone worth 4-40 of
+            // the slow ones: sometimes it is the bottleneck, sometimes not.
+            let backbone = add_link(1.25e9 * rng.random_range(4.0..40.0));
+            let (mut up, mut down) = (Vec::new(), Vec::new());
+            for _ in 0..n_nodes {
+                let bps = if rng.random_range(0..3) == 0 { 3.125e9 } else { 1.25e9 };
+                up.push(add_link(bps));
+                down.push(add_link(bps));
+            }
+            Cluster { backbone, up, down }
+        }
+
+        /// A transfer between two distinct random nodes: a tile (most), a
+        /// vector block, or nothing at all.
+        fn random_flow(&self, rng: &mut rand::rngs::StdRng) -> ([LinkId; 3], f64) {
+            use rand::Rng;
+            let src = rng.random_range(0..self.up.len());
+            let dst = (src + rng.random_range(1..self.up.len())) % self.up.len();
+            let bytes = match rng.random_range(0..16) {
+                0 => 0.0,
+                1 | 2 => 960.0 * 8.0,
+                _ => 960.0 * 960.0 * 8.0,
+            };
+            ([self.up[src], self.backbone, self.down[dst]], bytes)
+        }
+    }
+
+    fn ref_remaining(refn: &ReferenceFlowNet, f: usize) -> f64 {
+        if refn.flows[f].done {
+            0.0
+        } else {
+            refn.flows[f].remaining
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The bitwise pin again, in the regime the simulator drives the
+        /// network in: 8-24 nodes, 100-200 concurrent flows of *equal* size
+        /// (ties, several completions per instant), zero-byte flows, starts
+        /// in deferred batches settled once. Rates, remaining bytes, busy
+        /// times, the clock and `next_completion` are compared after every
+        /// operation.
+        #[test]
+        fn prop_simulator_shaped_traffic_matches_reference_bitwise(
+            seed in 0u64..u64::MAX,
+            n_nodes in 8usize..25,
+            initial in 100usize..201,
+            n_ops in 10usize..40,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut inc = FlowNet::new();
+            let mut refn = ReferenceFlowNet::new();
+            let mut caps = Vec::new();
+            let cluster = Cluster::build(&mut rng, n_nodes, |c| {
+                caps.push(c);
+                inc.add_link(c)
+            });
+            for &c in &caps {
+                refn.add_link(c);
+            }
+            let mut n_flows = 0usize;
+            for op in 0..=n_ops {
+                // Operation 0 fills the network; then batches of starts,
+                // runs of completion instants, and partial steps alternate.
+                match if op == 0 { 0 } else { rng.random_range(0..5) } {
+                    0 | 1 => {
+                        let batch = if op == 0 { initial } else { rng.random_range(1..30) };
+                        for _ in 0..batch {
+                            let (route, bytes) = cluster.random_flow(&mut rng);
+                            let fi = inc.start_flow_deferred(&route, bytes);
+                            prop_assert_eq!(fi, refn.start_flow(&route, bytes));
+                            n_flows += 1;
+                        }
+                        inc.settle();
+                    }
+                    2 | 3 => {
+                        for _ in 0..rng.random_range(1..6) {
+                            let Some(t) = inc.next_completion() else { break };
+                            prop_assert_eq!(inc.advance_to(t), refn.advance_to(t));
+                            prop_assert_eq!(
+                                inc.next_completion().map(f64::to_bits),
+                                refn.next_completion().map(f64::to_bits)
+                            );
+                        }
+                    }
+                    _ => {
+                        // A fraction of a tile's transfer time on a slow NIC.
+                        let t = inc.now() + rng.random_range(0.0..0.004);
+                        prop_assert_eq!(inc.advance_to(t), refn.advance_to(t));
+                    }
+                }
+                prop_assert_eq!(
+                    inc.next_completion().map(f64::to_bits),
+                    refn.next_completion().map(f64::to_bits),
+                    "next completion diverged after op {}", op
+                );
+                prop_assert_eq!(inc.now().to_bits(), refn.now().to_bits());
+                prop_assert_eq!(inc.active_flows(), refn.active_flows());
+                for f in 0..n_flows {
+                    prop_assert_eq!(
+                        inc.flow_rate(FlowId(f)).to_bits(),
+                        refn.flow_rate(FlowId(f)).to_bits(),
+                        "flow {} rate diverged after op {}", f, op
+                    );
+                    prop_assert_eq!(
+                        inc.flow_remaining(FlowId(f)).to_bits(),
+                        ref_remaining(&refn, f).to_bits(),
+                        "flow {} remaining bytes diverged after op {}", f, op
+                    );
+                }
+                for l in 0..caps.len() {
+                    prop_assert_eq!(
+                        inc.link_busy(LinkId(l)).to_bits(),
+                        refn.link_busy(LinkId(l)).to_bits(),
+                        "link {} busy diverged after op {}", l, op
+                    );
+                }
+            }
+            prop_assert_eq!(inc.advance_to(1e9), refn.advance_to(1e9));
+            prop_assert_eq!(inc.active_flows(), 0);
+        }
+
+        /// The lemma the completion fold rests on. Under fixed rates, after
+        /// any number of decay steps — including steps long enough to clamp
+        /// some flows at zero — the flow a rate group remembered when it was
+        /// formed still holds the least `remaining` among the flows at that
+        /// rate, so the fold over the groups equals the fold over every
+        /// active flow.
+        #[test]
+        fn prop_remembered_flow_keeps_its_groups_least_remaining(
+            seed in 0u64..u64::MAX,
+            n_nodes in 8usize..25,
+            n_flows in 100usize..201,
+            steps in collection::vec(0.0f64..1.0, 1..12),
+        ) {
+            use rand::SeedableRng;
+            use std::collections::BTreeMap;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut net = FlowNet::new();
+            let cluster = Cluster::build(&mut rng, n_nodes, |c| net.add_link(c));
+            // Start staggered, so that flows of one group differ in what
+            // they have left when the rates are fixed for good.
+            for k in 0..n_flows {
+                let (route, bytes) = cluster.random_flow(&mut rng);
+                net.start_flow_deferred(&route, bytes);
+                if k % 16 == 15 {
+                    net.settle();
+                    let t = net.now() + 1e-4;
+                    net.integrate_to(t);
+                }
+            }
+            net.settle();
+            for &u in &steps {
+                // Mostly short steps; now and then one that drains whole
+                // groups (`remaining / rate` is a few milliseconds here).
+                let dt = if u > 0.8 { u * 0.05 } else { u * 1e-3 };
+                let t = net.now() + dt;
+                net.integrate_to(t);
+
+                let mut least: BTreeMap<u64, f64> = BTreeMap::new();
+                for (rem, rate) in net.remaining.iter().zip(&net.rate) {
+                    let e = least.entry(rate.to_bits()).or_insert(f64::INFINITY);
+                    *e = e.min(*rem);
+                }
+                let mut remembered: BTreeMap<u64, f64> = BTreeMap::new();
+                for g in &net.groups {
+                    let pos = g.min_pos as usize;
+                    prop_assert_eq!(net.rate[pos].to_bits(), g.rate.to_bits());
+                    let e = remembered.entry(g.rate.to_bits()).or_insert(f64::INFINITY);
+                    *e = e.min(net.remaining[pos]);
+                }
+                prop_assert_eq!(
+                    least.iter().map(|(r, m)| (*r, m.to_bits())).collect::<Vec<_>>(),
+                    remembered.iter().map(|(r, m)| (*r, m.to_bits())).collect::<Vec<_>>()
+                );
+
+                // ... and therefore the cached fold is the per-flow fold.
+                let mut every_flow: Option<f64> = None;
+                for (&rem, &rate) in net.remaining.iter().zip(&net.rate) {
+                    let t = if rem <= 0.0 {
+                        net.now
+                    } else if rate > 0.0 {
+                        net.now + rem / rate
+                    } else {
+                        continue;
+                    };
+                    every_flow = Some(every_flow.map_or(t, |b: f64| b.min(t)));
+                }
+                prop_assert_eq!(
+                    net.next_completion().map(f64::to_bits),
+                    every_flow.map(f64::to_bits)
+                );
+            }
         }
     }
 

@@ -1,10 +1,12 @@
 //! Offline drop-in replacement for the subset of `rayon` this workspace
 //! uses: `into_par_iter().map(..).collect()`.
 //!
-//! Items are materialized eagerly, split into contiguous chunks, and mapped
-//! on scoped OS threads (one per available core); chunk results are
-//! concatenated in order, so `collect` preserves item order exactly like
-//! rayon's indexed parallel iterators.
+//! Items are materialized eagerly and handed out one at a time, from one
+//! shared queue, to scoped OS threads (one per available core); results are
+//! put back in item-index order, so `collect` preserves item order exactly
+//! like rayon's indexed parallel iterators, whichever worker ran the item.
+
+use std::sync::Mutex;
 
 /// Rayon-style prelude.
 pub mod prelude {
@@ -97,23 +99,30 @@ fn parallel_map<T: Send, O: Send, F: Fn(T) -> O + Sync>(items: Vec<T>, f: &F) ->
     if threads <= 1 || items.len() < SEQUENTIAL_CUTOFF {
         return items.into_iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Vec<O>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        let mut iter = items.into_iter();
-        loop {
-            let batch: Vec<T> = iter.by_ref().take(chunk).collect();
-            if batch.is_empty() {
-                break;
-            }
-            handles.push(scope.spawn(move || batch.into_iter().map(f).collect::<Vec<O>>()));
-        }
-        for h in handles {
-            out.push(h.join().expect("parallel map worker panicked"));
-        }
+    // Workers pull the next `(index, item)` as they become free, so items of
+    // very different cost (a response table's flow-heavy high node counts
+    // beside its cheap low ones) still keep every worker busy to the end.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut mapped: Vec<(usize, O)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // The guard is dropped before `f` runs: a panicking
+                        // item leaves the queue usable for the other workers.
+                        let next = queue.lock().expect("no item is mapped under the lock").next();
+                        let Some((index, item)) = next else { break };
+                        mine.push((index, f(item)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("parallel map worker panicked")).collect()
     });
-    out.into_iter().flatten().collect()
+    mapped.sort_unstable_by_key(|&(index, _)| index);
+    mapped.into_iter().map(|(_, o)| o).collect()
 }
 
 #[cfg(test)]
@@ -149,5 +158,50 @@ mod tests {
             vec![1, 2, 3].into_par_iter().map(move |_| std::thread::current().id()).collect();
         assert_eq!(ids.len(), 3);
         assert!(ids.iter().all(|id| *id == caller), "sub-cutoff map left the calling thread");
+    }
+
+    #[test]
+    fn a_slow_item_does_not_hold_back_the_items_behind_it() {
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return; // one core: the map runs inline, there is nothing to balance
+        }
+        // Item 0 finishes only once every other item has: with items handed
+        // out one by one the other workers drain them meanwhile, while a
+        // worker owning a contiguous chunk `0..k` would sit on items `1..k`
+        // and run into the timeout.
+        const N: usize = 24;
+        let others_done = (Mutex::new(0usize), Condvar::new());
+        let out: Vec<(usize, bool, std::thread::ThreadId)> = (0..N)
+            .into_par_iter()
+            .map(|i| {
+                let (count, changed) = &others_done;
+                let me = std::thread::current().id();
+                if i == 0 {
+                    let guard = count.lock().unwrap();
+                    let (guard, _) = changed
+                        .wait_timeout_while(guard, Duration::from_secs(20), |done| *done < N - 1)
+                        .unwrap();
+                    (i, *guard == N - 1, me)
+                } else {
+                    *count.lock().unwrap() += 1;
+                    changed.notify_all();
+                    (i, true, me)
+                }
+            })
+            .collect();
+        assert!(out[0].1, "the items behind the slow one waited for it");
+        assert_eq!(out.iter().map(|o| o.0).collect::<Vec<_>>(), (0..N).collect::<Vec<_>>());
+        assert!(out[1..].iter().any(|o| o.2 != out[0].2), "a second worker took part");
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel map worker panicked")]
+    fn a_panicking_item_panics_the_caller() {
+        let _: Vec<usize> = (0..16usize)
+            .into_par_iter()
+            .map(|i| if i == 5 { panic!("item 5 fails") } else { i })
+            .collect();
     }
 }
