@@ -18,17 +18,17 @@
 //! Initialization: all nodes → bounded leftmost → middle twice → the last
 //! point of each (bounded) group once — only then does GP-UCB take over.
 
-use crate::strategy::predict_actions;
+use crate::strategy::{hyper_of, lcb_diagnostics, posterior_points, predict_actions, NOISE_FLOOR};
+use crate::warm::{prior_best_action, prior_obs, records_with_prior};
 use crate::{
     ActionDiagnostic, ActionSpace, DecisionTrace, History, PosteriorPoint, PosteriorSnapshot,
-    Strategy, SurrogateOptions, SurrogatePrior,
+    Strategy, SurrogatePrior,
 };
 use adaphet_gp::{
     estimate_noise_from_replicates, GpConfig, GpModel, Kernel, ModelCache, PairwiseDistances,
     Trend, UcbSchedule,
 };
 use adaphet_store::GpHyper;
-use std::borrow::Cow;
 
 /// What a surrogate fit consumes: inputs `xs`, LP residuals, the stage-1
 /// configuration, and per-point noise multipliers (empty when cold).
@@ -36,9 +36,7 @@ type FitInputs = (Vec<f64>, Vec<f64>, GpConfig, Vec<f64>);
 
 /// Feature toggles for ablation studies — each switch removes one of the
 /// paper's four ingredients (Section IV-D) so its contribution can be
-/// quantified in isolation — plus the shared [`SurrogateOptions`]
-/// (prior, noise floor; this strategy fixes θ = 1 so the MLE grid knobs
-/// are unused here).
+/// quantified in isolation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpDiscOptions {
     /// Apply the LP bound mechanism to prune the search space.
@@ -47,18 +45,11 @@ pub struct GpDiscOptions {
     pub use_dummies: bool,
     /// Model the residual over the LP instead of the raw duration.
     pub use_lp_residual: bool,
-    /// Shared surrogate knobs (warm-start prior, noise floor).
-    pub surrogate: SurrogateOptions,
 }
 
 impl Default for GpDiscOptions {
     fn default() -> Self {
-        GpDiscOptions {
-            use_bounds: true,
-            use_dummies: true,
-            use_lp_residual: true,
-            surrogate: SurrogateOptions::default(),
-        }
+        GpDiscOptions { use_bounds: true, use_dummies: true, use_lp_residual: true }
     }
 }
 
@@ -70,6 +61,8 @@ pub struct GpDiscontinuous {
     pub schedule: UcbSchedule,
     /// Feature toggles (all on = the paper's strategy).
     pub options: GpDiscOptions,
+    /// Cross-session prior folded into every fit, if warm-started.
+    prior: Option<SurrogatePrior>,
     /// Surrogate state kept warm across `propose` calls.
     surrogate: SurrogateState,
 }
@@ -97,19 +90,6 @@ enum ActiveModel {
     Tuned,
 }
 
-/// One point of the surrogate curve (for the Fig. 4C visualization).
-#[derive(Debug, Clone, Copy)]
-pub struct SurrogatePoint {
-    /// Action (node count).
-    pub n: usize,
-    /// Predicted duration `LP(n) + μ_r(n)`.
-    pub mean: f64,
-    /// Posterior standard deviation of the residual.
-    pub sd: f64,
-    /// Whether the action survives the bound mechanism.
-    pub in_bounds: bool,
-}
-
 impl GpDiscontinuous {
     /// Build over a space; the LP curve in `space.lp` powers both the
     /// residual trend and the bound mechanism (without it the strategy
@@ -129,6 +109,7 @@ impl GpDiscontinuous {
             space: space.clone(),
             schedule,
             options,
+            prior: None,
             surrogate: SurrogateState::default(),
         }
     }
@@ -154,17 +135,6 @@ impl GpDiscontinuous {
         }
     }
 
-    /// The prior pseudo-observations inside the live space, if any.
-    fn prior_obs(&self, space: &ActionSpace) -> Option<(Vec<(usize, f64)>, f64)> {
-        let prior = self.options.surrogate.active_prior()?;
-        let obs = prior.observations_in(space);
-        if obs.is_empty() {
-            None
-        } else {
-            Some((obs, prior.noise_inflation))
-        }
-    }
-
     /// The initialization point for iteration `t`, or `None` once the GP
     /// phase should take over.
     ///
@@ -180,13 +150,13 @@ impl GpDiscontinuous {
         if t == 0 {
             return Some(n);
         }
-        if let Some((obs, _)) = self.prior_obs(space) {
+        if let Some((obs, _)) = prior_obs(&self.prior, space) {
             // One exploit probe at the donor's best candidate (the warm
             // analogue of the cold sequence's near-optimal `nl` play),
             // then the GP takes over. `None` — donor optimum excluded by
             // the live bound or never observed — skips straight to the GP.
             if t == 1 {
-                return crate::warm::prior_best_action(&obs, cands);
+                return prior_best_action(&obs, cands);
             }
             return None;
         }
@@ -239,17 +209,8 @@ impl GpDiscontinuous {
         hist: &History,
         cands: &[usize],
     ) -> Option<FitInputs> {
-        let prior = self.prior_obs(space);
-        let (records, mults): (Cow<[(usize, f64)]>, Vec<f64>) = match &prior {
-            None => (Cow::Borrowed(hist.records()), Vec::new()),
-            Some((obs, inflation)) => {
-                let mut recs = obs.clone();
-                recs.extend_from_slice(hist.records());
-                let mut m = vec![*inflation; obs.len()];
-                m.extend(std::iter::repeat_n(1.0, hist.len()));
-                (Cow::Owned(recs), m)
-            }
-        };
+        let prior = prior_obs(&self.prior, space);
+        let (records, mults) = records_with_prior(prior.as_ref(), hist);
         if (prior.is_none() && hist.len() < 3) || records.len() < 3 {
             return None;
         }
@@ -277,9 +238,9 @@ impl GpDiscontinuous {
         // only cover what is left for the GP — using the raw variance
         // would inflate the confidence bands on wide action spaces and
         // cause pointless exploration.
-        let floor = self.options.surrogate.noise_floor;
-        let alpha0 = adaphet_linalg::sample_variance(&rs).max(floor);
-        let noise = estimate_noise_from_replicates(&xs, &rs).unwrap_or(0.01 * alpha0).max(floor);
+        let alpha0 = adaphet_linalg::sample_variance(&rs).max(NOISE_FLOOR);
+        let noise =
+            estimate_noise_from_replicates(&xs, &rs).unwrap_or(0.01 * alpha0).max(NOISE_FLOOR);
         let cfg = GpConfig {
             kernel: Kernel::Exponential { theta: 1.0 },
             process_var: alpha0,
@@ -361,25 +322,11 @@ impl GpDiscontinuous {
         }
     }
 
-    /// Full surrogate curve for visualization (paper Fig. 4C): predicted
-    /// duration and uncertainty per action, bound flags included.
-    pub fn surrogate_curve(&self, hist: &History) -> Option<Vec<SurrogatePoint>> {
-        let space = &self.space;
-        let cands = self.candidates(space, hist);
-        let model = self.fit_in(space, hist, &cands)?;
-        let actions = space.actions();
-        Some(
-            actions
-                .iter()
-                .zip(predict_actions(&model, &actions))
-                .map(|(&a, p)| SurrogatePoint {
-                    n: a,
-                    mean: self.lp(space, a) + p.mean,
-                    sd: p.sd(),
-                    in_bounds: cands.contains(&a),
-                })
-                .collect(),
-        )
+    /// Full surrogate curve for visualization (paper Fig. 4C): the
+    /// [`posterior_snapshot`](Strategy::posterior_snapshot) over the
+    /// construction space.
+    pub fn surrogate_curve(&self, hist: &History) -> Option<Vec<PosteriorPoint>> {
+        self.posterior_snapshot(&self.space, hist).map(|s| s.points)
     }
 }
 
@@ -448,15 +395,8 @@ impl Strategy for GpDiscontinuous {
         match self.fit_in(space, hist, &cands) {
             Some(model) => {
                 let sqrt_beta = self.schedule.beta(hist.len().max(1), cands.len()).sqrt();
-                let diagnostics = cands
-                    .iter()
-                    .zip(predict_actions(&model, &cands))
-                    .map(|(&a, p)| {
-                        let mean = self.lp(space, a) + p.mean;
-                        let sd = p.sd();
-                        ActionDiagnostic { action: a, mean, sd, acquisition: mean - sqrt_beta * sd }
-                    })
-                    .collect();
+                let diagnostics =
+                    lcb_diagnostics(&model, &cands, sqrt_beta, |a, mean| self.lp(space, a) + mean);
                 DecisionTrace { diagnostics, excluded, note: "gp-lcb".into() }
             }
             None => {
@@ -477,39 +417,19 @@ impl Strategy for GpDiscontinuous {
     fn posterior_snapshot(&self, space: &ActionSpace, hist: &History) -> Option<PosteriorSnapshot> {
         let cands = self.candidates(space, hist);
         let model = self.fit_in(space, hist, &cands)?;
-        let actions = space.actions();
-        let points = actions
-            .iter()
-            .zip(predict_actions(&model, &actions))
-            .map(|(&a, p)| PosteriorPoint {
-                action: a,
-                mean: self.lp(space, a) + p.mean,
-                sd: p.sd(),
-                lp_bound: space.lp_at(a),
-                excluded: !cands.contains(&a),
-            })
-            .collect();
-        Some(PosteriorSnapshot { points })
+        Some(posterior_points(&model, space, |a, mean| self.lp(space, a) + mean, Some(&cands)))
     }
 
     fn warm_start(&mut self, prior: SurrogatePrior) -> bool {
         // The cached surrogate was built without the prior prefix; drop
         // it so the next refresh refits over prior + live data.
         self.surrogate = SurrogateState::default();
-        self.options.surrogate.prior = Some(prior);
+        self.prior = Some(prior);
         true
     }
 
     fn surrogate_hyper(&self, space: &ActionSpace, hist: &History) -> Option<GpHyper> {
-        let model = self.fit_in(space, hist, &self.candidates(space, hist))?;
-        let cfg = model.config();
-        Some(GpHyper {
-            kernel_family: cfg.kernel.family().to_string(),
-            theta: cfg.kernel.theta(),
-            process_var: cfg.process_var,
-            noise_var: cfg.noise_var,
-            trend_coefficients: model.trend_coefficients().to_vec(),
-        })
+        self.fit_in(space, hist, &self.candidates(space, hist)).as_ref().map(hyper_of)
     }
 }
 
@@ -637,12 +557,12 @@ mod tests {
         let h = drive(&mut g, &space, f, 25);
         let curve = g.surrogate_curve(&h).expect("fit succeeds");
         assert_eq!(curve.len(), 10);
-        for p in curve.iter().filter(|p| h.count_for(p.n) >= 2) {
-            let truth = f(p.n);
+        for p in curve.iter().filter(|p| h.count_for(p.action) >= 2) {
+            let truth = f(p.action);
             assert!(
                 (p.mean - truth).abs() <= 4.0 * p.sd + 0.5,
                 "n={} mean={} truth={} sd={}",
-                p.n,
+                p.action,
                 p.mean,
                 truth,
                 p.sd

@@ -1,28 +1,15 @@
 //! Plain GP-UCB (paper Section IV-D, first variant): constant trend,
 //! hyper-parameters estimated by maximum likelihood, no problem structure.
 
-use crate::strategy::predict_actions;
-use crate::{
-    ActionDiagnostic, ActionSpace, DecisionTrace, History, PosteriorPoint, PosteriorSnapshot,
-    Strategy, SurrogateOptions, SurrogatePrior,
-};
+use crate::strategy::{hyper_of, lcb_diagnostics, posterior_points, NOISE_FLOOR};
+use crate::warm::{active_prior, prior_best_action, prior_obs, records_with_prior};
+use crate::{ActionSpace, DecisionTrace, History, PosteriorSnapshot, Strategy, SurrogatePrior};
 use adaphet_gp::{
-    estimate_noise_from_replicates, fit_profile_likelihood_with_noise, ucb_argmin, GpModel, Kernel,
-    MleSearch, PairwiseDistances, Trend, UcbSchedule,
+    estimate_noise_from_replicates, fit_profile_likelihood_with_noise, ucb_argmin, GpModel,
+    MleSearch, PairwiseDistances, UcbSchedule,
 };
 use adaphet_linalg::Mat;
 use adaphet_store::GpHyper;
-use std::borrow::Cow;
-
-/// Configuration of [`GpUcb`]: just the shared [`SurrogateOptions`]
-/// (warm-start prior, noise floor, MLE grid) — the β_t schedule stays a
-/// public field as before. The [`Default`] reproduces the strategy's
-/// historical behaviour bit-exactly.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct GpUcbOptions {
-    /// Shared surrogate knobs.
-    pub surrogate: SurrogateOptions,
-}
 
 /// GP-UCB over node counts.
 ///
@@ -41,8 +28,8 @@ pub struct GpUcb {
     space: ActionSpace,
     /// β_t schedule.
     pub schedule: UcbSchedule,
-    /// Surrogate knobs (warm-start prior, noise floor, MLE grid).
-    pub options: GpUcbOptions,
+    /// Cross-session prior folded into every fit, if warm-started.
+    prior: Option<SurrogatePrior>,
     /// Pairwise distances of the history, grown by appending across
     /// `propose` calls and shared by every (θ, α) candidate of the MLE
     /// grid — the surrogate state this baseline can keep warm exactly.
@@ -53,27 +40,11 @@ impl GpUcb {
     /// Strategy over the given space (LP information is ignored — that is
     /// the point of this baseline).
     pub fn new(space: &ActionSpace) -> Self {
-        Self::with_options(space, GpUcbOptions::default())
-    }
-
-    /// Strategy with explicit [`GpUcbOptions`].
-    pub fn with_options(space: &ActionSpace, options: GpUcbOptions) -> Self {
         GpUcb {
             space: space.clone(),
             schedule: UcbSchedule::default(),
-            options,
+            prior: None,
             dists: PairwiseDistances::new(),
-        }
-    }
-
-    /// Prior pseudo-observations inside the live space, if warm-started.
-    fn prior_obs(&self, space: &ActionSpace) -> Option<(Vec<(usize, f64)>, f64)> {
-        let prior = self.options.surrogate.active_prior()?;
-        let obs = prior.observations_in(space);
-        if obs.is_empty() {
-            None
-        } else {
-            Some((obs, prior.noise_inflation))
         }
     }
 
@@ -82,42 +53,26 @@ impl GpUcb {
         space: &ActionSpace,
         hist: &History,
     ) -> (Vec<f64>, Vec<f64>, f64, MleSearch, Vec<f64>) {
-        let sopt = &self.options.surrogate;
-        let prior = self.prior_obs(space);
-        let (records, mults): (Cow<[(usize, f64)]>, Vec<f64>) = match &prior {
-            None => (Cow::Borrowed(hist.records()), Vec::new()),
-            Some((obs, inflation)) => {
-                let mut recs = obs.clone();
-                recs.extend_from_slice(hist.records());
-                let mut m = vec![*inflation; obs.len()];
-                m.extend(std::iter::repeat_n(1.0, hist.len()));
-                (Cow::Owned(recs), m)
-            }
-        };
+        let prior = prior_obs(&self.prior, space);
+        let (records, mults) = records_with_prior(prior.as_ref(), hist);
         let xs: Vec<f64> = records.iter().map(|&(a, _)| a as f64).collect();
         let ys: Vec<f64> = records.iter().map(|&(_, y)| y).collect();
         let var = adaphet_linalg::sample_variance(&ys);
         let noise = estimate_noise_from_replicates(&xs, &ys)
             .unwrap_or(1e-4 * var.max(1e-12))
-            .max(sopt.noise_floor);
+            .max(NOISE_FLOOR);
         // A donated length scale centers the θ grid (the search narrows
         // to [θ/4, 4θ]); fit.rs falls back to the data-span grid for
         // non-finite or non-positive centers.
         let theta_center =
-            self.options.surrogate.active_prior().and_then(|p| p.hyper.as_ref()).map(|h| h.theta);
-        let search = MleSearch {
-            kernel: Kernel::Exponential { theta: 1.0 },
-            trend: Trend::constant(),
-            alpha_grid: sopt.mle_alpha_grid.clone(),
-            theta_points: sopt.mle_theta_points,
-            theta_center,
-        };
+            active_prior(&self.prior).and_then(|p| p.hyper.as_ref()).map(|h| h.theta);
+        let search = MleSearch { theta_center, ..MleSearch::default() };
         (xs, ys, noise, search, mults)
     }
 
     /// Whether the fit has enough combined (prior + live) data.
     fn fittable(&self, space: &ActionSpace, hist: &History) -> bool {
-        let prior_n = self.prior_obs(space).map_or(0, |(obs, _)| obs.len());
+        let prior_n = prior_obs(&self.prior, space).map_or(0, |(obs, _)| obs.len());
         hist.len() + prior_n >= 2 && !hist.is_empty()
     }
 
@@ -171,7 +126,7 @@ impl Strategy for GpUcb {
             // platform) and cannot substitute for it.
             return n;
         }
-        match self.prior_obs(space) {
+        match prior_obs(&self.prior, space) {
             None => {
                 // Cold parsimonious initialization, unchanged.
                 match hist.len() {
@@ -185,7 +140,7 @@ impl Strategy for GpUcb {
                 // then the GP takes over — the prior supplies the data
                 // the remaining init plays would have gathered.
                 if hist.len() == 1 {
-                    if let Some(a) = crate::warm::prior_best_action(&obs, &space.actions()) {
+                    if let Some(a) = prior_best_action(&obs, &space.actions()) {
                         return a;
                     }
                 }
@@ -207,27 +162,15 @@ impl Strategy for GpUcb {
 
     fn explain(&self, space: &ActionSpace, hist: &History) -> DecisionTrace {
         let t = hist.len();
-        let warm = self.prior_obs(space).is_some();
+        let warm = prior_obs(&self.prior, space).is_some();
         if t < if warm { 2 } else { 4 } {
             return DecisionTrace::minimal("init");
         }
         match self.fit_in(space, hist) {
             Some(model) => {
                 let sqrt_beta = self.schedule.beta(t.max(1), space.max_nodes).sqrt();
-                let actions = space.actions();
-                let diagnostics = actions
-                    .iter()
-                    .zip(predict_actions(&model, &actions))
-                    .map(|(&a, p)| {
-                        let sd = p.sd();
-                        ActionDiagnostic {
-                            action: a,
-                            mean: p.mean,
-                            sd,
-                            acquisition: p.mean - sqrt_beta * sd,
-                        }
-                    })
-                    .collect();
+                let diagnostics =
+                    lcb_diagnostics(&model, &space.actions(), sqrt_beta, |_, mean| mean);
                 DecisionTrace { diagnostics, excluded: Vec::new(), note: "gp-lcb".into() }
             }
             None => DecisionTrace::minimal("fallback-best-mean"),
@@ -238,39 +181,19 @@ impl Strategy for GpUcb {
         // No LP curve and no bound mechanism in this baseline: every
         // action is a candidate and `lp_bound` stays empty.
         let model = self.fit_in(space, hist)?;
-        let actions = space.actions();
-        let points = actions
-            .iter()
-            .zip(predict_actions(&model, &actions))
-            .map(|(&a, p)| PosteriorPoint {
-                action: a,
-                mean: p.mean,
-                sd: p.sd(),
-                lp_bound: None,
-                excluded: false,
-            })
-            .collect();
-        Some(PosteriorSnapshot { points })
+        Some(posterior_points(&model, space, |_, mean| mean, None))
     }
 
     fn warm_start(&mut self, prior: SurrogatePrior) -> bool {
         // The persistent distance matrix indexed live history only; a
         // prior prepends rows, so it must be rebuilt from scratch.
         self.dists = PairwiseDistances::new();
-        self.options.surrogate.prior = Some(prior);
+        self.prior = Some(prior);
         true
     }
 
     fn surrogate_hyper(&self, space: &ActionSpace, hist: &History) -> Option<GpHyper> {
-        let model = self.fit_in(space, hist)?;
-        let cfg = model.config();
-        Some(GpHyper {
-            kernel_family: cfg.kernel.family().to_string(),
-            theta: cfg.kernel.theta(),
-            process_var: cfg.process_var,
-            noise_var: cfg.noise_var,
-            trend_coefficients: model.trend_coefficients().to_vec(),
-        })
+        self.fit_in(space, hist).as_ref().map(hyper_of)
     }
 }
 

@@ -24,45 +24,45 @@
 //!
 //! # Protocol
 //!
-//! Strategies implement [`Strategy`]: the canonical loop is owned by
-//! [`TunerDriver`], which calls [`Strategy::propose`] with the *live*
-//! [`ActionSpace`] and the observation [`History`] so far, runs one
-//! iteration with the returned node count through a caller-provided
-//! executor, and records the measured duration. Proposals must stay
-//! inside `1..=space.max_nodes` of the live space — which can shrink
-//! mid-run when a node dies (see the [`Strategy`] range contract). All
-//! strategies are deterministic given their construction (seeded RNGs
-//! where randomness is inherent).
+//! Strategies implement [`Strategy`]: the tuning loop is owned by
+//! [`Session`], which calls [`Strategy::propose`] with the *live*
+//! [`ActionSpace`] and the observation [`History`] so far, hands the
+//! returned node count out under a [`Ticket`] ([`Session::propose`]) and
+//! records the measured duration when it comes back
+//! ([`Session::observe`]); [`Session::run`] is the same loop around a
+//! caller-provided executor closure. Proposals must stay inside
+//! `1..=space.max_nodes` of the live space — which can shrink mid-run
+//! when a node dies (see the [`Strategy`] range contract). All strategies
+//! are deterministic given their construction (seeded RNGs where
+//! randomness is inherent).
 //!
 //! Strategies are built by canonical name through [`StrategyKind`];
-//! drivers are configured through the typed [`TunerDriver::builder`]
+//! sessions are configured through the typed [`Session::builder`]
 //! (strategy, seed, iteration budget, sinks, [`ResiliencePolicy`]) and
 //! emit one structured [`IterationEvent`] per iteration to any attached
 //! [`TelemetrySink`] — including the strategy's own account of its
 //! decision via [`Strategy::explain`].
 //!
 //! ```
-//! use adaphet_core::{
-//!     ActionSpace, MemorySink, Observation, StrategyKind, TunerDriver,
-//! };
+//! use adaphet_core::{ActionSpace, MemorySink, Observation, Session, StrategyKind};
 //!
 //! // A 10-node cluster, two homogeneous groups, a synthetic LP bound.
 //! let space = ActionSpace::new(10, vec![(1, 4), (5, 10)],
 //!                              Some((1..=10).map(|n| 40.0 / n as f64).collect()));
 //!
 //! let sink = MemorySink::new();
-//! let mut driver = TunerDriver::builder(&space)
+//! let mut session = Session::builder(&space)
 //!     .kind("GP-discontinuous".parse::<StrategyKind>().unwrap())
 //!     .sink(Box::new(sink.clone()))
 //!     .build()
 //!     .unwrap();
 //! // Fake response: best at 6 nodes.
-//! driver.run(20, |n| {
+//! session.run(20, |n| {
 //!     Observation::of(40.0 / n as f64 + 0.8 * (n as f64)
 //!                     + if n >= 5 { 0.0 } else { 6.0 })
 //! });
 //!
-//! assert_eq!(driver.history().len(), 20);
+//! assert_eq!(session.history().len(), 20);
 //! let events = sink.events();
 //! assert_eq!(events.len(), 20);
 //! // Once the GP phase starts, events carry posterior diagnostics and
@@ -77,7 +77,7 @@ mod action;
 mod bandit;
 mod brent;
 mod drift;
-mod driver;
+mod event;
 mod extra;
 mod gp_disc;
 mod gp_ucb;
@@ -86,30 +86,36 @@ mod history;
 mod kind;
 mod naive;
 mod session;
+mod sink;
 mod strategy;
 mod warm;
 
 // ---- The curated public surface, by layer ----------------------------
 //
-// Sessions & drivers: the loop (synchronous or split), its configuration
-// and its telemetry.
-pub use driver::{
-    DriverBuildError, GroupUtilization, IterationEvent, JsonlSink, MemorySink, Observation,
-    PhaseBreakdown, PhaseSlice, ResiliencePolicy, StepOutcome, TelemetrySink, TunerDriver,
-    TunerDriverBuilder,
-};
+// The loop (`Session`), its configuration, what goes in (`Observation`)
+// and what comes out (`IterationEvent` → sinks).
+pub use adaphet_metrics::GroupProfile;
+pub use event::{IterationEvent, Observation, PhaseBreakdown, PhaseSlice};
 pub use health::{HealthPolicy, HealthReport, HealthSignals, HealthState, HealthTracker};
-pub use session::{Observed, Proposal, Session, SessionError, Ticket};
+pub use session::{
+    DriverBuildError, Observed, Proposal, ResiliencePolicy, Session, SessionBuilder, SessionError,
+    StepOutcome, Ticket,
+};
+pub use sink::{JsonlSink, MemorySink, TelemetrySink};
 
-// Cross-session warm-starting: the request type, the resolved prior, the
-// shared surrogate knobs, and the persistent store it all rides on
-// (re-exported from `adaphet-store` so driver users need one crate).
+// The frozen `bench/` package still spells the loop type by the name of
+// the pass-through wrapper it used to be; the ledger PR that next touches
+// `bench/` deletes this alias and `SessionBuilder::build_session`.
+#[doc(hidden)]
+pub type TunerDriver = Session;
+
+// Cross-session warm-starting: the request type, the resolved prior, and
+// the persistent store it all rides on (re-exported from `adaphet-store`
+// so session users need one crate).
 pub use adaphet_store::{
     GpHyper, GroupSig, IndexStats, PlatformSignature, StoreError, SurrogateSnapshot, SurrogateStore,
 };
-pub use warm::{
-    signature_from_space, SurrogateOptions, SurrogatePrior, WarmStart, PRIOR_NOISE_INFLATION,
-};
+pub use warm::{signature_from_space, SurrogatePrior, WarmStart, PRIOR_NOISE_INFLATION};
 
 // Strategy construction: the validated by-name registry and the trait.
 pub use kind::{StrategyKind, UnknownStrategyError, PAPER_STRATEGIES};
@@ -126,6 +132,6 @@ pub use brent::BrentSearch;
 pub use drift::DriftReset;
 pub use extra::{NelderMead1d, RandomSearch, SimulatedAnnealing, StochasticApproximation};
 pub use gp_disc::{GpDiscOptions, GpDiscontinuous};
-pub use gp_ucb::{GpUcb, GpUcbOptions};
+pub use gp_ucb::GpUcb;
 pub use naive::{DivideConquer, RightLeft};
 pub use strategy::{AllNodes, Oracle};

@@ -1,13 +1,10 @@
-//! The tuning loop as an explicit state machine: `propose` / `observe`
-//! halves with a pending-action ledger.
+//! The tuning loop: one [`Session`] per tuned application run.
 //!
-//! [`TunerDriver`](crate::TunerDriver) owns the synchronous propose →
-//! execute → record loop, which is the right shape when the measurement
-//! happens in the same call stack. A tuning *service* cannot work that
-//! way: clients fetch a proposal, go run the iteration on their own
-//! cluster, and come back with the measurement seconds or minutes later —
-//! possibly with several actions in flight at once. [`Session`] is the
-//! driver's loop split at exactly that seam:
+//! Every consumer of a [`Strategy`] needs the same propose → execute →
+//! record loop; [`Session`] owns it once, as an explicit state machine
+//! with a pending-action ledger, so the loop's semantics (the in-range
+//! proposal contract, retry verdicts, re-baselining, telemetry gating)
+//! live in one place:
 //!
 //! * [`Session::propose`] picks the next action, computes the decision
 //!   trace/posterior snapshot (when a sink asked for it), and parks the
@@ -15,22 +12,28 @@
 //! * [`Session::observe`] resolves a ticket with the measured
 //!   [`Observation`], applying the [`ResiliencePolicy`] verdicts: a
 //!   suspect measurement answers [`Observed::Retry`] (the caller must
-//!   re-measure under the same ticket) instead of silently re-executing.
+//!   re-measure under the same ticket) instead of silently re-executing;
+//! * [`Session::step`] / [`Session::run`] are the synchronous spelling
+//!   for callers whose measurement happens in the same call stack: one
+//!   `propose`, then `observe` until the ticket resolves, with an
+//!   executor closure mapping an action (node count) to an
+//!   [`Observation`].
 //!
-//! `TunerDriver::step` is now a thin wrapper: one `propose`, then
-//! `observe` in a loop until the ticket resolves — bit-identical to the
-//! old owning loop (pinned by the figure-binary byte-equality checks and
-//! the service equivalence proptests).
+//! A tuning *service* uses the two halves directly: clients fetch a
+//! proposal, go run the iteration on their own cluster, and come back
+//! with the measurement seconds or minutes later — possibly with several
+//! actions in flight at once.
 //!
 //! Sessions are `Send` (strategies, sinks and history all are), so a
 //! [`SessionManager`](https://docs.rs/adaphet-service) can shard thousands
-//! of them across a fixed worker pool.
+//! of them across its connection threads.
 
-use crate::driver::{IterationEvent, Observation, ResiliencePolicy, StepOutcome, TelemetrySink};
+use crate::event::{IterationEvent, Observation};
 use crate::health::{HealthPolicy, HealthReport, HealthTracker};
+use crate::sink::TelemetrySink;
 use crate::strategy::{DecisionTrace, PosteriorSnapshot, Strategy};
-use crate::{ActionSpace, History};
-use adaphet_store::{PlatformSignature, SurrogateSnapshot, SurrogateStore};
+use crate::{ActionSpace, History, StrategyKind, SurrogatePrior, WarmStart};
+use adaphet_store::{PlatformSignature, StoreError, SurrogateSnapshot, SurrogateStore};
 use std::io;
 
 /// Opaque handle for one in-flight proposal of a [`Session`].
@@ -69,6 +72,18 @@ pub struct Proposal {
     pub iteration: usize,
     /// The action (node count) to measure.
     pub action: usize,
+}
+
+/// A recorded iteration: what [`Session::step`] hands back and what
+/// [`Observed::Recorded`] carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepOutcome {
+    /// 0-based iteration index of this step.
+    pub iteration: usize,
+    /// Action that was played.
+    pub action: usize,
+    /// Measured duration.
+    pub duration: f64,
 }
 
 /// The outcome of resolving a ticket with [`Session::observe`].
@@ -119,6 +134,291 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
+/// When and how the session second-guesses a measurement or a platform
+/// change (the resilience half of the tuning loop).
+///
+/// The [`Default`] policy disables everything — a fault-free run takes
+/// exactly the code path it took before this type existed. Use
+/// [`ResiliencePolicy::standard`] to switch all mechanisms on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResiliencePolicy {
+    /// Declare a measurement suspect when it exceeds `factor ×` the
+    /// running duration estimate (median of recent iterations). `None`
+    /// disables the timeout check.
+    pub timeout_factor: Option<f64>,
+    /// How many times a suspect measurement may be re-taken within one
+    /// iteration. `0` disables retries entirely.
+    pub max_retries: usize,
+    /// MAD multiple beyond which a measurement counts as an outlier of
+    /// its per-action history (needs ≥ 4 prior observations of the same
+    /// action). Only consulted when `max_retries > 0`.
+    pub outlier_mad_k: f64,
+    /// Drop history records whose action no longer exists after a
+    /// platform change (they were measured with a now-dead node).
+    pub quarantine: bool,
+    /// After a platform change that leaves the live all-nodes count
+    /// unmeasured, force the next proposal to all live nodes so bound
+    /// mechanisms regain their `y(N)` reference.
+    pub rebaseline: bool,
+}
+
+impl Default for ResiliencePolicy {
+    fn default() -> Self {
+        ResiliencePolicy {
+            timeout_factor: None,
+            max_retries: 0,
+            outlier_mad_k: 8.0,
+            quarantine: false,
+            rebaseline: false,
+        }
+    }
+}
+
+impl ResiliencePolicy {
+    /// All resilience mechanisms on, with conservative thresholds: 3×
+    /// timeout, one retry, 8-MAD outlier fence, quarantine and
+    /// re-baselining enabled.
+    pub fn standard() -> Self {
+        ResiliencePolicy {
+            timeout_factor: Some(3.0),
+            max_retries: 1,
+            outlier_mad_k: 8.0,
+            quarantine: true,
+            rebaseline: true,
+        }
+    }
+}
+
+/// Why [`SessionBuilder::build`] refused to produce a session.
+#[derive(Debug)]
+pub enum DriverBuildError {
+    /// Neither [`SessionBuilder::strategy`] nor [`SessionBuilder::kind`]
+    /// was called.
+    MissingStrategy,
+    /// The configured [`StrategyKind`] could not be built.
+    Strategy(crate::UnknownStrategyError),
+    /// The requested [`WarmStart`] could not be honoured — typically
+    /// [`StoreError::SpaceMismatch`]: the snapshot was taken over a
+    /// different action space than the live one (e.g. before a fault
+    /// shrank the platform) and folding it in verbatim could re-introduce
+    /// excluded actions.
+    WarmStart(StoreError),
+}
+
+impl std::fmt::Display for DriverBuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DriverBuildError::MissingStrategy => {
+                write!(f, "session builder needs a strategy (call .strategy() or .kind())")
+            }
+            DriverBuildError::Strategy(e) => write!(f, "{e}"),
+            DriverBuildError::WarmStart(e) => write!(f, "warm start rejected: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for DriverBuildError {}
+
+impl From<crate::UnknownStrategyError> for DriverBuildError {
+    fn from(e: crate::UnknownStrategyError) -> Self {
+        DriverBuildError::Strategy(e)
+    }
+}
+
+/// Typed configuration of a [`Session`] — the only way to construct one.
+/// Obtain via [`Session::builder`].
+pub struct SessionBuilder {
+    space: ActionSpace,
+    strategy: Option<Box<dyn Strategy>>,
+    kind: Option<StrategyKind>,
+    seed: u64,
+    iters: Option<usize>,
+    best_known: Option<f64>,
+    oracle_best: Option<usize>,
+    sinks: Vec<Box<dyn TelemetrySink>>,
+    resilience: ResiliencePolicy,
+    max_in_flight: usize,
+    warm_start: WarmStart,
+    store: Option<SurrogateStore>,
+    signature: Option<PlatformSignature>,
+}
+
+impl SessionBuilder {
+    /// Tune with an already-built strategy (overrides a prior `kind`).
+    pub fn strategy(mut self, strategy: Box<dyn Strategy>) -> Self {
+        self.strategy = Some(strategy);
+        self.kind = None;
+        self
+    }
+
+    /// Tune with a [`StrategyKind`], built at [`build`](Self::build) time
+    /// from the space, seed and (for the oracle)
+    /// [`oracle_best`](Self::oracle_best).
+    pub fn kind(mut self, kind: StrategyKind) -> Self {
+        self.kind = Some(kind);
+        self.strategy = None;
+        self
+    }
+
+    /// Seed for stochastic strategies built via [`kind`](Self::kind).
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Default iteration budget consumed by [`Session::run_configured`].
+    pub fn iters(mut self, iters: usize) -> Self {
+        self.iters = Some(iters);
+        self
+    }
+
+    /// Best-known per-iteration duration (oracle or response-table
+    /// optimum) so events carry instantaneous regret.
+    pub fn best_known(mut self, duration: f64) -> Self {
+        self.best_known = Some(duration);
+        self
+    }
+
+    /// Best action for [`StrategyKind::Oracle`].
+    pub fn oracle_best(mut self, best: usize) -> Self {
+        self.oracle_best = Some(best);
+        self
+    }
+
+    /// Attach a telemetry sink (repeatable).
+    pub fn sink(mut self, sink: Box<dyn TelemetrySink>) -> Self {
+        self.sinks.push(sink);
+        self
+    }
+
+    /// Set the resilience policy (default: everything off).
+    pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
+        self.resilience = policy;
+        self
+    }
+
+    /// Cap the pending-action ledger (default: unbounded). The
+    /// synchronous [`Session::step`] loop never has more than one
+    /// proposal in flight, so this only matters for callers of the split
+    /// [`propose`](Session::propose) / [`observe`](Session::observe)
+    /// halves like the tuning service.
+    pub fn max_in_flight(mut self, limit: usize) -> Self {
+        self.max_in_flight = limit.max(1);
+        self
+    }
+
+    /// How the session's surrogate starts (default:
+    /// [`WarmStart::Cold`]). [`WarmStart::FromSnapshot`] folds the given
+    /// snapshot in (refused with [`DriverBuildError::WarmStart`] when its
+    /// action space disagrees with the live one);
+    /// [`WarmStart::FromStore`] asks the attached [`store`](Self::store)
+    /// for the nearest-signature snapshot and projects it onto the live
+    /// space, falling back to a cold start when nothing matches.
+    pub fn warm_start(mut self, warm: WarmStart) -> Self {
+        self.warm_start = warm;
+        self
+    }
+
+    /// Attach a persistent [`SurrogateStore`]: the source for
+    /// [`WarmStart::FromStore`] look-ups, and the destination the built
+    /// [`Session`] snapshots itself into when it finishes.
+    pub fn store(mut self, store: &SurrogateStore) -> Self {
+        self.store = Some(store.clone());
+        self
+    }
+
+    /// The platform signature used to key store look-ups and the
+    /// session's own closing snapshot. Defaults to
+    /// [`signature_from_space`](crate::signature_from_space) of the
+    /// builder's space (exact same-space re-runs still round-trip, but
+    /// cross-platform similarity needs real speeds/bandwidths).
+    pub fn signature(mut self, sig: PlatformSignature) -> Self {
+        self.signature = Some(sig);
+        self
+    }
+
+    /// Build the session.
+    pub fn build(self) -> Result<Session, DriverBuildError> {
+        let mut strategy = match (self.strategy, self.kind) {
+            (Some(s), _) => s,
+            (None, Some(k)) => k.build(&self.space, self.seed, self.oracle_best)?,
+            (None, None) => return Err(DriverBuildError::MissingStrategy),
+        };
+        let space = self.space;
+        // Whether a prior actually reached the strategy — the health
+        // tracker's warm-start-effectiveness signal keys off this, not
+        // off what was merely requested.
+        let mut warm_started = false;
+        match self.warm_start {
+            WarmStart::Cold => {}
+            WarmStart::FromSnapshot(snap) => {
+                snap.matches_space(space.max_nodes, &space.groups)
+                    .map_err(DriverBuildError::WarmStart)?;
+                strategy.warm_start(SurrogatePrior::from_snapshot(&snap));
+                warm_started = true;
+            }
+            WarmStart::FromStore { min_similarity } => {
+                if let Some(store) = &self.store {
+                    let sig = self
+                        .signature
+                        .clone()
+                        .unwrap_or_else(|| crate::signature_from_space(&space));
+                    if let Ok(Some((snap, _similarity))) =
+                        store.nearest(&sig, strategy.name(), min_similarity)
+                    {
+                        let snap = if snap.matches_space(space.max_nodes, &space.groups).is_ok() {
+                            snap
+                        } else {
+                            snap.project_onto(space.max_nodes, &space.groups, space.lp.as_deref())
+                        };
+                        strategy.warm_start(SurrogatePrior::from_snapshot(&snap));
+                        warm_started = true;
+                    }
+                }
+            }
+        }
+        let lp_min = space
+            .lp
+            .as_ref()
+            .and_then(|lp| lp.iter().copied().reduce(f64::min))
+            .filter(|m| m.is_finite());
+        let health = HealthTracker::new(
+            HealthPolicy::default(),
+            space.max_nodes,
+            self.best_known,
+            lp_min,
+            warm_started,
+        );
+        Ok(Session {
+            strategy,
+            space,
+            history: History::new(),
+            sinks: self.sinks,
+            best_known: self.best_known,
+            cumulative: 0.0,
+            iters: self.iters,
+            iteration: 0,
+            resilience: self.resilience,
+            pending_rebaseline: false,
+            pending_fault: None,
+            ledger: Vec::new(),
+            next_ticket: 0,
+            max_in_flight: self.max_in_flight,
+            store: self.store,
+            signature: self.signature,
+            health,
+        })
+    }
+
+    // Pre-`Session::builder` spelling of `build`, kept only because the
+    // frozen `bench/` package calls it; the ledger PR that next touches
+    // `bench/` deletes it.
+    #[doc(hidden)]
+    pub fn build_session(self) -> Result<Session, DriverBuildError> {
+        self.build()
+    }
+}
+
 /// One ledger entry: everything captured at propose time that the
 /// eventual observation needs to build its [`IterationEvent`].
 struct PendingAction {
@@ -131,22 +431,37 @@ struct PendingAction {
     retries: usize,
 }
 
-/// A tuning session: the [`TunerDriver`](crate::TunerDriver) loop split
-/// into explicit [`propose`](Session::propose) / [`observe`](Session::observe)
-/// halves with a pending-action ledger.
+/// A tuning session: the propose → execute → record loop, its
+/// [`History`], its pending-action ledger and its telemetry.
 ///
-/// Construct through the driver builder's
-/// [`build_session`](crate::TunerDriverBuilder::build_session):
+/// Construction goes through the typed [`Session::builder`]. When the
+/// measurement happens in the same call stack, hand [`run`](Session::run)
+/// an executor closure:
 ///
 /// ```
-/// use adaphet_core::{ActionSpace, Observation, Observed, StrategyKind, TunerDriver};
+/// use adaphet_core::{ActionSpace, Observation, ResiliencePolicy, Session, StrategyKind};
 ///
 /// let space = ActionSpace::unstructured(8);
-/// let mut session = TunerDriver::builder(&space)
+/// let mut session = Session::builder(&space)
 ///     .kind(StrategyKind::GpUcb)
 ///     .seed(0)
-///     .build_session()
+///     .iters(10)
+///     .resilience(ResiliencePolicy::standard())
+///     .build()
 ///     .unwrap();
+/// session.run_configured(|n| Observation::of(16.0 / n as f64 + n as f64));
+/// assert_eq!(session.history().len(), 10);
+/// ```
+///
+/// When it happens elsewhere (another process, minutes later), use the
+/// two halves:
+///
+/// ```
+/// use adaphet_core::{ActionSpace, Observation, Observed, Session, StrategyKind};
+///
+/// let space = ActionSpace::unstructured(8);
+/// let mut session =
+///     Session::builder(&space).kind(StrategyKind::GpUcb).seed(0).build().unwrap();
 /// for _ in 0..10 {
 ///     let p = session.propose().unwrap();
 ///     let duration = 16.0 / p.action as f64 + p.action as f64; // "measure"
@@ -179,51 +494,23 @@ pub struct Session {
     health: HealthTracker,
 }
 
-#[allow(clippy::too_many_arguments)]
 impl Session {
-    /// Assembled by [`TunerDriverBuilder::build_session`](crate::TunerDriverBuilder).
-    pub(crate) fn from_parts(
-        strategy: Box<dyn Strategy>,
-        space: ActionSpace,
-        sinks: Vec<Box<dyn TelemetrySink>>,
-        best_known: Option<f64>,
-        iters: Option<usize>,
-        resilience: ResiliencePolicy,
-        max_in_flight: usize,
-        store: Option<SurrogateStore>,
-        signature: Option<PlatformSignature>,
-        warm_started: bool,
-    ) -> Self {
-        let lp_min = space
-            .lp
-            .as_ref()
-            .and_then(|lp| lp.iter().copied().reduce(f64::min))
-            .filter(|m| m.is_finite());
-        let health = HealthTracker::new(
-            HealthPolicy::default(),
-            space.max_nodes,
-            best_known,
-            lp_min,
-            warm_started,
-        );
-        Session {
-            strategy,
-            space,
-            history: History::new(),
-            sinks,
-            best_known,
-            cumulative: 0.0,
-            iters,
-            iteration: 0,
-            resilience,
-            pending_rebaseline: false,
-            pending_fault: None,
-            ledger: Vec::new(),
-            next_ticket: 0,
-            max_in_flight,
-            store,
-            signature,
-            health,
+    /// Start a typed configuration over `space`.
+    pub fn builder(space: &ActionSpace) -> SessionBuilder {
+        SessionBuilder {
+            space: space.clone(),
+            strategy: None,
+            kind: None,
+            seed: 0,
+            iters: None,
+            best_known: None,
+            oracle_best: None,
+            sinks: Vec::new(),
+            resilience: ResiliencePolicy::default(),
+            max_in_flight: usize::MAX,
+            warm_start: WarmStart::Cold,
+            store: None,
+            signature: None,
         }
     }
 
@@ -253,9 +540,9 @@ impl Session {
         self.iteration
     }
 
-    /// The iteration budget configured on the builder, if any. The
-    /// session itself never enforces it — services use it as the
-    /// client-advertised horizon.
+    /// The iteration budget configured on the builder, if any. Only
+    /// [`run_configured`](Session::run_configured) consumes it — services
+    /// use it as the client-advertised horizon.
     pub fn configured_iters(&self) -> Option<usize> {
         self.iters
     }
@@ -291,11 +578,13 @@ impl Session {
     /// ticket.
     ///
     /// The proposal satisfies the [`Strategy::propose`] range contract
-    /// over the *live* space. Decision traces and posterior snapshots are
-    /// computed now (they must describe the history the decision was made
-    /// from) and emitted with the eventual observation's event. With
-    /// multiple proposals in flight, later proposals see the same history
-    /// — the strategy is not told about unresolved tickets.
+    /// over the *live* space (checked with a `debug_assert!` so violations
+    /// surface in tests rather than corrupting downstream lookups).
+    /// Decision traces and posterior snapshots are computed now (they
+    /// must describe the history the decision was made from) and emitted
+    /// with the eventual observation's event. With multiple proposals in
+    /// flight, later proposals see the same history — the strategy is not
+    /// told about unresolved tickets.
     pub fn propose(&mut self) -> Result<Proposal, SessionError> {
         if self.ledger.len() >= self.max_in_flight {
             return Err(SessionError::TooManyInFlight { limit: self.max_in_flight });
@@ -408,6 +697,44 @@ impl Session {
         }))
     }
 
+    /// Run one iteration: propose, execute (re-measuring suspect
+    /// observations up to the policy's retry budget), record, emit
+    /// telemetry.
+    ///
+    /// This is exactly one [`propose`](Session::propose) resolved to
+    /// completion: the executor is re-invoked while the session answers
+    /// [`Observed::Retry`].
+    pub fn step<F: FnMut(usize) -> Observation>(&mut self, mut execute: F) -> StepOutcome {
+        let proposal = self.propose().expect("the sequential loop never exceeds the ledger cap");
+        let mut obs = execute(proposal.action);
+        loop {
+            match self
+                .observe(proposal.ticket, obs)
+                .expect("the ticket was just issued and stays in the ledger until recorded")
+            {
+                Observed::Recorded(outcome) => return outcome,
+                Observed::Retry { action, .. } => obs = execute(action),
+            }
+        }
+    }
+
+    /// Run `iters` iterations through the same executor.
+    pub fn run<F: FnMut(usize) -> Observation>(&mut self, iters: usize, mut execute: F) {
+        for _ in 0..iters {
+            self.step(&mut execute);
+        }
+    }
+
+    /// Run the iteration budget configured via [`SessionBuilder::iters`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no budget was configured.
+    pub fn run_configured<F: FnMut(usize) -> Observation>(&mut self, execute: F) {
+        let iters = self.iters.expect("no iteration budget configured (builder .iters())");
+        self.run(iters, execute);
+    }
+
     /// Abandon an in-flight ticket without recording anything (the client
     /// disappeared mid-measurement). The iteration index is consumed; the
     /// history is untouched.
@@ -439,8 +766,17 @@ impl Session {
     }
 
     /// Replace the live action space mid-run (platform fault: node death
-    /// shrank the cluster, or a repair grew it back). See
-    /// [`TunerDriver::apply_platform_change`](crate::TunerDriver::apply_platform_change).
+    /// shrank the cluster, or a repair grew it back).
+    ///
+    /// `stale_from` names the first action whose past measurements are no
+    /// longer trustworthy — for a death of rank `r`, every measurement
+    /// that used `≥ r` nodes ran on the dead node. With
+    /// [`ResiliencePolicy::quarantine`] on, those records are dropped;
+    /// with [`ResiliencePolicy::rebaseline`] on and no surviving
+    /// observation of the new all-nodes count, the next proposal is
+    /// forced to `new_space.max_nodes` (emitting a `tuner.rebaseline`
+    /// count) so bound mechanisms regain their reference. `note` is
+    /// carried into the next [`IterationEvent::fault`] annotation.
     pub fn apply_platform_change(
         &mut self,
         new_space: &ActionSpace,
@@ -556,18 +892,17 @@ impl Session {
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Consume the session, returning the history (sinks are finished).
     ///
     /// # Panics
     ///
-    /// Panics if a sink fails to finish — call [`Session::finish`] first
-    /// to handle the error gracefully.
+    /// Panics if a sink fails to finish: telemetry that was explicitly
+    /// attached must not vanish silently. Call [`Session::finish`] first
+    /// to handle the error gracefully (sinks latch their error and raise
+    /// it only once, so a handled error is not raised again here).
     pub fn into_history(mut self) -> History {
         self.finish().expect("telemetry sink failed");
         self.history
@@ -575,11 +910,15 @@ impl Session {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{MemorySink, StrategyKind, TunerDriver};
+    use crate::{GpDiscontinuous, MemorySink, PhaseBreakdown, PhaseSlice};
+    use adaphet_metrics::GroupProfile;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
-    fn space() -> ActionSpace {
+    /// The fixture space of the loop and sink tests.
+    pub(crate) fn space() -> ActionSpace {
         ActionSpace::new(
             10,
             vec![(1, 5), (6, 10)],
@@ -587,19 +926,23 @@ mod tests {
         )
     }
 
-    fn response(n: usize) -> f64 {
+    /// The fixture response curve (best at 6 nodes).
+    pub(crate) fn response(n: usize) -> f64 {
         30.0 / n as f64 + 0.8 * n as f64
     }
 
     fn session(kind: StrategyKind) -> Session {
-        TunerDriver::builder(&space()).kind(kind).seed(3).build_session().unwrap()
+        Session::builder(&space()).kind(kind).seed(3).build().unwrap()
+    }
+
+    fn session_over(sp: &ActionSpace, strat: Box<dyn Strategy>) -> Session {
+        Session::builder(sp).strategy(strat).build().unwrap()
     }
 
     #[test]
     fn split_session_matches_the_driver_loop_bitwise() {
         for kind in crate::PAPER_STRATEGIES {
-            let mut d =
-                TunerDriver::builder(&space()).kind(kind).seed(3).build().expect("driver builds");
+            let mut d = session(kind);
             d.run(40, |n| Observation::of(response(n)));
 
             let mut s = session(kind);
@@ -616,6 +959,40 @@ mod tests {
             assert_eq!(s.history(), d.history(), "{kind}: split loop must be bit-identical");
             assert_eq!(s.cumulative_time(), d.history().total_time());
         }
+    }
+
+    #[test]
+    fn driver_records_every_iteration() {
+        let sp = space();
+        let mut d = session_over(&sp, Box::new(GpDiscontinuous::new(&sp)));
+        d.run(15, |n| Observation::of(response(n)));
+        assert_eq!(d.history().len(), 15);
+        assert_eq!(d.iterations_proposed(), 15);
+        let total: f64 = d.history().records().iter().map(|&(_, y)| y).sum();
+        assert!((total - d.history().total_time()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn builder_requires_a_strategy() {
+        let sp = space();
+        match Session::builder(&sp).build() {
+            Err(DriverBuildError::MissingStrategy) => {}
+            other => panic!("expected MissingStrategy, got {:?}", other.is_ok()),
+        }
+    }
+
+    #[test]
+    fn builder_kind_and_configured_run() {
+        let sp = space();
+        let mut d = Session::builder(&sp)
+            .kind(StrategyKind::GpDiscontinuous)
+            .seed(7)
+            .iters(6)
+            .build()
+            .unwrap();
+        assert_eq!(d.configured_iters(), Some(6));
+        d.run_configured(|n| Observation::of(response(n)));
+        assert_eq!(d.history().len(), 6);
     }
 
     #[test]
@@ -641,10 +1018,10 @@ mod tests {
     #[test]
     fn out_of_order_observations_record_their_own_iteration() {
         let sink = MemorySink::new();
-        let mut s = TunerDriver::builder(&space())
+        let mut s = Session::builder(&space())
             .kind(StrategyKind::Ucb)
             .sink(Box::new(sink.clone()))
-            .build_session()
+            .build()
             .unwrap();
         let p0 = s.propose().unwrap();
         let p1 = s.propose().unwrap();
@@ -661,11 +1038,8 @@ mod tests {
 
     #[test]
     fn in_flight_limit_is_enforced() {
-        let mut s = TunerDriver::builder(&space())
-            .kind(StrategyKind::Ucb)
-            .max_in_flight(2)
-            .build_session()
-            .unwrap();
+        let mut s =
+            Session::builder(&space()).kind(StrategyKind::Ucb).max_in_flight(2).build().unwrap();
         let a = s.propose().unwrap();
         let _b = s.propose().unwrap();
         assert_eq!(s.propose(), Err(SessionError::TooManyInFlight { limit: 2 }));
@@ -687,10 +1061,10 @@ mod tests {
 
     #[test]
     fn suspect_measurements_keep_the_ticket_open() {
-        let mut s = TunerDriver::builder(&ActionSpace::unstructured(4))
+        let mut s = Session::builder(&ActionSpace::unstructured(4))
             .strategy(Box::new(crate::AllNodes::new(4)))
             .resilience(ResiliencePolicy::standard())
-            .build_session()
+            .build()
             .unwrap();
         // Three clean iterations establish the running estimate (1.0)...
         for _ in 0..3 {
@@ -736,5 +1110,285 @@ mod tests {
         }
         let snap = s.posterior().expect("GP posterior after 12 observations");
         assert_eq!(snap.points.len(), s.space().max_nodes);
+    }
+
+    #[test]
+    fn no_sink_means_no_explain_calls() {
+        struct Spy {
+            explains: Arc<AtomicUsize>,
+        }
+        impl Strategy for Spy {
+            fn name(&self) -> &'static str {
+                "spy"
+            }
+            fn propose(&mut self, _space: &ActionSpace, _h: &History) -> usize {
+                1
+            }
+            fn explain(&self, _space: &ActionSpace, _h: &History) -> DecisionTrace {
+                self.explains.fetch_add(1, Ordering::Relaxed);
+                DecisionTrace::minimal("spy")
+            }
+        }
+        let count = Arc::new(AtomicUsize::new(0));
+        let sp = ActionSpace::unstructured(3);
+        let mut d = session_over(&sp, Box::new(Spy { explains: count.clone() }));
+        d.run(5, |_| Observation::of(1.0));
+        assert_eq!(count.load(Ordering::Relaxed), 0, "explain must not run without a sink");
+
+        let mut d = Session::builder(&sp)
+            .strategy(Box::new(Spy { explains: count.clone() }))
+            .sink(Box::new(MemorySink::new()))
+            .build()
+            .unwrap();
+        d.run(5, |_| Observation::of(1.0));
+        assert_eq!(count.load(Ordering::Relaxed), 5, "explain runs once per iteration with a sink");
+    }
+
+    #[test]
+    fn no_sink_means_no_snapshot_computation() {
+        struct Spy {
+            snapshots: Arc<AtomicUsize>,
+        }
+        impl Strategy for Spy {
+            fn name(&self) -> &'static str {
+                "spy"
+            }
+            fn propose(&mut self, _space: &ActionSpace, _h: &History) -> usize {
+                1
+            }
+            fn posterior_snapshot(
+                &self,
+                _space: &ActionSpace,
+                _h: &History,
+            ) -> Option<crate::PosteriorSnapshot> {
+                self.snapshots.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+        let count = Arc::new(AtomicUsize::new(0));
+        let sp = ActionSpace::unstructured(3);
+        let mut d = session_over(&sp, Box::new(Spy { snapshots: count.clone() }));
+        d.run(5, |_| Observation::of(1.0));
+        assert_eq!(count.load(Ordering::Relaxed), 0, "snapshot must not run without a sink");
+    }
+
+    #[test]
+    fn phases_flow_into_events() {
+        let sp = ActionSpace::unstructured(4);
+        let sink = MemorySink::new();
+        let mut d = Session::builder(&sp)
+            .strategy(Box::new(crate::AllNodes::new(4)))
+            .sink(Box::new(sink.clone()))
+            .build()
+            .unwrap();
+        d.step(|_| {
+            Observation::with_phases(
+                2.0,
+                vec![PhaseSlice::new("factorization", 1.5), PhaseSlice::new("solve", 0.5)],
+            )
+        });
+        let e = &sink.events()[0];
+        assert_eq!(e.phases.len(), 2);
+        assert_eq!(e.phases[0].name, "factorization");
+        assert_eq!(e.phases[1].seconds, 0.5);
+    }
+
+    #[test]
+    fn breakdown_flows_into_events() {
+        let sp = ActionSpace::unstructured(4);
+        let sink = MemorySink::new();
+        let mut d = Session::builder(&sp)
+            .strategy(Box::new(crate::AllNodes::new(4)))
+            .sink(Box::new(sink.clone()))
+            .build()
+            .unwrap();
+        let breakdown = PhaseBreakdown {
+            phases: vec![PhaseSlice::new("generation", 0.5), PhaseSlice::new("solve", 1.5)],
+            groups: vec![GroupProfile { name: "g:1-4".into(), busy_s: 6.0, idle_s: 2.0 }],
+        };
+        d.step(|_| Observation::with_breakdown(2.0, vec![], breakdown.clone()));
+        let e = &sink.events()[0];
+        assert_eq!(e.phase_breakdown.as_ref(), Some(&breakdown));
+        let j = e.to_json();
+        assert!(
+            j.contains(
+                "\"phase_breakdown\":{\"phases\":[{\"name\":\"generation\",\"seconds\":0.5},\
+                 {\"name\":\"solve\",\"seconds\":1.5}],\"groups\":[{\"name\":\"g:1-4\",\
+                 \"busy_s\":6,\"idle_s\":2,\"utilization\":0.75}]}"
+            ),
+            "{j}"
+        );
+    }
+
+    #[test]
+    fn posterior_snapshots_flow_into_events_once_the_gp_fits() {
+        let sp = space();
+        let sink = MemorySink::new();
+        let mut d = Session::builder(&sp)
+            .strategy(Box::new(GpDiscontinuous::new(&sp)))
+            .sink(Box::new(sink.clone()))
+            .build()
+            .unwrap();
+        d.run(12, |n| Observation::of(response(n)));
+        let events = sink.events();
+        assert!(events[0].snapshot.is_none(), "no surrogate before any data");
+        let snap = events
+            .iter()
+            .rev()
+            .find_map(|e| e.snapshot.as_ref())
+            .expect("late iterations carry a posterior snapshot");
+        // One point per action of the space, in order, with the LP bound.
+        assert_eq!(snap.points.len(), sp.max_nodes);
+        for (i, p) in snap.points.iter().enumerate() {
+            assert_eq!(p.action, i + 1);
+            assert!(p.sd >= 0.0);
+            assert_eq!(p.lp_bound, sp.lp_at(p.action));
+        }
+        // The bound mechanism excludes hopeless left points and the
+        // snapshot says so (y(10) ≈ 11, LP(n) = 30/n ≥ 11 for n ≤ 2).
+        assert!(snap.points.iter().any(|p| p.excluded), "bound exclusions are visible");
+    }
+
+    #[test]
+    fn timeout_suspects_are_retried_and_annotated() {
+        let sp = ActionSpace::unstructured(4);
+        let sink = MemorySink::new();
+        let mut d = Session::builder(&sp)
+            .strategy(Box::new(crate::AllNodes::new(4)))
+            .sink(Box::new(sink.clone()))
+            .resilience(ResiliencePolicy::standard())
+            .build()
+            .unwrap();
+        // Three clean iterations establish the running estimate (1.0)...
+        let mut calls = 0;
+        d.run(3, |_| Observation::of(1.0));
+        // ...then a 10× straggler measurement, whose retry comes back clean.
+        d.step(|_| {
+            calls += 1;
+            if calls == 1 {
+                Observation::of(10.0)
+            } else {
+                Observation::of(1.0)
+            }
+        });
+        assert_eq!(calls, 2, "one retry after the timeout verdict");
+        let e = &sink.events()[3];
+        assert_eq!(e.retries, 1);
+        assert_eq!(e.fault.as_deref(), Some("retry:1"));
+        assert_eq!(e.duration, 1.0, "the retried measurement is what gets recorded");
+        // The discarded attempt still cost wall-clock time: 3×1 + 10 + 1.
+        assert!((e.cumulative_time - 14.0).abs() < 1e-12);
+        assert_eq!(d.history().records().last(), Some(&(4, 1.0)));
+    }
+
+    #[test]
+    fn outlier_suspects_need_per_action_history() {
+        let sp = ActionSpace::unstructured(4);
+        let mut d = Session::builder(&sp)
+            .strategy(Box::new(crate::AllNodes::new(4)))
+            .resilience(ResiliencePolicy {
+                timeout_factor: None,
+                max_retries: 1,
+                outlier_mad_k: 8.0,
+                quarantine: false,
+                rebaseline: false,
+            })
+            .build()
+            .unwrap();
+        // Tight per-action history around 1.0 (4 points), then a spike.
+        let mut durations = vec![1.0, 1.01, 0.99, 1.0, 50.0, 1.0].into_iter();
+        let mut executions = 0;
+        d.run(5, |_| {
+            executions += 1;
+            Observation::of(durations.next().unwrap())
+        });
+        // Iteration 5 measured 50.0 (an 8-MAD outlier of {≈1.0}×4), was
+        // retried once, and recorded the clean re-measurement.
+        assert_eq!(executions, 6);
+        assert_eq!(d.history().records().last(), Some(&(4, 1.0)));
+        assert_eq!(d.history().len(), 5);
+    }
+
+    #[test]
+    fn default_policy_never_retries() {
+        let sp = ActionSpace::unstructured(4);
+        let mut d = session_over(&sp, Box::new(crate::AllNodes::new(4)));
+        let mut executions = 0;
+        d.run(6, |_| {
+            executions += 1;
+            // Wild swings that would trip any enabled detector.
+            Observation::of(if executions % 2 == 0 { 100.0 } else { 0.01 })
+        });
+        assert_eq!(executions, 6, "disabled policy must never re-execute");
+    }
+
+    #[test]
+    fn platform_change_quarantines_and_rebaselines() {
+        let sp = ActionSpace::unstructured(10);
+        let sink = MemorySink::new();
+        let mut d = Session::builder(&sp)
+            .strategy(Box::new(crate::naive::DivideConquer::new(&sp)))
+            .sink(Box::new(sink.clone()))
+            .resilience(ResiliencePolicy::standard())
+            .build()
+            .unwrap();
+        d.run(6, |n| Observation::of(30.0 / n as f64 + n as f64));
+        let before = d.history().len();
+        assert_eq!(before, 6);
+        // Rank 6 dies: actions ≥ 6 were measured with the dead node.
+        let survivor = ActionSpace::unstructured(5);
+        d.apply_platform_change(&survivor, Some(6), "node-death:rank=6");
+        assert!(d.history().len() < before, "stale records quarantined");
+        assert!(d.history().records().iter().all(|&(a, _)| a < 6));
+        // The next step is forced to the new all-nodes count and carries
+        // the full annotation.
+        let out = d.step(|n| Observation::of(30.0 / n as f64 + n as f64));
+        assert_eq!(out.action, 5, "rebaseline forces the live maximum");
+        let e = sink.events().last().unwrap().clone();
+        let fault = e.fault.expect("faulted iteration must be annotated");
+        assert!(fault.starts_with("node-death:rank=6"), "{fault}");
+        assert!(fault.contains("quarantine:"), "{fault}");
+        assert!(fault.contains("rebaseline"), "{fault}");
+        // Subsequent iterations are unremarkable again.
+        let _ = d.step(|n| Observation::of(30.0 / n as f64 + n as f64));
+        assert_eq!(sink.events().last().unwrap().fault, None);
+    }
+
+    #[test]
+    fn platform_change_without_policy_keeps_history() {
+        let sp = ActionSpace::unstructured(10);
+        let mut d = session_over(&sp, Box::new(crate::naive::DivideConquer::new(&sp)));
+        d.run(6, |n| Observation::of(30.0 / n as f64 + n as f64));
+        let before = d.history().clone();
+        let survivor = ActionSpace::unstructured(5);
+        d.apply_platform_change(&survivor, Some(6), "node-death:rank=6");
+        assert_eq!(d.history(), &before, "no quarantine without the policy");
+        assert_eq!(d.space().max_nodes, 5, "the live space still shrinks");
+        // Strategies obey the live space even without any resilience.
+        for _ in 0..8 {
+            let out = d.step(|n| Observation::of(30.0 / n as f64 + n as f64));
+            assert!(out.action <= 5, "proposal {} exceeds live space", out.action);
+        }
+    }
+
+    #[test]
+    fn iteration_counter_survives_quarantine() {
+        let sp = ActionSpace::unstructured(8);
+        let sink = MemorySink::new();
+        let mut d = Session::builder(&sp)
+            .strategy(Box::new(crate::naive::DivideConquer::new(&sp)))
+            .sink(Box::new(sink.clone()))
+            .resilience(ResiliencePolicy::standard())
+            .build()
+            .unwrap();
+        d.run(4, |n| Observation::of(n as f64));
+        let survivor = ActionSpace::unstructured(3);
+        d.apply_platform_change(&survivor, Some(4), "node-death:rank=4");
+        d.run(2, |n| Observation::of(n as f64));
+        // Event iteration indices keep counting 0..6 even though the
+        // history shrank under quarantine.
+        let idx: Vec<usize> = sink.events().iter().map(|e| e.iteration).collect();
+        assert_eq!(idx, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(d.iterations_proposed(), 6);
     }
 }

@@ -6,11 +6,76 @@ use adaphet_gp::{GpModel, Prediction};
 use adaphet_metrics::json::{self, FromJson, Json, ToJson};
 use adaphet_store::GpHyper;
 
+/// Lower clamp on the process/noise variances of the GP strategies' fits
+/// (keeps K positive definite with degenerate data).
+pub(crate) const NOISE_FLOOR: f64 = 1e-9;
+
 /// The surrogate's posterior at every action of `actions`, in one batched
 /// scan ([`GpModel::predict_many`]).
 pub(crate) fn predict_actions(model: &GpModel, actions: &[usize]) -> Vec<Prediction> {
     let xs: Vec<f64> = actions.iter().map(|&a| a as f64).collect();
     model.predict_many(&xs)
+}
+
+/// The fitted hyper-parameters of `model`, as persisted in a snapshot
+/// ([`Strategy::surrogate_hyper`]).
+pub(crate) fn hyper_of(model: &GpModel) -> GpHyper {
+    let cfg = model.config();
+    GpHyper {
+        kernel_family: cfg.kernel.family().to_string(),
+        theta: cfg.kernel.theta(),
+        process_var: cfg.process_var,
+        noise_var: cfg.noise_var,
+        trend_coefficients: model.trend_coefficients().to_vec(),
+    }
+}
+
+/// Lower-confidence-bound diagnostics of `actions` under `model`
+/// ([`Strategy::explain`] of the GP strategies). `mean_at(a, μ)` maps the
+/// surrogate mean at `a` to the reported duration (the LP-residual
+/// strategy adds the LP back).
+pub(crate) fn lcb_diagnostics(
+    model: &GpModel,
+    actions: &[usize],
+    sqrt_beta: f64,
+    mean_at: impl Fn(usize, f64) -> f64,
+) -> Vec<ActionDiagnostic> {
+    actions
+        .iter()
+        .zip(predict_actions(model, actions))
+        .map(|(&a, p)| {
+            let mean = mean_at(a, p.mean);
+            let sd = p.sd();
+            ActionDiagnostic { action: a, mean, sd, acquisition: mean - sqrt_beta * sd }
+        })
+        .collect()
+}
+
+/// The posterior of `model` at every action of `space`
+/// ([`Strategy::posterior_snapshot`] of the GP strategies): `mean_at` as
+/// in [`lcb_diagnostics`]; `candidates` is the candidate set of a strategy
+/// that uses the LP curve (every action reports its LP bound, the ones
+/// outside the set are flagged excluded), `None` for one that ignores it
+/// (no bounds, nothing excluded).
+pub(crate) fn posterior_points(
+    model: &GpModel,
+    space: &ActionSpace,
+    mean_at: impl Fn(usize, f64) -> f64,
+    candidates: Option<&[usize]>,
+) -> PosteriorSnapshot {
+    let actions = space.actions();
+    let points = actions
+        .iter()
+        .zip(predict_actions(model, &actions))
+        .map(|(&a, p)| PosteriorPoint {
+            action: a,
+            mean: mean_at(a, p.mean),
+            sd: p.sd(),
+            lp_bound: candidates.and_then(|_| space.lp_at(a)),
+            excluded: candidates.is_some_and(|c| !c.contains(&a)),
+        })
+        .collect();
+    PosteriorSnapshot { points }
 }
 
 /// Posterior / score diagnostics for one candidate action, as seen by the
@@ -134,14 +199,14 @@ impl ToJson for PosteriorSnapshot {
 
 /// An online exploration strategy over node counts.
 ///
-/// Every iteration, the driver asks for the next action (a number of
+/// Every iteration, the session asks for the next action (a number of
 /// fastest-first nodes), runs the iteration, and appends `(action,
 /// duration)` to the [`History`] it passes back on the next call.
 ///
 /// # The live action space
 ///
 /// `propose` receives the **live** [`ActionSpace`] on every call: under
-/// platform faults (node death) the driver shrinks the space mid-run, and
+/// platform faults (node death) the session shrinks the space mid-run, and
 /// the strategy must answer within *that* space, not the one it was
 /// constructed over. Strategies may cache structure from their
 /// construction space (arms, groups, surrogate state) but must intersect
@@ -153,13 +218,13 @@ impl ToJson for PosteriorSnapshot {
 /// space, for **every** possible history — including histories the
 /// strategy did not generate itself (replays, drift resets, quarantined
 /// post-fault histories). Callers rely on this to index response tables
-/// and spawn node sets without clamping; the
-/// [`TunerDriver`](crate::TunerDriver) checks it with a `debug_assert!`
-/// and `tests/tuner_properties.rs` exercises it over random histories and
+/// and spawn node sets without clamping;
+/// [`Session::propose`](crate::Session::propose) checks it with a
+/// `debug_assert!` and `tests/tuner_properties.rs` exercises it over random histories and
 /// random fault plans.
 ///
 /// Strategies are `Send` (they hold plain numeric state and seeded RNGs)
-/// so a [`TunerDriver`](crate::TunerDriver) can move into a worker thread.
+/// so a [`Session`](crate::Session) can move into a worker thread.
 pub trait Strategy: Send {
     /// Display name (matches the paper's figure labels).
     fn name(&self) -> &'static str;
@@ -169,7 +234,7 @@ pub trait Strategy: Send {
     fn propose(&mut self, space: &ActionSpace, hist: &History) -> usize;
 
     /// Describe the decision [`propose`](Strategy::propose) would make on
-    /// `hist` over the live `space` — called by the driver right before
+    /// `hist` over the live `space` — called by the session right before
     /// `propose`, only when a telemetry sink asked for it (it may be
     /// expensive: the GP strategies refit their surrogate).
     ///
@@ -183,7 +248,7 @@ pub trait Strategy: Send {
     }
 
     /// The surrogate's posterior over the live `space`, if the strategy
-    /// maintains one and has enough data to fit it — called by the driver
+    /// maintains one and has enough data to fit it — called by the session
     /// alongside [`explain`](Strategy::explain), under the same
     /// only-when-a-sink-asked gate (it refits the surrogate).
     ///
@@ -196,7 +261,7 @@ pub trait Strategy: Send {
     }
 
     /// Fold a cross-session [`SurrogatePrior`] into the strategy's state
-    /// — called by the driver builder when a
+    /// — called by the session builder when a
     /// [`WarmStart`](crate::WarmStart) resolved to a snapshot, before any
     /// proposal. Returns whether the prior was accepted; the default (and
     /// every non-GP strategy) ignores priors and answers `false`, which

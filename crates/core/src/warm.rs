@@ -1,6 +1,6 @@
 //! Cross-session warm-starting: the [`WarmStart`] request, the
-//! [`SurrogatePrior`] the GP strategies fold in, and the shared
-//! [`SurrogateOptions`] knobs.
+//! [`SurrogatePrior`] the GP strategies fold in, and the plumbing both
+//! of them use to fold it.
 //!
 //! # Transfer-learning model
 //!
@@ -29,13 +29,14 @@
 //! cross-platform snapshots onto the live space first, so projected
 //! priors can never propose out-of-space actions.
 
-use crate::ActionSpace;
+use crate::{ActionSpace, History};
 use adaphet_store::{GpHyper, GroupSig, PlatformSignature, SurrogateSnapshot};
+use std::borrow::Cow;
 
 /// How a session's surrogate starts.
 ///
 /// Consumed by
-/// [`TunerDriverBuilder::warm_start`](crate::TunerDriverBuilder::warm_start)
+/// [`SessionBuilder::warm_start`](crate::SessionBuilder::warm_start)
 /// (and, over the wire, by the service's `SessionSpec`). The default is
 /// [`WarmStart::Cold`] — bit-identical to the behaviour before this type
 /// existed.
@@ -106,43 +107,42 @@ impl SurrogatePrior {
     }
 }
 
-/// GP-surrogate knobs shared by [`GpDiscOptions`](crate::GpDiscOptions)
-/// and [`GpUcbOptions`](crate::GpUcbOptions).
-///
-/// The [`Default`] reproduces the constants both strategies used before
-/// this struct existed, bit-exactly: noise floor `1e-9`, a 9-point θ
-/// grid, α multipliers `[0.25, 1, 4]`, no prior. (GP-discontinuous fixes
-/// θ = 1 and never runs the MLE search, so only the prior and the noise
-/// floor apply there.)
-#[derive(Debug, Clone, PartialEq)]
-pub struct SurrogateOptions {
-    /// Prior pseudo-observations folded into every fit, if warm-started.
-    pub prior: Option<SurrogatePrior>,
-    /// Lower clamp on the process/noise variances (keeps K positive
-    /// definite with degenerate data).
-    pub noise_floor: f64,
-    /// Number of θ grid points of the profile-likelihood search.
-    pub mle_theta_points: usize,
-    /// Candidate multipliers of the sample variance used for α in the
-    /// profile-likelihood search.
-    pub mle_alpha_grid: Vec<f64>,
+/// The prior a strategy was warm-started with, if present *and*
+/// non-empty (an empty prior is exactly a cold start).
+pub(crate) fn active_prior(prior: &Option<SurrogatePrior>) -> Option<&SurrogatePrior> {
+    prior.as_ref().filter(|p| !p.is_empty())
 }
 
-impl Default for SurrogateOptions {
-    fn default() -> Self {
-        SurrogateOptions {
-            prior: None,
-            noise_floor: 1e-9,
-            mle_theta_points: 9,
-            mle_alpha_grid: vec![0.25, 1.0, 4.0],
+/// The pseudo-observations of `prior` that fall inside the live `space`,
+/// with their nugget multiplier κ; `None` when there are none (cold
+/// start, empty prior, or a prior entirely outside the space).
+pub(crate) fn prior_obs(
+    prior: &Option<SurrogatePrior>,
+    space: &ActionSpace,
+) -> Option<(Vec<(usize, f64)>, f64)> {
+    let prior = active_prior(prior)?;
+    let obs = prior.observations_in(space);
+    (!obs.is_empty()).then_some((obs, prior.noise_inflation))
+}
+
+/// The records a surrogate fit runs over and their per-point noise
+/// multipliers: warm-started sessions prepend the [`prior_obs`]
+/// pseudo-observations (nugget inflated by κ) ahead of the live history;
+/// cold sessions borrow the history and get an empty multiplier vector —
+/// the exact pre-warm-start arithmetic.
+pub(crate) fn records_with_prior<'h>(
+    prior: Option<&(Vec<(usize, f64)>, f64)>,
+    hist: &'h History,
+) -> (Cow<'h, [(usize, f64)]>, Vec<f64>) {
+    match prior {
+        None => (Cow::Borrowed(hist.records()), Vec::new()),
+        Some((obs, inflation)) => {
+            let mut recs = obs.clone();
+            recs.extend_from_slice(hist.records());
+            let mut m = vec![*inflation; obs.len()];
+            m.extend(std::iter::repeat_n(1.0, hist.len()));
+            (Cow::Owned(recs), m)
         }
-    }
-}
-
-impl SurrogateOptions {
-    /// The prior, if present *and* non-empty.
-    pub fn active_prior(&self) -> Option<&SurrogatePrior> {
-        self.prior.as_ref().filter(|p| !p.is_empty())
     }
 }
 
@@ -197,27 +197,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_options_reproduce_the_historical_constants() {
-        let o = SurrogateOptions::default();
-        assert!(o.prior.is_none());
-        assert_eq!(o.noise_floor, 1e-9);
-        assert_eq!(o.mle_theta_points, 9);
-        assert_eq!(o.mle_alpha_grid, vec![0.25, 1.0, 4.0]);
-    }
-
-    #[test]
     fn empty_prior_is_inactive() {
-        let mut o = SurrogateOptions {
-            prior: Some(SurrogatePrior {
-                observations: vec![],
-                noise_inflation: PRIOR_NOISE_INFLATION,
-                hyper: None,
-            }),
-            ..SurrogateOptions::default()
-        };
-        assert!(o.active_prior().is_none(), "an empty prior must behave like a cold start");
-        o.prior.as_mut().unwrap().observations.push((3, 1.5));
-        assert_eq!(o.active_prior().unwrap().len(), 1);
+        let mut prior = Some(SurrogatePrior {
+            observations: vec![],
+            noise_inflation: PRIOR_NOISE_INFLATION,
+            hyper: None,
+        });
+        assert!(active_prior(&prior).is_none(), "an empty prior must behave like a cold start");
+        prior.as_mut().unwrap().observations.push((3, 1.5));
+        assert_eq!(active_prior(&prior).unwrap().len(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Fault plan mirrored here (the eval tool's JSON flavor):
 //! `{"seed":42,"events":[{"kind":"node_death","iteration":15,"rank":5}]}`
 
-use adaphet_core::{ActionSpace, Observation, ResiliencePolicy, StrategyKind, TunerDriver};
+use adaphet_core::{ActionSpace, Observation, ResiliencePolicy, Session, StrategyKind};
 
 /// Noise-free, nearly flat response surface. Flat on purpose: the
 /// diverging rule outranks fault-pressure in the severity table, so a
@@ -20,7 +20,7 @@ fn response(n: usize) -> f64 {
 #[test]
 fn node_death_drives_health_warn_and_recovery() {
     let space = ActionSpace::unstructured(8);
-    let mut driver = TunerDriver::builder(&space)
+    let mut driver = Session::builder(&space)
         .kind(StrategyKind::Ucb)
         .seed(42)
         .resilience(ResiliencePolicy::standard())

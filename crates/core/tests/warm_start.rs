@@ -3,8 +3,8 @@
 //! determinism.
 
 use adaphet_core::{
-    signature_from_space, ActionSpace, DriverBuildError, Observation, StoreError, StrategyKind,
-    SurrogateSnapshot, SurrogateStore, TunerDriver, WarmStart,
+    signature_from_space, ActionSpace, DriverBuildError, Observation, Session, StoreError,
+    StrategyKind, SurrogateSnapshot, SurrogateStore, WarmStart,
 };
 
 fn space() -> ActionSpace {
@@ -36,11 +36,8 @@ fn sessions_snapshot_into_the_store_and_later_sessions_warm_start_from_it() {
 
     // Session 1: cold, attached to the store; its close persists a
     // snapshot keyed by the space-derived fallback signature.
-    let mut s1 = TunerDriver::builder(&space)
-        .kind(StrategyKind::GpDiscontinuous)
-        .store(&store)
-        .build_session()
-        .unwrap();
+    let mut s1 =
+        Session::builder(&space).kind(StrategyKind::GpDiscontinuous).store(&store).build().unwrap();
     let cold = drive(&mut s1, 20);
     s1.finish().unwrap();
     assert_eq!(store.entries().unwrap().len(), 1, "finish() must persist exactly one snapshot");
@@ -54,11 +51,11 @@ fn sessions_snapshot_into_the_store_and_later_sessions_warm_start_from_it() {
 
     // Session 2: warm from the store. The cold init sequence (N, leftmost,
     // mid, mid, ...) is compressed to the single baseline play.
-    let mut s2 = TunerDriver::builder(&space)
+    let mut s2 = Session::builder(&space)
         .kind(StrategyKind::GpDiscontinuous)
         .store(&store)
         .warm_start(WarmStart::FromStore { min_similarity: 0.9 })
-        .build_session()
+        .build()
         .unwrap();
     let warm = drive(&mut s2, 8);
     assert_eq!(warm[0].0, space.max_nodes, "warm still measures the baseline live");
@@ -83,10 +80,10 @@ fn warm_sessions_are_deterministic() {
         hyper: None,
     };
     let run = || {
-        let mut s = TunerDriver::builder(&space)
+        let mut s = Session::builder(&space)
             .kind(StrategyKind::GpDiscontinuous)
             .warm_start(WarmStart::FromSnapshot(snap.clone()))
-            .build_session()
+            .build()
             .unwrap();
         drive(&mut s, 15)
     };
@@ -110,10 +107,10 @@ fn snapshots_from_a_prefault_space_are_refused() {
         observations: vec![(12, 14.8), (10, 13.8)],
         hyper: None,
     };
-    let err = TunerDriver::builder(&shrunk)
+    let err = Session::builder(&shrunk)
         .kind(StrategyKind::GpDiscontinuous)
         .warm_start(WarmStart::FromSnapshot(snap))
-        .build_session()
+        .build()
         .err()
         .expect("mismatched snapshot must be refused");
     match err {
@@ -141,11 +138,11 @@ fn store_lookups_project_cross_space_snapshots_instead_of_failing() {
         })
         .unwrap();
     let shrunk = ActionSpace::unstructured(6);
-    let mut s = TunerDriver::builder(&shrunk)
+    let mut s = Session::builder(&shrunk)
         .kind(StrategyKind::GpUcb)
         .store(&store)
         .warm_start(WarmStart::FromStore { min_similarity: 0.0 })
-        .build_session()
+        .build()
         .unwrap();
     let records = drive(&mut s, 10);
     assert!(records.iter().all(|&(a, _)| (1..=6).contains(&a)), "{records:?}");
@@ -156,15 +153,15 @@ fn a_missing_store_match_falls_back_to_a_cold_start() {
     let space = space();
     let store = tmp_store("empty");
     let cold = {
-        let mut s = TunerDriver::builder(&space).kind(StrategyKind::GpUcb).build_session().unwrap();
+        let mut s = Session::builder(&space).kind(StrategyKind::GpUcb).build().unwrap();
         drive(&mut s, 10)
     };
     let fallback = {
-        let mut s = TunerDriver::builder(&space)
+        let mut s = Session::builder(&space)
             .kind(StrategyKind::GpUcb)
             .store(&store)
             .warm_start(WarmStart::FromStore { min_similarity: 0.5 })
-            .build_session()
+            .build()
             .unwrap();
         drive(&mut s, 10)
     };

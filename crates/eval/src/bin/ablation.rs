@@ -22,12 +22,7 @@ fn variant_options(name: &str) -> GpDiscOptions {
         "no-bounds" => GpDiscOptions { use_bounds: false, ..Default::default() },
         "no-dummies" => GpDiscOptions { use_dummies: false, ..Default::default() },
         "no-lp-residual" => GpDiscOptions { use_lp_residual: false, ..Default::default() },
-        "plain" => GpDiscOptions {
-            use_bounds: false,
-            use_dummies: false,
-            use_lp_residual: false,
-            ..Default::default()
-        },
+        "plain" => GpDiscOptions { use_bounds: false, use_dummies: false, use_lp_residual: false },
         other => panic!("unknown variant {other}"),
     }
 }

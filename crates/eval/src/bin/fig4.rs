@@ -40,9 +40,9 @@ fn dump(
             },
             Surrogate::Disc(g) => match g.surrogate_curve(hist) {
                 Some(curve) => {
-                    let pt = curve[n - 1];
+                    let pt = &curve[n - 1];
                     let beta = g.schedule.beta(iter, table.n_actions());
-                    (pt.mean, pt.mean - beta.sqrt() * pt.sd, pt.in_bounds)
+                    (pt.mean, pt.mean - beta.sqrt() * pt.sd, !pt.excluded)
                 }
                 None => (f64::NAN, f64::NAN, true),
             },

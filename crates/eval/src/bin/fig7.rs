@@ -1,7 +1,7 @@
 //! Figure 7: wall-clock overhead of the online GP-discontinuous strategy,
 //! measured against the *real* (threaded, numerical) application: ten
 //! repetitions of a run where each iteration evaluates the likelihood and
-//! the [`TunerDriver`] proposes/records around it.
+//! the [`Session`] proposes/records around it.
 //!
 //! The paper reports ~0.04–0.06 s of tuner time against 10–30 s
 //! iterations; our shared-memory iterations are smaller, so the claim
@@ -17,7 +17,7 @@
 //! Output: `results/fig7.csv` with columns
 //! `repetition,iteration,overhead_s,iteration_s`.
 
-use adaphet_core::{ActionSpace, JsonlSink, Observation, StrategyKind, TunerDriver};
+use adaphet_core::{ActionSpace, JsonlSink, Observation, Session, StrategyKind};
 use adaphet_eval::{parse_args, sweep, write_csv, write_metrics_report, AdaphetError, CsvTable};
 use adaphet_geostat::{CovParams, GeoRealApp, Workload};
 use std::fs::File;
@@ -51,22 +51,22 @@ fn main() -> Result<(), AdaphetError> {
     // return per-iteration (overhead, iteration) second pairs.
     let run_rep = |rep: usize| -> Result<Vec<(f64, f64)>, AdaphetError> {
         let mut app = GeoRealApp::new(workload, params, args.seed + rep as u64, 4);
-        let strat = StrategyKind::GpDiscontinuous
-            .build(&space, args.seed + rep as u64, None)
-            .expect("GP-discontinuous needs no oracle");
-        let mut driver = TunerDriver::builder(&space).strategy(strat).build()?;
+        let mut session = Session::builder(&space)
+            .kind(StrategyKind::GpDiscontinuous)
+            .seed(args.seed + rep as u64)
+            .build()?;
         if let Some(f) = &telemetry_file {
             let handle = f.try_clone().map_err(|e| {
                 AdaphetError::io(args.telemetry.as_ref().expect("telemetry file is open"), e)
             })?;
-            driver.add_sink(Box::new(JsonlSink::new(BufWriter::new(handle))));
+            session.add_sink(Box::new(JsonlSink::new(BufWriter::new(handle))));
         }
         let mut rows = Vec::with_capacity(iters);
         for it in 0..iters {
             let range = 0.05 + 0.01 * it as f64;
             let mut app_secs = 0.0f64;
             let t0 = Instant::now();
-            driver.step(|_n| {
+            session.step(|_n| {
                 // The application iteration (likelihood evaluation); the
                 // proposed node count cannot steer a one-node process, so
                 // the tuner only sees the wall time.
@@ -77,7 +77,7 @@ fn main() -> Result<(), AdaphetError> {
             let overhead = (t0.elapsed().as_secs_f64() - app_secs).max(0.0);
             rows.push((overhead, app_secs));
         }
-        driver.finish().map_err(|e| AdaphetError::io("telemetry stream", e))?;
+        session.finish().map_err(|e| AdaphetError::io("telemetry stream", e))?;
         Ok(rows)
     };
     // This figure *measures wall-clock time*: concurrent repetitions

@@ -14,7 +14,7 @@
 //! verdicts next to the paper's expectations. With `--telemetry <path>`,
 //! the first repetition of each measurement streams IterationEvent JSONL.
 
-use adaphet_core::{ActionSpace, JsonlSink, Observation, StrategyKind, TunerDriver};
+use adaphet_core::{ActionSpace, JsonlSink, Observation, Session, StrategyKind};
 use adaphet_eval::{parse_args, sweep, write_csv, write_metrics_report, AdaphetError, CsvTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,23 +69,24 @@ fn drive(
 ) -> adaphet_core::History {
     let sp = space();
     let best = argmin(f);
-    let strat = kind.build(&sp, seed, Some(best)).expect("best action provided");
-    let mut driver = TunerDriver::builder(&sp)
-        .strategy(strat)
+    let mut session = Session::builder(&sp)
+        .kind(kind)
+        .seed(seed)
+        .oracle_best(best)
         .best_known(f(best))
         .build()
-        .expect("a strategy was provided");
+        .expect("the oracle's best action is provided");
     if let Some(file) = telemetry {
-        driver.add_sink(Box::new(JsonlSink::new(BufWriter::new(
+        session.add_sink(Box::new(JsonlSink::new(BufWriter::new(
             file.try_clone().expect("clone telemetry file handle"),
         ))));
     }
     let mut rng = StdRng::seed_from_u64(rng_seed);
-    driver.run(ITERS, |a| {
+    session.run(ITERS, |a| {
         let noise = if noise_amp > 0.0 { rng.random_range(-noise_amp..noise_amp) } else { 0.0 };
         Observation::of(f(a) + noise)
     });
-    driver.into_history()
+    session.into_history()
 }
 
 /// Identification rate: fraction of repetitions whose most-played action

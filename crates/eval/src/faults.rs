@@ -16,9 +16,7 @@
 //! `tuner.rebaseline` counters.
 
 use crate::error::AdaphetError;
-use adaphet_core::{
-    ActionSpace, History, ResiliencePolicy, StrategyKind, TelemetrySink, TunerDriver,
-};
+use adaphet_core::{ActionSpace, History, ResiliencePolicy, Session, StrategyKind, TelemetrySink};
 use adaphet_geostat::{lp_bound_for, GeoClasses, GeoSimApp, IterationChoice, Workload};
 use adaphet_runtime::{FaultPlan, Platform, SimConfig};
 use adaphet_scenarios::{Scale, Scenario};
@@ -87,12 +85,9 @@ pub fn run_faulted_session(
     let sim = |seed| SimConfig { seed, task_jitter: jitter, trace: true };
     let mut app = GeoSimApp::new(platform.clone(), workload, sim(seed));
     let space = space_for_platform(&platform, workload);
-    let mut driver = TunerDriver::builder(&space)
-        .strategy(kind.build(&space, seed, None).map_err(adaphet_core::DriverBuildError::from)?)
-        .resilience(policy)
-        .build()?;
+    let mut session = Session::builder(&space).kind(kind).seed(seed).resilience(policy).build()?;
     for sink in sinks {
-        driver.add_sink(sink);
+        session.add_sink(sink);
     }
 
     let metrics = adaphet_metrics::global();
@@ -108,7 +103,7 @@ pub fn run_faulted_session(
             platform = platform.without_rank(rank);
             app = GeoSimApp::new(platform.clone(), workload, sim(seed.wrapping_add(i as u64)));
             let survivor_space = space_for_platform(&platform, workload);
-            driver.apply_platform_change(
+            session.apply_platform_change(
                 &survivor_space,
                 Some(rank),
                 format!("node-death:rank={rank}"),
@@ -139,7 +134,7 @@ pub fn run_faulted_session(
         }
         let n_live = platform.nodes.len();
         let mut attempt = 0usize;
-        driver.step(|n_fact| {
+        session.step(|n_fact| {
             let report = app.run_iteration(IterationChoice::fact_only(n_live, n_fact));
             let mut duration = report.duration();
             if attempt == 0 {
@@ -149,8 +144,8 @@ pub fn run_faulted_session(
             adaphet_core::Observation::of(duration)
         });
     }
-    let final_space = driver.space().clone();
-    let history = driver.into_history();
+    let final_space = session.space().clone();
+    let history = session.into_history();
     Ok(FaultRunOutcome { history, final_space, deaths, faults_injected })
 }
 

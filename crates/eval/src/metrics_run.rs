@@ -4,16 +4,15 @@
 //! *simulated* application of a scenario, with the global metrics
 //! recorder installed, and assembles a [`MetricsReport`] combining the
 //! registry snapshot (counters from the simulator, solvers, and cache)
-//! with per-iteration phase/utilization profiles taken from the driver's
+//! with per-iteration phase/utilization profiles taken from the session's
 //! telemetry stream. Binaries write the report's JSON form next to their
 //! regular outputs and print its aligned-text table.
 
 use adaphet_core::{
-    ActionSpace, GroupUtilization, MemorySink, Observation, PhaseBreakdown, PhaseSlice,
-    StrategyKind, TunerDriver,
+    ActionSpace, MemorySink, Observation, PhaseBreakdown, PhaseSlice, Session, StrategyKind,
 };
 use adaphet_geostat::IterationChoice;
-use adaphet_metrics::{install_global, GroupProfile, IterationProfile, MetricsReport, Registry};
+use adaphet_metrics::{install_global, IterationProfile, MetricsReport, Registry};
 use adaphet_scenarios::{Scale, Scenario};
 use std::io::Write;
 use std::path::Path;
@@ -40,32 +39,22 @@ pub fn run_metrics_session(
     app.set_recorder(Arc::new(registry.clone()));
     let n = app.n_nodes();
     let space = ActionSpace::new(n, scenario.groups(), Some(scenario.lp_curve(scale)));
-    let strat = StrategyKind::GpDiscontinuous
-        .build(&space, seed, None)
-        .expect("GP-discontinuous needs no oracle");
     let sink = MemorySink::new();
-    let mut driver = TunerDriver::builder(&space)
-        .strategy(strat)
+    let mut session = Session::builder(&space)
+        .kind(StrategyKind::GpDiscontinuous)
+        .seed(seed)
         .sink(Box::new(sink.clone()))
         .build()
-        .expect("a strategy was provided");
-    driver.run(iters, |n_fact| {
+        .expect("GP-discontinuous needs no oracle");
+    session.run(iters, |n_fact| {
         let (report, m) = app.run_iteration_profiled(IterationChoice::fact_only(n, n_fact));
         let breakdown = PhaseBreakdown {
             phases: m.phases.iter().map(|&(p, s)| PhaseSlice::new(p, s)).collect(),
-            groups: m
-                .groups
-                .iter()
-                .map(|(name, busy_s, idle_s)| GroupUtilization {
-                    name: name.clone(),
-                    busy_s: *busy_s,
-                    idle_s: *idle_s,
-                })
-                .collect(),
+            groups: m.groups,
         };
         Observation::with_breakdown(report.duration(), breakdown.phases.clone(), breakdown)
     });
-    let _ = driver.into_history();
+    let _ = session.into_history();
 
     let mut report = registry.snapshot();
     report.iterations = sink
@@ -80,18 +69,7 @@ pub fn run_metrics_session(
                 phases: b
                     .map(|b| b.phases.iter().map(|p| (p.name.clone(), p.seconds)).collect())
                     .unwrap_or_default(),
-                groups: b
-                    .map(|b| {
-                        b.groups
-                            .iter()
-                            .map(|g| GroupProfile {
-                                name: g.name.clone(),
-                                busy_s: g.busy_s,
-                                idle_s: g.idle_s,
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default(),
+                groups: b.map(|b| b.groups.clone()).unwrap_or_default(),
             }
         })
         .collect();

@@ -5,13 +5,13 @@
 //! every time an action was chosen. This way, all exploration strategies
 //! are compared with the exact same iteration durations."
 //!
-//! Replays run through the canonical [`TunerDriver`] loop, so any
+//! Replays run through the canonical [`Session`] loop, so any
 //! [`TelemetrySink`] can be attached (see [`replay_instrumented`]) without
 //! touching the measurement path: the plain [`replay`] attaches no sink
 //! and pays no telemetry cost.
 
 use crate::response::ResponseTable;
-use adaphet_core::{ActionSpace, History, Observation, StrategyKind, TelemetrySink, TunerDriver};
+use adaphet_core::{ActionSpace, History, Observation, Session, StrategyKind, TelemetrySink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -62,21 +62,22 @@ pub fn replay_instrumented(
 ) -> ReplayOutcome {
     let space = space_of(table);
     let best = table.best_action();
-    let strat = kind.build(&space, seed, Some(best)).expect("best action is always provided");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut driver = TunerDriver::builder(&space)
-        .strategy(strat)
+    let mut session = Session::builder(&space)
+        .kind(kind)
+        .seed(seed)
+        .oracle_best(best)
         .best_known(table.mean(best))
         .build()
-        .expect("a strategy was provided");
+        .expect("the oracle's best action is provided");
     for sink in sinks {
-        driver.add_sink(sink);
+        session.add_sink(sink);
     }
-    driver.run(iters, |a| {
+    session.run(iters, |a| {
         let pool = &table.durations[a - 1];
         Observation::of(pool[rng.random_range(0..pool.len())])
     });
-    let history = driver.into_history();
+    let history = session.into_history();
     ReplayOutcome { total_time: history.total_time(), history }
 }
 

@@ -13,7 +13,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use adaphet_core::{IterationEvent, TelemetrySink};
-use adaphet_runtime::chrome_trace_document;
+use adaphet_metrics::json::{self, ObjectWriter};
+use adaphet_runtime::{chrome_trace_document, ChromeMicros};
 
 /// Process id used for the tuner lane (task events use the node id as
 /// pid; node ids start at 0, so a large sentinel keeps the lane apart).
@@ -21,11 +22,11 @@ pub const TUNER_PID: usize = 9999;
 
 /// Telemetry sink that renders tuner decisions as Chrome-trace events.
 ///
-/// Event times come from the driver's cumulative time, so when the
+/// Event times come from the session's cumulative time, so when the
 /// executor reports simulated durations the tuner lane lines up exactly
 /// with the simulated task timeline. Cloning shares the buffer (like
 /// [`adaphet_core::MemorySink`]), letting the caller keep a handle while
-/// the driver owns a clone.
+/// the session owns a clone.
 #[derive(Debug, Clone, Default)]
 pub struct ChromeTraceSink {
     events: Arc<Mutex<Vec<String>>>,
@@ -66,7 +67,7 @@ impl ChromeTraceSink {
 }
 
 impl TelemetrySink for ChromeTraceSink {
-    // Instant/counter events only need driver-level fields.
+    // Instant/counter events only need session-level fields.
     fn wants_decision_trace(&self) -> bool {
         false
     }
@@ -74,29 +75,44 @@ impl TelemetrySink for ChromeTraceSink {
     fn on_iteration(&mut self, e: &IterationEvent) {
         let start_us = (self.time_offset + e.cumulative_time - e.duration) * 1e6;
         let mut evs = self.lock();
-        // The decision, as a duration-less instant marker at iteration start.
-        evs.push(format!(
-            "{{\"name\":\"iter {}: n={}\",\"cat\":\"tuner\",\"ph\":\"i\",\"s\":\"g\",\
-             \"ts\":{:.3},\"pid\":{},\"tid\":0,\"args\":{{\"strategy\":\"{}\",\
-             \"action\":{},\"duration\":{}}}}}",
-            e.iteration, e.action, start_us, TUNER_PID, e.strategy, e.action, e.duration
-        ));
+        // An instant marker at iteration start; `scope` is Chrome's `s`
+        // (`g` spans every lane, `p` the tuner's process).
+        let instant = |name: &str, cat: &str, scope: &str, args: &dyn Fn(&mut ObjectWriter)| {
+            event(|o| {
+                o.field("name", name)
+                    .field("cat", cat)
+                    .field("ph", "i")
+                    .field("s", scope)
+                    .field("ts", &ChromeMicros(start_us))
+                    .field("pid", &TUNER_PID)
+                    .field("tid", &0usize);
+                json::object(o.key("args"), args);
+            })
+        };
+        // The decision.
+        evs.push(instant(&format!("iter {}: n={}", e.iteration, e.action), "tuner", "g", &|a| {
+            a.field("strategy", &e.strategy)
+                .field("action", &e.action)
+                .field("duration", &e.duration);
+        }));
         // The chosen node count as a counter, so the tuner's trajectory
         // renders as a step curve over the task timeline.
-        evs.push(format!(
-            "{{\"name\":\"nodes\",\"cat\":\"tuner\",\"ph\":\"C\",\"ts\":{:.3},\
-             \"pid\":{},\"args\":{{\"n\":{}}}}}",
-            start_us, TUNER_PID, e.action
-        ));
+        evs.push(event(|o| {
+            o.field("name", "nodes")
+                .field("cat", "tuner")
+                .field("ph", "C")
+                .field("ts", &ChromeMicros(start_us))
+                .field("pid", &TUNER_PID);
+            json::object(o.key("args"), |a| {
+                a.field("n", &e.action);
+            });
+        }));
         // Fault/resilience annotations (node deaths, retries, re-baseline
-        // probes) render as process-scoped instant markers so recovery is
-        // visible right on the timeline.
+        // probes), so recovery is visible right on the timeline.
         if let Some(fault) = &e.fault {
-            evs.push(format!(
-                "{{\"name\":\"fault: {}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\
-                 \"ts\":{:.3},\"pid\":{},\"tid\":0,\"args\":{{\"retries\":{}}}}}",
-                fault, start_us, TUNER_PID, e.retries
-            ));
+            evs.push(instant(&format!("fault: {fault}"), "fault", "p", &|a| {
+                a.field("retries", &e.retries);
+            }));
         }
         // Profiled iterations additionally get a phase lane (tid 1): the
         // disjoint wall-clock slices render as complete ("X") events laid
@@ -105,27 +121,38 @@ impl TelemetrySink for ChromeTraceSink {
             let mut at_us = start_us;
             for p in &b.phases {
                 let dur_us = p.seconds * 1e6;
-                evs.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{:.3},\
-                     \"dur\":{:.3},\"pid\":{},\"tid\":1}}",
-                    p.name, at_us, dur_us, TUNER_PID
-                ));
+                evs.push(event(|o| {
+                    o.field("name", &p.name)
+                        .field("cat", "phase")
+                        .field("ph", "X")
+                        .field("ts", &ChromeMicros(at_us))
+                        .field("dur", &ChromeMicros(dur_us))
+                        .field("pid", &TUNER_PID)
+                        .field("tid", &1usize);
+                }));
                 at_us += dur_us;
             }
         }
     }
 }
 
+/// One serialized Chrome-trace event object.
+fn event(members: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = String::new();
+    json::object(&mut out, members);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaphet_core::{ActionSpace, GpDiscontinuous, Observation, TunerDriver};
+    use adaphet_core::{ActionSpace, GpDiscontinuous, Observation, Session};
 
     #[test]
     fn sink_records_two_events_per_iteration_and_merges() {
         let space = ActionSpace::unstructured(6);
         let sink = ChromeTraceSink::new();
-        let mut d = TunerDriver::builder(&space)
+        let mut d = Session::builder(&space)
             .strategy(Box::new(GpDiscontinuous::new(&space)))
             .sink(Box::new(sink.clone()))
             .build()
@@ -148,7 +175,7 @@ mod tests {
         use adaphet_core::{AllNodes, PhaseBreakdown, PhaseSlice};
         let space = ActionSpace::unstructured(4);
         let sink = ChromeTraceSink::new();
-        let mut d = TunerDriver::builder(&space)
+        let mut d = Session::builder(&space)
             .strategy(Box::new(AllNodes::new(4)))
             .sink(Box::new(sink.clone()))
             .build()
@@ -196,12 +223,49 @@ mod tests {
     fn first_event_starts_at_zero_without_offset() {
         let space = ActionSpace::unstructured(3);
         let sink = ChromeTraceSink::new();
-        let mut d = TunerDriver::builder(&space)
+        let mut d = Session::builder(&space)
             .strategy(Box::new(GpDiscontinuous::new(&space)))
             .sink(Box::new(sink.clone()))
             .build()
             .unwrap();
         d.run(1, |_| Observation::of(2.0));
         assert!(sink.tuner_events()[0].contains("\"ts\":0.000"), "{:?}", sink.tuner_events());
+    }
+
+    #[test]
+    fn hostile_names_and_a_nan_duration_still_yield_valid_json() {
+        use adaphet_core::{IterationEvent, PhaseBreakdown, PhaseSlice};
+        use adaphet_metrics::Json;
+        let mut sink = ChromeTraceSink::new();
+        sink.on_iteration(&IterationEvent {
+            iteration: 0,
+            strategy: "s\"t\\r".into(),
+            action: 3,
+            duration: f64::NAN,
+            cumulative_time: 1.0,
+            best_known: None,
+            regret: None,
+            phases: vec![],
+            trace: None,
+            phase_breakdown: Some(PhaseBreakdown {
+                phases: vec![PhaseSlice::new("gen\"er\\ation", 0.5)],
+                groups: vec![],
+            }),
+            retries: 0,
+            // `apply_platform_change` notes are caller-supplied text.
+            fault: Some("operator said \"rack 7\\8 down\"".into()),
+            snapshot: None,
+        });
+        let task_ev =
+            "{\"name\":\"t\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\"pid\":0,\"tid\":0}".to_string();
+        let doc = Json::parse(&sink.merged_document(&[task_ev])).expect("valid JSON document");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("event array");
+        assert_eq!(events.len(), 5, "instant + counter + fault + phase + the task event");
+        let name = |i: usize| events[i].get("name").and_then(Json::as_str).unwrap();
+        assert_eq!(name(2), "fault: operator said \"rack 7\\8 down\"");
+        assert_eq!(name(3), "gen\"er\\ation");
+        let args = events[0].get("args").unwrap();
+        assert_eq!(args.get("strategy").and_then(Json::as_str), Some("s\"t\\r"));
+        assert_eq!(args.get("duration"), Some(&Json::Null), "NaN is written as null");
     }
 }

@@ -26,9 +26,7 @@
 use crate::replay::space_of;
 use crate::report::CsvTable;
 use crate::response::ResponseTable;
-use adaphet_core::{
-    DriverBuildError, GpDiscontinuous, History, Observation, TunerDriver, WarmStart,
-};
+use adaphet_core::{DriverBuildError, GpDiscontinuous, History, Observation, Session, WarmStart};
 use adaphet_scenarios::{Scale, Scenario};
 use adaphet_store::{PlatformSignature, SurrogateSnapshot, SurrogateStore};
 use rand::rngs::StdRng;
@@ -86,19 +84,19 @@ pub fn replay_warm(
     seed: u64,
 ) -> Result<History, DriverBuildError> {
     let space = space_of(table);
-    let mut b = TunerDriver::builder(&space)
+    let mut b = Session::builder(&space)
         .strategy(Box::new(GpDiscontinuous::new(&space)))
         .best_known(table.mean(table.best_action()));
     if let Some(snap) = warm {
         b = b.warm_start(WarmStart::FromSnapshot(snap));
     }
-    let mut driver = b.build()?;
+    let mut session = b.build()?;
     let mut rng = StdRng::seed_from_u64(seed);
-    driver.run(iters, |a| {
+    session.run(iters, |a| {
         let pool = &table.durations[a - 1];
         Observation::of(pool[rng.random_range(0..pool.len())])
     });
-    Ok(driver.into_history())
+    Ok(session.into_history())
 }
 
 /// Run one cold GP-discontinuous session against `table` under `sig` and
@@ -111,18 +109,18 @@ pub fn donor_snapshot(
     seed: u64,
 ) -> Option<SurrogateSnapshot> {
     let space = space_of(table);
-    let mut driver = TunerDriver::builder(&space)
+    let mut session = Session::builder(&space)
         .strategy(Box::new(GpDiscontinuous::new(&space)))
         .best_known(table.mean(table.best_action()))
         .signature(sig)
         .build()
         .expect("a strategy was provided and no warm start was requested");
     let mut rng = StdRng::seed_from_u64(seed);
-    driver.run(iters, |a| {
+    session.run(iters, |a| {
         let pool = &table.durations[a - 1];
         Observation::of(pool[rng.random_range(0..pool.len())])
     });
-    driver.session().snapshot()
+    session.snapshot()
 }
 
 /// The first iteration index whose proposal's table-mean duration is

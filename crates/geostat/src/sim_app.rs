@@ -4,7 +4,7 @@ use crate::dist::TileDist;
 use crate::phases::{self, GeoClasses, GeoData};
 use crate::workload::Workload;
 use adaphet_lp::proportional_share_bound;
-use adaphet_metrics::{NoopRecorder, Recorder};
+use adaphet_metrics::{GroupProfile, NoopRecorder, Recorder};
 use adaphet_runtime::{NodeId, Platform, RunReport, SimConfig, SimRuntime};
 use std::sync::Arc;
 
@@ -62,10 +62,10 @@ pub struct IterationMetrics {
     pub phase_tasks: Vec<(&'static str, u64)>,
     /// Useful flops per phase `(phase name, flops)` this iteration.
     pub phase_flops: Vec<(&'static str, f64)>,
-    /// Per homogeneous node group: `(label, busy seconds, idle seconds)`
-    /// over the iteration window, counting every CPU core and GPU as one
-    /// worker. Busy time needs the trace; with tracing off it reads 0.
-    pub groups: Vec<(String, f64, f64)>,
+    /// Busy and idle seconds per homogeneous node group over the
+    /// iteration window, counting every CPU core and GPU as one worker.
+    /// Busy time needs the trace; with tracing off it reads 0.
+    pub groups: Vec<GroupProfile>,
 }
 
 impl GeoSimApp {
@@ -307,7 +307,7 @@ impl GeoSimApp {
     /// `workers x makespan`. Labels read `"<node name>:<first>-<last>"`
     /// with 1-based inclusive node ranges, matching
     /// [`Platform::homogeneous_groups`].
-    fn group_utilization(&self, report: &RunReport) -> Vec<(String, f64, f64)> {
+    fn group_utilization(&self, report: &RunReport) -> Vec<GroupProfile> {
         let platform = self.rt.platform();
         let groups = platform.homogeneous_groups();
         let mut node_group = vec![usize::MAX; platform.len()];
@@ -335,9 +335,9 @@ impl GeoSimApp {
                         spec.cpu_cores + spec.gpus
                     })
                     .sum();
-                let label = format!("{}:{}-{}", platform.node(NodeId(a - 1)).name, a, b);
-                let idle = (workers as f64 * dur - busy[gi]).max(0.0);
-                (label, busy[gi], idle)
+                let name = format!("{}:{}-{}", platform.node(NodeId(a - 1)).name, a, b);
+                let idle_s = (workers as f64 * dur - busy[gi]).max(0.0);
+                GroupProfile { name, busy_s: busy[gi], idle_s }
             })
             .collect()
     }
@@ -550,11 +550,11 @@ mod tests {
         let (_, m) = app.run_iteration_profiled(IterationChoice::all(n));
         // One GPU group ("L" nodes 1-1) and one CPU group ("S" nodes 2-3).
         assert_eq!(m.groups.len(), 2, "{:?}", m.groups);
-        assert_eq!(m.groups[0].0, "L:1-1");
-        assert_eq!(m.groups[1].0, "S:2-3");
-        for (label, busy, idle) in &m.groups {
-            assert!(*busy > 0.0, "{label} never busy");
-            assert!(*idle >= 0.0, "{label} busy exceeds capacity");
+        assert_eq!(m.groups[0].name, "L:1-1");
+        assert_eq!(m.groups[1].name, "S:2-3");
+        for g in &m.groups {
+            assert!(g.busy_s > 0.0, "{} never busy", g.name);
+            assert!(g.idle_s >= 0.0, "{} busy exceeds capacity", g.name);
         }
         // Profile metrics land in the registry, and the forwarded
         // recorder makes the simulator flush its own counters too.

@@ -143,9 +143,12 @@ impl Parser<'_> {
                 break;
             }
         }
+        // `"1e999".parse::<f64>()` is `Ok(inf)`: the writer spells a
+        // non-finite float `null`, so the reader takes none either.
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
             .and_then(|s| s.parse::<f64>().ok())
+            .filter(|x| x.is_finite())
             .map(Json::Num)
             .ok_or_else(|| format!("bad number at byte {start}"))
     }

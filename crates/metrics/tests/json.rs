@@ -76,3 +76,16 @@ fn fields_decode_with_their_absent_rules() {
     assert!(v.field::<(usize, usize)>("p").is_err(), "2.5 is not an integer");
     assert!(v.field_or("s", 0u64).is_err(), "a wrong type is not absent");
 }
+
+/// The writer spells a non-finite float `null`; the reader must not
+/// manufacture one from a literal that overflows `f64`.
+#[test]
+fn literals_that_overflow_to_infinity_do_not_parse() {
+    for bad in ["1e999", "-1e999", "[1,2e400]", "{\"duration\":1e999}"] {
+        let err = Json::parse(bad).expect_err(bad);
+        assert!(err.starts_with("bad number at byte "), "{bad}: {err}");
+    }
+    assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
+    assert_eq!(Json::parse("-0.0").unwrap().as_f64(), Some(0.0));
+    assert_eq!(Json::parse("1e-999").unwrap().as_f64(), Some(0.0), "underflow is finite");
+}

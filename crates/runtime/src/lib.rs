@@ -62,5 +62,6 @@ pub use sim::{RunReport, SimConfig, SimRuntime};
 pub use stf::DepTracker;
 pub use task::{Access, ClassId, ClassSpec, ClassTable, TaskDesc, TaskId};
 pub use trace::{
-    chrome_trace_document, ResourceKind, TaskMeta, Trace, TraceEvent, TRACE_CSV_VERSION,
+    chrome_trace_document, ChromeMicros, ResourceKind, TaskMeta, Trace, TraceEvent,
+    TRACE_CSV_VERSION,
 };

@@ -14,10 +14,18 @@
 
 use crate::stf::DepTracker;
 use crate::task::{Access, TaskId};
-use crossbeam::channel;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{
+    Arc, Condvar, LockResult, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::{Duration, Instant};
+
+/// The guard of a lock, poisoned or not: a block or the scheduling state
+/// is valid after every single update, so a task closure that panicked on
+/// another worker leaves nothing half-written behind the lock.
+fn unpoisoned<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Handle to a block stored in a [`RealRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,12 +43,12 @@ pub struct StoreView<T> {
 impl<T> StoreView<T> {
     /// Shared read access to a block.
     pub fn read(&self, h: BlockHandle) -> RwLockReadGuard<'_, T> {
-        self.blocks[h.0].read()
+        unpoisoned(self.blocks[h.0].read())
     }
 
     /// Exclusive write access to a block.
     pub fn write(&self, h: BlockHandle) -> RwLockWriteGuard<'_, T> {
-        self.blocks[h.0].write()
+        unpoisoned(self.blocks[h.0].write())
     }
 
     /// Number of blocks.
@@ -90,12 +98,12 @@ impl<T: Send + Sync + 'static> RealRuntime<T> {
     /// Read a block from outside any task (e.g. to collect results). Only
     /// sound between runs.
     pub fn block(&self, h: BlockHandle) -> RwLockReadGuard<'_, T> {
-        self.blocks[h.0].read()
+        unpoisoned(self.blocks[h.0].read())
     }
 
     /// Replace a block's value from outside any task.
     pub fn set_block(&mut self, h: BlockHandle, value: T) {
-        *self.blocks[h.0].write() = value;
+        *unpoisoned(self.blocks[h.0].write()) = value;
     }
 
     /// Submit a task accessing `accesses` and executing `f`.
@@ -136,76 +144,62 @@ impl<T: Send + Sync + 'static> RealRuntime<T> {
         let view = StoreView { blocks: self.blocks.clone() };
         let total = pending.len();
 
-        // Shared scheduling state.
+        // Shared scheduling state, all under one mutex; `wake` signals a
+        // new ready task or the end of the run.
         struct Shared<T> {
             unmet: Vec<usize>,
             dependents: Vec<Vec<usize>>,
             closures: Vec<Option<TaskFn<T>>>,
+            ready: VecDeque<usize>,
             completed: usize,
         }
-        let mut shared = Shared {
+        // (A done task gave its closure to the run that finished it.)
+        let shared = Mutex::new(Shared {
             unmet: self.tasks.iter().map(|t| t.unmet).collect(),
             dependents: self.tasks.iter().map(|t| t.dependents.clone()).collect(),
             closures: self.tasks.iter_mut().map(|t| t.closure.take()).collect(),
+            ready: pending.iter().copied().filter(|&i| self.tasks[i].unmet == 0).collect(),
             completed: 0,
-        };
-        // Done tasks never re-run.
-        for (i, t) in self.tasks.iter().enumerate() {
-            if t.done {
-                shared.closures[i] = None;
-            }
-        }
-        let shared = Mutex::new(shared);
-        let (ready_tx, ready_rx) = channel::unbounded::<usize>();
-        for &i in &pending {
-            if self.tasks[i].unmet == 0 {
-                ready_tx.send(i).expect("channel open");
-            }
-        }
+        });
+        let wake = Condvar::new();
 
         std::thread::scope(|scope| {
             for _ in 0..self.n_workers {
-                let ready_rx = ready_rx.clone();
-                let ready_tx = ready_tx.clone();
-                let shared = &shared;
-                let view = &view;
-                scope.spawn(move || {
-                    while let Ok(i) = ready_rx.recv() {
-                        // Shutdown sentinel: forward it so every worker
-                        // wakes up exactly once, then exit.
-                        if i == usize::MAX {
-                            let _ = ready_tx.send(usize::MAX);
-                            return;
-                        }
-                        let closure = {
-                            let mut s = shared.lock();
-                            s.closures[i].take()
+                scope.spawn(|| {
+                    let mut s = unpoisoned(shared.lock());
+                    loop {
+                        // Pop a ready task or wait for one; leave once
+                        // every task has completed.
+                        let i = loop {
+                            if s.completed == total {
+                                return;
+                            }
+                            match s.ready.pop_front() {
+                                Some(i) => break i,
+                                None => s = unpoisoned(wake.wait(s)),
+                            }
                         };
+                        let closure = s.closures[i].take();
+                        drop(s);
                         if let Some(f) = closure {
-                            f(view);
+                            f(&view);
                         }
-                        let mut s = shared.lock();
+                        s = unpoisoned(shared.lock());
                         s.completed += 1;
                         let deps = std::mem::take(&mut s.dependents[i]);
                         for d in deps {
                             s.unmet[d] -= 1;
                             if s.unmet[d] == 0 {
-                                let _ = ready_tx.send(d);
+                                s.ready.push_back(d);
+                                wake.notify_one();
                             }
                         }
-                        let finished = s.completed == total;
-                        drop(s);
-                        if finished {
-                            let _ = ready_tx.send(usize::MAX);
-                            return;
+                        if s.completed == total {
+                            wake.notify_all();
                         }
                     }
                 });
             }
-            // Drop the main copies so workers' recv() unblocks when the
-            // last worker drops its clones.
-            drop(ready_tx);
-            drop(ready_rx);
         });
 
         for &i in &pending {

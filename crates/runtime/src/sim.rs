@@ -239,47 +239,15 @@ type EventHeap = BinaryHeap<Reverse<(OrdF64, usize, EventKindCell)>>;
 
 /// The simulated runtime.
 pub struct SimRuntime {
+    /// Pooled backing storage: every growable buffer of the runtime.
+    b: SimBuffers,
     platform: Platform,
     classes: ClassTable,
-    data: DataRegistry,
-    deps: DepTracker,
-    tasks: Vec<TaskState>,
-    /// Shared arena backing every task's read/write handle lists.
-    handles: Vec<DataHandle>,
-    /// Intrusive dependents lists: `(dependent task, next edge)`.
-    dep_edges: Vec<(u32, u32)>,
-    /// Scratch for walking a finished task's dependents.
-    dep_scratch: Vec<TaskId>,
-    /// Scratch for the dependence list of the task being submitted.
-    deps_tmp: Vec<TaskId>,
-    scheds: Vec<NodeSched>,
-    events: EventHeap,
     event_seq: usize,
-    net: FlowNet,
-    node_up: Vec<LinkId>,
-    node_down: Vec<LinkId>,
     backbone: LinkId,
     /// u64 words per handle in `replica_bits`.
     replica_words: usize,
-    /// Valid replica locations per handle, one bit per node.
-    replica_bits: Vec<u64>,
-    /// The replica a fetch copies from: the owner at registration, updated
-    /// to the writing node on every invalidation.
-    replica_first: Vec<u32>,
-    /// Per-handle head of the in-flight fetch list (`NONE` = no fetch).
-    fetch_head: Vec<u32>,
-    fetch_slab: Vec<FetchEntry>,
-    fetch_free: Vec<u32>,
-    /// `(handle, dst)` per started flow, indexed by [`FlowId`].
-    flow_meta: Vec<(u32, u32)>,
-    /// Reusable buffer for network completions per engine step.
-    completed_flows: Vec<FlowId>,
-    /// Scratch: nodes touched by one completion event, dispatched (sorted,
-    /// deduplicated) before the event handler returns. Kept on the runtime
-    /// so the buffer's allocation is reused across events.
-    pending_dispatch: Vec<u32>,
     now: f64,
-    trace: Trace,
     trace_enabled: bool,
     rng: StdRng,
     jitter: Option<Normal<f64>>,
@@ -288,19 +256,7 @@ pub struct SimRuntime {
     bytes_transferred: f64,
     /// Completed tasks (including migrate pseudo-tasks).
     tasks_executed: u64,
-    /// Accumulated per-node CPU-core busy seconds (summed over cores).
-    cpu_busy: Vec<f64>,
-    /// Accumulated per-node GPU busy seconds (summed over GPUs).
-    gpu_busy: Vec<f64>,
-    /// Per-phase `(tasks completed, flops)` totals, excluding pseudo-tasks.
-    /// Indexed by phase tag — tags are expected to be small dense integers.
-    phase_stats: Vec<(u64, f64)>,
     recorder: Arc<dyn Recorder>,
-    metrics_cursor: MetricsCursor,
-    /// Per-node multiplicative compute slowdown (1.0 = nominal speed).
-    /// Fault-injection harnesses set this to model transient stragglers;
-    /// it scales both CPU and GPU task durations of the node.
-    speed_factor: Vec<f64>,
 }
 
 /// Totals already flushed to the recorder, so each [`SimRuntime::run`] can
@@ -327,25 +283,44 @@ struct SimBuffers {
     data: DataRegistry,
     deps: DepTracker,
     tasks: Vec<TaskState>,
+    /// Shared arena backing every task's read/write handle lists.
     handles: Vec<DataHandle>,
+    /// Intrusive dependents lists: `(dependent task, next edge)`.
     dep_edges: Vec<(u32, u32)>,
+    /// Scratch for walking a finished task's dependents.
     dep_scratch: Vec<TaskId>,
+    /// Scratch for the dependence list of the task being submitted.
     deps_tmp: Vec<TaskId>,
     scheds: Vec<NodeSched>,
     events: EventHeap,
     node_up: Vec<LinkId>,
     node_down: Vec<LinkId>,
+    /// Valid replica locations per handle, one bit per node.
     replica_bits: Vec<u64>,
+    /// The replica a fetch copies from: the owner at registration, updated
+    /// to the writing node on every invalidation.
     replica_first: Vec<u32>,
+    /// Per-handle head of the in-flight fetch list (`NONE` = no fetch).
     fetch_head: Vec<u32>,
     fetch_slab: Vec<FetchEntry>,
     fetch_free: Vec<u32>,
+    /// `(handle, dst)` per started flow, indexed by [`FlowId`].
     flow_meta: Vec<(u32, u32)>,
+    /// Reusable buffer for network completions per engine step.
     completed_flows: Vec<FlowId>,
+    /// Scratch: nodes touched by one completion event, dispatched (sorted,
+    /// deduplicated) before the event handler returns.
     pending_dispatch: Vec<u32>,
+    /// Per-phase `(tasks completed, flops)` totals, excluding pseudo-tasks.
+    /// Indexed by phase tag — tags are expected to be small dense integers.
     phase_stats: Vec<(u64, f64)>,
+    /// Accumulated per-node CPU-core busy seconds (summed over cores).
     cpu_busy: Vec<f64>,
+    /// Accumulated per-node GPU busy seconds (summed over GPUs).
     gpu_busy: Vec<f64>,
+    /// Per-node multiplicative compute slowdown (1.0 = nominal speed).
+    /// Fault-injection harnesses set this to model transient stragglers;
+    /// it scales both CPU and GPU task durations of the node.
     speed_factor: Vec<f64>,
     cursor: MetricsCursor,
     trace: Trace,
@@ -414,38 +389,9 @@ impl SimBuffers {
 
 impl Drop for SimRuntime {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            return;
+        if !std::thread::panicking() {
+            std::mem::take(&mut self.b).release();
         }
-        SimBuffers {
-            net: std::mem::take(&mut self.net),
-            data: std::mem::take(&mut self.data),
-            deps: std::mem::take(&mut self.deps),
-            tasks: std::mem::take(&mut self.tasks),
-            handles: std::mem::take(&mut self.handles),
-            dep_edges: std::mem::take(&mut self.dep_edges),
-            dep_scratch: std::mem::take(&mut self.dep_scratch),
-            deps_tmp: std::mem::take(&mut self.deps_tmp),
-            scheds: std::mem::take(&mut self.scheds),
-            events: std::mem::take(&mut self.events),
-            node_up: std::mem::take(&mut self.node_up),
-            node_down: std::mem::take(&mut self.node_down),
-            replica_bits: std::mem::take(&mut self.replica_bits),
-            replica_first: std::mem::take(&mut self.replica_first),
-            fetch_head: std::mem::take(&mut self.fetch_head),
-            fetch_slab: std::mem::take(&mut self.fetch_slab),
-            fetch_free: std::mem::take(&mut self.fetch_free),
-            flow_meta: std::mem::take(&mut self.flow_meta),
-            completed_flows: std::mem::take(&mut self.completed_flows),
-            pending_dispatch: std::mem::take(&mut self.pending_dispatch),
-            phase_stats: std::mem::take(&mut self.phase_stats),
-            cpu_busy: std::mem::take(&mut self.cpu_busy),
-            gpu_busy: std::mem::take(&mut self.gpu_busy),
-            speed_factor: std::mem::take(&mut self.speed_factor),
-            cursor: std::mem::take(&mut self.metrics_cursor),
-            trace: std::mem::take(&mut self.trace),
-        }
-        .release();
     }
 }
 
@@ -479,62 +425,14 @@ impl SimRuntime {
         b.cursor.cpu_busy.resize(n_nodes, 0.0);
         b.cursor.gpu_busy.resize(n_nodes, 0.0);
         b.cursor.link_busy.resize(n_links, 0.0);
-        let SimBuffers {
-            net,
-            data,
-            deps,
-            tasks,
-            handles,
-            dep_edges,
-            dep_scratch,
-            deps_tmp,
-            scheds,
-            events,
-            node_up,
-            node_down,
-            replica_bits,
-            replica_first,
-            fetch_head,
-            fetch_slab,
-            fetch_free,
-            flow_meta,
-            completed_flows,
-            pending_dispatch,
-            phase_stats,
-            cpu_busy,
-            gpu_busy,
-            speed_factor,
-            cursor,
-            trace,
-        } = b;
         SimRuntime {
+            b,
             platform,
             classes,
-            data,
-            deps,
-            tasks,
-            handles,
-            dep_edges,
-            dep_scratch,
-            deps_tmp,
-            scheds,
-            events,
             event_seq: 0,
-            net,
-            node_up,
-            node_down,
             backbone,
             replica_words: n_nodes.div_ceil(64).max(1),
-            replica_bits,
-            replica_first,
-            fetch_head,
-            fetch_slab,
-            fetch_free,
-            flow_meta,
-            completed_flows,
-            pending_dispatch,
             now: 0.0,
-            trace,
             trace_enabled: config.trace,
             rng: StdRng::seed_from_u64(config.seed),
             jitter,
@@ -542,12 +440,7 @@ impl SimRuntime {
             remaining: 0,
             bytes_transferred: 0.0,
             tasks_executed: 0,
-            cpu_busy,
-            gpu_busy,
-            phase_stats,
             recorder: Arc::new(NoopRecorder),
-            metrics_cursor: cursor,
-            speed_factor,
         }
     }
 
@@ -563,7 +456,7 @@ impl SimRuntime {
 
     /// Execution trace accumulated so far.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.b.trace
     }
 
     /// Total bytes moved over the network so far.
@@ -579,18 +472,18 @@ impl SimRuntime {
     /// Accumulated `(cpu_busy, gpu_busy)` seconds of one node, each summed
     /// over the node's units of that kind.
     pub fn node_busy(&self, node: NodeId) -> (f64, f64) {
-        (self.cpu_busy[node.0], self.gpu_busy[node.0])
+        (self.b.cpu_busy[node.0], self.b.gpu_busy[node.0])
     }
 
     /// Accumulated `(tasks, flops)` of one phase tag (pseudo-tasks with
     /// phase `u32::MAX` are never counted).
     pub fn phase_totals(&self, phase: u32) -> (u64, f64) {
-        self.phase_stats.get(phase as usize).copied().unwrap_or((0, 0.0))
+        self.b.phase_stats.get(phase as usize).copied().unwrap_or((0, 0.0))
     }
 
     /// Accumulated busy seconds of the shared backbone link.
     pub fn backbone_busy(&self) -> f64 {
-        self.net.link_busy(self.backbone)
+        self.b.net.link_busy(self.backbone)
     }
 
     /// Route metrics to `recorder`: each [`SimRuntime::run`] then flushes
@@ -616,30 +509,30 @@ impl SimRuntime {
     pub fn set_speed_factor(&mut self, node: NodeId, factor: f64) {
         assert!(node.0 < self.platform.len(), "node out of range");
         assert!(factor.is_finite() && factor >= 1.0, "slowdown factor must be >= 1");
-        self.speed_factor[node.0] = factor;
+        self.b.speed_factor[node.0] = factor;
     }
 
     /// Restore every node to nominal speed.
     pub fn clear_speed_factors(&mut self) {
-        self.speed_factor.fill(1.0);
+        self.b.speed_factor.fill(1.0);
     }
 
     /// Register a data block of `bytes` owned by `owner`. The block starts
     /// with a valid copy only at its owner.
     pub fn register_data(&mut self, bytes: usize, owner: NodeId) -> DataHandle {
         assert!(owner.0 < self.platform.len(), "owner out of range");
-        let h = self.data.register(bytes, owner);
-        self.replica_first.push(owner.0 as u32);
-        let base = self.replica_bits.len();
-        self.replica_bits.resize(base + self.replica_words, 0);
-        self.replica_bits[base + owner.0 / 64] |= 1u64 << (owner.0 % 64);
-        self.fetch_head.push(NONE);
+        let h = self.b.data.register(bytes, owner);
+        self.b.replica_first.push(owner.0 as u32);
+        let base = self.b.replica_bits.len();
+        self.b.replica_bits.resize(base + self.replica_words, 0);
+        self.b.replica_bits[base + owner.0 / 64] |= 1u64 << (owner.0 % 64);
+        self.b.fetch_head.push(NONE);
         h
     }
 
     /// Current submission-time owner of a handle.
     pub fn owner(&self, h: DataHandle) -> NodeId {
-        self.data.owner(h)
+        self.b.data.owner(h)
     }
 
     /// Change a block's submission-time owner *without* moving bytes.
@@ -651,17 +544,17 @@ impl SimRuntime {
     /// idiom).
     pub fn reassign(&mut self, h: DataHandle, dst: NodeId) {
         assert!(dst.0 < self.platform.len(), "node out of range");
-        self.data.set_owner(h, dst);
+        self.b.data.set_owner(h, dst);
     }
 
     /// Move a block to `dst`: subsequent tasks writing it run on `dst`, and
     /// the bytes travel asynchronously (a zero-flop pseudo-task carries the
     /// dependence structure of the move), overlapping with computation.
     pub fn migrate(&mut self, h: DataHandle, dst: NodeId) {
-        if self.data.owner(h) == dst {
+        if self.b.data.owner(h) == dst {
             return;
         }
-        self.data.set_owner(h, dst);
+        self.b.data.set_owner(h, dst);
         self.submit_accesses(
             self.migrate_class,
             0.0,
@@ -695,40 +588,40 @@ impl SimRuntime {
         accesses: &[(DataHandle, Access)],
         force_node: Option<NodeId>,
     ) -> TaskId {
-        let id = TaskId(self.tasks.len());
+        let id = TaskId(self.b.tasks.len());
         let node = force_node.unwrap_or_else(|| {
             accesses
                 .iter()
                 .find(|&&(_, m)| m.writes())
-                .map(|&(h, _)| self.data.owner(h))
+                .map(|&(h, _)| self.b.data.owner(h))
                 .unwrap_or(NodeId(0))
         });
         assert!(node.0 < self.platform.len(), "task node out of range");
-        let mut deps_tmp = std::mem::take(&mut self.deps_tmp);
-        self.deps.record_into(id, accesses, &mut deps_tmp);
+        let mut deps_tmp = std::mem::take(&mut self.b.deps_tmp);
+        self.b.deps.record_into(id, accesses, &mut deps_tmp);
         if self.trace_enabled {
             // Pseudo-tasks (data migrations) are recorded too: they carry
             // no TraceEvent, but dependence chains must stay connected
             // through them for critical-path extraction.
-            self.trace.record_deps(id, &deps_tmp);
+            self.b.trace.record_deps(id, &deps_tmp);
         }
         let mut unmet = 0u32;
         for &d in &deps_tmp {
-            if self.tasks[d.0].status != TaskStatus::Done {
-                self.dep_edges.push((id.0 as u32, self.tasks[d.0].dep_head));
-                self.tasks[d.0].dep_head = (self.dep_edges.len() - 1) as u32;
+            if self.b.tasks[d.0].status != TaskStatus::Done {
+                self.b.dep_edges.push((id.0 as u32, self.b.tasks[d.0].dep_head));
+                self.b.tasks[d.0].dep_head = (self.b.dep_edges.len() - 1) as u32;
                 unmet += 1;
             }
         }
         deps_tmp.clear();
-        self.deps_tmp = deps_tmp;
-        let reads_start = self.handles.len() as u32;
-        self.handles.extend(accesses.iter().filter(|a| a.1.reads()).map(|a| a.0));
-        let reads_len = self.handles.len() as u32 - reads_start;
-        let writes_start = self.handles.len() as u32;
-        self.handles.extend(accesses.iter().filter(|a| a.1.writes()).map(|a| a.0));
-        let writes_len = self.handles.len() as u32 - writes_start;
-        self.tasks.push(TaskState {
+        self.b.deps_tmp = deps_tmp;
+        let reads_start = self.b.handles.len() as u32;
+        self.b.handles.extend(accesses.iter().filter(|a| a.1.reads()).map(|a| a.0));
+        let reads_len = self.b.handles.len() as u32 - reads_start;
+        let writes_start = self.b.handles.len() as u32;
+        self.b.handles.extend(accesses.iter().filter(|a| a.1.writes()).map(|a| a.0));
+        let writes_len = self.b.handles.len() as u32 - writes_start;
+        self.b.tasks.push(TaskState {
             class,
             flops,
             priority,
@@ -763,9 +656,9 @@ impl SimRuntime {
     pub fn run(&mut self) -> RunReport {
         let start = self.now;
         while self.remaining > 0 {
-            let t_heap = self.events.peek().map(|Reverse((t, _, _))| t.0);
-            self.net.settle();
-            let t_net = self.net.next_completion();
+            let t_heap = self.b.events.peek().map(|Reverse((t, _, _))| t.0);
+            self.b.net.settle();
+            let t_net = self.b.net.next_completion();
             let next = match (t_heap, t_net) {
                 (Some(a), Some(b)) => a.min(b),
                 (Some(a), None) => a,
@@ -778,19 +671,19 @@ impl SimRuntime {
             debug_assert!(next >= self.now - 1e-9, "time went backwards");
             self.now = self.now.max(next);
             // Network completions at or before `now` happen first.
-            let mut completed = std::mem::take(&mut self.completed_flows);
-            self.net.advance_to_into(self.now, &mut completed);
+            let mut completed = std::mem::take(&mut self.b.completed_flows);
+            self.b.net.advance_to_into(self.now, &mut completed);
             for &f in &completed {
                 self.on_flow_done(f);
             }
             completed.clear();
-            self.completed_flows = completed;
+            self.b.completed_flows = completed;
             // Then heap events scheduled at (or numerically before) `now`.
-            while let Some(Reverse((t, _, _))) = self.events.peek() {
+            while let Some(Reverse((t, _, _))) = self.b.events.peek() {
                 if t.0 > self.now + 1e-15 {
                     break;
                 }
-                let Reverse((_, _, EventKindCell(kind))) = self.events.pop().unwrap();
+                let Reverse((_, _, EventKindCell(kind))) = self.b.events.pop().unwrap();
                 match kind {
                     EventKind::TaskDone(id) => self.on_task_done(id),
                     EventKind::FlowStart { handle, dst } => self.on_flow_start(handle, dst),
@@ -814,16 +707,16 @@ impl SimRuntime {
         let dur = report.duration();
         r.add("sim.runs", 1.0);
         r.observe("sim.run.makespan_s", dur);
-        r.add("sim.tasks_executed", (self.tasks_executed - self.metrics_cursor.tasks) as f64);
-        self.metrics_cursor.tasks = self.tasks_executed;
-        r.add("sim.bytes_transferred", self.bytes_transferred - self.metrics_cursor.bytes);
-        self.metrics_cursor.bytes = self.bytes_transferred;
+        r.add("sim.tasks_executed", (self.tasks_executed - self.b.cursor.tasks) as f64);
+        self.b.cursor.tasks = self.tasks_executed;
+        r.add("sim.bytes_transferred", self.bytes_transferred - self.b.cursor.bytes);
+        self.b.cursor.bytes = self.bytes_transferred;
         for i in 0..self.platform.len() {
             let spec = self.platform.node(NodeId(i));
-            let d_cpu = self.cpu_busy[i] - self.metrics_cursor.cpu_busy[i];
-            let d_gpu = self.gpu_busy[i] - self.metrics_cursor.gpu_busy[i];
-            self.metrics_cursor.cpu_busy[i] = self.cpu_busy[i];
-            self.metrics_cursor.gpu_busy[i] = self.gpu_busy[i];
+            let d_cpu = self.b.cpu_busy[i] - self.b.cursor.cpu_busy[i];
+            let d_gpu = self.b.gpu_busy[i] - self.b.cursor.gpu_busy[i];
+            self.b.cursor.cpu_busy[i] = self.b.cpu_busy[i];
+            self.b.cursor.gpu_busy[i] = self.b.gpu_busy[i];
             r.add(&format!("sim.node{i:03}.cpu_busy_s"), d_cpu);
             r.add(
                 &format!("sim.node{i:03}.cpu_idle_s"),
@@ -837,18 +730,18 @@ impl SimRuntime {
                 );
             }
         }
-        for l in 0..self.net.n_links() {
-            let busy = self.net.link_busy(LinkId(l));
-            let delta = busy - self.metrics_cursor.link_busy[l];
-            self.metrics_cursor.link_busy[l] = busy;
+        for l in 0..self.b.net.n_links() {
+            let busy = self.b.net.link_busy(LinkId(l));
+            let delta = busy - self.b.cursor.link_busy[l];
+            self.b.cursor.link_busy[l] = busy;
             if delta <= 0.0 {
                 continue;
             }
             if l == self.backbone.0 {
                 r.add("sim.net.backbone_busy_s", delta);
-            } else if let Some(i) = self.node_up.iter().position(|&u| u.0 == l) {
+            } else if let Some(i) = self.b.node_up.iter().position(|&u| u.0 == l) {
                 r.add(&format!("sim.net.node{i:03}.up_busy_s"), delta);
-            } else if let Some(i) = self.node_down.iter().position(|&d| d.0 == l) {
+            } else if let Some(i) = self.b.node_down.iter().position(|&d| d.0 == l) {
                 r.add(&format!("sim.net.node{i:03}.down_busy_s"), delta);
             }
         }
@@ -856,32 +749,32 @@ impl SimRuntime {
 
     fn push_event(&mut self, t: f64, kind: EventKind) {
         self.event_seq += 1;
-        self.events.push(Reverse((OrdF64(t), self.event_seq, EventKindCell(kind))));
+        self.b.events.push(Reverse((OrdF64(t), self.event_seq, EventKindCell(kind))));
     }
 
     #[inline]
     fn replica_contains(&self, h: DataHandle, n: NodeId) -> bool {
-        self.replica_bits[h.0 * self.replica_words + n.0 / 64] & (1u64 << (n.0 % 64)) != 0
+        self.b.replica_bits[h.0 * self.replica_words + n.0 / 64] & (1u64 << (n.0 % 64)) != 0
     }
 
     #[inline]
     fn replica_add(&mut self, h: DataHandle, n: NodeId) {
-        self.replica_bits[h.0 * self.replica_words + n.0 / 64] |= 1u64 << (n.0 % 64);
+        self.b.replica_bits[h.0 * self.replica_words + n.0 / 64] |= 1u64 << (n.0 % 64);
     }
 
     /// Invalidate every replica of `h` and make `n` the only valid copy.
     fn replica_reset_to(&mut self, h: DataHandle, n: NodeId) {
         let base = h.0 * self.replica_words;
-        self.replica_bits[base..base + self.replica_words].fill(0);
-        self.replica_bits[base + n.0 / 64] |= 1u64 << (n.0 % 64);
-        self.replica_first[h.0] = n.0 as u32;
+        self.b.replica_bits[base..base + self.replica_words].fill(0);
+        self.b.replica_bits[base + n.0 / 64] |= 1u64 << (n.0 % 64);
+        self.b.replica_first[h.0] = n.0 as u32;
     }
 
     /// The in-flight fetch of `h` towards `dst`, if any.
     fn find_fetch(&self, h: DataHandle, dst: NodeId) -> Option<u32> {
-        let mut e = self.fetch_head[h.0];
+        let mut e = self.b.fetch_head[h.0];
         while e != NONE {
-            let entry = &self.fetch_slab[e as usize];
+            let entry = &self.b.fetch_slab[e as usize];
             if entry.dst == dst.0 as u32 {
                 return Some(e);
             }
@@ -892,33 +785,33 @@ impl SimRuntime {
 
     /// Start tracking a fetch of `h` towards `dst` with one waiter.
     fn insert_fetch(&mut self, h: DataHandle, dst: NodeId, waiter: TaskId) {
-        let idx = match self.fetch_free.pop() {
+        let idx = match self.b.fetch_free.pop() {
             Some(i) => i,
             None => {
-                self.fetch_slab.push(FetchEntry::default());
-                (self.fetch_slab.len() - 1) as u32
+                self.b.fetch_slab.push(FetchEntry::default());
+                (self.b.fetch_slab.len() - 1) as u32
             }
         };
-        let head = self.fetch_head[h.0];
-        let e = &mut self.fetch_slab[idx as usize];
+        let head = self.b.fetch_head[h.0];
+        let e = &mut self.b.fetch_slab[idx as usize];
         debug_assert!(e.waiters.is_empty());
         e.dst = dst.0 as u32;
         e.next = head;
         e.waiters.push(waiter);
-        self.fetch_head[h.0] = idx;
+        self.b.fetch_head[h.0] = idx;
     }
 
     /// Unlink and return the fetch of `h` towards `dst`, if present.
     fn take_fetch(&mut self, h: DataHandle, dst: NodeId) -> Option<u32> {
         let mut prev = NONE;
-        let mut e = self.fetch_head[h.0];
+        let mut e = self.b.fetch_head[h.0];
         while e != NONE {
-            let next = self.fetch_slab[e as usize].next;
-            if self.fetch_slab[e as usize].dst == dst.0 as u32 {
+            let next = self.b.fetch_slab[e as usize].next;
+            if self.b.fetch_slab[e as usize].dst == dst.0 as u32 {
                 if prev == NONE {
-                    self.fetch_head[h.0] = next;
+                    self.b.fetch_head[h.0] = next;
                 } else {
-                    self.fetch_slab[prev as usize].next = next;
+                    self.b.fetch_slab[prev as usize].next = next;
                 }
                 return Some(e);
             }
@@ -930,46 +823,46 @@ impl SimRuntime {
 
     /// Dependencies met: request input transfers, then queue.
     fn stage(&mut self, id: TaskId) {
-        debug_assert_eq!(self.tasks[id.0].status, TaskStatus::Blocked);
-        self.tasks[id.0].status = TaskStatus::Staging;
-        if self.trace_enabled && self.tasks[id.0].phase != u32::MAX {
-            self.trace.record_ready(id, self.now);
+        debug_assert_eq!(self.b.tasks[id.0].status, TaskStatus::Blocked);
+        self.b.tasks[id.0].status = TaskStatus::Staging;
+        if self.trace_enabled && self.b.tasks[id.0].phase != u32::MAX {
+            self.b.trace.record_ready(id, self.now);
         }
-        let node = self.tasks[id.0].node;
-        let (start, len) = (self.tasks[id.0].reads_start, self.tasks[id.0].reads_len);
+        let node = self.b.tasks[id.0].node;
+        let (start, len) = (self.b.tasks[id.0].reads_start, self.b.tasks[id.0].reads_len);
         let mut missing = 0;
         for k in start..start + len {
-            let h = self.handles[k as usize];
+            let h = self.b.handles[k as usize];
             if self.replica_contains(h, node) {
                 continue;
             }
             missing += 1;
             if let Some(e) = self.find_fetch(h, node) {
-                self.fetch_slab[e as usize].waiters.push(id);
+                self.b.fetch_slab[e as usize].waiters.push(id);
             } else {
                 self.insert_fetch(h, node, id);
                 let latency = self.platform.network.latency_s;
                 self.push_event(self.now + latency, EventKind::FlowStart { handle: h, dst: node });
             }
         }
-        self.tasks[id.0].missing_inputs = missing;
+        self.b.tasks[id.0].missing_inputs = missing;
         if missing == 0 {
             self.make_runnable(id);
         }
     }
 
     fn make_runnable(&mut self, id: TaskId) {
-        if self.trace_enabled && self.tasks[id.0].phase != u32::MAX {
-            self.trace.record_runnable(id, self.now);
+        if self.trace_enabled && self.b.tasks[id.0].phase != u32::MAX {
+            self.b.trace.record_runnable(id, self.now);
         }
-        let t = &mut self.tasks[id.0];
+        let t = &mut self.b.tasks[id.0];
         debug_assert_eq!(t.status, TaskStatus::Staging);
         t.status = TaskStatus::Runnable;
         let node = t.node;
         let entry = (t.priority, Reverse(id.0), id);
         let (cpu_dur, gpu_dur) = self.durations(id);
         let now = self.now;
-        let sched = &mut self.scheds[node.0];
+        let sched = &mut self.b.scheds[node.0];
         // Commit to the resource kind with the earliest expected finish.
         let best_cpu =
             sched.cpu_commit.iter().copied().enumerate().min_by(|a, b| a.1.total_cmp(&b.1));
@@ -998,10 +891,10 @@ impl SimRuntime {
     /// Durations of a task on one CPU core / one GPU of its node,
     /// including any active straggler slowdown of the node.
     fn durations(&self, id: TaskId) -> (f64, f64) {
-        let t = &self.tasks[id.0];
+        let t = &self.b.tasks[id.0];
         let class = self.classes.get(t.class);
         let spec = self.platform.node(t.node);
-        let slow = self.speed_factor[t.node.0];
+        let slow = self.b.speed_factor[t.node.0];
         let cpu = if t.flops == 0.0 {
             0.0
         } else {
@@ -1022,15 +915,15 @@ impl SimRuntime {
     fn dispatch(&mut self, node: NodeId) {
         loop {
             let mut progressed = false;
-            if !self.scheds[node.0].free_gpus.is_empty() {
-                if let Some((_, _, id)) = self.scheds[node.0].q_gpu.pop() {
+            if !self.b.scheds[node.0].free_gpus.is_empty() {
+                if let Some((_, _, id)) = self.b.scheds[node.0].q_gpu.pop() {
                     let (_, gpu_dur) = self.durations(id);
                     self.start_task(node, id, true, gpu_dur);
                     progressed = true;
                 }
             }
-            if !self.scheds[node.0].free_cpus.is_empty() {
-                if let Some((_, _, id)) = self.scheds[node.0].q_cpu.pop() {
+            if !self.b.scheds[node.0].free_cpus.is_empty() {
+                if let Some((_, _, id)) = self.b.scheds[node.0].q_cpu.pop() {
                     let (cpu_dur, _) = self.durations(id);
                     self.start_task(node, id, false, cpu_dur);
                     progressed = true;
@@ -1049,7 +942,7 @@ impl SimRuntime {
                 dur *= z.exp();
             }
         }
-        let sched = &mut self.scheds[node.0];
+        let sched = &mut self.b.scheds[node.0];
         let resource = if on_gpu {
             let g = sched.free_gpus.pop().expect("GPU free");
             sched.gpu_commit[g] = sched.gpu_commit[g].max(self.now + dur);
@@ -1059,14 +952,14 @@ impl SimRuntime {
             sched.cpu_commit[c] = sched.cpu_commit[c].max(self.now + dur);
             ResourceKind::CpuCore(c)
         };
-        let t = &mut self.tasks[id.0];
+        let t = &mut self.b.tasks[id.0];
         debug_assert_eq!(t.status, TaskStatus::Runnable);
         t.status = TaskStatus::Running;
         t.resource = resource;
         t.run_start = self.now;
         let end = self.now + dur;
         if self.trace_enabled && t.phase != u32::MAX {
-            self.trace.push(TraceEvent {
+            self.b.trace.push(TraceEvent {
                 task: id,
                 class: t.class,
                 phase: t.phase,
@@ -1081,23 +974,23 @@ impl SimRuntime {
 
     fn on_task_done(&mut self, id: TaskId) {
         let (node, resource, started) = {
-            let t = &self.tasks[id.0];
+            let t = &self.b.tasks[id.0];
             debug_assert_eq!(t.status, TaskStatus::Running);
             (t.node, t.resource, t.run_start)
         };
         let busy = self.now - started;
         match resource {
-            ResourceKind::CpuCore(_) => self.cpu_busy[node.0] += busy,
-            ResourceKind::Gpu(_) => self.gpu_busy[node.0] += busy,
+            ResourceKind::CpuCore(_) => self.b.cpu_busy[node.0] += busy,
+            ResourceKind::Gpu(_) => self.b.gpu_busy[node.0] += busy,
         }
         self.tasks_executed += 1;
-        let (phase, flops) = (self.tasks[id.0].phase, self.tasks[id.0].flops);
+        let (phase, flops) = (self.b.tasks[id.0].phase, self.b.tasks[id.0].flops);
         if phase != u32::MAX {
             let p = phase as usize;
-            if p >= self.phase_stats.len() {
-                self.phase_stats.resize(p + 1, (0, 0.0));
+            if p >= self.b.phase_stats.len() {
+                self.b.phase_stats.resize(p + 1, (0, 0.0));
             }
-            let entry = &mut self.phase_stats[p];
+            let entry = &mut self.b.phase_stats[p];
             entry.0 += 1;
             entry.1 += flops;
         }
@@ -1106,7 +999,7 @@ impl SimRuntime {
         // to `now` (they may carry phantom backlog from tasks that ended up
         // executing on a sibling unit).
         let now = self.now;
-        let sched = &mut self.scheds[node.0];
+        let sched = &mut self.b.scheds[node.0];
         match resource {
             ResourceKind::CpuCore(i) => {
                 sched.free_cpus.push(i);
@@ -1125,14 +1018,14 @@ impl SimRuntime {
                 }
             }
         }
-        self.tasks[id.0].status = TaskStatus::Done;
+        self.b.tasks[id.0].status = TaskStatus::Done;
         self.remaining -= 1;
         // Writes invalidate remote replicas.
-        let (ws, wl) = (self.tasks[id.0].writes_start, self.tasks[id.0].writes_len);
+        let (ws, wl) = (self.b.tasks[id.0].writes_start, self.b.tasks[id.0].writes_len);
         for k in ws..ws + wl {
-            let h = self.handles[k as usize];
+            let h = self.b.handles[k as usize];
             debug_assert_eq!(
-                self.fetch_head[h.0], NONE,
+                self.b.fetch_head[h.0], NONE,
                 "write to a handle with an in-flight transfer violates STF ordering"
             );
             self.replica_reset_to(h, node);
@@ -1141,35 +1034,35 @@ impl SimRuntime {
         // dispatch so same-instant priorities are honoured. The edge list
         // walks newest-first, so reverse into scratch to recover
         // submission order.
-        let mut edge = self.tasks[id.0].dep_head;
-        self.tasks[id.0].dep_head = NONE;
-        let mut scratch = std::mem::take(&mut self.dep_scratch);
+        let mut edge = self.b.tasks[id.0].dep_head;
+        self.b.tasks[id.0].dep_head = NONE;
+        let mut scratch = std::mem::take(&mut self.b.dep_scratch);
         scratch.clear();
         while edge != NONE {
-            let (t, next) = self.dep_edges[edge as usize];
+            let (t, next) = self.b.dep_edges[edge as usize];
             scratch.push(TaskId(t as usize));
             edge = next;
         }
         scratch.reverse();
-        self.pending_dispatch.push(node.0 as u32);
+        self.b.pending_dispatch.push(node.0 as u32);
         for &d in &scratch {
-            let t = &mut self.tasks[d.0];
+            let t = &mut self.b.tasks[d.0];
             t.unmet_deps -= 1;
             if t.unmet_deps == 0 {
-                self.pending_dispatch.push(t.node.0 as u32);
+                self.b.pending_dispatch.push(t.node.0 as u32);
                 self.stage(d);
             }
         }
         scratch.clear();
-        self.dep_scratch = scratch;
-        let mut touched = std::mem::take(&mut self.pending_dispatch);
+        self.b.dep_scratch = scratch;
+        let mut touched = std::mem::take(&mut self.b.pending_dispatch);
         touched.sort_unstable();
         touched.dedup();
         for &n in &touched {
             self.dispatch(NodeId(n as usize));
         }
         touched.clear();
-        self.pending_dispatch = touched;
+        self.b.pending_dispatch = touched;
     }
 
     fn on_flow_start(&mut self, handle: DataHandle, dst: NodeId) {
@@ -1178,20 +1071,20 @@ impl SimRuntime {
             self.finish_fetch(handle, dst);
             return;
         }
-        let src = NodeId(self.replica_first[handle.0] as usize);
+        let src = NodeId(self.b.replica_first[handle.0] as usize);
         debug_assert_ne!(src, dst);
-        let bytes = self.data.size(handle) as f64;
+        let bytes = self.b.data.size(handle) as f64;
         self.bytes_transferred += bytes;
-        let route = [self.node_up[src.0], self.backbone, self.node_down[dst.0]];
+        let route = [self.b.node_up[src.0], self.backbone, self.b.node_down[dst.0]];
         // Deferred: same-instant flow starts share one rebalance, settled
         // before the next network observation in `run`.
-        let flow = self.net.start_flow_deferred(&route, bytes);
-        debug_assert_eq!(flow.0, self.flow_meta.len(), "flow ids must stay dense");
-        self.flow_meta.push((handle.0 as u32, dst.0 as u32));
+        let flow = self.b.net.start_flow_deferred(&route, bytes);
+        debug_assert_eq!(flow.0, self.b.flow_meta.len(), "flow ids must stay dense");
+        self.b.flow_meta.push((handle.0 as u32, dst.0 as u32));
     }
 
     fn on_flow_done(&mut self, f: FlowId) {
-        let (h, d) = self.flow_meta[f.0];
+        let (h, d) = self.b.flow_meta[f.0];
         self.finish_fetch(DataHandle(h as usize), NodeId(d as usize));
     }
 
@@ -1205,17 +1098,17 @@ impl SimRuntime {
         // Walk waiters by index: they stay put in the slab entry while
         // `make_runnable` borrows the rest of the runtime.
         let mut i = 0;
-        while i < self.fetch_slab[idx as usize].waiters.len() {
-            let id = self.fetch_slab[idx as usize].waiters[i];
+        while i < self.b.fetch_slab[idx as usize].waiters.len() {
+            let id = self.b.fetch_slab[idx as usize].waiters[i];
             i += 1;
-            let t = &mut self.tasks[id.0];
+            let t = &mut self.b.tasks[id.0];
             t.missing_inputs -= 1;
             if t.missing_inputs == 0 {
                 self.make_runnable(id);
             }
         }
-        self.fetch_slab[idx as usize].waiters.clear();
-        self.fetch_free.push(idx);
+        self.b.fetch_slab[idx as usize].waiters.clear();
+        self.b.fetch_free.push(idx);
         self.dispatch(dst);
     }
 }

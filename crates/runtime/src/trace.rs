@@ -2,7 +2,9 @@
 
 use crate::platform::NodeId;
 use crate::task::{ClassId, TaskId};
+use adaphet_metrics::json::{self, ToJson};
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Kind of worker a task executed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,18 +184,20 @@ impl Trace {
                     ResourceKind::CpuCore(i) => i,
                     ResourceKind::Gpu(i) => 1000 + i,
                 };
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{:.3},\
-                     \"dur\":{:.3},\"pid\":{},\"tid\":{},\
-                     \"args\":{{\"task\":{},\"class\":{}}}}}",
-                    adaphet_metrics::json_escape(&phase_name(e.phase)),
-                    e.start * 1e6,
-                    (e.end - e.start) * 1e6,
-                    e.node.0,
-                    tid,
-                    e.task.0,
-                    e.class.0
-                )
+                let mut out = String::new();
+                json::object(&mut out, |o| {
+                    o.field("name", &phase_name(e.phase))
+                        .field("cat", "task")
+                        .field("ph", "X")
+                        .field("ts", &ChromeMicros(e.start * 1e6))
+                        .field("dur", &ChromeMicros((e.end - e.start) * 1e6))
+                        .field("pid", &e.node.0)
+                        .field("tid", &tid);
+                    json::object(o.key("args"), |a| {
+                        a.field("task", &e.task.0).field("class", &e.class.0);
+                    });
+                });
+                out
             })
             .collect()
     }
@@ -223,6 +227,21 @@ impl Trace {
 /// Schema version of [`Trace::to_csv`]'s leading comment line. Bump when
 /// columns are added, removed or re-ordered.
 pub const TRACE_CSV_VERSION: u32 = 1;
+
+/// A Chrome-trace `ts`/`dur` value: microseconds printed with three
+/// decimals (nanosecond resolution); a non-finite time is `null`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChromeMicros(pub f64);
+
+impl ToJson for ChromeMicros {
+    fn write_json(&self, out: &mut String) {
+        if self.0.is_finite() {
+            let _ = write!(out, "{:.3}", self.0);
+        } else {
+            out.push_str("null");
+        }
+    }
+}
 
 /// Wrap pre-serialized Chrome-trace event objects into a complete
 /// `{"traceEvents":[...]}` document loadable by `chrome://tracing` and

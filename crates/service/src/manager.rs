@@ -38,7 +38,7 @@ use crate::protocol::{
 use crate::stats::{EventRing, ServiceStats};
 use adaphet_core::{
     JsonlSink, Observation, Observed, ResiliencePolicy, Session, SessionError, SurrogateStore,
-    Ticket, TunerDriver, WarmStart,
+    Ticket, WarmStart,
 };
 use adaphet_metrics::json;
 use adaphet_tsdb::{TimeSeriesStore, TsdbConfig};
@@ -291,6 +291,15 @@ fn answer(
             }
         }
         Request::SubmitObservation { ticket, duration, .. } => {
+            // A measurement that is not a duration never reaches the
+            // strategy (an infinite one would poison the surrogate, a
+            // negative one would become the session's best); the ticket
+            // stays open for the real measurement.
+            if !(*duration >= 0.0 && duration.is_finite()) {
+                entry.events.push(stats.uptime_s(), "error", Some(*ticket), None, None, None);
+                let what = format!("session {id}: duration {duration} is not finite and >= 0");
+                return err(ErrorCode::BadRequest, what);
+            }
             let span = stats.spans().enter("session.observe", parent);
             let observed = session.observe(Ticket::from_id(*ticket), Observation::of(*duration));
             span.exit();
@@ -558,7 +567,7 @@ impl SessionManager {
     /// sink, its event ring and its first health summary.
     fn build_entry(&self, id: u64, spec: &SessionSpec) -> Result<(Entry, HealthInfo), String> {
         let space = spec.space()?;
-        let mut b = TunerDriver::builder(&space)
+        let mut b = Session::builder(&space)
             .kind(spec.strategy)
             .seed(spec.seed)
             .max_in_flight(spec.max_in_flight.unwrap_or(self.config.default_max_in_flight));
@@ -583,7 +592,7 @@ impl SessionManager {
         if spec.resilience {
             b = b.resilience(ResiliencePolicy::standard());
         }
-        let mut session = b.build_session().map_err(|e| e.to_string())?;
+        let mut session = b.build().map_err(|e| e.to_string())?;
         if let Some(dir) = &self.config.telemetry_dir {
             match JsonlSink::create(dir.join(format!("session-{id}.jsonl"))) {
                 Ok(sink) => session.add_sink(Box::new(sink)),
@@ -783,10 +792,10 @@ mod tests {
         // Registered next to it the way `create_session` would, with a
         // strategy no wire spec can name.
         let bad = m.next_id.fetch_add(1, Ordering::SeqCst);
-        let session = TunerDriver::builder(&spec(StrategyKind::Ucb, 2).space().unwrap())
+        let session = Session::builder(&spec(StrategyKind::Ucb, 2).space().unwrap())
             .strategy(Box::new(PanicsOnThirdPropose(0)))
             .max_in_flight(8)
-            .build_session()
+            .build()
             .unwrap();
         m.stats.set_health(health_info(bad, &session.health()));
         let (last_touch, events) = (Instant::now(), EventRing::new(4));

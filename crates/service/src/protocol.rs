@@ -89,7 +89,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 }
 
 /// Everything needed to create a session over the wire — the protocol
-/// mirror of the typed `TunerDriver::builder` configuration.
+/// mirror of the typed `Session::builder` configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Strategy, by canonical registry name.

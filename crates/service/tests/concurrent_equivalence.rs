@@ -1,13 +1,13 @@
 //! Property: for any session count, seeds, and response-curve shape, N
 //! sessions driven **concurrently** through the shared `SessionManager`
 //! produce histories bit-identical to N **sequential** single-threaded
-//! `TunerDriver` runs with the same seeds. Determinism is per-session
+//! `Session::run` loops with the same seeds. Determinism is per-session
 //! (the shard's lock serializes a session's operations); the OS thread
 //! schedule must be irrelevant. Below the property: the lock as the one
 //! serialization point — contention, shutdown and creates racing it, and
 //! what the wait leaves in the gauges and the span ring.
 
-use adaphet_core::{Observation, StrategyKind, TunerDriver};
+use adaphet_core::{Observation, Session, StrategyKind};
 use adaphet_service::{ErrorCode, Request, Response, ServiceConfig, SessionManager, SessionSpec};
 use proptest::prelude::*;
 use std::sync::{mpsc, Arc, Barrier};
@@ -59,7 +59,7 @@ fn drive(
 /// The sequential twin of [`drive`]: the same spec through a plain driver.
 fn sequential(s: &SessionSpec, iters: usize, f: impl Fn(usize) -> f64) -> Vec<(usize, f64)> {
     let mut d =
-        TunerDriver::builder(&s.space().unwrap()).kind(s.strategy).seed(s.seed).build().unwrap();
+        Session::builder(&s.space().unwrap()).kind(s.strategy).seed(s.seed).build().unwrap();
     d.run(iters, |n| Observation::of(f(n)));
     d.history().records().to_vec()
 }

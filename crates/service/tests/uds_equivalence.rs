@@ -1,6 +1,6 @@
 //! The acceptance criterion: N concurrent sessions over a Unix-domain
 //! socket produce proposals and histories **bit-identical** to N
-//! single-threaded `TunerDriver` runs with the same seeds.
+//! single-threaded `Session::run` loops with the same seeds.
 //!
 //! Exactness holds end to end because (a) each session is pinned to one
 //! shard worker, so its propose/observe order is the driver's order no
@@ -9,7 +9,7 @@
 
 #![cfg(unix)]
 
-use adaphet_core::{Observation, StrategyKind, TunerDriver};
+use adaphet_core::{Observation, Session, StrategyKind};
 use adaphet_service::{
     Client, Endpoint, Server, ServiceConfig, SessionManager, SessionSpec, Submitted,
 };
@@ -103,7 +103,7 @@ fn eight_concurrent_uds_sessions_match_sequential_drivers_bitwise() {
     let _ = std::fs::remove_file(&path);
 
     for (kind, seed, proposals, closed) in results {
-        let mut driver = TunerDriver::builder(&spec(kind, seed).space().unwrap())
+        let mut driver = Session::builder(&spec(kind, seed).space().unwrap())
             .kind(kind)
             .seed(seed)
             .build()
@@ -140,10 +140,10 @@ fn posterior_over_the_wire_matches_the_in_process_snapshot() {
     let wire = client.get_posterior(id).unwrap().expect("fitted posterior");
 
     // Reference: the same 12 observations through a local session.
-    let mut local = TunerDriver::builder(&spec(StrategyKind::GpDiscontinuous, 3).space().unwrap())
+    let mut local = Session::builder(&spec(StrategyKind::GpDiscontinuous, 3).space().unwrap())
         .kind(StrategyKind::GpDiscontinuous)
         .seed(3)
-        .build_session()
+        .build()
         .unwrap();
     for _ in 0..12 {
         let p = local.propose().unwrap();

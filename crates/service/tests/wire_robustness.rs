@@ -128,6 +128,77 @@ fn non_integer_counts_are_bad_requests_and_the_connection_lives_on() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A measurement that is not a duration is refused before it reaches the
+/// session: recorded, `1e999` (which `str::parse::<f64>` reads as `inf`)
+/// makes `cumulative_time` infinite and the next `get_proposal` loses the
+/// session to a strategy panic, and `-3.5` becomes the session's best.
+/// The ticket stays open for the real measurement.
+#[test]
+fn durations_that_are_not_durations_are_refused_and_the_ticket_stays_open() {
+    let path = uds_path("durations");
+    let manager = Arc::new(SessionManager::new(ServiceConfig::default()));
+    let mut server = Server::bind(Endpoint::Uds(path.clone()), Arc::clone(&manager)).unwrap();
+    let mut conn = UnixStream::connect(&path).unwrap();
+    let spec = "\"strategy\":\"GP-discontinuous\",\"max_nodes\":8,\"lp\":[8,4,3,2,2,2,2,1]";
+    write_frame(&mut conn, &format!("{{\"type\":\"create_session\",{spec}}}")).unwrap();
+    let Response::SessionCreated { session } = read_reply(&mut conn) else { panic!("no session") };
+    write_frame(&mut conn, &Request::GetProposal { session }.to_json()).unwrap();
+    let Response::Proposal { ticket, .. } = read_reply(&mut conn) else { panic!("no proposal") };
+    let submit = |duration: &str| {
+        format!(
+            "{{\"type\":\"submit_observation\",\"session\":{session},\"ticket\":{ticket},\
+             \"duration\":{duration}}}"
+        )
+    };
+
+    let refused = |reply: Response, want: ErrorCode, needle: &str| match reply {
+        Response::Error { code, message } => {
+            assert_eq!(code, want, "{message}");
+            assert!(message.contains(needle), "{message}");
+        }
+        other => panic!("a non-duration was answered {other:?}"),
+    };
+    // Over the wire: the overflowing literal is not a JSON number this
+    // layer reads, the negative one is not a duration.
+    write_frame(&mut conn, &submit("1e999")).unwrap();
+    refused(read_reply(&mut conn), ErrorCode::MalformedFrame, "bad number");
+    write_frame(&mut conn, &submit("-3.5")).unwrap();
+    refused(read_reply(&mut conn), ErrorCode::BadRequest, "-3.5");
+    // In-process callers hand the manager an `f64` directly.
+    for (duration, printed) in [(f64::INFINITY, "inf"), (f64::NAN, "NaN")] {
+        let reply = manager.handle(Request::SubmitObservation { session, ticket, duration });
+        refused(reply, ErrorCode::BadRequest, printed);
+    }
+
+    // Nothing reached the session: the ticket is still open, nothing is
+    // charged, and the three refusals are in the event ring.
+    write_frame(&mut conn, &Request::Inspect { session }.to_json()).unwrap();
+    match read_reply(&mut conn) {
+        Response::Inspected { pending, cumulative_time, events, .. } => {
+            assert_eq!(pending.len(), 1);
+            assert_eq!(pending[0].0, ticket);
+            assert_eq!(cumulative_time, 0.0);
+            assert_eq!(events.iter().filter(|e| e.kind == "error").count(), 3);
+        }
+        other => panic!("{other:?}"),
+    }
+
+    // The same ticket resolves with a real duration and the session
+    // proposes again.
+    write_frame(&mut conn, &submit("2.5")).unwrap();
+    match read_reply(&mut conn) {
+        Response::Recorded { duration, cumulative_time, .. } => {
+            assert_eq!((duration, cumulative_time), (2.5, 2.5));
+        }
+        other => panic!("{other:?}"),
+    }
+    write_frame(&mut conn, &Request::GetProposal { session }.to_json()).unwrap();
+    assert!(matches!(read_reply(&mut conn), Response::Proposal { .. }));
+
+    server.stop();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The client side of the same rule: a reply whose integers are not
 /// integers is a protocol error, not action 0.
 #[test]

@@ -7,7 +7,7 @@
 
 use adaphet::geostat::{GeoSimApp, IterationChoice, Workload};
 use adaphet::runtime::{NetworkSpec, NodeSpec, Platform, SimConfig};
-use adaphet::tuner::{ActionSpace, Observation, StrategyKind, TunerDriver};
+use adaphet::tuner::{ActionSpace, Observation, Session, StrategyKind};
 
 fn main() {
     // A small cluster: 2 GPU nodes + 6 CPU-only nodes, 10 Gb/s NICs.
@@ -31,20 +31,20 @@ fn main() {
     let n = app.n_nodes();
 
     // The tuner: GP-discontinuous with the LP bound and machine groups,
-    // run by the TunerDriver (propose -> execute -> record).
+    // run by a Session (propose -> execute -> record).
     let lp: Vec<f64> = (1..=n).map(|k| app.lp_bound(IterationChoice::fact_only(n, k))).collect();
     let space = ActionSpace::new(n, groups, Some(lp));
     let tuner = StrategyKind::GpDiscontinuous.build(&space, 42, None).expect("known strategy");
-    let mut driver = TunerDriver::builder(&space).strategy(tuner).build().expect("strategy set");
+    let mut session = Session::builder(&space).strategy(tuner).build().expect("strategy set");
 
     println!("iter | fact-nodes | iteration time");
     for it in 1..=25 {
-        let step = driver.step(|n_fact| {
+        let step = session.step(|n_fact| {
             Observation::of(app.run_iteration(IterationChoice::fact_only(n, n_fact)).duration())
         });
         println!("{it:>4} | {:>10} | {:>10.3}s", step.action, step.duration);
     }
-    let history = driver.into_history();
+    let history = session.into_history();
     let best = history.best_action().expect("observations exist");
     println!("\nlearned best factorization node count: {best} (all-nodes would be {n})");
     println!("total time: {:.2}s", history.total_time());

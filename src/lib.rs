@@ -52,22 +52,23 @@ pub use adaphet_tsdb as tsdb;
 
 /// The curated one-import surface for embedding the tuner.
 ///
-/// Everything a typical embedder touches: the typed builder and both loop
-/// shapes (the owning [`TunerDriver`](prelude::TunerDriver), the split
-/// [`Session`](prelude::Session)), the by-name strategy registry, the
-/// problem-statement types, telemetry sinks, the resilience policy, the
-/// warm-start surface ([`WarmStart`](prelude::WarmStart) plus the
-/// persistent [`SurrogateStore`](prelude::SurrogateStore) it draws from),
-/// and the service client for remote sessions.
+/// Everything a typical embedder touches: the tuning loop
+/// ([`Session`](prelude::Session): `run` around an executor closure, or
+/// the split `propose` / `observe` halves) and its typed builder, the
+/// by-name strategy registry, the problem-statement types, telemetry
+/// sinks, the resilience policy, the warm-start surface
+/// ([`WarmStart`](prelude::WarmStart) plus the persistent
+/// [`SurrogateStore`](prelude::SurrogateStore) it draws from), and the
+/// service client for remote sessions.
 ///
 /// ```
 /// use adaphet::prelude::*;
 ///
 /// let space = ActionSpace::unstructured(8);
-/// let mut session = TunerDriver::builder(&space)
+/// let mut session = Session::builder(&space)
 ///     .kind(StrategyKind::GpDiscontinuous)
 ///     .warm_start(WarmStart::Cold)
-///     .build_session()
+///     .build()
 ///     .unwrap();
 /// let p = session.propose().unwrap();
 /// session.observe(p.ticket, Observation::of(1.0)).unwrap();
@@ -76,8 +77,8 @@ pub mod prelude {
     pub use adaphet_core::{
         ActionSpace, GroupSig, HealthReport, HealthState, History, IterationEvent, JsonlSink,
         MemorySink, Observation, Observed, PlatformSignature, Proposal, ResiliencePolicy, Session,
-        SessionError, StepOutcome, Strategy, StrategyKind, SurrogateSnapshot, SurrogateStore,
-        TelemetrySink, Ticket, TunerDriver, TunerDriverBuilder, WarmStart,
+        SessionBuilder, SessionError, StepOutcome, Strategy, StrategyKind, SurrogateSnapshot,
+        SurrogateStore, TelemetrySink, Ticket, WarmStart,
     };
     pub use adaphet_service::{
         Client, ClientError, ClosedSession, ServiceConfig, SessionManager, SessionSpec, Submitted,

@@ -10,8 +10,7 @@
 
 use adaphet::gp::{GpModel, Prediction};
 use adaphet::tuner::{
-    ActionSpace, GpDiscOptions, GpDiscontinuous, GpUcb, GpUcbOptions, History, Strategy,
-    SurrogateOptions, SurrogatePrior, PRIOR_NOISE_INFLATION,
+    ActionSpace, GpDiscontinuous, GpUcb, History, Strategy, SurrogatePrior, PRIOR_NOISE_INFLATION,
 };
 use rand::{Rng, SeedableRng};
 
@@ -114,8 +113,12 @@ fn gp_ucb_reference(scratch: &GpUcb, space: &ActionSpace, hist: &History) -> usi
     best.map_or(n, |(a, _, _)| a).clamp(1, n)
 }
 
-fn surrogate_with(prior: Option<SurrogatePrior>) -> SurrogateOptions {
-    SurrogateOptions { prior, ..SurrogateOptions::default() }
+/// `strategy`, warm-started with `prior` when there is one.
+fn warmed<S: Strategy>(mut strategy: S, prior: &Option<SurrogatePrior>) -> S {
+    if let Some(p) = prior {
+        assert!(strategy.warm_start(p.clone()), "GP strategies accept priors");
+    }
+    strategy
 }
 
 /// The head of a finished session's history, as a warm-start prior.
@@ -135,9 +138,8 @@ fn bits(hist: &History) -> Vec<(usize, u64)> {
 fn gp_disc_sessions_match_the_scratch_scalar_driver() {
     let t = table(7);
     let session = |prior: Option<SurrogatePrior>| {
-        let options = GpDiscOptions { surrogate: surrogate_with(prior), ..Default::default() };
-        let mut live = GpDiscontinuous::with_options(&t.space, options.clone());
-        let scratch = GpDiscontinuous::with_options(&t.space, options);
+        let mut live = warmed(GpDiscontinuous::new(&t.space), &prior);
+        let scratch = warmed(GpDiscontinuous::new(&t.space), &prior);
         pinned_session(&t, &mut live, |h| gp_disc_reference(&scratch, &t.space, h))
     };
     let cold = session(None);
@@ -149,9 +151,8 @@ fn gp_disc_sessions_match_the_scratch_scalar_driver() {
 fn gp_ucb_sessions_match_the_scratch_scalar_driver() {
     let t = table(11);
     let session = |prior: Option<SurrogatePrior>| {
-        let options = GpUcbOptions { surrogate: surrogate_with(prior) };
-        let mut live = GpUcb::with_options(&t.space, options.clone());
-        let scratch = GpUcb::with_options(&t.space, options);
+        let mut live = warmed(GpUcb::new(&t.space), &prior);
+        let scratch = warmed(GpUcb::new(&t.space), &prior);
         pinned_session(&t, &mut live, |h| gp_ucb_reference(&scratch, &t.space, h))
     };
     let cold = session(None);

@@ -5,7 +5,7 @@ use adaphet::eval::{build_response, replay_many, space_of, StrategyKind};
 use adaphet::geostat::{GeoSimApp, IterationChoice, Workload};
 use adaphet::runtime::{NetworkSpec, NodeSpec, Platform, SimConfig};
 use adaphet::scenarios::{Scale, Scenario};
-use adaphet::tuner::{MemorySink, Observation, PhaseSlice, TunerDriver};
+use adaphet::tuner::{MemorySink, Observation, PhaseSlice, Session};
 
 fn toy_platform(n_gpu: usize, n_cpu: usize) -> Platform {
     let gpu = NodeSpec {
@@ -24,7 +24,7 @@ fn toy_platform(n_gpu: usize, n_cpu: usize) -> Platform {
 
 #[test]
 fn online_tuning_beats_all_nodes_on_a_heterogeneous_cluster() {
-    // Live tuning against the simulator (not a replay): the TunerDriver
+    // Live tuning against the simulator (not a replay): the Session
     // runs GP-discontinuous over the application and must end up cheaper
     // per iteration than the all-nodes default. Telemetry (with per-phase
     // breakdowns from the runtime) is collected along the way and must
@@ -36,7 +36,7 @@ fn online_tuning_beats_all_nodes_on_a_heterogeneous_cluster() {
     let space = adaphet::tuner::ActionSpace::new(n, groups, Some(lp));
     let strat = StrategyKind::GpDiscontinuous.build(&space, 1, None).expect("no oracle needed");
     let sink = MemorySink::new();
-    let mut driver = TunerDriver::builder(&space)
+    let mut driver = Session::builder(&space)
         .strategy(strat)
         .sink(Box::new(sink.clone()))
         .build()

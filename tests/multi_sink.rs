@@ -1,12 +1,12 @@
 //! Multi-sink driver integration: several telemetry sinks attached to one
-//! [`TunerDriver`] must observe identical event streams, a failing writer
+//! [`Session`] must observe identical event streams, a failing writer
 //! must surface an error instead of silently dropping iterations, and a
 //! driver carrying sinks must move across threads (sinks are `Send`).
 
 use adaphet::eval::ChromeTraceSink;
 use adaphet::tuner::{
-    ActionSpace, IterationEvent, JsonlSink, MemorySink, Observation, StrategyKind, TelemetrySink,
-    TunerDriver,
+    ActionSpace, IterationEvent, JsonlSink, MemorySink, Observation, Session, StrategyKind,
+    TelemetrySink,
 };
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -25,10 +25,9 @@ impl Write for Shared {
     }
 }
 
-fn driver_with(space: &ActionSpace, sinks: Vec<Box<dyn TelemetrySink>>) -> TunerDriver {
+fn driver_with(space: &ActionSpace, sinks: Vec<Box<dyn TelemetrySink>>) -> Session {
     let strat = StrategyKind::GpDiscontinuous.build(space, 11, None).expect("no oracle needed");
-    let mut d =
-        TunerDriver::builder(space).strategy(strat).build().expect("a strategy was provided");
+    let mut d = Session::builder(space).strategy(strat).build().expect("a strategy was provided");
     for s in sinks {
         d.add_sink(s);
     }

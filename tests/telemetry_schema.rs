@@ -6,9 +6,9 @@
 //! deliberately, never incidentally.
 
 use adaphet::tuner::{
-    ActionDiagnostic, ActionSpace, DecisionTrace, GroupUtilization, IterationEvent, JsonlSink,
+    ActionDiagnostic, ActionSpace, DecisionTrace, GroupProfile, IterationEvent, JsonlSink,
     MemorySink, Observation, PhaseBreakdown, PhaseSlice, PosteriorPoint, PosteriorSnapshot,
-    StrategyKind, TunerDriver,
+    Session, StrategyKind,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -55,11 +55,7 @@ fn golden_fully_populated_event() {
         }),
         phase_breakdown: Some(PhaseBreakdown {
             phases: vec![PhaseSlice::new("generation", 0.25), PhaseSlice::new("solve", 1.25)],
-            groups: vec![GroupUtilization {
-                name: "chifflot:1-2".into(),
-                busy_s: 3.0,
-                idle_s: 1.0,
-            }],
+            groups: vec![GroupProfile { name: "chifflot:1-2".into(), busy_s: 3.0, idle_s: 1.0 }],
         }),
         retries: 1,
         fault: Some("node-death:rank=5;rebaseline".into()),
@@ -165,7 +161,7 @@ fn driver_emits_one_ordered_json_line_per_iteration() {
     let strat = StrategyKind::GpDiscontinuous.build(&space, 5, None).unwrap();
     let buf = Shared::default();
     let memory = MemorySink::new();
-    let mut driver = TunerDriver::builder(&space)
+    let mut driver = Session::builder(&space)
         .strategy(strat)
         .sink(Box::new(JsonlSink::new(buf.clone())))
         .sink(Box::new(memory.clone()))

@@ -59,7 +59,7 @@ proptest! {
     /// The `Strategy::propose` range contract holds for *every* registered
     /// strategy even on adversarial histories the strategy did not build
     /// itself (arbitrary actions in arbitrary order, arbitrary durations)
-    /// — callers such as `TunerDriver` and `replay` rely on this instead
+    /// — callers such as `Session` and `replay` rely on this instead
     /// of clamping.
     #[test]
     fn every_strategy_stays_in_bounds_on_random_histories(
