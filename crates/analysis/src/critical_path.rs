@@ -117,11 +117,6 @@ impl CriticalPath {
         accumulate(self.steps.iter().map(|s| (s.phase, s.exec())))
     }
 
-    /// Execution time on the path per task class, in first-seen order.
-    pub fn per_class(&self) -> Vec<(usize, f64)> {
-        accumulate(self.steps.iter().map(|s| (s.class, s.exec())))
-    }
-
     /// Execution time on the path per node, in first-seen order.
     pub fn per_node(&self) -> Vec<(usize, f64)> {
         accumulate(self.steps.iter().map(|s| (s.node.0, s.exec())))

@@ -28,12 +28,6 @@ impl Ucb {
         assert!(!arms.is_empty(), "need at least one arm");
         Ucb { arms, c: 1.0, label }
     }
-
-    /// Override the exploration constant.
-    pub fn with_c(mut self, c: f64) -> Self {
-        self.c = c;
-        self
-    }
 }
 
 impl Strategy for Ucb {

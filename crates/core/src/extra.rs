@@ -1,8 +1,8 @@
 //! The generic optimizers the paper tried and dismissed as
 //! non-parsimonious ("We also investigated Stochastic Approximation and
 //! Simulated Annealing, but they achieved bad results because they are not
-//! parsimonious"), plus a random-search floor. They are kept for the
-//! ablation benchmarks.
+//! parsimonious"), plus a random-search floor. They are reached by name
+//! through [`crate::StrategyKind`] and raced in `examples/cluster_sim.rs`.
 
 use crate::{ActionSpace, History, Strategy};
 use rand::rngs::StdRng;

@@ -76,7 +76,6 @@
 mod action;
 mod bandit;
 mod brent;
-mod drift;
 mod event;
 mod extra;
 mod gp_disc;
@@ -129,7 +128,6 @@ pub use history::History;
 // exported for direct construction with non-default options).
 pub use bandit::{Ucb, UcbStruct};
 pub use brent::BrentSearch;
-pub use drift::DriftReset;
 pub use extra::{NelderMead1d, RandomSearch, SimulatedAnnealing, StochasticApproximation};
 pub use gp_disc::{GpDiscOptions, GpDiscontinuous};
 pub use gp_ucb::GpUcb;

@@ -216,7 +216,7 @@ impl ToJson for PosteriorSnapshot {
 ///
 /// `propose` must return an action in `1..=space.max_nodes` of the live
 /// space, for **every** possible history — including histories the
-/// strategy did not generate itself (replays, drift resets, quarantined
+/// strategy did not generate itself (replays, quarantined
 /// post-fault histories). Callers rely on this to index response tables
 /// and spawn node sets without clamping;
 /// [`Session::propose`](crate::Session::propose) checks it with a

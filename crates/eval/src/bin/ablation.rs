@@ -13,7 +13,7 @@ use adaphet_eval::{
 };
 use adaphet_scenarios::Scenario;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 
 fn variant_options(name: &str) -> GpDiscOptions {
@@ -33,9 +33,8 @@ fn replay_variant(table: &ResponseTable, opts: &GpDiscOptions, iters: usize, see
     let mut rng = StdRng::seed_from_u64(seed);
     let mut hist = History::new();
     for _ in 0..iters {
-        let a = strat.propose(&space, &hist).clamp(1, table.n_actions());
-        let pool = &table.durations[a - 1];
-        hist.record(a, pool[rng.random_range(0..pool.len())]);
+        let a = strat.propose(&space, &hist);
+        hist.record(a, table.draw(a, &mut rng));
     }
     hist.total_time()
 }

@@ -11,7 +11,7 @@ use adaphet_eval::{
 };
 use adaphet_scenarios::Scenario;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const CHECKPOINTS: [usize; 4] = [5, 8, 20, 100];
 
@@ -69,8 +69,7 @@ fn run_panel(csv: &mut CsvTable, panel: &str, table: &ResponseTable, use_disc: b
     println!("\npanel {panel} — {}", table.label);
     for it in 1..=*CHECKPOINTS.last().unwrap() {
         let a = if use_disc { disc.propose(&space, &hist) } else { plain.propose(&space, &hist) };
-        let pool = &table.durations[a - 1];
-        hist.record(a, pool[rng.random_range(0..pool.len())]);
+        hist.record(a, table.draw(a, &mut rng));
         if CHECKPOINTS.contains(&it) {
             let s = if use_disc { Surrogate::Disc(&disc) } else { Surrogate::Plain(&plain) };
             dump(csv, panel, it, table, &hist, s);

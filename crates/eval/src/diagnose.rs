@@ -298,7 +298,7 @@ mod tests {
         let d = diagnose(&scen, Scale::Test, 42, 4);
         assert_eq!(d.action, 4);
         assert!(d.makespan > 0.0);
-        // Acceptance criterion: the critical path spans the recorded
+        // Acceptance check: the critical path spans the recorded
         // makespan within 1%.
         let cp = &d.critical_path;
         assert!(

@@ -13,7 +13,7 @@
 use crate::response::ResponseTable;
 use adaphet_core::{ActionSpace, History, Observation, Session, StrategyKind, TelemetrySink};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 
 /// One replayed execution.
@@ -73,10 +73,7 @@ pub fn replay_instrumented(
     for sink in sinks {
         session.add_sink(sink);
     }
-    session.run(iters, |a| {
-        let pool = &table.durations[a - 1];
-        Observation::of(pool[rng.random_range(0..pool.len())])
-    });
+    session.run(iters, |a| Observation::of(table.draw(a, &mut rng)));
     let history = session.into_history();
     ReplayOutcome { total_time: history.total_time(), history }
 }

@@ -3,7 +3,7 @@
 use adaphet_geostat::IterationChoice;
 use adaphet_scenarios::{Scale, Scenario};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
 use rayon::prelude::*;
 
@@ -54,6 +54,13 @@ impl ResponseTable {
     /// Mean duration of the all-nodes action (the baseline).
     pub fn all_nodes_mean(&self) -> f64 {
         self.mean(self.n_actions())
+    }
+
+    /// One observation of action `n`, drawn uniformly from its pool (one
+    /// `rng` call) — how every replay executes an iteration.
+    pub fn draw(&self, n: usize, rng: &mut StdRng) -> f64 {
+        let pool = &self.durations[n - 1];
+        pool[rng.random_range(0..pool.len())]
     }
 }
 

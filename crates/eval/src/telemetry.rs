@@ -8,8 +8,6 @@
 //! per-worker task timeline it produced — loadable in `chrome://tracing`
 //! or Perfetto.
 
-use std::io::{self, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use adaphet_core::{IterationEvent, TelemetrySink};
@@ -57,12 +55,6 @@ impl ChromeTraceSink {
         let mut all = self.tuner_events();
         all.extend_from_slice(task_events);
         chrome_trace_document(&all)
-    }
-
-    /// Write the merged document to `path`.
-    pub fn write_merged(&self, path: impl AsRef<Path>, task_events: &[String]) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.merged_document(task_events).as_bytes())
     }
 }
 

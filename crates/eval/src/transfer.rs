@@ -30,7 +30,7 @@ use adaphet_core::{DriverBuildError, GpDiscontinuous, History, Observation, Sess
 use adaphet_scenarios::{Scale, Scenario};
 use adaphet_store::{PlatformSignature, SurrogateSnapshot, SurrogateStore};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 
 /// Band edge relative to the oracle: a proposal counts as converged when
@@ -92,10 +92,7 @@ pub fn replay_warm(
     }
     let mut session = b.build()?;
     let mut rng = StdRng::seed_from_u64(seed);
-    session.run(iters, |a| {
-        let pool = &table.durations[a - 1];
-        Observation::of(pool[rng.random_range(0..pool.len())])
-    });
+    session.run(iters, |a| Observation::of(table.draw(a, &mut rng)));
     Ok(session.into_history())
 }
 
@@ -116,10 +113,7 @@ pub fn donor_snapshot(
         .build()
         .expect("a strategy was provided and no warm start was requested");
     let mut rng = StdRng::seed_from_u64(seed);
-    session.run(iters, |a| {
-        let pool = &table.durations[a - 1];
-        Observation::of(pool[rng.random_range(0..pool.len())])
-    });
+    session.run(iters, |a| Observation::of(table.draw(a, &mut rng)));
     session.snapshot()
 }
 

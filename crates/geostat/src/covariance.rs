@@ -12,13 +12,6 @@ pub struct CovParams {
     pub smoothness: f64,
 }
 
-impl CovParams {
-    /// A reasonable default used by the examples.
-    pub fn default_matern() -> Self {
-        CovParams { variance: 1.0, range: 0.1, smoothness: 0.5 }
-    }
-}
-
 /// The Matérn covariance function at half-integer smoothness.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Covariance {

@@ -36,10 +36,10 @@ mod workload;
 pub use covariance::{CovParams, Covariance};
 pub use dense::{dense_covariance, dense_log_likelihood, sample_field, Locations};
 pub use dist::{Distribution, TileDist};
-pub use mle::{golden_section_max, NelderMead};
+pub use mle::golden_section_max;
 pub use phases::{
-    register_data, submit_cholesky, submit_cholesky_mixed, submit_determinant, submit_dot,
-    submit_generation, submit_solve, GeoClasses, GeoData, Phase,
+    register_data, submit_cholesky, submit_determinant, submit_dot, submit_generation,
+    submit_solve, GeoClasses, GeoData, Phase,
 };
 pub use real_app::GeoRealApp;
 pub use sim_app::{lp_bound_for, GeoSimApp, IterationChoice, IterationMetrics};

@@ -37,115 +37,6 @@ pub fn golden_section_max(
     }
 }
 
-/// Nelder–Mead simplex *minimizer* over `R^d` — the derivative-free
-/// optimizer ExaGeoStat's outer MLE loop uses (and one of the generic
-/// alternatives the paper dismisses for the node-count problem).
-#[derive(Debug, Clone)]
-pub struct NelderMead {
-    /// Reflection coefficient (default 1).
-    pub alpha: f64,
-    /// Expansion coefficient (default 2).
-    pub gamma: f64,
-    /// Contraction coefficient (default 0.5).
-    pub rho: f64,
-    /// Shrink coefficient (default 0.5).
-    pub sigma: f64,
-}
-
-impl Default for NelderMead {
-    fn default() -> Self {
-        NelderMead { alpha: 1.0, gamma: 2.0, rho: 0.5, sigma: 0.5 }
-    }
-}
-
-impl NelderMead {
-    /// Minimize `f` starting from `x0` with initial per-coordinate simplex
-    /// `step`s, for at most `max_evals` function evaluations. Returns the
-    /// best point and value found.
-    pub fn minimize(
-        &self,
-        mut f: impl FnMut(&[f64]) -> f64,
-        x0: &[f64],
-        step: f64,
-        max_evals: usize,
-    ) -> (Vec<f64>, f64) {
-        let d = x0.len();
-        assert!(d > 0, "need at least one dimension");
-        let mut evals = 0usize;
-        let mut eval = |x: &[f64], evals: &mut usize| {
-            *evals += 1;
-            f(x)
-        };
-        // Initial simplex: x0 plus a step along each axis.
-        let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(d + 1);
-        let v0 = eval(x0, &mut evals);
-        simplex.push((x0.to_vec(), v0));
-        for i in 0..d {
-            let mut x = x0.to_vec();
-            x[i] += step;
-            let v = eval(&x, &mut evals);
-            simplex.push((x, v));
-        }
-        while evals < max_evals {
-            simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            let best = simplex[0].1;
-            let worst = simplex[d].1;
-            // Converged only when both the value spread and the simplex
-            // diameter are tiny (symmetric vertices can have equal values
-            // while straddling the optimum).
-            let diameter = simplex[1..]
-                .iter()
-                .flat_map(|(x, _)| x.iter().zip(&simplex[0].0).map(|(a, b)| (a - b).abs()))
-                .fold(0.0_f64, f64::max);
-            if (worst - best).abs() < 1e-12 * (1.0 + best.abs()) && diameter < 1e-9 {
-                break;
-            }
-            // Centroid of all but worst.
-            let mut c = vec![0.0; d];
-            for (x, _) in &simplex[..d] {
-                for (ci, xi) in c.iter_mut().zip(x) {
-                    *ci += xi / d as f64;
-                }
-            }
-            let worst_x = simplex[d].0.clone();
-            let refl: Vec<f64> =
-                c.iter().zip(&worst_x).map(|(ci, wi)| ci + self.alpha * (ci - wi)).collect();
-            let fr = eval(&refl, &mut evals);
-            if fr < simplex[0].1 {
-                // Try expansion.
-                let exp: Vec<f64> =
-                    c.iter().zip(&worst_x).map(|(ci, wi)| ci + self.gamma * (ci - wi)).collect();
-                let fe = eval(&exp, &mut evals);
-                simplex[d] = if fe < fr { (exp, fe) } else { (refl, fr) };
-            } else if fr < simplex[d - 1].1 {
-                simplex[d] = (refl, fr);
-            } else {
-                // Contraction.
-                let con: Vec<f64> =
-                    c.iter().zip(&worst_x).map(|(ci, wi)| ci + self.rho * (wi - ci)).collect();
-                let fc = eval(&con, &mut evals);
-                if fc < simplex[d].1 {
-                    simplex[d] = (con, fc);
-                } else {
-                    // Shrink toward the best vertex.
-                    let best_x = simplex[0].0.clone();
-                    for entry in simplex.iter_mut().skip(1) {
-                        let x: Vec<f64> = best_x
-                            .iter()
-                            .zip(&entry.0)
-                            .map(|(b, xi)| b + self.sigma * (xi - b))
-                            .collect();
-                        let v = eval(&x, &mut evals);
-                        *entry = (x, v);
-                    }
-                }
-            }
-        }
-        simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        simplex.swap_remove(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,54 +52,5 @@ mod tests {
     fn golden_section_handles_boundary_max() {
         let (x, _) = golden_section_max(|x| x, 0.0, 1.0, 40);
         assert!(x > 0.99);
-    }
-
-    #[test]
-    fn nelder_mead_minimizes_quadratic_bowl() {
-        let nm = NelderMead::default();
-        let (x, v) = nm.minimize(
-            |p| (p[0] - 1.0).powi(2) + 2.0 * (p[1] + 0.5).powi(2),
-            &[5.0, 5.0],
-            1.0,
-            400,
-        );
-        assert!((x[0] - 1.0).abs() < 1e-3, "x0 = {}", x[0]);
-        assert!((x[1] + 0.5).abs() < 1e-3, "x1 = {}", x[1]);
-        assert!(v < 1e-5);
-    }
-
-    #[test]
-    fn nelder_mead_rosenbrock_progress() {
-        // Full convergence is slow; verify substantial descent.
-        let rosen = |p: &[f64]| (1.0 - p[0]).powi(2) + 100.0 * (p[1] - p[0] * p[0]).powi(2);
-        let nm = NelderMead::default();
-        let start = [-1.2, 1.0];
-        let f0 = rosen(&start);
-        let (_, v) = nm.minimize(rosen, &start, 0.5, 600);
-        assert!(v < f0 / 100.0, "insufficient descent: {v} from {f0}");
-    }
-
-    #[test]
-    fn nelder_mead_respects_eval_budget() {
-        let mut count = 0usize;
-        let nm = NelderMead::default();
-        let _ = nm.minimize(
-            |p| {
-                count += 1;
-                p[0] * p[0]
-            },
-            &[3.0],
-            1.0,
-            50,
-        );
-        // Budget plus at most one in-flight simplex operation's evals.
-        assert!(count <= 56, "used {count} evals");
-    }
-
-    #[test]
-    fn nelder_mead_one_dimension() {
-        let nm = NelderMead::default();
-        let (x, _) = nm.minimize(|p| (p[0] + 3.0).powi(2), &[10.0], 1.0, 200);
-        assert!((x[0] + 3.0).abs() < 1e-2, "x = {}", x[0]);
     }
 }

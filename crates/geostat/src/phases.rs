@@ -42,11 +42,6 @@ impl Phase {
             Phase::DotProduct => "dot-product",
         }
     }
-
-    /// Phase from its trace tag, if valid.
-    pub fn from_tag(tag: u32) -> Option<Phase> {
-        Phase::all().into_iter().find(|&p| p as u32 == tag)
-    }
 }
 
 /// Registered task classes of the application, with the efficiency factors
@@ -177,27 +172,9 @@ pub fn submit_generation(rt: &mut SimRuntime, c: &GeoClasses, w: Workload, data:
 /// Submit the tiled Cholesky factorization DAG with critical-path-aware
 /// priorities (POTRF > TRSM > SYRK > GEMM, earlier panels first).
 pub fn submit_cholesky(rt: &mut SimRuntime, c: &GeoClasses, w: Workload, data: &GeoData) {
-    submit_cholesky_mixed(rt, c, w, data, None);
-}
-
-/// Mixed-precision variant (the paper's future-work extension): tasks
-/// writing a tile with `|i − j| >= f64_band` run in single precision, at
-/// half the flop cost (and half the transferred bytes would apply on real
-/// hardware; the simulator keeps sizes conservative).
-pub fn submit_cholesky_mixed(
-    rt: &mut SimRuntime,
-    c: &GeoClasses,
-    w: Workload,
-    data: &GeoData,
-    f64_band: Option<usize>,
-) {
     let nt = w.nt;
     let b = w.tile;
     let t = |i: usize, j: usize| data.tiles[w.tile_index(i, j)];
-    let speedup = |i: usize, j: usize| match f64_band {
-        Some(band) if i.abs_diff(j) >= band => 0.5,
-        _ => 1.0,
-    };
     let phase = Phase::Factorization as u32;
     for k in 0..nt {
         let base = 4 * (nt - k) as i32;
@@ -211,7 +188,7 @@ pub fn submit_cholesky_mixed(
         for i in k + 1..nt {
             rt.submit(TaskDesc {
                 class: c.trsm,
-                flops: flops(TileKernel::Trsm, b) * speedup(i, k),
+                flops: flops(TileKernel::Trsm, b),
                 priority: base + 2,
                 phase,
                 accesses: vec![(t(k, k), Access::Read), (t(i, k), Access::ReadWrite)],
@@ -228,7 +205,7 @@ pub fn submit_cholesky_mixed(
             for j in k + 1..i {
                 rt.submit(TaskDesc {
                     class: c.gemm,
-                    flops: flops(TileKernel::Gemm, b) * speedup(i, j),
+                    flops: flops(TileKernel::Gemm, b),
                     priority: base,
                     phase,
                     accesses: vec![
@@ -393,17 +370,26 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_task_counts_match_formula() {
-        let nt = 6;
-        let (mut rt, c, w, data) = setup(nt, 2);
+    fn cholesky_task_counts_and_flops_match_formula() {
+        // Tile 48 makes every kernel's flop count an integer (48³ divides
+        // by 3), so the phase total is exact in any completion order and
+        // equality below means every task carried `flops(kernel, b)`.
+        let (nt, b) = (6, 48);
+        let (mut rt, c, w, data) = setup_tile(nt, 2, b);
         submit_generation(&mut rt, &c, w, &data);
         submit_cholesky(&mut rt, &c, w, &data);
         rt.run();
         let count = |cls: ClassId| rt.trace().events().iter().filter(|e| e.class == cls).count();
+        let (panel, trailing) = (nt * (nt - 1) / 2, nt * (nt - 1) * (nt - 2) / 6);
         assert_eq!(count(c.potrf), nt);
-        assert_eq!(count(c.trsm), nt * (nt - 1) / 2);
-        assert_eq!(count(c.syrk), nt * (nt - 1) / 2);
-        assert_eq!(count(c.gemm), nt * (nt - 1) * (nt - 2) / 6);
+        assert_eq!(count(c.trsm), panel);
+        assert_eq!(count(c.syrk), panel);
+        assert_eq!(count(c.gemm), trailing);
+        let expected = nt as f64 * flops(TileKernel::Potrf, b)
+            + panel as f64 * (flops(TileKernel::Trsm, b) + flops(TileKernel::Syrk, b))
+            + trailing as f64 * flops(TileKernel::Gemm, b);
+        let tasks = (nt + 2 * panel + trailing) as u64;
+        assert_eq!(rt.phase_totals(Phase::Factorization as u32), (tasks, expected));
     }
 
     #[test]

@@ -74,16 +74,6 @@ pub struct GeoRealApp {
     dot: BlockHandle,
     /// Diagonal jitter matching the dense reference.
     nugget: f64,
-    /// When set, tiles at |i-j| >= band are quantized to f32 (the
-    /// mixed-precision extension).
-    mixed_band: Option<usize>,
-}
-
-/// Quantize every entry of a tile to `f32` storage precision.
-fn quantize_f32(m: &mut adaphet_linalg::Mat) {
-    for v in m.as_mut_slice() {
-        *v = *v as f32 as f64;
-    }
 }
 
 impl GeoRealApp {
@@ -110,19 +100,7 @@ impl GeoRealApp {
             (0..workload.nt).map(|_| rt.register(Block::Vector(vec![0.0; b]))).collect();
         let det = rt.register(Block::Scalar(0.0));
         let dot = rt.register(Block::Scalar(0.0));
-        GeoRealApp {
-            rt,
-            workload,
-            loc,
-            z,
-            tiles,
-            zb,
-            xb,
-            det,
-            dot,
-            nugget: 1e-10,
-            mixed_band: None,
-        }
+        GeoRealApp { rt, workload, loc, z, tiles, zb, xb, det, dot, nugget: 1e-10 }
     }
 
     /// The observations (for external checks).
@@ -138,28 +116,6 @@ impl GeoRealApp {
     /// Exact dense-reference likelihood (O(n³) memory-heavy; small n only).
     pub fn reference_likelihood(&self, params: CovParams) -> f64 {
         dense_log_likelihood(&self.loc, &self.z, &Covariance::new(params))
-    }
-
-    /// Evaluate the log-likelihood with the paper's future-work
-    /// *mixed-precision* scheme: tiles further than `f64_band` tiles from
-    /// the diagonal are stored in single precision (their entries are
-    /// quantized to `f32` after every write). `f64_band >= nt` is exact
-    /// double precision; smaller bands trade likelihood accuracy for the
-    /// speed the simulated path models ([`crate::GeoSimApp`] halves the
-    /// flop count of single-precision tiles).
-    pub fn eval_likelihood_mixed(&mut self, params: CovParams, f64_band: usize) -> (f64, Duration) {
-        self.mixed_band = Some(f64_band);
-        let out = self.eval_likelihood(params);
-        self.mixed_band = None;
-        out
-    }
-
-    /// Whether tile `(i, j)` is stored in single precision under `band`.
-    fn is_f32_tile(band: Option<usize>, i: usize, j: usize) -> bool {
-        match band {
-            Some(b) => i.abs_diff(j) >= b,
-            None => false,
-        }
     }
 
     /// Evaluate the log-likelihood of `params` via the five tiled phases.
@@ -219,13 +175,11 @@ impl GeoRealApp {
         let cov = Covariance::new(params);
         let nugget = self.nugget * params.variance;
 
-        // Phase 1: generation (beyond-band tiles stored in f32).
-        let band = self.mixed_band;
+        // Phase 1: generation.
         for i in 0..nt {
             for j in 0..=i {
                 let h = t(i, j);
                 let loc = Arc::clone(&self.loc);
-                let f32_tile = Self::is_f32_tile(band, i, j);
                 self.rt.submit(vec![(h, Access::Write)], move |s| {
                     let mut g = s.write(h);
                     let tile = g.tile_mut();
@@ -239,9 +193,6 @@ impl GeoRealApp {
                             }
                             tile[(r, c)] = v;
                         }
-                    }
-                    if f32_tile {
-                        quantize_f32(tile);
                     }
                 });
             }
@@ -259,14 +210,10 @@ impl GeoRealApp {
             });
             for i in k + 1..nt {
                 let a = t(i, k);
-                let f32_tile = Self::is_f32_tile(band, i, k);
                 self.rt.submit(vec![(d, Access::Read), (a, Access::ReadWrite)], move |s| {
                     let dg = s.read(d);
                     let mut ag = s.write(a);
                     trsm_right_lt(dg.tile(), ag.tile_mut()).expect("trsm dims");
-                    if f32_tile {
-                        quantize_f32(ag.tile_mut());
-                    }
                 });
             }
             for i in k + 1..nt {
@@ -280,7 +227,6 @@ impl GeoRealApp {
                     let a = t(i, k);
                     let bb = t(j, k);
                     let c = t(i, j);
-                    let f32_tile = Self::is_f32_tile(band, i, j);
                     self.rt.submit(
                         vec![(a, Access::Read), (bb, Access::Read), (c, Access::ReadWrite)],
                         move |s| {
@@ -288,9 +234,6 @@ impl GeoRealApp {
                             let bg = s.read(bb);
                             let mut cg = s.write(c);
                             gemm_update(ag.tile(), bg.tile(), cg.tile_mut()).expect("gemm dims");
-                            if f32_tile {
-                                quantize_f32(cg.tile_mut());
-                            }
                         },
                     );
                 }
@@ -485,34 +428,6 @@ mod tests {
         let best = best_log_range.exp();
         // MLE on one small sample is noisy; accept a broad band around 0.2.
         assert!(best > 0.02 && best < 1.5, "estimated range {best}");
-    }
-
-    #[test]
-    fn mixed_precision_trades_accuracy_monotonically() {
-        // Full band == exact f64 result; shrinking the band moves the
-        // likelihood away from the reference but keeps it finite/usable.
-        let w = Workload::new(4, 16);
-        let mut app = GeoRealApp::new(w, params(0.15), 21, 4);
-        let p = params(0.15);
-        let exact = app.eval_likelihood(p).0;
-        let full_band = app.eval_likelihood_mixed(p, w.nt).0;
-        assert!(
-            (exact - full_band).abs() < 1e-12,
-            "band >= nt must be exact: {exact} vs {full_band}"
-        );
-        let narrow = app.eval_likelihood_mixed(p, 1).0;
-        let wide = app.eval_likelihood_mixed(p, 3).0;
-        let err_narrow = (narrow - exact).abs();
-        let err_wide = (wide - exact).abs();
-        assert!(narrow.is_finite() && wide.is_finite());
-        assert!(err_narrow > 0.0, "f32 storage must perturb the likelihood");
-        assert!(
-            err_wide <= err_narrow + 1e-9,
-            "wider f64 band must not be less accurate: {err_wide} vs {err_narrow}"
-        );
-        // Single precision of covariance entries is still plenty for the
-        // likelihood's leading digits.
-        assert!(err_narrow / exact.abs() < 1e-2, "relative error {err_narrow}");
     }
 
     #[test]

@@ -152,19 +152,6 @@ impl GeoSimApp {
     /// # Panics
     /// Panics if a phase node count is 0 or exceeds the platform size.
     pub fn run_iteration(&mut self, choice: IterationChoice) -> RunReport {
-        self.run_iteration_mixed(choice, None)
-    }
-
-    /// Like [`GeoSimApp::run_iteration`], but tiles at `|i − j| >=
-    /// f64_band` are factorized in single precision at half the flop cost
-    /// (the paper's future-work mixed-precision trade-off; the matching
-    /// accuracy impact is measured by
-    /// [`crate::GeoRealApp::eval_likelihood_mixed`]).
-    pub fn run_iteration_mixed(
-        &mut self,
-        choice: IterationChoice,
-        f64_band: Option<usize>,
-    ) -> RunReport {
         let n = self.n_nodes();
         assert!(
             (1..=n).contains(&choice.n_gen) && (1..=n).contains(&choice.n_fact),
@@ -194,7 +181,7 @@ impl GeoSimApp {
             self.rt.reassign(self.data.x[i], fact.vec_owner(i));
         }
 
-        phases::submit_cholesky_mixed(&mut self.rt, &self.classes, w, &self.data, f64_band);
+        phases::submit_cholesky(&mut self.rt, &self.classes, w, &self.data);
         phases::submit_solve(&mut self.rt, &self.classes, w, &self.data);
         phases::submit_determinant(&mut self.rt, &self.classes, w, &self.data);
         phases::submit_dot(&mut self.rt, &self.classes, w, &self.data);
@@ -475,18 +462,6 @@ mod tests {
     fn zero_fact_nodes_rejected() {
         let mut app = small_app(1, 1, 4);
         app.run_iteration(IterationChoice { n_gen: 2, n_fact: 0 });
-    }
-
-    #[test]
-    fn mixed_precision_speeds_up_the_iteration() {
-        let mut app = small_app(0, 2, 8); // CPU-only: duration ∝ flops
-        let n = app.n_nodes();
-        let full = app.run_iteration_mixed(IterationChoice::all(n), None).duration();
-        let mixed = app.run_iteration_mixed(IterationChoice::all(n), Some(2)).duration();
-        assert!(mixed < full, "single-precision off-band tiles must be faster: {mixed} vs {full}");
-        // Band >= nt is plain double precision.
-        let same = app.run_iteration_mixed(IterationChoice::all(n), Some(8)).duration();
-        assert!((same - full).abs() < 0.05 * full, "{same} vs {full}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use adaphet_linalg::Mat;
 ///
 /// [`PairwiseDistances::sync`] appends rows in O(n) per new point when the
 /// history grew by appending, and rebuilds in O(n²) when the history was
-/// rewritten (drift reset, bound-mechanism filtering).
+/// rewritten (bound-mechanism filtering).
 #[derive(Debug, Clone)]
 pub struct PairwiseDistances {
     x: Vec<f64>,

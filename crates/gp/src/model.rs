@@ -472,12 +472,6 @@ impl GpModel {
             .collect()
     }
 
-    /// Posterior variance of a *new observation* at `xq` (latent variance
-    /// plus the noise variance) — what a replicate measurement would show.
-    pub fn predict_observation_var(&self, xq: f64) -> f64 {
-        self.predict(xq).var + self.config.noise_var
-    }
-
     /// The hyper-parameters used for this fit.
     pub fn config(&self) -> &GpConfig {
         &self.config

@@ -85,11 +85,6 @@ impl LpProblem {
         self.n_vars
     }
 
-    /// Number of constraints.
-    pub fn n_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Solve with the two-phase primal simplex method.
     pub fn solve(&self) -> LpOutcome {
         let recorder = adaphet_metrics::global();

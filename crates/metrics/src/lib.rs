@@ -61,11 +61,6 @@ pub fn install_global(registry: Registry) -> Registry {
     active
 }
 
-/// The registry installed by [`install_global`], if any.
-pub fn global_registry() -> Option<Registry> {
-    GLOBAL.get().cloned()
-}
-
 /// The process-wide recorder handle.
 ///
 /// Disabled (a branch on one atomic load per call) until [`install_global`]

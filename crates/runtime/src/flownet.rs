@@ -550,9 +550,8 @@ fn earliest_completion(groups: &[RateGroup], remaining: &[f64], now: f64) -> Opt
 ///
 /// It is exercised by the equivalence proptest (bit-exact rates, remaining
 /// bytes, busy times and completion order against the incremental engine).
-/// The speed side of the story lives in `sim_bench`, which measures the
-/// incremental engine against a recorded pre-optimization baseline run
-/// (`BENCH_sim_baseline.json`).
+/// The speed side of the story is the `runtime.flownet_churn_us.16pairs`
+/// row of the benchmark ledger (`bash bench/run.sh run --trace`).
 #[cfg(test)]
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceFlowNet {

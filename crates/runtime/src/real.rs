@@ -101,11 +101,6 @@ impl<T: Send + Sync + 'static> RealRuntime<T> {
         unpoisoned(self.blocks[h.0].read())
     }
 
-    /// Replace a block's value from outside any task.
-    pub fn set_block(&mut self, h: BlockHandle, value: T) {
-        *unpoisoned(self.blocks[h.0].write()) = value;
-    }
-
     /// Submit a task accessing `accesses` and executing `f`.
     pub fn submit(
         &mut self,

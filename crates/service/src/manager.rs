@@ -433,11 +433,6 @@ impl SessionManager {
         }
     }
 
-    /// Whether the metrics-history sampler is configured.
-    pub fn history_enabled(&self) -> bool {
-        self.history.is_some()
-    }
-
     /// Take one history sample right now, bypassing the sampler's clock
     /// (deterministic alternative for tests and operator tooling).
     /// Returns `false` when history is disabled.

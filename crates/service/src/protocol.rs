@@ -1057,9 +1057,13 @@ mod tests {
 
     #[test]
     fn unknown_strategy_name_is_a_parse_error() {
-        let j = r#"{"type":"create_session","strategy":"nope","max_nodes":4}"#;
-        let err = Request::from_json(&Json::parse(j).unwrap()).unwrap_err();
-        assert!(err.contains("unknown strategy"), "{err}");
+        // A plausible-looking name outside the registry is refused like a typo.
+        for name in ["nope", "drift-reset"] {
+            let j = format!(r#"{{"type":"create_session","strategy":"{name}","max_nodes":4}}"#);
+            let err = Request::from_json(&Json::parse(&j).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("unknown strategy {name:?}; known: ")), "{err}");
+            assert!(err.contains("GP-discontinuous"), "registry not listed: {err}");
+        }
     }
 
     #[test]

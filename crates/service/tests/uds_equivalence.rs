@@ -1,4 +1,4 @@
-//! The acceptance criterion: N concurrent sessions over a Unix-domain
+//! The acceptance test: N concurrent sessions over a Unix-domain
 //! socket produce proposals and histories **bit-identical** to N
 //! single-threaded `Session::run` loops with the same seeds.
 //!
