@@ -25,14 +25,29 @@ use crate::{
     Strategy, SurrogatePrior,
 };
 use adaphet_gp::{
-    estimate_noise_from_replicates, GpConfig, GpModel, Kernel, ModelCache, PairwiseDistances,
-    Trend, UcbSchedule,
+    GpConfig, GpModel, Kernel, ModelCache, PairwiseDistances, ReplicateGroups, Trend, UcbSchedule,
 };
 use adaphet_store::GpHyper;
+use std::borrow::Cow;
 
-/// What a surrogate fit consumes: inputs `xs`, LP residuals, the stage-1
-/// configuration, and per-point noise multipliers (empty when cold).
-type FitInputs = (Vec<f64>, Vec<f64>, GpConfig, Vec<f64>);
+/// What a surrogate fit consumes. The GP sees one row per *distinct
+/// action* — the sufficient statistics of the replicated plays
+/// ([`ReplicateGroups::collapse`]) — while the hyper-parameter estimators
+/// keep reading every observation.
+struct FitInputs {
+    /// Distinct actions, in first-appearance order (prior rows first).
+    xs: Vec<f64>,
+    /// Precision-weighted mean LP residual of each action.
+    rs: Vec<f64>,
+    /// Nugget multiplier of each action: `1 / Σ_j 1/m_j` over its records
+    /// (`m_j` = κ for a prior pseudo-observation, 1 for a live one).
+    mults: Vec<f64>,
+    /// The stage-1 configuration.
+    cfg: GpConfig,
+    /// Every record's action and LP residual, in observation order.
+    raw_xs: Vec<f64>,
+    raw_rs: Vec<f64>,
+}
 
 /// Feature toggles for ablation studies — each switch removes one of the
 /// paper's four ingredients (Section IV-D) so its contribution can be
@@ -67,10 +82,11 @@ pub struct GpDiscontinuous {
     surrogate: SurrogateState,
 }
 
-/// Persistent surrogate state: the pairwise-distance matrix of the history
-/// (grown by appending) and one [`ModelCache`] per fit stage. The caches
-/// take the O(n²) incremental path when the stage's hyper-parameters repeat
-/// across proposals and refit (reusing the distances) when they change, so
+/// Persistent surrogate state: the pairwise-distance matrix of the distinct
+/// actions tried (a replayed action appends nothing, a new one a bordered
+/// row) and one [`ModelCache`] per fit stage. The caches take the O(d²)
+/// incremental path when a new action arrives under repeating
+/// hyper-parameters and refit (reusing the correlations) otherwise, so
 /// proposals stay bitwise identical to the scratch [`GpDiscontinuous::fit`].
 #[derive(Debug, Clone, Default)]
 struct SurrogateState {
@@ -196,13 +212,17 @@ impl GpDiscontinuous {
         probes.get(k).copied()
     }
 
-    /// Observations, stage-1 hyper-parameters and per-point noise
-    /// multipliers for the residual surrogate over the candidate set
-    /// `cands` ([`Self::candidates`]); `None` with too little
-    /// data. Warm-started sessions prepend the prior pseudo-observations
-    /// (nugget inflated by κ) ahead of the live history; cold sessions
-    /// get an empty multiplier vector and the exact pre-warm-start
-    /// arithmetic.
+    /// The collapsed observations and stage-1 hyper-parameters for the
+    /// residual surrogate over the candidate set `cands`
+    /// ([`Self::candidates`]); `None` with too little data. Warm-started
+    /// sessions put the prior pseudo-observations (nugget inflated by κ)
+    /// ahead of the live history.
+    ///
+    /// α₀ and σ²_N are estimated from the raw per-observation residuals;
+    /// only the rows handed to the GP are collapsed, which leaves its
+    /// posterior and trend unchanged (up to rounding) while every
+    /// factorization and posterior scan is sized by the actions tried
+    /// instead of the iterations run.
     fn fit_inputs(
         &self,
         space: &ActionSpace,
@@ -210,12 +230,12 @@ impl GpDiscontinuous {
         cands: &[usize],
     ) -> Option<FitInputs> {
         let prior = prior_obs(&self.prior, space);
-        let (records, mults) = records_with_prior(prior.as_ref(), hist);
+        let (records, raw_mults) = records_with_prior(prior.as_ref(), hist);
         if (prior.is_none() && hist.len() < 3) || records.len() < 3 {
             return None;
         }
-        let xs: Vec<f64> = records.iter().map(|&(a, _)| a as f64).collect();
-        let rs: Vec<f64> = records.iter().map(|&(a, y)| y - self.lp(space, a)).collect();
+        let raw_xs: Vec<f64> = records.iter().map(|&(a, _)| a as f64).collect();
+        let raw_rs: Vec<f64> = records.iter().map(|&(a, y)| y - self.lp(space, a)).collect();
         // Trend: linear + dummies, but only for groups with data (an
         // all-zero dummy column would make the GLS rank deficient).
         let trend = if self.options.use_dummies {
@@ -238,22 +258,28 @@ impl GpDiscontinuous {
         // only cover what is left for the GP — using the raw variance
         // would inflate the confidence bands on wide action spaces and
         // cause pointless exploration.
-        let alpha0 = adaphet_linalg::sample_variance(&rs).max(NOISE_FLOOR);
-        let noise =
-            estimate_noise_from_replicates(&xs, &rs).unwrap_or(0.01 * alpha0).max(NOISE_FLOOR);
+        let alpha0 = adaphet_linalg::sample_variance(&raw_rs).max(NOISE_FLOOR);
+        let groups = ReplicateGroups::of(&raw_xs);
+        let noise = groups.noise_variance(&raw_rs).unwrap_or(0.01 * alpha0).max(NOISE_FLOOR);
+        let (xs, rs, mults) = groups.collapse(&raw_xs, &raw_rs, &raw_mults);
         let cfg = GpConfig {
             kernel: Kernel::Exponential { theta: 1.0 },
             process_var: alpha0,
             noise_var: noise,
             trend,
         };
-        Some((xs, rs, cfg, mults))
+        Some(FitInputs { xs, rs, mults, cfg, raw_xs, raw_rs })
     }
 
     /// The MAD-robust stage-2 process variance given the stage-1 fit.
-    fn stage2_alpha(first: &GpModel, xs: &[f64], rs: &[f64], alpha0: f64, noise: f64) -> f64 {
-        let detrended: Vec<f64> =
-            xs.iter().zip(rs).map(|(&x, &r)| r - first.trend_mean(x)).collect();
+    fn stage2_alpha(first: &GpModel, inputs: &FitInputs) -> f64 {
+        let (alpha0, noise) = (inputs.cfg.process_var, inputs.cfg.noise_var);
+        let detrended: Vec<f64> = inputs
+            .raw_xs
+            .iter()
+            .zip(&inputs.raw_rs)
+            .map(|(&x, &r)| r - first.trend_mean(x))
+            .collect();
         // Robust scale (MAD) so a single outlier iteration (a system
         // hiccup) does not blow the bands open for the rest of the run.
         robust_variance(&detrended).max(0.1 * alpha0).max(4.0 * noise).max(1e-9)
@@ -263,48 +289,50 @@ impl GpDiscontinuous {
     /// space; `None` with too little data or a rank-deficient trend
     /// (callers fall back).
     pub fn fit(&self, hist: &History) -> Option<GpModel> {
-        self.fit_in(&self.space, hist, &self.candidates(&self.space, hist))
+        let inputs = self.fit_inputs(&self.space, hist, &self.candidates(&self.space, hist))?;
+        Self::fit_scratch(&inputs)
     }
 
-    /// [`Self::fit`] over an explicit live space and its candidate set.
-    fn fit_in(&self, space: &ActionSpace, hist: &History, cands: &[usize]) -> Option<GpModel> {
-        let (xs, rs, cfg, mults) = self.fit_inputs(space, hist, cands)?;
-        let (alpha0, noise) = (cfg.process_var, cfg.noise_var);
-        let corr = cfg.kernel.corr_matrix_of(&xs);
-        let first = GpModel::fit_with_corr(cfg.clone(), &xs, &rs, &corr, &mults).ok()?;
-        let alpha = Self::stage2_alpha(&first, &xs, &rs, alpha0, noise);
-        if (alpha - alpha0).abs() < 1e-12 {
+    /// The two-stage fit of `inputs`, from scratch.
+    fn fit_scratch(inputs: &FitInputs) -> Option<GpModel> {
+        let FitInputs { xs, rs, mults, cfg, .. } = inputs;
+        let corr = cfg.kernel.corr_matrix_of(xs);
+        let first = GpModel::fit_with_corr(cfg.clone(), xs, rs, &corr, mults).ok()?;
+        let alpha = Self::stage2_alpha(&first, inputs);
+        if (alpha - cfg.process_var).abs() < 1e-12 {
             return Some(first);
         }
-        GpModel::fit_with_corr(GpConfig { process_var: alpha, ..cfg }, &xs, &rs, &corr, &mults).ok()
+        let cfg2 = GpConfig { process_var: alpha, ..cfg.clone() };
+        GpModel::fit_with_corr(cfg2, xs, rs, &corr, mults).ok()
     }
 
     /// Bring the persistent surrogate in line with `hist`, incrementally
-    /// when the history grew by appending under unchanged hyper-parameters
-    /// and by a distance-reusing refit otherwise. Returns `true` when a
-    /// model is ready in [`Self::surrogate_model`]; the model is bitwise
-    /// identical to what [`Self::fit`] would build from scratch.
+    /// when the history grew by a new action under unchanged
+    /// hyper-parameters and by a correlation-reusing refit otherwise.
+    /// Returns `true` when a model is ready in [`Self::surrogate_model`];
+    /// the model is bitwise identical to what [`Self::fit`] would build
+    /// from scratch.
     fn refresh_surrogate(&mut self, space: &ActionSpace, hist: &History, cands: &[usize]) -> bool {
         self.surrogate.active = ActiveModel::None;
-        let Some((xs, rs, cfg, mults)) = self.fit_inputs(space, hist, cands) else {
+        let Some(inputs) = self.fit_inputs(space, hist, cands) else {
             return false;
         };
-        let (alpha0, noise) = (cfg.process_var, cfg.noise_var);
+        let FitInputs { xs, rs, mults, cfg, .. } = &inputs;
         // Both stages fix θ = 1, so they share R — grown by one bordered
-        // row per proposal — and differ only in how they scale it.
-        self.surrogate.dists.sync(&xs);
+        // row per newly tried action — and differ only in how they scale it.
+        self.surrogate.dists.sync(xs);
         let corr = self.surrogate.dists.correlations(&cfg.kernel);
-        let Ok(first) = self.surrogate.pilot.fit_or_update_with_noise(&cfg, &xs, &rs, corr, &mults)
+        let Ok(first) = self.surrogate.pilot.fit_or_update_with_noise(cfg, xs, rs, corr, mults)
         else {
             return false;
         };
-        let alpha = Self::stage2_alpha(first, &xs, &rs, alpha0, noise);
-        if (alpha - alpha0).abs() < 1e-12 {
+        let alpha = Self::stage2_alpha(first, &inputs);
+        if (alpha - cfg.process_var).abs() < 1e-12 {
             self.surrogate.active = ActiveModel::Pilot;
             return true;
         }
-        let cfg2 = GpConfig { process_var: alpha, ..cfg };
-        match self.surrogate.tuned.fit_or_update_with_noise(&cfg2, &xs, &rs, corr, &mults) {
+        let cfg2 = GpConfig { process_var: alpha, ..cfg.clone() };
+        match self.surrogate.tuned.fit_or_update_with_noise(&cfg2, xs, rs, corr, mults) {
             Ok(_) => {
                 self.surrogate.active = ActiveModel::Tuned;
                 true
@@ -319,6 +347,31 @@ impl GpDiscontinuous {
             ActiveModel::None => None,
             ActiveModel::Pilot => self.surrogate.pilot.model(),
             ActiveModel::Tuned => self.surrogate.tuned.model(),
+        }
+    }
+
+    /// The surrogate for `(space, hist)` without touching the persistent
+    /// state: the warm model when the last [`Self::refresh_surrogate`]
+    /// fitted exactly these inputs (a traced iteration explains the
+    /// proposal it has just made), a scratch fit otherwise.
+    fn model_for(
+        &self,
+        space: &ActionSpace,
+        hist: &History,
+        cands: &[usize],
+    ) -> Option<Cow<'_, GpModel>> {
+        let inputs = self.fit_inputs(space, hist, cands)?;
+        // Stage 2 is a function of the stage-1 fit and the inputs, so a
+        // matching pilot vouches for whichever model the refresh selected.
+        let warm = self.surrogate.pilot.model().filter(|pilot| {
+            *pilot.config() == inputs.cfg
+                && pilot.xs() == inputs.xs
+                && pilot.ys() == inputs.rs
+                && inputs.mults.iter().enumerate().all(|(i, &m)| pilot.noise_mult(i) == m)
+        });
+        match warm.and(self.surrogate_model()) {
+            Some(model) => Some(Cow::Borrowed(model)),
+            None => Self::fit_scratch(&inputs).map(Cow::Owned),
         }
     }
 
@@ -392,7 +445,7 @@ impl Strategy for GpDiscontinuous {
         if self.init_action(space, hist, &cands).is_some() {
             return DecisionTrace { diagnostics: Vec::new(), excluded, note: "init".into() };
         }
-        match self.fit_in(space, hist, &cands) {
+        match self.model_for(space, hist, &cands) {
             Some(model) => {
                 let sqrt_beta = self.schedule.beta(hist.len().max(1), cands.len()).sqrt();
                 let diagnostics =
@@ -416,7 +469,7 @@ impl Strategy for GpDiscontinuous {
 
     fn posterior_snapshot(&self, space: &ActionSpace, hist: &History) -> Option<PosteriorSnapshot> {
         let cands = self.candidates(space, hist);
-        let model = self.fit_in(space, hist, &cands)?;
+        let model = self.model_for(space, hist, &cands)?;
         Some(posterior_points(&model, space, |a, mean| self.lp(space, a) + mean, Some(&cands)))
     }
 
@@ -429,7 +482,7 @@ impl Strategy for GpDiscontinuous {
     }
 
     fn surrogate_hyper(&self, space: &ActionSpace, hist: &History) -> Option<GpHyper> {
-        self.fit_in(space, hist, &self.candidates(space, hist)).as_ref().map(hyper_of)
+        self.model_for(space, hist, &self.candidates(space, hist)).as_deref().map(hyper_of)
     }
 }
 
@@ -787,6 +840,59 @@ mod tests {
         let warm_seq: Vec<usize> =
             drive(&mut warm, &space, f, 15).records().iter().map(|r| r.0).collect();
         assert_eq!(cold_seq, warm_seq);
+    }
+
+    #[test]
+    fn prior_and_live_plays_of_an_action_collapse_to_one_row() {
+        let space = ActionSpace::new(12, vec![], Some(lp_curve(12, 60.0)));
+        let mut g = GpDiscontinuous::new(&space);
+        let kappa = crate::PRIOR_NOISE_INFLATION;
+        g.warm_start(SurrogatePrior {
+            observations: vec![(12, 9.0), (8, 10.5), (10, 9.5)],
+            noise_inflation: kappa,
+            hyper: None,
+        });
+        let mut h = History::new();
+        for (a, y) in [(12, 8.6), (8, 11.0), (5, 14.0), (8, 11.4)] {
+            h.record(a, y);
+        }
+        let inputs = g.fit_inputs(&space, &h, &g.candidates(&space, &h)).expect("enough data");
+        // One row per action, prior rows first, each carrying the pooled
+        // precision of its prior (1/κ) and live (1) plays.
+        assert_eq!(inputs.xs, [12.0, 8.0, 10.0, 5.0]);
+        assert_eq!(
+            inputs.mults,
+            [1.0 / (1.0 / kappa + 1.0), 1.0 / (1.0 / kappa + 2.0), kappa, 1.0]
+        );
+        let lp8 = 60.0 / 8.0;
+        let mean8 = ((10.5 - lp8) / kappa + (11.0 - lp8) + (11.4 - lp8)) / (1.0 / kappa + 2.0);
+        assert!((inputs.rs[1] - mean8).abs() < 1e-12);
+        assert_eq!(inputs.rs[3], 14.0 - 60.0 / 5.0, "a lone live play keeps its residual exactly");
+        // The hyper-parameters still come from all seven observations.
+        assert_eq!(inputs.raw_xs, [12.0, 8.0, 10.0, 12.0, 8.0, 5.0, 8.0]);
+        let alpha0 = adaphet_linalg::sample_variance(&inputs.raw_rs);
+        let noise =
+            adaphet_gp::estimate_noise_from_replicates(&inputs.raw_xs, &inputs.raw_rs).unwrap();
+        assert_eq!(inputs.cfg.process_var.to_bits(), alpha0.to_bits());
+        assert_eq!(inputs.cfg.noise_var.to_bits(), noise.to_bits());
+    }
+
+    #[test]
+    fn explaining_the_proposal_just_made_reuses_the_warm_surrogate() {
+        let space = ActionSpace::new(16, vec![(1, 6), (7, 16)], Some(lp_curve(16, 48.0)));
+        let f = |n: usize| 48.0 / n as f64 + 0.4 * n as f64;
+        let mut g = GpDiscontinuous::new(&space);
+        let mut h = drive(&mut g, &space, f, 20);
+        let a = g.propose(&space, &h);
+        let cands = g.candidates(&space, &h);
+        assert!(matches!(g.model_for(&space, &h, &cands), Some(Cow::Borrowed(_))));
+        // The warm model is the scratch fit, so nothing a trace reports moves.
+        let fresh = GpDiscontinuous::new(&space);
+        assert_eq!(g.explain(&space, &h), fresh.explain(&space, &h));
+        assert_eq!(g.posterior_snapshot(&space, &h), fresh.posterior_snapshot(&space, &h));
+        // Any other history is fitted from scratch.
+        h.record(a, f(a));
+        assert!(matches!(g.model_for(&space, &h, &cands), Some(Cow::Owned(_))));
     }
 
     #[test]

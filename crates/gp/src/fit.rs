@@ -13,50 +13,15 @@
 //! The noise variance σ²_N is estimated from replicated observations with
 //! the paper's pooled estimator in both regimes.
 
-use crate::{GpConfig, GpModel, Kernel, Trend};
-use adaphet_linalg::{pooled_replicate_variance, sample_variance, Mat};
+use crate::{GpConfig, GpModel, Kernel, ReplicateGroups, Trend};
+use adaphet_linalg::{sample_variance, Mat};
 use rayon::prelude::*;
 
 /// Estimate σ²_N from replicated x locations (the paper's estimator,
-/// Section IV-D). Observations are grouped by x equality (1e-12 tolerance).
-/// Returns `None` when no location has been measured twice.
-///
-/// Grouping sorts once and cuts runs where neighbours differ by ≥ 1e-12 —
-/// O(n log n) instead of the quadratic scan-per-point it replaces. Groups
-/// are emitted in first-appearance order with members in observation order,
-/// so the pooled sums accumulate in the same order as before.
+/// Section IV-D): [`ReplicateGroups::noise_variance`] over the groups of
+/// equal `x`. Returns `None` when no location has been measured twice.
 pub fn estimate_noise_from_replicates(x: &[f64], y: &[f64]) -> Option<f64> {
-    assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
-    // Walk the sorted order, assigning a run id per element. A run's
-    // representative is its first (smallest) value, mirroring the old
-    // scan's compare-against-group-representative rule.
-    let mut run_of = vec![usize::MAX; n];
-    let mut reps: Vec<f64> = Vec::new();
-    for &i in &idx {
-        match reps.last() {
-            Some(&rep) if (rep - x[i]).abs() < 1e-12 => run_of[i] = reps.len() - 1,
-            _ => {
-                reps.push(x[i]);
-                run_of[i] = reps.len() - 1;
-            }
-        }
-    }
-    // Re-walk in observation order so group order (first appearance) and
-    // within-group order (original) match the old grouping.
-    let mut slot = vec![usize::MAX; reps.len()];
-    let mut groups: Vec<Vec<f64>> = Vec::new();
-    for (i, &yi) in y.iter().enumerate() {
-        let r = run_of[i];
-        if slot[r] == usize::MAX {
-            slot[r] = groups.len();
-            groups.push(Vec::new());
-        }
-        groups[slot[r]].push(yi);
-    }
-    pooled_replicate_variance(&groups)
+    ReplicateGroups::of(x).noise_variance(y)
 }
 
 /// Configuration of the profile-likelihood search.

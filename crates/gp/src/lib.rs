@@ -40,6 +40,7 @@ mod fit;
 mod incremental;
 mod kernel;
 mod model;
+mod replicates;
 mod trend;
 
 pub use acquisition::{lower_confidence_bound, ucb_argmin, UcbSchedule};
@@ -51,6 +52,7 @@ pub use fit::{
 pub use incremental::{ModelCache, PairwiseDistances};
 pub use kernel::Kernel;
 pub use model::{GpConfig, GpModel, Prediction};
+pub use replicates::ReplicateGroups;
 pub use trend::{Basis, Trend};
 
 /// Result alias re-using the linear-algebra error type (all GP failures are

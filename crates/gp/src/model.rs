@@ -502,7 +502,12 @@ impl GpModel {
         }
     }
 
-    /// Profile log marginal likelihood of the fit (used by the MLE search).
+    /// Profile log marginal likelihood of the rows this model was fitted on
+    /// (used by the MLE search). For rows produced by
+    /// [`crate::ReplicateGroups::collapse`] that is the likelihood of the
+    /// per-input means: the within-replicate term of the raw observations'
+    /// likelihood is not in it, so it must not be compared with a
+    /// per-observation fit's.
     pub fn log_likelihood(&self) -> f64 {
         self.log_likelihood
     }

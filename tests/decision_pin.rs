@@ -7,6 +7,12 @@
 //! 3-group table must produce exactly the history of a reference driver
 //! that refits from scratch every iteration and scores one candidate at a
 //! time through the scalar `predict`.
+//!
+//! GP-discontinuous fits one row per distinct action (the replicates'
+//! sufficient statistics), which is exact in mathematics but not in bits;
+//! the scratch driver above collapses the same way, so the sessions are
+//! additionally held to the actions the per-observation fit of the commit
+//! before that change chose ([`PARENT_PINS`]).
 
 use adaphet::gp::{GpModel, Prediction};
 use adaphet::tuner::{
@@ -158,4 +164,150 @@ fn gp_ucb_sessions_match_the_scratch_scalar_driver() {
     let cold = session(None);
     let warm = session(Some(prior_from(&cold)));
     assert_ne!(bits(&warm), bits(&cold), "the prior must have been folded in");
+}
+
+/// A full GP-discontinuous session as the last commit that fitted one row
+/// per *observation* played it, with the stage-2 process variance
+/// `surrogate_hyper` reported after 16, 64 and 127 observations. Generated
+/// on that commit; a difference means the surrogate changed, not the pin.
+struct Pin {
+    alphas: [f64; 3],
+    actions: [usize; ITERS],
+}
+
+/// Per `table(seed)`: the cold session, and the session warm-started from
+/// the cold one's first 40 records (κ = 16).
+#[rustfmt::skip]
+const PARENT_PINS: [(u64, Pin, Pin); 3] = [
+    (
+        7,
+        Pin {
+            alphas: [1.5518322881017959, 0.41423656333075787, 0.29548092455851527],
+            actions: [
+                128, 20, 74, 74, 24, 72, 53, 66, 61, 69, 57, 64, 71, 68, 59, 55, 63, 70, 67, 65, 51, 60, 58, 62,
+                48, 54, 56, 46, 52, 49, 44, 47, 50, 72, 45, 69, 71, 64, 60, 68, 66, 42, 62, 58, 59, 66, 60, 70,
+                60, 58, 68, 72, 62, 65, 60, 59, 69, 64, 62, 69, 65, 62, 70, 70, 53, 68, 68, 70, 63, 62, 66, 67,
+                71, 71, 68, 59, 72, 70, 61, 54, 57, 68, 66, 59, 59, 59, 69, 69, 65, 65, 60, 64, 70, 70, 66, 68,
+                62, 65, 66, 69, 65, 58, 64, 64, 61, 62, 70, 66, 65, 69, 69, 68, 68, 64, 71, 72, 68, 72, 72, 69,
+                68, 70, 70, 66, 66, 70, 60,
+            ],
+        },
+        Pin {
+            alphas: [0.6152134564908894, 0.3552926259867451, 0.2786911667124779],
+            actions: [
+                128, 60, 66, 62, 70, 58, 59, 65, 63, 72, 68, 67, 61, 57, 64, 53, 69, 71, 56, 54, 55, 50, 52, 51,
+                72, 67, 64, 43, 65, 48, 58, 59, 61, 67, 72, 62, 71, 49, 68, 68, 46, 57, 61, 65, 65, 68, 60, 60,
+                67, 65, 58, 67, 61, 69, 69, 52, 66, 66, 61, 61, 64, 72, 72, 72, 72, 47, 59, 68, 60, 63, 67, 72,
+                62, 62, 65, 66, 66, 50, 67, 58, 61, 65, 51, 68, 68, 68, 64, 64, 71, 71, 71, 67, 70, 70, 57, 65,
+                68, 72, 67, 59, 72, 61, 69, 69, 69, 45, 67, 72, 68, 70, 70, 64, 64, 61, 70, 72, 71, 71, 71, 66,
+                72, 60, 68, 67, 67, 60, 69,
+            ],
+        },
+    ),
+    (
+        11,
+        Pin {
+            alphas: [4.715728473251253, 1.998444703699919, 1.1125110888870255],
+            actions: [
+                128, 20, 74, 74, 24, 72, 51, 61, 66, 57, 69, 64, 54, 59, 68, 70, 55, 48, 62, 53, 56, 60, 58, 71,
+                65, 67, 46, 63, 50, 52, 49, 44, 77, 47, 42, 41, 80, 45, 43, 73, 39, 75, 82, 40, 78, 38, 84, 65,
+                69, 55, 63, 54, 67, 66, 61, 65, 57, 71, 61, 65, 72, 70, 58, 61, 63, 67, 63, 49, 66, 69, 67, 59,
+                54, 55, 65, 66, 67, 66, 69, 54, 65, 65, 65, 61, 64, 58, 67, 59, 65, 65, 63, 72, 69, 66, 60, 60,
+                65, 65, 65, 65, 65, 58, 62, 62, 62, 62, 62, 62, 55, 63, 66, 59, 56, 56, 56, 68, 68, 68, 68, 68,
+                68, 68, 57, 68, 62, 68, 66,
+            ],
+        },
+        Pin {
+            alphas: [2.240731463782082, 1.3960845316788255, 1.0323666372963374],
+            actions: [
+                128, 65, 69, 55, 54, 67, 63, 71, 66, 57, 61, 70, 72, 58, 59, 56, 62, 68, 60, 64, 49, 52, 53, 51,
+                50, 48, 62, 61, 55, 47, 69, 76, 72, 45, 61, 66, 61, 69, 72, 61, 40, 67, 57, 61, 61, 46, 50, 71,
+                57, 69, 42, 68, 62, 56, 72, 61, 61, 55, 66, 72, 63, 66, 62, 65, 58, 58, 51, 69, 71, 43, 58, 57,
+                61, 53, 61, 68, 67, 69, 68, 62, 56, 56, 56, 58, 64, 61, 44, 72, 57, 57, 67, 63, 71, 56, 61, 68,
+                48, 61, 61, 61, 61, 66, 69, 70, 70, 70, 70, 70, 69, 56, 62, 54, 72, 61, 57, 61, 61, 61, 60, 60,
+                60, 60, 60, 59, 59, 60, 60,
+            ],
+        },
+    ),
+    (
+        13,
+        Pin {
+            alphas: [2.335861232604399, 0.6133829189524342, 0.31889144344255443],
+            actions: [
+                128, 18, 73, 73, 24, 72, 50, 67, 63, 70, 59, 65, 56, 61, 54, 69, 58, 71, 64, 66, 60, 62, 68, 57,
+                52, 55, 47, 53, 45, 51, 48, 49, 43, 46, 41, 44, 39, 42, 72, 72, 65, 61, 59, 72, 56, 63, 62, 70,
+                72, 72, 71, 69, 69, 58, 65, 72, 67, 67, 71, 71, 71, 69, 69, 69, 69, 69, 69, 57, 64, 64, 66, 70,
+                70, 70, 70, 68, 59, 59, 67, 72, 72, 71, 69, 55, 72, 70, 72, 58, 66, 58, 64, 65, 62, 61, 69, 69,
+                69, 67, 70, 68, 69, 58, 58, 71, 72, 72, 69, 69, 69, 69, 70, 70, 70, 70, 62, 52, 69, 69, 70, 64,
+                69, 72, 72, 72, 72, 72, 72,
+            ],
+        },
+        Pin {
+            alphas: [0.9545486043459022, 0.5241693222723193, 0.3308703746999594],
+            actions: [
+                128, 65, 61, 59, 63, 56, 62, 70, 71, 69, 72, 58, 67, 66, 64, 68, 57, 55, 60, 52, 54, 72, 67, 53,
+                66, 61, 66, 65, 72, 59, 71, 49, 66, 48, 58, 71, 61, 51, 50, 64, 65, 72, 47, 66, 56, 69, 71, 70,
+                67, 66, 68, 67, 67, 58, 71, 68, 72, 72, 67, 67, 57, 67, 67, 67, 67, 66, 66, 70, 70, 70, 64, 72,
+                70, 70, 70, 72, 65, 65, 67, 71, 71, 61, 63, 71, 71, 67, 72, 58, 71, 70, 70, 70, 58, 66, 67, 67,
+                67, 69, 64, 71, 65, 67, 67, 67, 62, 62, 70, 70, 70, 70, 72, 72, 72, 72, 60, 67, 67, 67, 67, 65,
+                65, 71, 71, 71, 71, 71, 71,
+            ],
+        },
+    ),
+];
+
+/// The LCB `strategy` assigns to action `a` on `hist`.
+fn lcb_of(strategy: &GpDiscontinuous, space: &ActionSpace, hist: &History, a: usize) -> f64 {
+    let trace = strategy.explain(space, hist);
+    trace.diagnostics.iter().find(|d| d.action == a).map_or(f64::NAN, |d| d.acquisition)
+}
+
+/// Play `pin`'s session on `t`, holding every action, σ²_N and the
+/// stage-2 α to the parent's; returns the history.
+fn parent_pinned_session(
+    t: &Table,
+    label: &str,
+    pin: &Pin,
+    prior: Option<SurrogatePrior>,
+) -> History {
+    let mut live = warmed(GpDiscontinuous::new(&t.space), &prior);
+    let mut hist = History::new();
+    let mut alphas = Vec::new();
+    for (it, &pinned) in pin.actions.iter().enumerate() {
+        let a = live.propose(&t.space, &hist);
+        assert_eq!(
+            a,
+            pinned,
+            "{label}: iteration {it} plays {a} (LCB {:e}), the parent played {pinned} (LCB {:e})",
+            lcb_of(&live, &t.space, &hist, a),
+            lcb_of(&live, &t.space, &hist, pinned),
+        );
+        hist.record(a, t.mean[a - 1] * t.noise[it]);
+        if [16, 64, ITERS].contains(&hist.len()) {
+            // σ²_N is still the pooled estimator over the raw records, to
+            // the bit; the stage-2 α follows the stage-1 trend, which the
+            // collapse reproduces up to rounding.
+            let hyper = live.surrogate_hyper(&t.space, &hist).expect("a fitted surrogate");
+            alphas.push(hyper.process_var);
+            let records = prior.iter().flat_map(|p| &p.observations).chain(hist.records());
+            let (xs, rs): (Vec<f64>, Vec<f64>) =
+                records.map(|&(a, y)| (a as f64, y - t.space.lp_at(a).unwrap())).unzip();
+            let noise = adaphet::gp::estimate_noise_from_replicates(&xs, &rs).unwrap();
+            assert_eq!(hyper.noise_var.to_bits(), noise.to_bits(), "{label}: σ²_N moved");
+        }
+    }
+    for (got, want) in alphas.iter().zip(pin.alphas) {
+        assert!((got - want).abs() <= 1e-9 * want, "{label}: stage-2 α {got} vs {want}");
+    }
+    hist
+}
+
+#[test]
+fn gp_disc_actions_match_the_per_observation_parent() {
+    for (seed, cold, warm) in &PARENT_PINS {
+        let t = table(*seed);
+        let donor = parent_pinned_session(&t, &format!("table({seed}) cold"), cold, None);
+        let prior = Some(prior_from(&donor));
+        parent_pinned_session(&t, &format!("table({seed}) warm"), warm, prior);
+    }
 }
