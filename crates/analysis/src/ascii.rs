@@ -171,6 +171,7 @@ mod tests {
             title: "t".into(),
             source: "s".into(),
             telemetry: TelemetryRun::parse(jsonl).unwrap(),
+            health: Vec::new(),
             sim: None,
             metrics: None,
             history: None,

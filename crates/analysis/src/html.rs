@@ -6,7 +6,7 @@
 //! gracefully — sections whose inputs are absent (no snapshots, no
 //! re-simulation, no metrics file) are simply omitted.
 
-use crate::jsonl::{IterationRecord, Json};
+use crate::jsonl::Json;
 use crate::report::{format_num, Report, SimDiagnosis};
 use adaphet_runtime::{ResourceKind, Trace};
 
@@ -678,70 +678,6 @@ fn idle_tables(sim: &SimDiagnosis, out: &mut String) {
 
 // ------------------------------------------------- health & history
 
-/// Trailing-window length of the report-side health fold (iterations).
-const HEALTH_WINDOW: usize = 8;
-/// Iterations without a new best duration before a run reads as stalled.
-const HEALTH_STALL_AFTER: usize = 12;
-/// Windowed retries that count as fault pressure on their own.
-const HEALTH_RETRY_BUDGET: usize = 3;
-
-/// Fold one strategy's records into a per-iteration health state.
-///
-/// A deliberately light mirror of the live session's rule engine
-/// (`adaphet-core`'s `HealthTracker`): telemetry does not carry the
-/// tracker's posterior/LP signals, so the report re-derives the fold
-/// from what the JSONL does record — faults and retries over a trailing
-/// window, iterations since the best observed duration, and the regret
-/// trend. Spellings match the wire states (`ok`/`warn`/`stalled`/
-/// `diverging`) so the timeline reads like `get_health` output.
-fn health_states(records: &[IterationRecord]) -> Vec<&'static str> {
-    let mut states = Vec::with_capacity(records.len());
-    let mut best = f64::INFINITY;
-    let mut since_best = 0usize;
-    for (i, r) in records.iter().enumerate() {
-        if r.duration.is_finite() && r.duration < best {
-            best = r.duration;
-            since_best = 0;
-        } else {
-            since_best += 1;
-        }
-        let window = &records[i.saturating_sub(HEALTH_WINDOW - 1)..=i];
-        let faults = window.iter().filter(|w| w.fault.is_some()).count();
-        let retries: usize = window.iter().map(|w| w.retries).sum();
-        let state = if since_best >= HEALTH_WINDOW && regret_slope(window) > 0.0 {
-            "diverging"
-        } else if faults > 0 || retries >= HEALTH_RETRY_BUDGET {
-            "warn"
-        } else if since_best >= HEALTH_STALL_AFTER {
-            "stalled"
-        } else {
-            "ok"
-        };
-        states.push(state);
-    }
-    states
-}
-
-/// Least-squares slope of the finite regrets in `window`, per iteration.
-/// Returns 0 when fewer than four points carry a finite regret.
-fn regret_slope(window: &[IterationRecord]) -> f64 {
-    let pts: Vec<(f64, f64)> = window
-        .iter()
-        .filter_map(|r| r.regret.filter(|g| g.is_finite()).map(|g| (r.iteration as f64, g)))
-        .collect();
-    if pts.len() < 4 {
-        return 0.0;
-    }
-    let n = pts.len() as f64;
-    let (sx, sy): (f64, f64) = pts.iter().fold((0.0, 0.0), |(a, b), (x, y)| (a + x, b + y));
-    let (mx, my) = (sx / n, sy / n);
-    let sxx: f64 = pts.iter().map(|(x, _)| (x - mx) * (x - mx)).sum();
-    if sxx == 0.0 {
-        return 0.0;
-    }
-    pts.iter().map(|(x, y)| (x - mx) * (y - my)).sum::<f64>() / sxx
-}
-
 fn health_color(state: &str) -> &'static str {
     match state {
         "warn" => "#ee854a",
@@ -751,28 +687,26 @@ fn health_color(state: &str) -> &'static str {
     }
 }
 
-/// Per-strategy health-state strips on the same iteration axis as the
-/// duration chart, with dashed markers where the folded state changes.
+/// Per-strategy strips of `report.health` on the same iteration axis as
+/// the duration chart, with dashed markers where the state changes.
 fn health_timeline_section(report: &Report, out: &mut String) {
     let max_iter =
         report.telemetry.runs.iter().flat_map(|run| run.records.iter()).map(|r| r.iteration).max();
-    let Some(max_iter) = max_iter else {
+    let Some(max_iter) = max_iter.filter(|_| !report.health.is_empty()) else {
         return;
     };
     out.push_str("<h2>Convergence health timeline</h2>\n");
     out.push_str(
-        "<p class=\"meta\">states re-derived from telemetry (faults and retries over a \
-         trailing window, iterations since best, regret trend) — a report-side mirror of the \
-         daemon's live <code>get_health</code> fold.</p>\n",
+        "<p class=\"meta\">the state the session's health tracker (the rule engine behind \
+         <code>get_health</code>) reports after each record, replayed from the telemetry.</p>\n",
     );
     let entries: Vec<(String, &str)> = ["ok", "warn", "stalled", "diverging"]
         .iter()
         .map(|s| (s.to_string(), health_color(s)))
         .collect();
     out.push_str(&legend(&entries));
-    for run in &report.telemetry.runs {
-        let states = health_states(&run.records);
-        if states.is_empty() {
+    for (run, states) in report.telemetry.runs.iter().zip(&report.health) {
+        if states.len() != run.records.len() || states.is_empty() {
             continue;
         }
         let mut f = Frame::new(640.0, 64.0, 0.0, (max_iter + 1) as f64, 0.0, 1.0);
@@ -981,6 +915,7 @@ mod tests {
             title: "adaphet run report <test>".into(),
             source: "fig6.jsonl".into(),
             telemetry,
+            health: vec![vec!["ok", "warn"]],
             sim: Some(sim),
             metrics: Some(crate::jsonl::Json::parse(r#"{"wall_s":1.5}"#).unwrap()),
             history: Some(
@@ -1044,6 +979,7 @@ mod tests {
             title: "empty".into(),
             source: "-".into(),
             telemetry: TelemetryRun::default(),
+            health: Vec::new(),
             sim: None,
             metrics: None,
             history: None,
@@ -1057,59 +993,13 @@ mod tests {
     fn health_timeline_and_history_sections_render() {
         let html = render_html(&sample_report());
         assert!(html.contains("Convergence health timeline"));
-        // Iteration 1 carries a fault → the fold leaves ok for warn.
+        // The handed-in states change at iteration 1.
         assert!(html.contains("ok &rarr; warn @ 1"), "transition recorded in the caption");
         assert!(html.contains(&format!("fill=\"{}\"", health_color("warn"))));
         assert!(html.contains("Metric history"));
         assert!(html.contains("service.request"));
         // A one-point series draws no line and therefore no panel.
         assert!(!html.contains("too.short"));
-    }
-
-    #[test]
-    fn health_fold_mirrors_the_live_states() {
-        let mut jsonl = String::new();
-        for i in 0..20usize {
-            // Improving once, then flat: iterations 13.. are ≥12 past best.
-            let d = if i == 1 { 1.0 } else { 5.0 };
-            jsonl.push_str(&format!(
-                "{{\"iteration\":{i},\"strategy\":\"s\",\"action\":4,\"duration\":{d},\
-                 \"cumulative_time\":1,\"retries\":0,\"fault\":null,\"snapshot\":null}}\n"
-            ));
-        }
-        let run = TelemetryRun::parse(&jsonl).unwrap();
-        let states = health_states(&run.runs[0].records);
-        assert_eq!(states[1], "ok");
-        assert_eq!(states[12], "ok", "11 since best: still ok");
-        assert_eq!(states[13], "stalled", "12 since best: stalled");
-        assert_eq!(*states.last().unwrap(), "stalled");
-    }
-
-    #[test]
-    fn regret_slope_needs_four_finite_points() {
-        let rec = |i: usize, g: Option<f64>| IterationRecord {
-            iteration: i,
-            strategy: "s".into(),
-            action: 1,
-            duration: 1.0,
-            cumulative_time: 1.0,
-            best_known: None,
-            regret: g,
-            phases: vec![],
-            note: String::new(),
-            excluded: vec![],
-            breakdown_phases: vec![],
-            breakdown_groups: vec![],
-            retries: 0,
-            fault: None,
-            snapshot: None,
-        };
-        let short: Vec<_> = (0..3).map(|i| rec(i, Some(i as f64))).collect();
-        assert_eq!(regret_slope(&short), 0.0);
-        let rising: Vec<_> = (0..6).map(|i| rec(i, Some(i as f64 * 2.0))).collect();
-        assert!(regret_slope(&rising) > 1.9);
-        let falling: Vec<_> = (0..6).map(|i| rec(i, Some(10.0 - i as f64))).collect();
-        assert!(regret_slope(&falling) < 0.0);
     }
 
     #[test]

@@ -60,6 +60,13 @@ pub struct Report {
     pub source: String,
     /// Parsed telemetry, grouped per strategy.
     pub telemetry: TelemetryRun,
+    /// Convergence-health state after each record of each run (parallel
+    /// to `telemetry.runs` and their `records`), in the wire spelling of
+    /// `get_health`: `ok` / `warn` / `stalled` / `diverging`. Whoever
+    /// builds the report replays the records through the live session's
+    /// rule engine; the renderers only draw what they are handed, and an
+    /// empty list means no health timeline.
+    pub health: Vec<Vec<&'static str>>,
     /// Optional re-simulation diagnosis.
     pub sim: Option<SimDiagnosis>,
     /// Optional metrics-registry export (parsed JSON document).
@@ -152,6 +159,7 @@ mod tests {
             title: "t".into(),
             source: "s".into(),
             telemetry: TelemetryRun::default(),
+            health: Vec::new(),
             sim: None,
             metrics: Some(doc),
             history: None,

@@ -25,8 +25,9 @@ use crate::{
     Strategy, SurrogatePrior,
 };
 use adaphet_gp::{
-    GpConfig, GpModel, Kernel, ModelCache, PairwiseDistances, ReplicateGroups, Trend, UcbSchedule,
+    GpConfig, GpModel, Kernel, PairwiseDistances, ReplicateGroups, Trend, UcbSchedule,
 };
+use adaphet_linalg::Mat;
 use adaphet_store::GpHyper;
 use std::borrow::Cow;
 
@@ -34,6 +35,7 @@ use std::borrow::Cow;
 /// action* — the sufficient statistics of the replicated plays
 /// ([`ReplicateGroups::collapse`]) — while the hyper-parameter estimators
 /// keep reading every observation.
+#[derive(Debug, Clone, PartialEq)]
 struct FitInputs {
     /// Distinct actions, in first-appearance order (prior rows first).
     xs: Vec<f64>,
@@ -82,28 +84,18 @@ pub struct GpDiscontinuous {
     surrogate: SurrogateState,
 }
 
-/// Persistent surrogate state: the pairwise-distance matrix of the distinct
-/// actions tried (a replayed action appends nothing, a new one a bordered
-/// row) and one [`ModelCache`] per fit stage. The caches take the O(d²)
-/// incremental path when a new action arrives under repeating
-/// hyper-parameters and refit (reusing the correlations) otherwise, so
-/// proposals stay bitwise identical to the scratch [`GpDiscontinuous::fit`].
+/// Surrogate state kept across `propose` calls: the pairwise distances of
+/// the distinct actions tried with their correlation matrix `R` (a replayed
+/// action appends nothing, a new one a bordered row), and the last fit.
+/// α₀ and σ²_N are re-estimated from the data at every proposal, so
+/// `K = αR + σ²_N·D` changes in every entry and every proposal refits;
+/// what survives from one to the next is `R`.
 #[derive(Debug, Clone, Default)]
 struct SurrogateState {
     dists: PairwiseDistances,
-    /// Stage-1 fit with α₀ = sample variance.
-    pilot: ModelCache,
-    /// Stage-2 fit with the MAD-robust α (skipped when α = α₀).
-    tuned: ModelCache,
-    active: ActiveModel,
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum ActiveModel {
-    #[default]
-    None,
-    Pilot,
-    Tuned,
+    /// The inputs and model of the last `propose` that fitted, so that a
+    /// traced iteration explains that proposal without fitting it again.
+    kept: Option<(FitInputs, GpModel)>,
 }
 
 impl GpDiscontinuous {
@@ -285,75 +277,45 @@ impl GpDiscontinuous {
         robust_variance(&detrended).max(0.1 * alpha0).max(4.0 * noise).max(1e-9)
     }
 
-    /// Fit the residual surrogate from scratch over the construction
-    /// space; `None` with too little data or a rank-deficient trend
-    /// (callers fall back).
+    /// Fit the residual surrogate over the construction space; `None` with
+    /// too little data or a rank-deficient trend (callers fall back).
     pub fn fit(&self, hist: &History) -> Option<GpModel> {
-        let inputs = self.fit_inputs(&self.space, hist, &self.candidates(&self.space, hist))?;
-        Self::fit_scratch(&inputs)
+        self.model_for(&self.space, hist, &self.candidates(&self.space, hist)).map(Cow::into_owned)
     }
 
-    /// The two-stage fit of `inputs`, from scratch.
-    fn fit_scratch(inputs: &FitInputs) -> Option<GpModel> {
+    /// The two-stage fit of `inputs` over `corr`, the kernel correlation
+    /// matrix of `inputs.xs`: a pilot fit with α₀, then — unless the
+    /// MAD-robust α of its detrended residuals equals α₀ — the tuned fit.
+    /// Both stages fix θ = 1, so they share `corr` and differ only in how
+    /// they scale it.
+    fn two_stage(inputs: &FitInputs, corr: &Mat) -> Option<GpModel> {
         let FitInputs { xs, rs, mults, cfg, .. } = inputs;
-        let corr = cfg.kernel.corr_matrix_of(xs);
-        let first = GpModel::fit_with_corr(cfg.clone(), xs, rs, &corr, mults).ok()?;
+        let first = GpModel::fit_with_corr(cfg.clone(), xs, rs, corr, mults).ok()?;
         let alpha = Self::stage2_alpha(&first, inputs);
         if (alpha - cfg.process_var).abs() < 1e-12 {
             return Some(first);
         }
         let cfg2 = GpConfig { process_var: alpha, ..cfg.clone() };
-        GpModel::fit_with_corr(cfg2, xs, rs, &corr, mults).ok()
+        GpModel::fit_with_corr(cfg2, xs, rs, corr, mults).ok()
     }
 
-    /// Bring the persistent surrogate in line with `hist`, incrementally
-    /// when the history grew by a new action under unchanged
-    /// hyper-parameters and by a correlation-reusing refit otherwise.
-    /// Returns `true` when a model is ready in [`Self::surrogate_model`];
-    /// the model is bitwise identical to what [`Self::fit`] would build
-    /// from scratch.
-    fn refresh_surrogate(&mut self, space: &ActionSpace, hist: &History, cands: &[usize]) -> bool {
-        self.surrogate.active = ActiveModel::None;
-        let Some(inputs) = self.fit_inputs(space, hist, cands) else {
-            return false;
-        };
-        let FitInputs { xs, rs, mults, cfg, .. } = &inputs;
-        // Both stages fix θ = 1, so they share R — grown by one bordered
-        // row per newly tried action — and differ only in how they scale it.
-        self.surrogate.dists.sync(xs);
-        let corr = self.surrogate.dists.correlations(&cfg.kernel);
-        let Ok(first) = self.surrogate.pilot.fit_or_update_with_noise(cfg, xs, rs, corr, mults)
-        else {
-            return false;
-        };
-        let alpha = Self::stage2_alpha(first, &inputs);
-        if (alpha - cfg.process_var).abs() < 1e-12 {
-            self.surrogate.active = ActiveModel::Pilot;
-            return true;
-        }
-        let cfg2 = GpConfig { process_var: alpha, ..cfg.clone() };
-        match self.surrogate.tuned.fit_or_update_with_noise(&cfg2, xs, rs, corr, mults) {
-            Ok(_) => {
-                self.surrogate.active = ActiveModel::Tuned;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// The model selected by the last [`Self::refresh_surrogate`], if any.
-    fn surrogate_model(&self) -> Option<&GpModel> {
-        match self.surrogate.active {
-            ActiveModel::None => None,
-            ActiveModel::Pilot => self.surrogate.pilot.model(),
-            ActiveModel::Tuned => self.surrogate.tuned.model(),
-        }
+    /// Fit the surrogate for `hist` over the persistent `R` — grown by one
+    /// bordered row per newly tried action, rebuilt when the history was
+    /// rewritten — and keep it for [`Self::model_for`]. `None` (and nothing
+    /// kept) with too little data or a failed fit.
+    fn refit(&mut self, space: &ActionSpace, hist: &History, cands: &[usize]) -> Option<&GpModel> {
+        self.surrogate.kept = None;
+        let inputs = self.fit_inputs(space, hist, cands)?;
+        self.surrogate.dists.sync(&inputs.xs);
+        let corr = self.surrogate.dists.correlations(&inputs.cfg.kernel);
+        let model = Self::two_stage(&inputs, corr)?;
+        Some(&self.surrogate.kept.insert((inputs, model)).1)
     }
 
     /// The surrogate for `(space, hist)` without touching the persistent
-    /// state: the warm model when the last [`Self::refresh_surrogate`]
-    /// fitted exactly these inputs (a traced iteration explains the
-    /// proposal it has just made), a scratch fit otherwise.
+    /// state: the kept model when the last [`Self::refit`] fitted exactly
+    /// these inputs (a traced iteration explains the proposal it has just
+    /// made), a fit over a fresh `R` otherwise.
     fn model_for(
         &self,
         space: &ActionSpace,
@@ -361,17 +323,10 @@ impl GpDiscontinuous {
         cands: &[usize],
     ) -> Option<Cow<'_, GpModel>> {
         let inputs = self.fit_inputs(space, hist, cands)?;
-        // Stage 2 is a function of the stage-1 fit and the inputs, so a
-        // matching pilot vouches for whichever model the refresh selected.
-        let warm = self.surrogate.pilot.model().filter(|pilot| {
-            *pilot.config() == inputs.cfg
-                && pilot.xs() == inputs.xs
-                && pilot.ys() == inputs.rs
-                && inputs.mults.iter().enumerate().all(|(i, &m)| pilot.noise_mult(i) == m)
-        });
-        match warm.and(self.surrogate_model()) {
-            Some(model) => Some(Cow::Borrowed(model)),
-            None => Self::fit_scratch(&inputs).map(Cow::Owned),
+        match &self.surrogate.kept {
+            Some((kept, model)) if *kept == inputs => Some(Cow::Borrowed(model)),
+            _ => Self::two_stage(&inputs, &inputs.cfg.kernel.corr_matrix_of(&inputs.xs))
+                .map(Cow::Owned),
         }
     }
 
@@ -411,30 +366,24 @@ impl Strategy for GpDiscontinuous {
         if let Some(a) = self.init_action(space, hist, &cands) {
             return a;
         }
-        // Warm path: reuse the surrogate from the previous proposal
-        // (incremental update or R-sharing refit) — bitwise the same
-        // model `self.fit(hist)` would build from scratch. A changed live
-        // space changes the residuals, which the cache detects and refits.
-        match self.refresh_surrogate(space, hist, &cands) {
-            true => {
-                let model = self.surrogate_model().expect("refresh left a model");
+        let posterior = self.refit(space, hist, &cands).map(|model| predict_actions(model, &cands));
+        match posterior {
+            Some(posterior) => {
                 let sqrt_beta = self.schedule.beta(hist.len().max(1), cands.len()).sqrt();
                 cands
                     .iter()
-                    .zip(predict_actions(model, &cands))
+                    .zip(posterior)
                     .map(|(&a, p)| (a, self.lp(space, a) + p.mean - sqrt_beta * p.sd()))
                     .min_by(|x, y| x.1.partial_cmp(&y.1).unwrap())
                     .map(|(a, _)| a)
                     .expect("bounded set non-empty")
             }
-            false => {
-                // Rank-deficient fit: measure the least-sampled candidate.
-                cands
-                    .iter()
-                    .copied()
-                    .min_by_key(|&a| (hist.count_for(a), a))
-                    .expect("bounded set non-empty")
-            }
+            // Rank-deficient fit: measure the least-sampled candidate.
+            None => cands
+                .iter()
+                .copied()
+                .min_by_key(|&a| (hist.count_for(a), a))
+                .expect("bounded set non-empty"),
         }
     }
 
@@ -474,8 +423,7 @@ impl Strategy for GpDiscontinuous {
     }
 
     fn warm_start(&mut self, prior: SurrogatePrior) -> bool {
-        // The cached surrogate was built without the prior prefix; drop
-        // it so the next refresh refits over prior + live data.
+        // The kept surrogate was built without the prior prefix: drop it.
         self.surrogate = SurrogateState::default();
         self.prior = Some(prior);
         true
@@ -694,10 +642,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_propose_matches_scratch_fit_decisions() {
-        // The persistent surrogate must never change a decision: replay a
-        // whole tuning run and recompute each proposal statelessly from a
-        // scratch fit with identical scoring.
+    fn proposals_over_the_persistent_r_match_fresh_fit_decisions() {
+        // The state kept across proposals must never change a decision:
+        // replay a whole tuning run and recompute each proposal from a
+        // fresh strategy's fit with identical scoring.
         let space = ActionSpace::new(16, vec![(1, 6), (7, 16)], Some(lp_curve(16, 48.0)));
         let mut g = GpDiscontinuous::new(&space);
         let f = |n: usize| {
@@ -731,7 +679,7 @@ mod tests {
                     None => cands.iter().copied().min_by_key(|&c| (h.count_for(c), c)).unwrap(),
                 },
             };
-            assert_eq!(a, expected, "cached and scratch decisions diverged at iteration {it}");
+            assert_eq!(a, expected, "persistent and fresh decisions diverged at iteration {it}");
             h.record(a, f(a));
         }
     }
@@ -878,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn explaining_the_proposal_just_made_reuses_the_warm_surrogate() {
+    fn explaining_the_proposal_just_made_reuses_the_kept_model() {
         let space = ActionSpace::new(16, vec![(1, 6), (7, 16)], Some(lp_curve(16, 48.0)));
         let f = |n: usize| 48.0 / n as f64 + 0.4 * n as f64;
         let mut g = GpDiscontinuous::new(&space);
@@ -886,13 +834,41 @@ mod tests {
         let a = g.propose(&space, &h);
         let cands = g.candidates(&space, &h);
         assert!(matches!(g.model_for(&space, &h, &cands), Some(Cow::Borrowed(_))));
-        // The warm model is the scratch fit, so nothing a trace reports moves.
+        // The kept model is the fresh fit, so nothing a trace reports moves.
         let fresh = GpDiscontinuous::new(&space);
         assert_eq!(g.explain(&space, &h), fresh.explain(&space, &h));
         assert_eq!(g.posterior_snapshot(&space, &h), fresh.posterior_snapshot(&space, &h));
-        // Any other history is fitted from scratch.
+        // Any other history is fitted afresh.
         h.record(a, f(a));
         assert!(matches!(g.model_for(&space, &h, &cands), Some(Cow::Owned(_))));
+    }
+
+    #[test]
+    fn a_rewritten_history_or_a_prior_drops_the_kept_model() {
+        let space = ActionSpace::new(16, vec![(1, 6), (7, 16)], Some(lp_curve(16, 48.0)));
+        let f = |n: usize| 48.0 / n as f64 + 0.4 * n as f64;
+        let mut g = GpDiscontinuous::new(&space);
+        let mut h = drive(&mut g, &space, f, 24);
+        g.propose(&space, &h);
+        // A quarantine removes every play of some actions: the next
+        // proposal, its trace and its posterior are a fresh strategy's.
+        let stale = h.records().iter().map(|r| r.0).max().unwrap();
+        assert!(h.retain_actions(|a| a < stale) > 0);
+        let cands = g.candidates(&space, &h);
+        assert!(matches!(g.model_for(&space, &h, &cands), Some(Cow::Owned(_))));
+        let mut fresh = GpDiscontinuous::new(&space);
+        assert_eq!(g.explain(&space, &h), fresh.explain(&space, &h));
+        assert_eq!(g.propose(&space, &h), fresh.propose(&space, &h));
+        assert_eq!(g.posterior_snapshot(&space, &h), fresh.posterior_snapshot(&space, &h));
+        // So does a prior arriving between two proposals.
+        let donated = drive(&mut GpDiscontinuous::new(&space), &space, f, 12);
+        g.warm_start(prior_from(&donated));
+        assert!(g.surrogate.kept.is_none());
+        let mut fresh = GpDiscontinuous::new(&space);
+        fresh.warm_start(prior_from(&donated));
+        assert_eq!(g.explain(&space, &h), fresh.explain(&space, &h));
+        assert_eq!(g.propose(&space, &h), fresh.propose(&space, &h));
+        assert_eq!(g.posterior_snapshot(&space, &h), fresh.posterior_snapshot(&space, &h));
     }
 
     #[test]

@@ -8,7 +8,6 @@ use adaphet_gp::{
     estimate_noise_from_replicates, fit_profile_likelihood_with_noise, ucb_argmin, GpModel,
     MleSearch, PairwiseDistances, UcbSchedule,
 };
-use adaphet_linalg::Mat;
 use adaphet_store::GpHyper;
 
 /// GP-UCB over node counts.
@@ -79,30 +78,25 @@ impl GpUcb {
     /// Fit the surrogate on the full history (public for the step-by-step
     /// visualization of the paper's Fig. 4).
     pub fn fit(&self, hist: &History) -> Option<GpModel> {
-        self.fit_in(&self.space, hist)
+        self.fit_in(&self.space, hist, &mut PairwiseDistances::new())
     }
 
-    fn fit_in(&self, space: &ActionSpace, hist: &History) -> Option<GpModel> {
+    /// The MLE fit over `dists`, brought in line with the history first:
+    /// `propose` hands in the persistent matrix (one appended row per new
+    /// observation, rebuilt only when the history was rewritten), everyone
+    /// else an empty one — the same distances, bit for bit.
+    fn fit_in(
+        &self,
+        space: &ActionSpace,
+        hist: &History,
+        dists: &mut PairwiseDistances,
+    ) -> Option<GpModel> {
         if !self.fittable(space, hist) {
             return None;
         }
         let (xs, ys, noise, search, mults) = self.mle_inputs(space, hist);
-        let n = xs.len();
-        let dists = Mat::from_fn(n, n, |i, j| (xs[i] - xs[j]).abs());
-        fit_profile_likelihood_with_noise(&search, &xs, &ys, noise, &dists, &mults).ok()
-    }
-
-    /// [`GpUcb::fit`] reusing the persistent distance matrix (appended in
-    /// O(n) per new observation, rebuilt only when the history was
-    /// rewritten). Bitwise identical to the scratch fit.
-    fn fit_cached(&mut self, space: &ActionSpace, hist: &History) -> Option<GpModel> {
-        if !self.fittable(space, hist) {
-            return None;
-        }
-        let (xs, ys, noise, search, mults) = self.mle_inputs(space, hist);
-        self.dists.sync(&xs);
-        fit_profile_likelihood_with_noise(&search, &xs, &ys, noise, self.dists.matrix(), &mults)
-            .ok()
+        dists.sync(&xs);
+        fit_profile_likelihood_with_noise(&search, &xs, &ys, noise, dists.matrix(), &mults).ok()
     }
 
     /// The β_t used at iteration `t` (for visualization).
@@ -148,7 +142,10 @@ impl Strategy for GpUcb {
         }
         let t = hist.len();
         let candidates: Vec<f64> = space.actions().iter().map(|&a| a as f64).collect();
-        match self.fit_cached(space, hist) {
+        let mut dists = std::mem::take(&mut self.dists);
+        let model = self.fit_in(space, hist, &mut dists);
+        self.dists = dists;
+        match model {
             Some(model) => {
                 let beta = self.schedule.beta(t.max(1), n);
                 ucb_argmin(&model, &candidates, beta)
@@ -166,7 +163,7 @@ impl Strategy for GpUcb {
         if t < if warm { 2 } else { 4 } {
             return DecisionTrace::minimal("init");
         }
-        match self.fit_in(space, hist) {
+        match self.fit_in(space, hist, &mut PairwiseDistances::new()) {
             Some(model) => {
                 let sqrt_beta = self.schedule.beta(t.max(1), space.max_nodes).sqrt();
                 let diagnostics =
@@ -180,7 +177,7 @@ impl Strategy for GpUcb {
     fn posterior_snapshot(&self, space: &ActionSpace, hist: &History) -> Option<PosteriorSnapshot> {
         // No LP curve and no bound mechanism in this baseline: every
         // action is a candidate and `lp_bound` stays empty.
-        let model = self.fit_in(space, hist)?;
+        let model = self.fit_in(space, hist, &mut PairwiseDistances::new())?;
         Some(posterior_points(&model, space, |_, mean| mean, None))
     }
 
@@ -193,7 +190,7 @@ impl Strategy for GpUcb {
     }
 
     fn surrogate_hyper(&self, space: &ActionSpace, hist: &History) -> Option<GpHyper> {
-        self.fit_in(space, hist).as_ref().map(hyper_of)
+        self.fit_in(space, hist, &mut PairwiseDistances::new()).as_ref().map(hyper_of)
     }
 }
 
@@ -266,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_fit_matches_scratch_fit_bitwise() {
+    fn fit_over_the_persistent_distances_matches_a_fresh_fit_bitwise() {
         let space = ActionSpace::unstructured(14);
         let mut g = GpUcb::new(&space);
         let f = |n: usize| 60.0 / n as f64 + 1.2 * n as f64;
@@ -274,9 +271,8 @@ mod tests {
         for _ in 0..20 {
             let a = g.propose(&space, &h);
             h.record(a, f(a));
-            let cached = g.fit_cached(&space, &h);
-            let scratch = g.fit(&h);
-            match (cached, scratch) {
+            let mut dists = g.dists.clone();
+            match (g.fit_in(&space, &h, &mut dists), g.fit(&h)) {
                 (Some(c), Some(s)) => {
                     assert_eq!(c.config(), s.config(), "grid winner differs");
                     assert_eq!(c.log_likelihood(), s.log_likelihood());
@@ -286,7 +282,7 @@ mod tests {
                 }
                 (None, None) => {}
                 (c, s) => panic!(
-                    "cached/scratch fit availability diverged: {:?} vs {:?}",
+                    "persistent/fresh fit availability diverged: {:?} vs {:?}",
                     c.is_some(),
                     s.is_some()
                 ),

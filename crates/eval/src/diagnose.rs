@@ -13,8 +13,9 @@
 use crate::error::AdaphetError;
 use adaphet_analysis::{
     render_ascii, render_html, CriticalPath, IdleBreakdown, Json, Report, SimDiagnosis,
-    TelemetryRun,
+    StrategyRun, TelemetryRun,
 };
+use adaphet_core::{HealthPolicy, HealthTracker, PosteriorPoint, PosteriorSnapshot};
 use adaphet_geostat::{IterationChoice, Phase};
 use adaphet_runtime::NodeId;
 use adaphet_scenarios::{Scale, Scenario};
@@ -171,6 +172,50 @@ pub fn diagnose(scen: &Scenario, scale: Scale, seed: u64, action: usize) -> SimD
     }
 }
 
+/// The health state after each record of `run`, as the [`HealthTracker`] a
+/// live session owns reports it: the records are replayed in the order
+/// the session fed its tracker (the snapshot a proposal computed, then the
+/// recorded observation), so the timeline shows what `get_health` showed.
+/// The JSONL does not say whether a session was warm-started, so the
+/// warm-start rule stays silent (and the platform size, which only sets
+/// that rule's baseline, is not needed).
+fn health_states(run: &StrategyRun) -> Vec<&'static str> {
+    // The tracker's LP reference is the minimum of the space's curve as
+    // the session started; the first snapshot carries that curve.
+    let lp_min = run
+        .records
+        .iter()
+        .find_map(|r| r.snapshot.as_ref())
+        .and_then(|points| points.iter().filter_map(|p| p.lp_bound).reduce(f64::min))
+        .filter(|m| m.is_finite());
+    let best_known = run.records.iter().find_map(|r| r.best_known);
+    let mut tracker = HealthTracker::new(HealthPolicy::default(), 0, best_known, lp_min, false);
+    run.records
+        .iter()
+        .map(|r| {
+            if let Some(points) = &r.snapshot {
+                tracker.on_posterior(&PosteriorSnapshot {
+                    points: points
+                        .iter()
+                        .map(|p| PosteriorPoint {
+                            action: p.action,
+                            mean: p.mean.unwrap_or(f64::NAN),
+                            sd: p.sd.unwrap_or(f64::NAN),
+                            lp_bound: p.lp_bound,
+                            excluded: p.excluded,
+                        })
+                        .collect(),
+                });
+            }
+            // A platform fault is any annotation beyond the retry marker.
+            let faulted =
+                r.fault.as_deref().is_some_and(|f| f.split(';').any(|p| !p.starts_with("retry:")));
+            tracker.on_record(r.duration, r.retries, faulted);
+            tracker.state().as_str()
+        })
+        .collect()
+}
+
 /// Read the inputs named by `args` and assemble the [`Report`].
 pub fn build_report(args: &ReportArgs) -> Result<Report, AdaphetError> {
     let text =
@@ -205,10 +250,12 @@ pub fn build_report(args: &ReportArgs) -> Result<Report, AdaphetError> {
         .input
         .file_name()
         .map_or_else(|| args.input.display().to_string(), |f| f.to_string_lossy().into_owned());
+    let health = telemetry.runs.iter().map(health_states).collect();
     Ok(Report {
         title: format!("adaphet run report — {name}"),
         source: args.input.display().to_string(),
         telemetry,
+        health,
         sim,
         metrics,
         history,
@@ -290,6 +337,67 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(build_report(&args), Err(AdaphetError::Io { .. })));
+    }
+
+    #[test]
+    fn report_health_is_what_the_live_session_reported() {
+        use crate::faults::space_for_platform;
+        use adaphet_core::{JsonlSink, Observation, ResiliencePolicy, Session, StrategyKind};
+        use adaphet_geostat::GeoSimApp;
+        use adaphet_runtime::{FaultPlan, SimConfig};
+
+        // The CI fault-smoke run — GP-discontinuous on scenario (a) under
+        // `plans/death.json` — with the live tracker read after every step.
+        let plan_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/death.json");
+        let plan = FaultPlan::from_json(&std::fs::read_to_string(plan_path).unwrap()).unwrap();
+        let scen = Scenario::by_id('a').unwrap();
+        let workload = scen.workload(Scale::Test);
+        let sim = |seed| SimConfig { seed, task_jitter: None, trace: true };
+        let mut platform = scen.platform();
+        let mut app = GeoSimApp::new(platform.clone(), workload, sim(42));
+        let space = space_for_platform(&platform, workload);
+        // A best-known reference no action reaches arms the band-gated
+        // stall rule, so the timeline leaves `ok` for more than the fault.
+        let mut session = Session::builder(&space)
+            .kind(StrategyKind::GpDiscontinuous)
+            .seed(42)
+            .resilience(ResiliencePolicy::standard())
+            .best_known(1e-3)
+            .build()
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!("adaphet-health-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("death.jsonl");
+        session.add_sink(Box::new(JsonlSink::create(&input).unwrap()));
+        let mut live = Vec::new();
+        for i in 0..40 {
+            for rank in plan.deaths_at(i) {
+                platform = platform.without_rank(rank);
+                app = GeoSimApp::new(platform.clone(), workload, sim(42 + i as u64));
+                session.apply_platform_change(
+                    &space_for_platform(&platform, workload),
+                    Some(rank),
+                    format!("node-death:rank={rank}"),
+                );
+            }
+            let n_live = platform.nodes.len();
+            session.step(|n_fact| {
+                let report = app.run_iteration(IterationChoice::fact_only(n_live, n_fact));
+                Observation::of(report.duration())
+            });
+            live.push(session.health().state.as_str());
+        }
+        drop(session); // flushes the sink
+
+        let report = build_report(&ReportArgs { input, no_sim: true, ..Default::default() });
+        std::fs::remove_dir_all(&dir).unwrap();
+        let report = report.unwrap();
+        assert_eq!(report.health, [live.clone()]);
+        for state in ["ok", "warn", "stalled"] {
+            assert!(live.contains(&state), "the run never reads {state}: {live:?}");
+        }
+        let html = render_html(&report);
+        assert!(html.contains("Convergence health timeline"));
     }
 
     #[test]

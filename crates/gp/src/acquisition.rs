@@ -34,12 +34,6 @@ impl UcbSchedule {
     }
 }
 
-/// The LCB score `μ(x) − √β σ(x)` used to *minimize* durations.
-pub fn lower_confidence_bound(model: &GpModel, x: f64, beta: f64) -> f64 {
-    let p = model.predict(x);
-    p.mean - beta.sqrt() * p.sd()
-}
-
 /// Select the candidate minimizing the lower confidence bound. Ties are
 /// broken toward the candidate with the *larger* posterior variance (more
 /// information), then toward the smaller x for determinism. Returns `None`
@@ -134,14 +128,6 @@ mod tests {
         let candidates: Vec<f64> = (1..=10).map(|i| i as f64).collect();
         let x = ucb_argmin(&m, &candidates, 50.0).unwrap();
         assert!(x >= 7.0, "expected exploration of the right side, got {x}");
-    }
-
-    #[test]
-    fn lcb_below_mean() {
-        let m = toy_model();
-        for x in [1.0, 3.0, 5.5, 8.0] {
-            assert!(lower_confidence_bound(&m, x, 4.0) <= m.predict(x).mean);
-        }
     }
 
     #[test]

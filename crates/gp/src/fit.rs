@@ -72,34 +72,22 @@ pub fn fit_profile_likelihood(
     assert!(!x.is_empty());
     let n = x.len();
     let dists = Mat::from_fn(n, n, |i, j| (x[i] - x[j]).abs());
-    fit_profile_likelihood_with_distances(search, x, y, noise_var, &dists)
+    fit_profile_likelihood_with_noise(search, x, y, noise_var, &dists, &[])
 }
 
-/// [`fit_profile_likelihood`] reusing a precomputed pairwise-distance
-/// matrix: the distances depend only on the history, so they are computed
-/// once and shared by every (θ, α) candidate — and across repeated
-/// searches when the caller keeps a [`crate::PairwiseDistances`] synced to
-/// the growing history.
+/// [`fit_profile_likelihood`] over a precomputed pairwise-distance matrix
+/// and with per-point noise multipliers applied to every candidate fit
+/// (see [`GpModel::fit_with_corr`]; empty = all ones). The distances depend
+/// only on the history, so they are computed once and shared by every
+/// (θ, α) candidate — and across repeated searches when the caller keeps a
+/// [`crate::PairwiseDistances`] synced to the growing history. Warm starts
+/// use the multipliers so the prior pseudo-points stay soft during the
+/// hyper-parameter search, not just in the final fit.
 ///
 /// The θ candidates are independent and fan out across cores; the best
 /// model is selected by a sequential fold in the same nested (θ, α) order
 /// the sequential search used, so ties resolve identically and the result
 /// is bitwise the same.
-pub fn fit_profile_likelihood_with_distances(
-    search: &MleSearch,
-    x: &[f64],
-    y: &[f64],
-    noise_var: f64,
-    dists: &Mat,
-) -> crate::Result<GpModel> {
-    fit_profile_likelihood_with_noise(search, x, y, noise_var, dists, &[])
-}
-
-/// [`fit_profile_likelihood_with_distances`] with per-point noise
-/// multipliers applied to every candidate fit (see
-/// [`GpModel::fit_with_corr`]; empty = all ones). Warm
-/// starts use this so the prior pseudo-points stay soft during the
-/// hyper-parameter search, not just in the final fit.
 pub fn fit_profile_likelihood_with_noise(
     search: &MleSearch,
     x: &[f64],

@@ -35,21 +35,19 @@
 //! ```
 
 mod acquisition;
-mod design;
+mod distances;
 mod fit;
-mod incremental;
 mod kernel;
 mod model;
 mod replicates;
 mod trend;
 
-pub use acquisition::{lower_confidence_bound, ucb_argmin, UcbSchedule};
-pub use design::{latin_hypercube, maximin_design};
+pub use acquisition::{ucb_argmin, UcbSchedule};
+pub use distances::PairwiseDistances;
 pub use fit::{
-    estimate_noise_from_replicates, fit_profile_likelihood, fit_profile_likelihood_with_distances,
-    fit_profile_likelihood_with_noise, MleSearch,
+    estimate_noise_from_replicates, fit_profile_likelihood, fit_profile_likelihood_with_noise,
+    MleSearch,
 };
-pub use incremental::{ModelCache, PairwiseDistances};
 pub use kernel::Kernel;
 pub use model::{GpConfig, GpModel, Prediction};
 pub use replicates::ReplicateGroups;

@@ -121,7 +121,7 @@ impl GpModel {
             noise_mults.len()
         );
         let recorder = adaphet_metrics::global();
-        recorder.add("gp.model.fits", 1.0);
+        recorder.add("gp.fit.full", 1.0);
         let _fit_timer = adaphet_metrics::Timer::start(recorder, "gp.model.fit_s");
         let alpha = config.process_var.max(1e-12);
 
@@ -180,29 +180,6 @@ impl GpModel {
         })
     }
 
-    /// Pre-size the internal buffers for `target_n` observations so later
-    /// [`GpModel::update`] calls don't reallocate.
-    pub fn reserve(&mut self, target_n: usize) {
-        let n = self.x.len();
-        if target_n <= n {
-            return;
-        }
-        self.x.reserve(target_n - n);
-        self.y.reserve(target_n - n);
-        self.kinv_resid.reserve(target_n - n);
-        self.gls.whitened_y.reserve(target_n - n);
-        self.chol.reserve(target_n);
-        self.replicate_of.reserve(target_n - n);
-        self.design.reserve_dims(target_n, self.design.cols());
-        self.gls.whitened_design.reserve_dims(target_n, self.design.cols());
-        self.ws_a.reserve(target_n);
-        self.ws_b.reserve(target_n);
-        self.ws_c.reserve(target_n);
-        if !self.noise_mults.is_empty() {
-            self.noise_mults.reserve(target_n - n);
-        }
-    }
-
     /// Absorb one new observation `(x_new, y_new)` in O(n²) instead of
     /// refitting from scratch in O(n³).
     ///
@@ -217,8 +194,8 @@ impl GpModel {
     /// column makes the pivot non-positive), the model falls back to a full
     /// refit through the same jitter ladder the scratch fit uses, keeping
     /// the bitwise guarantee even on the failure path. The two outcomes are
-    /// visible in the metrics registry as `gp.fit.incremental` and
-    /// `gp.fit.full`.
+    /// visible in the metrics registry as `gp.fit.incremental` and (counted
+    /// by the refit itself) `gp.fit.full`.
     pub fn update(&mut self, x_new: f64, y_new: f64) -> crate::Result<()> {
         // Correlation of the new point against the history — the same
         // expression the scratch fit evaluates for row n of R.
@@ -232,49 +209,7 @@ impl GpModel {
             row.push(r);
         }
         self.ws_a = row;
-        let rnn = self.config.kernel.corr(0.0);
-        self.absorb(x_new, y_new, rnn, |model| model.config.kernel.corr_matrix_of(&model.x))
-    }
 
-    /// [`GpModel::update`] reading the new point's correlations from `corr`,
-    /// the kernel correlation matrix of the extended history (row
-    /// `self.n_obs()` belongs to the new point; further rows are ignored)
-    /// — no kernel evaluation at all when the caller keeps `R` current
-    /// ([`PairwiseDistances::correlations`]).
-    ///
-    /// # Panics
-    /// Panics if `corr` has no row for the new point.
-    pub fn update_with_corr(&mut self, x_new: f64, y_new: f64, corr: &Mat) -> crate::Result<()> {
-        let n = self.x.len();
-        assert!(corr.rows() > n && corr.cols() > n, "corr has no row {n} for the new point");
-        self.ws_a.clear();
-        self.ws_a.extend_from_slice(&corr.col(n)[..n]);
-        self.absorb(x_new, y_new, corr[(n, n)], |_| Mat::from_fn(n + 1, n + 1, |i, j| corr[(i, j)]))
-    }
-
-    /// Append `(x_new, y_new)` to the stored observations (always live:
-    /// noise multiplier 1).
-    fn push_observation(&mut self, x_new: f64, y_new: f64) {
-        let n = self.x.len();
-        self.replicate_of.push(self.x.iter().position(|&xi| xi == x_new).unwrap_or(n));
-        self.x.push(x_new);
-        self.y.push(y_new);
-        if !self.noise_mults.is_empty() {
-            self.noise_mults.push(1.0);
-        }
-    }
-
-    /// Shared tail of [`GpModel::update`]/[`GpModel::update_with_corr`]:
-    /// `self.ws_a` holds `r(x_new, x_i)` for the current history on entry,
-    /// `rnn` is `r(x_new, x_new)`, and `extended_corr` builds the full `R` of
-    /// the extended history for the (rare) refit fallback.
-    fn absorb(
-        &mut self,
-        x_new: f64,
-        y_new: f64,
-        rnn: f64,
-        extended_corr: impl FnOnce(&GpModel) -> Mat,
-    ) -> crate::Result<()> {
         let recorder = adaphet_metrics::global();
         let _timer = adaphet_metrics::Timer::start(recorder, "gp.model.update_s");
         let n = self.x.len();
@@ -286,7 +221,7 @@ impl GpModel {
         // and the diagonal keeps the homoscedastic expression.
         self.ws_b.clear();
         self.ws_b.extend(self.ws_a.iter().map(|&r| alpha * r));
-        let mut diag = alpha * rnn + self.config.noise_var;
+        let mut diag = alpha * self.config.kernel.corr(0.0) + self.config.noise_var;
         if self.jitter > 0.0 {
             diag += self.jitter;
         }
@@ -297,9 +232,8 @@ impl GpModel {
                 // The bordered pivot went non-positive: refit through the
                 // same jitter ladder the scratch fit uses — bit-identical
                 // to a scratch fit on the extended history.
-                recorder.add("gp.fit.full", 1.0);
                 self.push_observation(x_new, y_new);
-                let corr = extended_corr(self);
+                let corr = self.config.kernel.corr_matrix_of(&self.x);
                 *self = Self::fit_with_corr(
                     self.config.clone(),
                     &self.x,
@@ -378,6 +312,18 @@ impl GpModel {
         self.log_likelihood = -0.5
             * (quad + self.chol.log_det() + (n + 1) as f64 * (2.0 * std::f64::consts::PI).ln());
         Ok(())
+    }
+
+    /// Append `(x_new, y_new)` to the stored observations (always live:
+    /// noise multiplier 1).
+    fn push_observation(&mut self, x_new: f64, y_new: f64) {
+        let n = self.x.len();
+        self.replicate_of.push(self.x.iter().position(|&xi| xi == x_new).unwrap_or(n));
+        self.x.push(x_new);
+        self.y.push(y_new);
+        if !self.noise_mults.is_empty() {
+            self.noise_mults.push(1.0);
+        }
     }
 
     /// Observed inputs, in insertion order.
@@ -645,14 +591,21 @@ mod tests {
     }
 
     #[test]
-    fn fit_counts_land_in_the_global_metrics_registry() {
+    fn fits_and_updates_are_counted_where_they_happen() {
         let reg = adaphet_metrics::install_global(adaphet_metrics::Registry::new());
-        let before = reg.counter_value("gp.model.fits");
-        GpModel::fit(base_config(0.5), &[0.0, 1.0], &[1.0, 2.0]).unwrap();
         // Other tests in this binary may fit concurrently: assert the
         // monotone delta, not an exact count.
-        assert!(reg.counter_value("gp.model.fits") - before >= 1.0);
+        let full = reg.counter_value("gp.fit.full");
+        let xs: [f64; 2] = [0.0, 1.0];
+        let cfg = base_config(0.5);
+        let corr = cfg.kernel.corr_matrix_of(&xs);
+        let mut model = GpModel::fit_with_corr(cfg, &xs, &[1.0, 2.0], &corr, &[]).unwrap();
+        assert!(reg.counter_value("gp.fit.full") - full >= 1.0, "one per fit_with_corr");
         assert!(reg.histogram("gp.model.fit_s").is_some());
+        let incremental = reg.counter_value("gp.fit.incremental");
+        model.update(2.0, 1.5).unwrap();
+        assert!(reg.counter_value("gp.fit.incremental") - incremental >= 1.0, "one per update");
+        assert!(reg.histogram("gp.model.update_s").is_some());
     }
 
     #[test]

@@ -145,12 +145,6 @@ impl Cholesky {
         self.l.rows()
     }
 
-    /// Reserve factor storage for growing up to `target_dim` via
-    /// [`Cholesky::append`] without reallocating.
-    pub fn reserve(&mut self, target_dim: usize) {
-        self.l.reserve_dims(target_dim, target_dim);
-    }
-
     /// Extend the factor by one row/column in O(n²): given the new column
     /// `cov_col` (covariance of the new point against the existing `n`) and
     /// the new diagonal entry `cov_diag`, compute the bordered factor
@@ -666,7 +660,6 @@ mod tests {
         let a = spd3();
         let mut c = Cholesky::factor(&Mat::from_rows(1, 1, &[a[(0, 0)]])).unwrap();
         let mut ws = Vec::new();
-        c.reserve(3);
         c.append(&[a[(1, 0)]], a[(1, 1)], &mut ws).unwrap();
         c.append(&[a[(2, 0)], a[(2, 1)]], a[(2, 2)], &mut ws).unwrap();
         let scratch = Cholesky::factor(&a).unwrap();

@@ -247,22 +247,11 @@ impl Mat {
             && self.data.iter().zip(&b.data).all(|(x, y)| (x - y).abs() <= tol)
     }
 
-    /// Reserve capacity for growing to `target_rows x target_cols` without
-    /// further allocation (used by the incremental Cholesky/GP paths to
-    /// make steady-state appends allocation-free).
-    pub fn reserve_dims(&mut self, target_rows: usize, target_cols: usize) {
-        let target = target_rows * target_cols;
-        if target > self.data.len() {
-            self.data.reserve(target - self.data.len());
-        }
-    }
-
     /// Grow a square matrix in place by one row and one column of zeros.
     ///
     /// The existing `n x n` block keeps its values; the move is done back to
     /// front inside the (resized) column-major buffer, so no intermediate
-    /// matrix is allocated (and no allocation at all once capacity was
-    /// reserved via [`Mat::reserve_dims`]).
+    /// matrix is allocated.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
@@ -460,7 +449,6 @@ mod tests {
     fn grow_square_preserves_block_and_zeroes_border() {
         let mut m = Mat::from_fn(3, 3, |i, j| (1 + i * 3 + j) as f64);
         let orig = m.clone();
-        m.reserve_dims(5, 5);
         m.grow_square();
         assert_eq!(m.rows(), 4);
         assert_eq!(m.cols(), 4);

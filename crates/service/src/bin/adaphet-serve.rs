@@ -13,8 +13,10 @@
 //! `--metrics-addr` starts a sidecar HTTP listener answering
 //! `GET /metrics` with the Prometheus text exposition of the daemon's
 //! always-on observability plane (no `--metrics` needed; that flag
-//! controls the end-of-run table on stdout), plus `GET /health` with
-//! every live session's convergence-health report.
+//! installs the daemon's registry as the process-wide recorder, which adds
+//! the libraries' `gp.*` / `tuner.*` names to it, and prints it as a table
+//! on stdout at exit), plus `GET /health` with every live session's
+//! convergence-health report.
 //!
 //! `--history-interval` enables the embedded metrics-history sampler:
 //! the service metrics are frozen into a bounded time-series store every
@@ -123,8 +125,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let registry =
-        args.metrics.then(|| adaphet_metrics::install_global(adaphet_metrics::Registry::new()));
     if let Some(dir) = &args.config.telemetry_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("adaphet-serve: cannot create telemetry dir {}: {e}", dir.display());
@@ -132,6 +132,10 @@ fn main() {
         }
     }
     let manager = Arc::new(SessionManager::new(args.config));
+    // `--metrics`: the libraries' global recorder is the daemon's own
+    // registry, so the closing table and `GET /metrics` read one store.
+    let registry =
+        args.metrics.then(|| adaphet_metrics::install_global(manager.stats().registry().clone()));
     let mut server = match Server::bind(args.endpoint, Arc::clone(&manager)) {
         Ok(server) => server,
         Err(e) => {

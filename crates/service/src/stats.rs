@@ -1,13 +1,13 @@
 //! The service's always-on observability state: counters, per-verb
 //! latency histograms, live gauges, spans, and per-session event rings.
 //!
-//! [`ServiceStats`] owns a private [`Registry`] that is *always*
-//! collecting — `GetStats` and `GET /metrics` must answer even when the
-//! operator never installed a global recorder. Every write is mirrored
-//! to [`adaphet_metrics::global()`] so the pre-existing `--metrics`
-//! report keeps seeing the same `service.*` names it always has (the
-//! global mirror is a no-op until installed, so the dual write costs one
-//! atomic load on the cold path).
+//! [`ServiceStats`] owns a [`Registry`] that is *always* collecting —
+//! `GetStats` and `GET /metrics` must answer even when the operator never
+//! installed a global recorder. Every event is written once, here;
+//! `adaphet-serve --metrics` installs this same registry
+//! ([`ServiceStats::registry`]) as the process-wide recorder, so the
+//! libraries' `gp.*` / `tuner.*` counts land next to the `service.*`
+//! names and the end-of-run table and `GET /metrics` read one registry.
 //!
 //! Shard-level gauges (callers waiting on the shard's lock, registered
 //! sessions) and the in-flight ticket count live in plain atomics
@@ -87,16 +87,20 @@ impl ServiceStats {
         self.registry.uptime_s()
     }
 
-    /// Bump a counter in the local registry and the global mirror.
-    pub fn count(&self, name: &str, delta: f64) {
-        self.registry.add(name, delta);
-        adaphet_metrics::global().add(name, delta);
+    /// The registry every `service.*` metric is written to (a handle:
+    /// clones share the storage).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
-    /// Observe a duration in the local registry and the global mirror.
+    /// Bump a counter.
+    pub fn count(&self, name: &str, delta: f64) {
+        self.registry.add(name, delta);
+    }
+
+    /// Observe a duration.
     pub fn observe(&self, name: &str, seconds: f64) {
         self.registry.observe(name, seconds);
-        adaphet_metrics::global().observe(name, seconds);
     }
 
     /// Adjust the open-proposal-ticket gauge (`+1` propose, `-1` resolve).

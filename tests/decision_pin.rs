@@ -1,12 +1,13 @@
 //! Decision-level pin of the GP hot path.
 //!
 //! The strategies score their candidates with one batched posterior scan
-//! over a surrogate they keep warm across proposals (shared correlation
-//! matrix, incremental updates, tiled factorization). None of that may
-//! change a decision: full 127-iteration sessions on a seeded 128-action,
-//! 3-group table must produce exactly the history of a reference driver
-//! that refits from scratch every iteration and scores one candidate at a
-//! time through the scalar `predict`.
+//! over a surrogate refitted at every proposal from state they keep across
+//! proposals (the pairwise distances and the correlation matrix `R`, grown
+//! by a bordered row; tiled factorization). None of that may change a
+//! decision: full 127-iteration sessions on a seeded 128-action, 3-group
+//! table must produce exactly the history of a reference driver that
+//! refits from nothing every iteration and scores one candidate at a time
+//! through the scalar `predict`.
 //!
 //! GP-discontinuous fits one row per distinct action (the replicates'
 //! sufficient statistics), which is exact in mathematics but not in bits;
