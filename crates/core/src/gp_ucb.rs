@@ -1,14 +1,44 @@
 //! Plain GP-UCB (paper Section IV-D, first variant): constant trend,
 //! hyper-parameters estimated by maximum likelihood, no problem structure.
+//!
+//! Every proposal re-runs the (θ, α) likelihood grid — α's scale and σ²_N
+//! are re-estimated from the data each time, so no factorization survives
+//! from one proposal to the next. What keeps the grid cheap is its size:
+//! the GP is fitted on one row per *distinct action* (the replicates'
+//! sufficient statistics), while the two estimators keep reading every
+//! observation.
 
 use crate::strategy::{hyper_of, lcb_diagnostics, posterior_points, NOISE_FLOOR};
 use crate::warm::{active_prior, prior_best_action, prior_obs, records_with_prior};
 use crate::{ActionSpace, DecisionTrace, History, PosteriorSnapshot, Strategy, SurrogatePrior};
 use adaphet_gp::{
-    estimate_noise_from_replicates, fit_profile_likelihood_with_noise, ucb_argmin, GpModel,
-    MleSearch, PairwiseDistances, UcbSchedule,
+    fit_profile_likelihood_with_noise, ucb_argmin, GpModel, MleSearch, PairwiseDistances,
+    ReplicateGroups, UcbSchedule,
 };
 use adaphet_store::GpHyper;
+use std::borrow::Cow;
+
+/// What one likelihood search consumes. The GP sees one row per *distinct
+/// action* ([`ReplicateGroups::collapse`]); the α scale and σ²_N are
+/// estimated from every observation. All (θ, α) candidates of a search
+/// share σ²_N and the rows, so the likelihood term the collapse drops is
+/// the same constant for each of them and the winner is the
+/// per-observation search's.
+#[derive(Debug, Clone, PartialEq)]
+struct MleInputs {
+    /// Distinct actions, in first-appearance order (prior rows first).
+    xs: Vec<f64>,
+    /// Precision-weighted mean duration of each action.
+    ys: Vec<f64>,
+    /// Nugget multiplier of each action: `1 / Σ_j 1/m_j` over its records
+    /// (`m_j` = κ for a prior pseudo-observation, 1 for a live one).
+    mults: Vec<f64>,
+    /// Sample variance of the raw durations — the scale of the α grid.
+    var: f64,
+    /// σ²_N, pooled over the raw replicates.
+    noise: f64,
+    search: MleSearch,
+}
 
 /// GP-UCB over node counts.
 ///
@@ -29,10 +59,14 @@ pub struct GpUcb {
     pub schedule: UcbSchedule,
     /// Cross-session prior folded into every fit, if warm-started.
     prior: Option<SurrogatePrior>,
-    /// Pairwise distances of the history, grown by appending across
-    /// `propose` calls and shared by every (θ, α) candidate of the MLE
-    /// grid — the surrogate state this baseline can keep warm exactly.
+    /// Pairwise distances of the distinct actions tried, shared by every
+    /// (θ, α) candidate of the MLE grid and kept across `propose` calls: a
+    /// replayed action appends nothing, a new one a bordered row. The
+    /// factorizations cannot be kept (α and σ²_N move at every proposal).
     dists: PairwiseDistances,
+    /// The inputs and model of the last `propose` that fitted, so that a
+    /// traced iteration explains that proposal without searching again.
+    kept: Option<(MleInputs, GpModel)>,
 }
 
 impl GpUcb {
@@ -44,35 +78,32 @@ impl GpUcb {
             schedule: UcbSchedule::default(),
             prior: None,
             dists: PairwiseDistances::new(),
+            kept: None,
         }
     }
 
-    fn mle_inputs(
-        &self,
-        space: &ActionSpace,
-        hist: &History,
-    ) -> (Vec<f64>, Vec<f64>, f64, MleSearch, Vec<f64>) {
+    /// The collapsed rows and raw-data estimates of the likelihood search
+    /// on `hist`; `None` without enough combined (prior + live) data.
+    fn mle_inputs(&self, space: &ActionSpace, hist: &History) -> Option<MleInputs> {
         let prior = prior_obs(&self.prior, space);
-        let (records, mults) = records_with_prior(prior.as_ref(), hist);
-        let xs: Vec<f64> = records.iter().map(|&(a, _)| a as f64).collect();
-        let ys: Vec<f64> = records.iter().map(|&(_, y)| y).collect();
-        let var = adaphet_linalg::sample_variance(&ys);
-        let noise = estimate_noise_from_replicates(&xs, &ys)
-            .unwrap_or(1e-4 * var.max(1e-12))
-            .max(NOISE_FLOOR);
+        let (records, raw_mults) = records_with_prior(prior.as_ref(), hist);
+        if hist.is_empty() || records.len() < 2 {
+            return None;
+        }
+        let raw_xs: Vec<f64> = records.iter().map(|&(a, _)| a as f64).collect();
+        let raw_ys: Vec<f64> = records.iter().map(|&(_, y)| y).collect();
+        let var = adaphet_linalg::sample_variance(&raw_ys);
+        let groups = ReplicateGroups::of(&raw_xs);
+        let noise =
+            groups.noise_variance(&raw_ys).unwrap_or(1e-4 * var.max(1e-12)).max(NOISE_FLOOR);
+        let (xs, ys, mults) = groups.collapse(&raw_xs, &raw_ys, &raw_mults);
         // A donated length scale centers the θ grid (the search narrows
         // to [θ/4, 4θ]); fit.rs falls back to the data-span grid for
         // non-finite or non-positive centers.
         let theta_center =
             active_prior(&self.prior).and_then(|p| p.hyper.as_ref()).map(|h| h.theta);
         let search = MleSearch { theta_center, ..MleSearch::default() };
-        (xs, ys, noise, search, mults)
-    }
-
-    /// Whether the fit has enough combined (prior + live) data.
-    fn fittable(&self, space: &ActionSpace, hist: &History) -> bool {
-        let prior_n = prior_obs(&self.prior, space).map_or(0, |(obs, _)| obs.len());
-        hist.len() + prior_n >= 2 && !hist.is_empty()
+        Some(MleInputs { xs, ys, mults, var, noise, search })
     }
 
     /// Fit the surrogate on the full history (public for the step-by-step
@@ -81,22 +112,37 @@ impl GpUcb {
         self.fit_in(&self.space, hist, &mut PairwiseDistances::new())
     }
 
-    /// The MLE fit over `dists`, brought in line with the history first:
-    /// `propose` hands in the persistent matrix (one appended row per new
-    /// observation, rebuilt only when the history was rewritten), everyone
-    /// else an empty one — the same distances, bit for bit.
+    /// The likelihood search of `inputs` over `dists`, brought in line with
+    /// the distinct actions first: `propose` hands in the persistent matrix
+    /// (one appended row per newly tried action, rebuilt only when the
+    /// history was rewritten), everyone else an empty one — the same
+    /// distances, bit for bit.
+    fn search(inputs: &MleInputs, dists: &mut PairwiseDistances) -> Option<GpModel> {
+        let MleInputs { xs, ys, mults, var, noise, search } = inputs;
+        dists.sync(xs);
+        fit_profile_likelihood_with_noise(search, xs, ys, *var, *noise, dists.matrix(), mults).ok()
+    }
+
+    /// [`Self::search`] of the history's inputs.
     fn fit_in(
         &self,
         space: &ActionSpace,
         hist: &History,
         dists: &mut PairwiseDistances,
     ) -> Option<GpModel> {
-        if !self.fittable(space, hist) {
-            return None;
+        Self::search(&self.mle_inputs(space, hist)?, dists)
+    }
+
+    /// The surrogate for `(space, hist)` without touching the persistent
+    /// state: the kept model when the last `propose` searched exactly these
+    /// inputs (a traced iteration explains the proposal it has just made),
+    /// a search over fresh distances otherwise.
+    fn model_for(&self, space: &ActionSpace, hist: &History) -> Option<Cow<'_, GpModel>> {
+        let inputs = self.mle_inputs(space, hist)?;
+        match &self.kept {
+            Some((kept, model)) if *kept == inputs => Some(Cow::Borrowed(model)),
+            _ => Self::search(&inputs, &mut PairwiseDistances::new()).map(Cow::Owned),
         }
-        let (xs, ys, noise, search, mults) = self.mle_inputs(space, hist);
-        dists.sync(&xs);
-        fit_profile_likelihood_with_noise(&search, &xs, &ys, noise, dists.matrix(), &mults).ok()
     }
 
     /// The β_t used at iteration `t` (for visualization).
@@ -142,13 +188,14 @@ impl Strategy for GpUcb {
         }
         let t = hist.len();
         let candidates: Vec<f64> = space.actions().iter().map(|&a| a as f64).collect();
-        let mut dists = std::mem::take(&mut self.dists);
-        let model = self.fit_in(space, hist, &mut dists);
-        self.dists = dists;
-        match model {
-            Some(model) => {
+        self.kept = self.mle_inputs(space, hist).and_then(|inputs| {
+            let model = Self::search(&inputs, &mut self.dists)?;
+            Some((inputs, model))
+        });
+        match &self.kept {
+            Some((_, model)) => {
                 let beta = self.schedule.beta(t.max(1), n);
-                ucb_argmin(&model, &candidates, beta)
+                ucb_argmin(model, &candidates, beta)
                     .map(|x| x.round() as usize)
                     .unwrap_or(n)
                     .clamp(1, n)
@@ -163,7 +210,7 @@ impl Strategy for GpUcb {
         if t < if warm { 2 } else { 4 } {
             return DecisionTrace::minimal("init");
         }
-        match self.fit_in(space, hist, &mut PairwiseDistances::new()) {
+        match self.model_for(space, hist) {
             Some(model) => {
                 let sqrt_beta = self.schedule.beta(t.max(1), space.max_nodes).sqrt();
                 let diagnostics =
@@ -177,12 +224,12 @@ impl Strategy for GpUcb {
     fn posterior_snapshot(&self, space: &ActionSpace, hist: &History) -> Option<PosteriorSnapshot> {
         // No LP curve and no bound mechanism in this baseline: every
         // action is a candidate and `lp_bound` stays empty.
-        let model = self.fit_in(space, hist, &mut PairwiseDistances::new())?;
+        let model = self.model_for(space, hist)?;
         Some(posterior_points(&model, space, |_, mean| mean, None))
     }
 
     fn warm_start(&mut self, prior: SurrogatePrior) -> bool {
-        // The persistent distance matrix indexed live history only; a
+        // The persistent distance matrix indexed live actions only; a
         // prior prepends rows, so it must be rebuilt from scratch.
         self.dists = PairwiseDistances::new();
         self.prior = Some(prior);
@@ -190,7 +237,7 @@ impl Strategy for GpUcb {
     }
 
     fn surrogate_hyper(&self, space: &ActionSpace, hist: &History) -> Option<GpHyper> {
-        self.fit_in(space, hist, &mut PairwiseDistances::new()).as_ref().map(hyper_of)
+        self.model_for(space, hist).as_deref().map(hyper_of)
     }
 }
 
@@ -288,6 +335,44 @@ mod tests {
                 ),
             }
         }
+    }
+
+    #[test]
+    fn explaining_the_proposal_just_made_reuses_the_kept_model() {
+        let space = ActionSpace::unstructured(14);
+        let f = |n: usize| 60.0 / n as f64 + 1.2 * n as f64;
+        let mut g = GpUcb::new(&space);
+        let mut h = drive(&mut g, &space, f, 20);
+        let a = g.propose(&space, &h);
+        assert!(matches!(g.model_for(&space, &h), Some(Cow::Borrowed(_))));
+        // Any other history is searched afresh, and so is this one once a
+        // prior has joined it (`tests/kept_model.rs` counts the searches
+        // and holds what the readers return to a fresh strategy's).
+        h.record(a, f(a));
+        assert!(matches!(g.model_for(&space, &h), Some(Cow::Owned(_))));
+        g.propose(&space, &h);
+        g.warm_start(prior_over(&space, f));
+        assert!(matches!(g.model_for(&space, &h), Some(Cow::Owned(_))));
+    }
+
+    #[test]
+    fn the_grid_is_sized_by_distinct_actions_and_estimated_on_every_record() {
+        let space = ActionSpace::unstructured(14);
+        let g = GpUcb::new(&space);
+        let mut h = History::new();
+        for (a, y) in [(14, 20.0), (1, 61.0), (7, 17.0), (7, 18.0), (14, 21.0), (3, 24.0)] {
+            h.record(a, y);
+        }
+        let inputs = g.mle_inputs(&space, &h).expect("six records");
+        assert_eq!(inputs.xs, [14.0, 1.0, 7.0, 3.0]);
+        assert_eq!(inputs.ys, [20.5, 61.0, 17.5, 24.0]);
+        assert_eq!(inputs.mults, [0.5, 1.0, 0.5, 1.0]);
+        let (raw_xs, raw_ys): (Vec<f64>, Vec<f64>) =
+            h.records().iter().map(|&(a, y)| (a as f64, y)).unzip();
+        assert_eq!(inputs.var, adaphet_linalg::sample_variance(&raw_ys));
+        let noise = adaphet_gp::estimate_noise_from_replicates(&raw_xs, &raw_ys).unwrap();
+        assert_eq!(inputs.noise.to_bits(), noise.to_bits());
+        assert_eq!(g.fit(&h).expect("fitted").n_obs(), 4);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! A traced iteration explains the proposal it has just made without
 //! fitting it again. One test, alone in its binary: the process-wide
-//! `gp.fit.full` counter is exact only while nothing else fits.
+//! `gp.fit.full` and `gp.mle.searches` counters are exact only while
+//! nothing else fits.
 
-use adaphet_core::{ActionSpace, GpDiscontinuous, History, Strategy};
+use adaphet_core::{ActionSpace, GpDiscontinuous, GpUcb, History, Strategy};
 use adaphet_gp::GpModel;
 
 fn bits(model: &GpModel, n: usize) -> Vec<(u64, u64)> {
@@ -52,4 +53,32 @@ fn explaining_the_proposal_just_made_fits_nothing() {
     g.posterior_snapshot(&space, &hist);
     g.surrogate_hyper(&space, &hist);
     assert!(fits() - before >= 3.0, "each of the three fits afresh");
+    // GP-UCB: one 27-fit likelihood grid per proposal, none for its trace.
+    let searches = || registry.counter_value("gp.mle.searches");
+    let mut g = GpUcb::new(&space);
+    let mut hist = History::new();
+    for _ in 0..20 {
+        let a = g.propose(&space, &hist);
+        hist.record(a, f(a));
+    }
+    let before = (searches(), fits());
+    let action = g.propose(&space, &hist);
+    assert_eq!((searches() - before.0, fits() - before.1), (1.0, 27.0), "9 θ × 3 α, once");
+
+    let before = searches();
+    let trace = g.explain(&space, &hist);
+    let snapshot = g.posterior_snapshot(&space, &hist).expect("fitted");
+    let hyper = g.surrogate_hyper(&space, &hist).expect("fitted");
+    assert_eq!(searches() - before, 0.0, "the model the proposal kept serves all three");
+    let fresh = GpUcb::new(&space);
+    assert_eq!(trace, fresh.explain(&space, &hist));
+    assert_eq!(snapshot, fresh.posterior_snapshot(&space, &hist).unwrap());
+    assert_eq!(hyper, fresh.surrogate_hyper(&space, &hist).unwrap());
+
+    hist.record(action, f(action));
+    let before = searches();
+    g.explain(&space, &hist);
+    g.posterior_snapshot(&space, &hist);
+    g.surrogate_hyper(&space, &hist);
+    assert_eq!(searches() - before, 3.0, "each of the three searches afresh");
 }

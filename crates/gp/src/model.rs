@@ -453,7 +453,11 @@ impl GpModel {
     /// [`crate::ReplicateGroups::collapse`] that is the likelihood of the
     /// per-input means: the within-replicate term of the raw observations'
     /// likelihood is not in it, so it must not be compared with a
-    /// per-observation fit's.
+    /// per-observation fit's. That term depends on σ²_N, the noise
+    /// multipliers and the scatter around the means alone, so fits of the
+    /// *same* collapsed rows under one σ²_N — the (θ, α) candidates of
+    /// [`crate::fit_profile_likelihood_with_noise`] — all lack the same
+    /// constant and rank exactly as their per-observation fits would.
     pub fn log_likelihood(&self) -> f64 {
         self.log_likelihood
     }

@@ -116,6 +116,25 @@ impl ReplicateGroups {
 }
 
 #[cfg(test)]
+impl ReplicateGroups {
+    /// The term −2·log L of a fit on [`Self::collapse`]d rows lacks
+    /// relative to the fit on the raw rows, spelled as documented there —
+    /// the oracle of the proptests here and of the likelihood search's.
+    pub(crate) fn within_group_term(&self, ys: &[f64], noise_mults: &[f64], noise_var: f64) -> f64 {
+        let (_, means, mults) = self.collapse(ys, ys, noise_mults);
+        let mut term = (ys.len() - self.groups) as f64 * (2.0 * std::f64::consts::PI).ln();
+        for (g, (&mean, &m)) in means.iter().zip(&mults).enumerate() {
+            term -= (noise_var * m).ln();
+            for j in (0..ys.len()).filter(|&j| self.group_of[j] == g) {
+                let s = noise_var * noise_mults.get(j).copied().unwrap_or(1.0);
+                term += s.ln() + (ys[j] - mean).powi(2) / s;
+            }
+        }
+        term
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{GpConfig, GpModel, Kernel, Trend};
@@ -237,14 +256,7 @@ mod tests {
                 prop_assert!(close(*a, *b), "trend coefficient {} vs {}", a, b);
             }
             // The likelihoods differ by the within-group term alone.
-            let mut within = (n - cx.len()) as f64 * (2.0 * std::f64::consts::PI).ln();
-            for (g, (&mean, &m)) in cy.iter().zip(&cm).enumerate() {
-                within -= (cfg.noise_var * m).ln();
-                for j in (0..n).filter(|&j| replicates.group_of[j] == g) {
-                    let s = cfg.noise_var * mults.get(j).copied().unwrap_or(1.0);
-                    within += s.ln() + (ys[j] - mean).powi(2) / s;
-                }
-            }
+            let within = replicates.within_group_term(&ys, &mults, cfg.noise_var);
             let gap = -2.0 * (raw.log_likelihood() - collapsed.log_likelihood());
             prop_assert!(close(gap, within), "-2 log L gap {} vs within-group term {}", gap, within);
             for q in 0..64 {

@@ -9,13 +9,15 @@
 //! refits from nothing every iteration and scores one candidate at a time
 //! through the scalar `predict`.
 //!
-//! GP-discontinuous fits one row per distinct action (the replicates'
+//! Both strategies fit one row per distinct action (the replicates'
 //! sufficient statistics), which is exact in mathematics but not in bits;
-//! the scratch driver above collapses the same way, so the sessions are
+//! the scratch drivers above collapse the same way, so sessions are
 //! additionally held to the actions the per-observation fit of the commit
-//! before that change chose ([`PARENT_PINS`]).
+//! before each change chose ([`PARENT_PINS`] for GP-discontinuous,
+//! [`UCB_PARENT_PINS`] for GP-UCB's likelihood grid).
 
 use adaphet::gp::{GpModel, Prediction};
+use adaphet::store::GpHyper;
 use adaphet::tuner::{
     ActionSpace, GpDiscontinuous, GpUcb, History, Strategy, SurrogatePrior, PRIOR_NOISE_INFLATION,
 };
@@ -34,20 +36,30 @@ struct Table {
 }
 
 fn table(seed: u64) -> Table {
+    table_with(NODES, vec![(1, 24), (25, 72), (73, NODES)], seed)
+}
+
+/// [`table`] over `nodes` actions in the given machine groups: the jump at
+/// the start of group `g ≥ 1` is drawn from `1 + 3(g − 1) .. 6g`.
+fn table_with(nodes: usize, groups: Vec<(usize, usize)>, seed: u64) -> Table {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let work = rng.random_range(400.0..900.0);
     let slope = rng.random_range(0.05..0.25);
-    let groups = vec![(1, 24), (25, 72), (73, NODES)];
-    let jumps = [0.0, rng.random_range(1.0..6.0), rng.random_range(4.0..12.0)];
-    let lp: Vec<f64> = (1..=NODES).map(|n| work / n as f64).collect();
-    let mean = (1..=NODES)
+    let jumps: Vec<f64> = (0..groups.len())
+        .map(|g| match g {
+            0 => 0.0,
+            _ => rng.random_range((3 * g - 2) as f64..(6 * g) as f64),
+        })
+        .collect();
+    let lp: Vec<f64> = (1..=nodes).map(|n| work / n as f64).collect();
+    let mean = (1..=nodes)
         .map(|n| {
             let g = groups.iter().position(|&(lo, hi)| n >= lo && n <= hi).unwrap();
             work / n as f64 + slope * n as f64 + jumps[g]
         })
         .collect();
     let noise = (0..ITERS).map(|_| rng.random_range(0.97..1.03)).collect();
-    Table { space: ActionSpace::new(NODES, groups, Some(lp)), mean, noise }
+    Table { space: ActionSpace::new(nodes, groups, Some(lp)), mean, noise }
 }
 
 /// Drive `strategy` for a full session, checking every GP-phase proposal
@@ -258,47 +270,67 @@ const PARENT_PINS: [(u64, Pin, Pin); 3] = [
 ];
 
 /// The LCB `strategy` assigns to action `a` on `hist`.
-fn lcb_of(strategy: &GpDiscontinuous, space: &ActionSpace, hist: &History, a: usize) -> f64 {
+fn lcb_of(strategy: &dyn Strategy, space: &ActionSpace, hist: &History, a: usize) -> f64 {
     let trace = strategy.explain(space, hist);
     trace.diagnostics.iter().find(|d| d.action == a).map_or(f64::NAN, |d| d.acquisition)
 }
 
-/// Play `pin`'s session on `t`, holding every action, σ²_N and the
-/// stage-2 α to the parent's; returns the history.
+/// Play the parent's `actions` on `t` with `live` (warm-started with
+/// `prior`), holding every proposal to them and σ²_N — after 16, 64 and 127
+/// observations — to the pooled estimator over the raw records of
+/// `target(action, duration)`, to the bit. Returns the history and the
+/// hyper-parameters reported at those three points.
 fn parent_pinned_session(
+    t: &Table,
+    label: &str,
+    live: &mut dyn Strategy,
+    actions: &[usize; ITERS],
+    prior: &Option<SurrogatePrior>,
+    target: impl Fn(usize, f64) -> f64,
+) -> (History, Vec<GpHyper>) {
+    let mut hist = History::new();
+    let mut hypers = Vec::new();
+    for (it, &pinned) in actions.iter().enumerate() {
+        let a = live.propose(&t.space, &hist);
+        assert_eq!(
+            a,
+            pinned,
+            "{label}: iteration {it} plays {a} (LCB {:e}), the parent played {pinned} (LCB {:e})",
+            lcb_of(live, &t.space, &hist, a),
+            lcb_of(live, &t.space, &hist, pinned),
+        );
+        hist.record(a, t.mean[a - 1] * t.noise[it]);
+        if [16, 64, ITERS].contains(&hist.len()) {
+            let hyper = live.surrogate_hyper(&t.space, &hist).expect("a fitted surrogate");
+            let records = prior.iter().flat_map(|p| &p.observations).chain(hist.records());
+            let (xs, ys): (Vec<f64>, Vec<f64>) =
+                records.map(|&(a, y)| (a as f64, target(a, y))).unzip();
+            let noise = adaphet::gp::estimate_noise_from_replicates(&xs, &ys).unwrap();
+            assert_eq!(hyper.noise_var.to_bits(), noise.to_bits(), "{label}: σ²_N moved");
+            hypers.push(hyper);
+        }
+    }
+    (hist, hypers)
+}
+
+fn close(got: f64, want: f64) -> bool {
+    (got - want).abs() <= 1e-9 * want
+}
+
+/// `pin`'s GP-discontinuous session on `t`: the actions, σ²_N of the LP
+/// residuals, and the stage-2 α — which follows the stage-1 trend, so the
+/// collapse reproduces it up to rounding. Returns the history.
+fn gp_disc_pinned_session(
     t: &Table,
     label: &str,
     pin: &Pin,
     prior: Option<SurrogatePrior>,
 ) -> History {
     let mut live = warmed(GpDiscontinuous::new(&t.space), &prior);
-    let mut hist = History::new();
-    let mut alphas = Vec::new();
-    for (it, &pinned) in pin.actions.iter().enumerate() {
-        let a = live.propose(&t.space, &hist);
-        assert_eq!(
-            a,
-            pinned,
-            "{label}: iteration {it} plays {a} (LCB {:e}), the parent played {pinned} (LCB {:e})",
-            lcb_of(&live, &t.space, &hist, a),
-            lcb_of(&live, &t.space, &hist, pinned),
-        );
-        hist.record(a, t.mean[a - 1] * t.noise[it]);
-        if [16, 64, ITERS].contains(&hist.len()) {
-            // σ²_N is still the pooled estimator over the raw records, to
-            // the bit; the stage-2 α follows the stage-1 trend, which the
-            // collapse reproduces up to rounding.
-            let hyper = live.surrogate_hyper(&t.space, &hist).expect("a fitted surrogate");
-            alphas.push(hyper.process_var);
-            let records = prior.iter().flat_map(|p| &p.observations).chain(hist.records());
-            let (xs, rs): (Vec<f64>, Vec<f64>) =
-                records.map(|&(a, y)| (a as f64, y - t.space.lp_at(a).unwrap())).unzip();
-            let noise = adaphet::gp::estimate_noise_from_replicates(&xs, &rs).unwrap();
-            assert_eq!(hyper.noise_var.to_bits(), noise.to_bits(), "{label}: σ²_N moved");
-        }
-    }
-    for (got, want) in alphas.iter().zip(pin.alphas) {
-        assert!((got - want).abs() <= 1e-9 * want, "{label}: stage-2 α {got} vs {want}");
+    let residual = |a, y| y - t.space.lp_at(a).unwrap();
+    let (hist, hypers) = parent_pinned_session(t, label, &mut live, &pin.actions, &prior, residual);
+    for (got, want) in hypers.iter().zip(pin.alphas) {
+        assert!(close(got.process_var, want), "{label}: stage-2 α {} vs {want}", got.process_var);
     }
     hist
 }
@@ -307,8 +339,144 @@ fn parent_pinned_session(
 fn gp_disc_actions_match_the_per_observation_parent() {
     for (seed, cold, warm) in &PARENT_PINS {
         let t = table(*seed);
-        let donor = parent_pinned_session(&t, &format!("table({seed}) cold"), cold, None);
+        let donor = gp_disc_pinned_session(&t, &format!("table({seed}) cold"), cold, None);
         let prior = Some(prior_from(&donor));
-        parent_pinned_session(&t, &format!("table({seed}) warm"), warm, prior);
+        gp_disc_pinned_session(&t, &format!("table({seed}) warm"), warm, prior);
+    }
+}
+
+/// A full GP-UCB session as the last commit that ran the likelihood grid on
+/// one row per *observation* played it, with the winning (θ, α) after 16, 64
+/// and 127 observations. Generated on that commit; a difference means the
+/// search changed, not the pin.
+struct UcbPin {
+    hypers: [(f64, f64); 3],
+    actions: [usize; ITERS],
+}
+
+/// `pin`'s GP-UCB session on `t`: the actions, σ²_N of the durations, and
+/// the grid's winner — a grid point scaled by the raw sample variance, so
+/// it can only move to another grid point. Returns the history.
+fn gp_ucb_pinned_session(
+    t: &Table,
+    label: &str,
+    pin: &UcbPin,
+    prior: Option<SurrogatePrior>,
+) -> History {
+    let mut live = warmed(GpUcb::new(&t.space), &prior);
+    let (hist, hypers) = parent_pinned_session(t, label, &mut live, &pin.actions, &prior, |_, y| y);
+    for (got, (theta, alpha)) in hypers.iter().zip(pin.hypers) {
+        assert!(
+            close(got.theta, theta) && close(got.process_var, alpha),
+            "{label}: (θ, α) ({}, {}) vs ({theta}, {alpha})",
+            got.theta,
+            got.process_var
+        );
+    }
+    hist
+}
+
+/// The GP-UCB sessions pinned on `table_with(nodes, groups, seed)`: the
+/// cold one and, where there is a second, the one warm-started from the
+/// cold one's first 40 records (κ = 16).
+struct UcbTablePins {
+    nodes: usize,
+    groups: &'static [(usize, usize)],
+    seed: u64,
+    sessions: &'static [UcbPin],
+}
+
+/// The 26- and 64-action tables are where most plays are replicates (25/12
+/// and 60/53 distinct actions in 127 plays); the 128-action session tries
+/// 120.
+#[rustfmt::skip]
+const UCB_PARENT_PINS: [UcbTablePins; 3] = [
+    UcbTablePins {
+        nodes: 26,
+        groups: &[(1, 8), (9, 26)],
+        seed: 5,
+        sessions: &[
+            UcbPin {
+                hypers: [(50.0, 65093.210827528776), (15.811388300841896, 19259.131137780892), (5.0, 10028.854920623591)],
+                actions: [
+                    26, 1, 13, 13, 20, 17, 23, 10, 15, 25, 22, 19, 8, 12, 24, 21, 18, 16, 14, 11, 9, 7, 6, 5,
+                    26, 4, 26, 25, 26, 25, 24, 26, 26, 26, 26, 25, 26, 26, 25, 26, 26, 3, 26, 26, 26, 26, 26, 26,
+                    25, 26, 26, 26, 26, 26, 25, 26, 26, 26, 26, 26, 26, 26, 26, 26, 25, 26, 26, 26, 26, 26, 26, 26,
+                    26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 25, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26,
+                    26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26,
+                    26, 26, 26, 26, 25, 26, 26,
+                ],
+            },
+            UcbPin {
+                hypers: [(15.811388300841896, 20326.418398063484), (8.891397050194614, 12118.706803058332), (5.0, 7670.167871549185)],
+                actions: [
+                    26, 26, 23, 22, 21, 20, 24, 25, 19, 26, 18, 26, 26, 25, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26,
+                    26, 26, 26, 26, 26, 25, 26, 26, 26, 26, 3, 26, 26, 25, 24, 26, 26, 26, 26, 26, 26, 26, 26, 26,
+                    26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 17, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26,
+                    24, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 25, 26, 26, 26, 26, 26, 16, 26, 26, 26, 26,
+                    26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26, 26,
+                    26, 26, 26, 26, 26, 25, 26,
+                ],
+            },
+        ],
+    },
+    UcbTablePins {
+        nodes: 64,
+        groups: &[(1, 16), (17, 40), (41, 64)],
+        seed: 9,
+        sessions: &[
+            UcbPin {
+                hypers: [(126.0, 106529.12379844184), (70.85500697398399, 26957.217059291288), (22.40632056649043, 14247.117679023127)],
+                actions: [
+                    64, 1, 32, 32, 48, 21, 40, 56, 27, 36, 44, 60, 52, 24, 17, 30, 38, 34, 42, 62, 58, 54, 50, 46,
+                    19, 29, 26, 23, 15, 39, 37, 35, 33, 31, 41, 63, 28, 61, 57, 59, 55, 53, 51, 49, 47, 45, 43, 25,
+                    22, 20, 18, 16, 14, 13, 12, 11, 10, 9, 8, 40, 40, 39, 40, 36, 40, 40, 38, 40, 40, 39, 40, 37,
+                    7, 6, 40, 40, 40, 40, 39, 39, 39, 39, 36, 40, 40, 40, 40, 40, 40, 34, 40, 39, 39, 40, 40, 38,
+                    39, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 38, 38, 38, 40, 40, 39,
+                    39, 38, 40, 36, 39, 40, 40,
+                ],
+            },
+            UcbPin {
+                hypers: [(70.85500697398399, 30458.783804650568), (39.84469851812158, 16941.356394445163), (22.40632056649043, 10860.884459664467)],
+                actions: [
+                    64, 40, 55, 53, 51, 49, 47, 45, 43, 25, 22, 20, 18, 16, 14, 13, 12, 11, 10, 9, 39, 36, 38, 37,
+                    34, 35, 33, 30, 31, 40, 63, 32, 62, 29, 58, 59, 54, 28, 8, 7, 39, 61, 40, 27, 57, 40, 56, 39,
+                    38, 40, 40, 40, 26, 60, 52, 50, 36, 39, 40, 40, 40, 40, 40, 38, 48, 39, 40, 44, 40, 40, 36, 40,
+                    46, 37, 38, 40, 41, 39, 40, 6, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 38, 42, 40, 40, 40, 39,
+                    40, 40, 40, 40, 40, 39, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40, 40,
+                    40, 40, 40, 40, 40, 40, 40,
+                ],
+            },
+        ],
+    },
+    UcbTablePins {
+        nodes: NODES,
+        groups: &[(1, 24), (25, 72), (73, NODES)],
+        seed: 17,
+        sessions: &[
+            UcbPin {
+                hypers: [(254.0, 165354.79127942346), (142.83469659834867, 41372.797786357245), (80.32185256827684, 21017.768143597186)],
+                actions: [
+                    128, 1, 64, 64, 96, 42, 80, 112, 53, 72, 88, 104, 120, 32, 58, 48, 37, 68, 76, 84, 92, 100, 108, 116,
+                    124, 61, 45, 27, 22, 55, 51, 40, 35, 30, 25, 66, 70, 74, 78, 82, 86, 90, 94, 98, 102, 106, 110, 114,
+                    118, 122, 126, 57, 59, 63, 49, 47, 44, 39, 34, 29, 24, 54, 65, 69, 67, 71, 60, 56, 52, 62, 50, 46,
+                    43, 41, 38, 36, 33, 73, 31, 75, 77, 28, 87, 85, 89, 81, 79, 83, 91, 95, 93, 97, 99, 101, 26, 103,
+                    107, 105, 109, 111, 23, 113, 115, 117, 123, 121, 119, 125, 127, 20, 21, 19, 18, 17, 16, 15, 14, 13, 12, 11,
+                    10, 70, 53, 58, 65, 67, 49,
+                ],
+            },
+        ],
+    },
+];
+
+#[test]
+fn gp_ucb_actions_match_the_per_observation_parent() {
+    for UcbTablePins { nodes, groups, seed, sessions } in &UCB_PARENT_PINS {
+        let t = table_with(*nodes, groups.to_vec(), *seed);
+        let label = format!("{nodes} actions, seed {seed}");
+        let donor = gp_ucb_pinned_session(&t, &format!("{label}, cold"), &sessions[0], None);
+        if let Some(warm) = sessions.get(1) {
+            gp_ucb_pinned_session(&t, &format!("{label}, warm"), warm, Some(prior_from(&donor)));
+        }
     }
 }
