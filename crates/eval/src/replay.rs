@@ -78,8 +78,10 @@ pub fn replay_instrumented(
     ReplayOutcome { total_time: history.total_time(), history }
 }
 
-/// Replay a strategy `reps` times (parallel) and summarize, computing the
-/// gain against the all-nodes baseline replayed with the same seeds.
+/// Replay a strategy `reps` times and summarize, computing the gain
+/// against the all-nodes baseline replayed with the same seeds. The reps
+/// run in parallel from the rayon shim's sequential cutoff (4) up; fewer
+/// run one after another on the calling thread.
 pub fn replay_many(
     kind: StrategyKind,
     table: &ResponseTable,

@@ -2,8 +2,9 @@
 //!
 //! Every figure pays a per-scenario simulation pass before any strategy
 //! replays; the passes are independent, so the sweep fans them across
-//! cores (shim-rayon scoped threads) and collects results **in input
-//! order**. Determinism does not rely on execution order at all:
+//! cores (the calling thread and shim-rayon's persistent worker pool) and
+//! collects results **in input order**. Determinism does not rely on
+//! execution order at all:
 //!
 //! * each scenario's simulations are seeded from the scenario itself
 //!   ([`build_response`](crate::build_response) derives its RNG streams

@@ -1,6 +1,6 @@
 //! Universal-kriging model: fit, predict, and O(n²) incremental updates.
 
-use crate::{Kernel, Trend};
+use crate::{Kernel, ReplicateGroups, Trend};
 use adaphet_linalg::{gls_solve, Cholesky, GlsFit, LinalgError, Mat};
 
 /// Hyper-parameters of a GP model.
@@ -160,8 +160,7 @@ impl GpModel {
         let log_likelihood =
             -0.5 * (quad + chol.log_det() + n as f64 * (2.0 * std::f64::consts::PI).ln());
 
-        let replicate_of =
-            (0..n).map(|i| x[..i].iter().position(|&xj| xj == x[i]).unwrap_or(i)).collect();
+        let replicate_of = ReplicateGroups::of(x).first_member_of();
         Ok(GpModel {
             config,
             x: x.to_vec(),

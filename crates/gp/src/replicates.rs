@@ -50,6 +50,22 @@ impl ReplicateGroups {
         ReplicateGroups { group_of, groups }
     }
 
+    /// For each observation, the first observation with the same input
+    /// (itself for an input seen for the first time).
+    pub(crate) fn first_member_of(&self) -> Vec<usize> {
+        let mut first = Vec::with_capacity(self.groups);
+        self.group_of
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| {
+                if g == first.len() {
+                    first.push(i);
+                }
+                first[g]
+            })
+            .collect()
+    }
+
     /// The paper's pooled σ̂²_N of the observations `ys` over these groups;
     /// `None` when no input has been measured twice.
     ///
@@ -207,6 +223,25 @@ mod tests {
             prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
             let wrapped = crate::estimate_noise_from_replicates(&xs, &ys);
             prop_assert_eq!(wrapped.map(f64::to_bits), want.map(f64::to_bits));
+        }
+
+        /// `first_member_of` is the `==` scan over earlier inputs it
+        /// replaces, signed zeros and NaN included.
+        #[test]
+        fn prop_first_member_is_the_first_equal_input(seed in 0u64..300) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xf125);
+            let n = rng.random_range(0usize..140);
+            let xs: Vec<f64> = (0..n)
+                .map(|_| match rng.random_range(0..20) {
+                    0 => -0.0,
+                    1 => f64::NAN,
+                    v => (v % 7) as f64,
+                })
+                .collect();
+            let scan: Vec<usize> = (0..n)
+                .map(|i| xs[..i].iter().position(|&xj| xj == xs[i]).unwrap_or(i))
+                .collect();
+            prop_assert_eq!(ReplicateGroups::of(&xs).first_member_of(), scan);
         }
 
         /// The sufficient-statistics identity: a fit on the collapsed rows
