@@ -1,7 +1,12 @@
 //! Universal-kriging model: fit, predict, and O(n²) incremental updates.
 
 use crate::{Kernel, ReplicateGroups, Trend};
-use adaphet_linalg::{gls_solve, Cholesky, GlsFit, LinalgError, Mat};
+use adaphet_linalg::{gls_solve, Cholesky, GlsFit, LinalgError, Mat, TileSolver, RHS_TILE};
+
+/// Inputs and candidates of magnitude below this, all integral, let
+/// [`GpModel::predict_many`] read its kernel values from a table indexed by
+/// distance (at most `2·TABLE_CAP` entries).
+const TABLE_CAP: f64 = 4096.0;
 
 /// Hyper-parameters of a GP model.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,8 +56,9 @@ pub struct GpModel {
     /// Design matrix rows (needed for the variance correction).
     design: Mat,
     /// `replicate_of[i]` is the first observation with the same input as
-    /// observation `i` (`i` itself for a new input): kernel values against
-    /// a replicate are copied from its twin instead of re-evaluated.
+    /// observation `i` (`i` itself for a new input): [`GpModel::update`]
+    /// copies kernel values against a replicate from its twin instead of
+    /// re-evaluating them.
     replicate_of: Vec<usize>,
     /// Per-point multipliers of the nugget (`K[(i,i)] += σ²_N · m_i`).
     /// Empty means every multiplier is exactly 1 — the homoscedastic
@@ -341,80 +347,139 @@ impl GpModel {
     }
 
     /// Posterior predictions at every input of `xq` — each one bit-identical
-    /// to predicting that input alone, for a fraction of the work: the
-    /// `m × n` kernel rows are evaluated once per *distinct* observed input
-    /// (replicates copy their twin's column), all `K⁻¹ k*` solves share one
-    /// [`Cholesky::solve_many`] sweep, and the O(n) sums run over the
-    /// candidates side by side, each candidate's terms still added in
-    /// ascending observation order.
+    /// to predicting that input alone, for a fraction of the work. One pass
+    /// over tiles of [`RHS_TILE`] candidates builds the tile's `k*` (read
+    /// from a table of kernel values per distance when every input is
+    /// integral, DESIGN.md §"Table rule"), solves a copy of it for `K⁻¹ k*`
+    /// with a [`TileSolver`], and folds both into the candidates' sums while
+    /// the tile is still in cache; each candidate's terms are still added in
+    /// ascending observation order. Nothing of size `m × n` is ever stored.
     pub fn predict_many(&self, xq: &[f64]) -> Vec<Prediction> {
         let alpha = self.config.process_var.max(1e-12);
-        let (m, n) = (xq.len(), self.x.len());
+        let table = self.covariance_table(xq, alpha);
+        let table = table.as_deref();
+        let solver = self.chol.tile_solver();
+        let mut out = Vec::with_capacity(xq.len());
+        // Tiles of 8 candidates, then at most one each of 4, 2 and 1 for
+        // the rest, as the factorization walks its rows: no lane is padded,
+        // and a lone candidate solves one lane.
+        let rest = self.scan_tiles::<RHS_TILE>(xq, alpha, table, &solver, &mut out);
+        let rest = self.scan_tiles::<4>(rest, alpha, table, &solver, &mut out);
+        let rest = self.scan_tiles::<2>(rest, alpha, table, &solver, &mut out);
+        self.scan_tiles::<1>(rest, alpha, table, &solver, &mut out);
+        out
+    }
+
+    /// [`GpModel::predict_many`] over as many `W`-candidate tiles of `xq`
+    /// as fit, pushed to `out` in order; returns the candidates left over.
+    fn scan_tiles<'q, const W: usize>(
+        &self,
+        xq: &'q [f64],
+        alpha: f64,
+        table: Option<&[f64]>,
+        solver: &TileSolver<'_>,
+        out: &mut Vec<Prediction>,
+    ) -> &'q [f64] {
+        let tiles = xq.chunks_exact(W);
+        let rest = tiles.remainder();
+        if tiles.len() == 0 {
+            return rest;
+        }
+        let n = self.x.len();
         let p = self.config.trend.len();
-        if m == 0 {
-            return Vec::new();
-        }
-
-        // k*[r, i] = α r(xq_r, x_i): one candidate per row, so column i
-        // holds every candidate's covariance with observation i.
-        let mut kstar = Vec::with_capacity(m * n);
-        for (i, &xi) in self.x.iter().enumerate() {
-            match self.replicate_of[i] {
-                j if j < i => kstar.extend_from_within(j * m..(j + 1) * m),
-                _ => kstar.extend(xq.iter().map(|&q| alpha * self.config.kernel.corr(q - xi))),
-            }
-        }
-        let kstar = Mat::from_col_major(m, n, kstar);
-        let mut kinv_kstar = kstar.clone();
-        self.chol.solve_many(&mut kinv_kstar);
-
-        // Per candidate: k*ᵀ K⁻¹ resid, k*ᵀ K⁻¹ k* and Gᵀ K⁻¹ k*, each a
-        // sum over observations in ascending i. The first two start from
-        // the value an iterator `sum()` starts from, the last from 0.0, as
-        // the one-candidate expressions always have.
+        // Unknown-major tiles: `kstar[i][c]` = α r(xq_c, x_i) of the tile's
+        // candidate c, `kinv_kstar[i][c]` the same lane of K⁻¹ k*.
+        let mut kstar = vec![[0.0; W]; n];
+        let mut kinv_kstar = vec![[0.0; W]; n];
+        let mut gt_kinv_kstar = vec![[0.0; W]; p];
+        // The first two per-candidate sums start from the value an iterator
+        // `sum()` starts from, Gᵀ K⁻¹ k* from 0.0, as the one-candidate
+        // expressions always have.
         let sum_start: f64 = std::iter::empty::<f64>().sum();
-        let mut k_resid = vec![sum_start; m];
-        let mut explained = vec![sum_start; m];
-        let columns =
-            || kstar.as_slice().chunks_exact(m).zip(kinv_kstar.as_slice().chunks_exact(m));
-        for ((kc, sc), &w) in columns().zip(&self.kinv_resid) {
-            for r in 0..m {
-                k_resid[r] += kc[r] * w;
-                explained[r] += kc[r] * sc[r];
-            }
-        }
-        let mut gt_kinv_kstar = Mat::zeros(m, p);
-        for j in 0..p {
-            let out = gt_kinv_kstar.col_mut(j);
-            for ((_, sc), &g) in columns().zip(self.design.col(j)) {
-                for (s, &v) in out.iter_mut().zip(sc) {
-                    *s += g * v;
+        let (mut g, mut u, mut cu) = (vec![0.0; p], vec![0.0; p], vec![0.0; p]);
+        for qs in tiles {
+            match table {
+                Some(cov) => {
+                    for (t, &xi) in kstar.iter_mut().zip(&self.x) {
+                        for (k, &q) in t.iter_mut().zip(qs) {
+                            *k = cov[(q - xi).abs() as usize];
+                        }
+                    }
+                }
+                None => {
+                    for (t, &xi) in kstar.iter_mut().zip(&self.x) {
+                        for (k, &q) in t.iter_mut().zip(qs) {
+                            *k = alpha * self.config.kernel.corr(q - xi);
+                        }
+                    }
                 }
             }
-        }
+            kinv_kstar.copy_from_slice(&kstar);
+            solver.solve(&mut kinv_kstar);
 
-        let (mut g, mut u, mut cu) = (vec![0.0; p], vec![0.0; p], vec![0.0; p]);
-        (0..m)
-            .map(|r| {
+            // k*ᵀ K⁻¹ resid, k*ᵀ K⁻¹ k* and Gᵀ K⁻¹ k*, each a sum over
+            // observations in ascending i.
+            let mut k_resid = [sum_start; W];
+            let mut explained = [sum_start; W];
+            for ((kc, sc), &w) in kstar.iter().zip(&kinv_kstar).zip(&self.kinv_resid) {
+                for c in 0..W {
+                    k_resid[c] += kc[c] * w;
+                    explained[c] += kc[c] * sc[c];
+                }
+            }
+            for (j, acc) in gt_kinv_kstar.iter_mut().enumerate() {
+                *acc = [0.0; W];
+                for (&gij, sc) in self.design.col(j).iter().zip(&kinv_kstar) {
+                    for c in 0..W {
+                        acc[c] += gij * sc[c];
+                    }
+                }
+            }
+
+            for (c, &q) in qs.iter().enumerate() {
                 for (gj, term) in g.iter_mut().zip(&self.config.trend.terms) {
-                    *gj = term.eval(xq[r]);
+                    *gj = term.eval(q);
                 }
                 // mean = g*ᵀ γ̂ + k*ᵀ K⁻¹ resid
                 let mut mean: f64 =
                     g.iter().zip(&self.gls.coefficients).map(|(gi, ci)| gi * ci).sum();
-                mean += k_resid[r];
+                mean += k_resid[c];
                 // var = α − k*ᵀK⁻¹k* + uᵀ(GᵀK⁻¹G)⁻¹u, u = g* − Gᵀ K⁻¹ k*.
-                let mut var = alpha - explained[r];
+                let mut var = alpha - explained[c];
                 if p > 0 {
-                    for (j, uj) in u.iter_mut().enumerate() {
-                        *uj = g[j] - gt_kinv_kstar[(r, j)];
+                    for ((uj, gj), acc) in u.iter_mut().zip(&g).zip(&gt_kinv_kstar) {
+                        *uj = gj - acc[c];
                     }
                     self.gls.coef_cov.matvec_into(&u, &mut cu);
                     var += u.iter().zip(&cu).map(|(a, b)| a * b).sum::<f64>();
                 }
-                Prediction { mean, var: var.max(0.0) }
-            })
-            .collect()
+                out.push(Prediction { mean, var: var.max(0.0) });
+            }
+        }
+        rest
+    }
+
+    /// `α·r(d)` at every distance `d = 0, 1, …, span` a scan of `xq` can
+    /// meet, or `None` when the scan must call [`Kernel::corr`] per entry.
+    ///
+    /// A table is built only when every observed input and every candidate
+    /// is an integral double below [`TABLE_CAP`] in magnitude — then each
+    /// `q − x_i` is computed exactly, `|q − x_i|` is the integer `d` as a
+    /// double, and entry `d` is the very double `α·r(q − x_i)` would be
+    /// (DESIGN.md §"Table rule") — and only when its `span + 1` kernel
+    /// evaluations are fewer than the `m·n` it replaces.
+    fn covariance_table(&self, xq: &[f64], alpha: f64) -> Option<Vec<f64>> {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &v in self.x.iter().chain(xq) {
+            if v.trunc() != v || v.abs() >= TABLE_CAP {
+                return None;
+            }
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        let span = (hi - lo) as usize;
+        (xq.len() * self.x.len() > span + 1)
+            .then(|| (0..=span).map(|d| alpha * self.config.kernel.corr(d as f64)).collect())
     }
 
     /// The hyper-parameters used for this fit.
@@ -582,6 +647,104 @@ mod tests {
             }
         }
         assert!(compared > 1000, "only {compared} predictions were compared");
+    }
+
+    /// `predict_many` against the oracle, bit for bit.
+    fn assert_matches_oracle(model: &GpModel, xq: &[f64], case: &str) {
+        let got = model.predict_many(xq);
+        assert_eq!(got.len(), xq.len(), "{case}");
+        for (p, &q) in got.iter().zip(xq) {
+            let want = predict_oracle(model, q);
+            assert_eq!(p.mean.to_bits(), want.mean.to_bits(), "mean: {case}, xq = {q}");
+            assert_eq!(p.var.to_bits(), want.var.to_bits(), "var: {case}, xq = {q}");
+        }
+    }
+
+    /// The shapes the tuners scan: one row per distinct action of
+    /// 1..=128, integral candidates, GP-discontinuous's θ = 1 exponential
+    /// among the kernels — the table path, mostly.
+    #[test]
+    fn predict_many_on_integral_actions_matches_the_oracle_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7ab1e);
+        let groups = [(1, 32), (33, 96), (97, 128)];
+        // `k` distinct actions of 1..=128 in random order.
+        let distinct = |rng: &mut rand::rngs::StdRng, k: usize| -> Vec<f64> {
+            let mut actions: Vec<f64> = (1..=128).map(|a| a as f64).collect();
+            for i in 0..k {
+                let j = rng.random_range(i..actions.len());
+                actions.swap(i, j);
+            }
+            actions.truncate(k);
+            actions
+        };
+        let (mut tabled, mut cases) = (0, 0);
+        for n in 1..=120usize {
+            let kernel = match n % 5 {
+                0 => Kernel::Exponential { theta: 1.0 },
+                1 => Kernel::Exponential { theta: rng.random_range(0.5..8.0) },
+                2 => Kernel::SquaredExponential { theta: rng.random_range(2.0..20.0) },
+                3 => Kernel::Matern32 { theta: rng.random_range(1.0..10.0) },
+                _ => Kernel::Matern52 { theta: rng.random_range(1.0..10.0) },
+            };
+            let trend = match n % 3 {
+                0 => Trend::none(),
+                1 => Trend::constant(),
+                _ => Trend::linear_with_group_dummies(&groups),
+            };
+            let cfg = GpConfig {
+                kernel,
+                process_var: rng.random_range(0.2..5.0),
+                noise_var: rng.random_range(0.01..0.3),
+                trend,
+            };
+            let xs = distinct(&mut rng, n);
+            let ys: Vec<f64> =
+                xs.iter().map(|x| 50.0 / x + 0.1 * x + rng.random_range(-0.5..0.5)).collect();
+            let mults: Vec<f64> = match n % 4 {
+                0 => (0..n).map(|i| if i < n / 3 { 16.0 } else { 1.0 }).collect(),
+                _ => Vec::new(),
+            };
+            let corr = cfg.kernel.corr_matrix_of(&xs);
+            let Ok(model) = GpModel::fit_with_corr(cfg, &xs, &ys, &corr, &mults) else {
+                continue; // a dummy group without data: nothing to compare
+            };
+            let m = [1, 7, 8, 9, 100, 128][n % 6];
+            let xq = distinct(&mut rng, m);
+            let alpha = model.config.process_var.max(1e-12);
+            tabled += usize::from(model.covariance_table(&xq, alpha).is_some());
+            cases += 1;
+            assert_matches_oracle(&model, &xq, &format!("n = {n}, m = {m}"));
+        }
+        assert!(cases > 100 && tabled > 90, "{tabled} of {cases} scans used the table");
+    }
+
+    /// One off-grid candidate, or one input beyond the cap, sends the whole
+    /// scan to `corr` per entry — with the same bits.
+    #[test]
+    fn predict_many_falls_back_past_the_table_rule_bitwise() {
+        let cfg = GpConfig {
+            kernel: Kernel::Exponential { theta: 1.0 },
+            process_var: 1.3,
+            noise_var: 0.05,
+            trend: Trend::linear_with_group_dummies(&[(1, 40), (41, 80)]),
+        };
+        let xs: Vec<f64> = (1..=80).step_by(3).map(|a| a as f64).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| 30.0 / x + 0.05 * x).collect();
+        let model = GpModel::fit(cfg.clone(), &xs, &ys).unwrap();
+        let mut xq: Vec<f64> = (1..=80).map(|a| a as f64).collect();
+        assert!(model.covariance_table(&xq, 1.3).is_some());
+        assert_matches_oracle(&model, &xq, "all integral");
+        xq[37] = 37.5;
+        assert!(model.covariance_table(&xq, 1.3).is_none());
+        assert_matches_oracle(&model, &xq, "one off-grid candidate");
+
+        let mut far = xs.clone();
+        far[5] = TABLE_CAP + 6.0;
+        let model = GpModel::fit(cfg, &far, &ys).unwrap();
+        xq[37] = 37.0;
+        assert!(model.covariance_table(&xq, 1.3).is_none());
+        assert_matches_oracle(&model, &xq, "one input beyond the cap");
     }
 
     fn base_config(theta: f64) -> GpConfig {

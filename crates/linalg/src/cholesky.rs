@@ -6,9 +6,10 @@ use crate::{backward_sub_in_place, forward_sub, forward_sub_in_place, LinalgErro
 /// while it subtracts the previous columns' contributions.
 const ROW_TILE: usize = 8;
 
-/// Right-hand sides that [`Cholesky::solve_many`] carries through a
-/// substitution sweep together (one `[f64; RHS_TILE]` per unknown).
-const RHS_TILE: usize = 8;
+/// The widest tile of right-hand sides worth carrying through a
+/// [`TileSolver`] sweep together (one `[f64; RHS_TILE]` per unknown):
+/// eight lanes share each load of `L`.
+pub const RHS_TILE: usize = 8;
 
 /// For `W` rows of column `j` starting at row `i` — as many `W`-row tiles as
 /// fit below `i` — subtract `row_j[k] · l[rows, k]` for every finished column
@@ -252,57 +253,17 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Solve `A x = b` for many right-hand sides at once, in place.
-    ///
-    /// `rhs` holds one right-hand side per **row** (`m × n`), so the `m`
-    /// values that belong to unknown `i` are the contiguous column `i`.
-    /// Each row ends up bit-identical to [`Cholesky::solve`] on that row:
-    /// the sweeps below only change which right-hand sides advance
-    /// together, never the order of operations inside one.
-    ///
-    /// # Panics
-    /// Panics if `rhs.cols() != self.dim()`.
-    pub fn solve_many(&self, rhs: &mut Mat) {
+    /// A solver for tiles of right-hand sides, for callers that build the
+    /// right-hand sides a tile at a time and reduce each solved tile while
+    /// it is still in cache. It packs the rows of `L` once, in O(n²); every
+    /// tile solved with it reuses them.
+    pub fn tile_solver(&self) -> TileSolver<'_> {
         let n = self.dim();
-        assert_eq!(rhs.cols(), n, "solve_many: right-hand sides must have {n} entries");
-        let m = rhs.rows();
-        if m == 0 || n == 0 {
-            return;
+        let mut rows = Vec::with_capacity(n * (n + 1) / 2);
+        for i in 0..n {
+            rows.extend((0..=i).map(|j| self.l[(i, j)]));
         }
-        if m == 1 {
-            // A lone right-hand side is its own contiguous vector.
-            return self.solve_in_place(rhs.as_mut_slice());
-        }
-        let rows = self.packed_rows();
-        // One tile of right-hand sides, unknown-major: `tile[i]` holds
-        // x_i of RHS_TILE right-hand sides. A short last tile is padded
-        // with zeros (0/d stays 0) and only its live lanes are copied back.
-        let mut tile = vec![[0.0; RHS_TILE]; n];
-        for r0 in (0..m).step_by(RHS_TILE) {
-            let w = RHS_TILE.min(m - r0);
-            for (i, t) in tile.iter_mut().enumerate() {
-                *t = [0.0; RHS_TILE];
-                t[..w].copy_from_slice(&rhs.col(i)[r0..r0 + w]);
-            }
-            forward_tile(&rows, &mut tile);
-            backward_tile(&self.l, &mut tile);
-            for (i, t) in tile.iter().enumerate() {
-                rhs.col_mut(i)[r0..r0 + w].copy_from_slice(&t[..w]);
-            }
-        }
-    }
-
-    /// Rows of `L` packed one after another (`row i` = `l[i, 0..=i]`), the
-    /// contiguous layout the row-form forward sweep reads.
-    fn packed_rows(&self) -> Vec<f64> {
-        let n = self.dim();
-        let mut rows = vec![0.0; n * (n + 1) / 2];
-        for j in 0..n {
-            for (i, &v) in self.l.col(j).iter().enumerate().skip(j) {
-                rows[i * (i + 1) / 2 + j] = v;
-            }
-        }
-        rows
+        TileSolver { l: &self.l, rows }
     }
 
     /// Solve only the forward half, `L y = b` (used by kriging where
@@ -328,13 +289,41 @@ impl Cholesky {
     }
 }
 
+/// `A x = b` for a tile of right-hand sides at a time
+/// ([`Cholesky::tile_solver`]).
+#[derive(Debug)]
+pub struct TileSolver<'a> {
+    l: &'a Mat,
+    /// Rows of `L` packed one after another (`row i` = `l[i, 0..=i]`), the
+    /// contiguous layout the row-form forward sweep reads.
+    rows: Vec<f64>,
+}
+
+impl TileSolver<'_> {
+    /// Solve one tile of `W` right-hand sides in place. The tile is
+    /// unknown-major: `tile[i][c]` is entry `i` of right-hand side `c`, on
+    /// entry and on return. Every lane ends up bit-identical to
+    /// [`Cholesky::solve`] of that lane: the sweeps only change which
+    /// right-hand sides advance together, never the order of operations
+    /// inside one. [`RHS_TILE`] is the widest tile worth carrying.
+    ///
+    /// # Panics
+    /// Panics if `tile.len()` is not the factor's dimension.
+    pub fn solve<const W: usize>(&self, tile: &mut [[f64; W]]) {
+        let n = self.l.rows();
+        assert_eq!(tile.len(), n, "tile solve: right-hand sides must have {n} entries");
+        forward_tile(&self.rows, tile);
+        backward_tile(self.l, tile);
+    }
+}
+
 /// Row-form forward substitution `L x = b` on one tile of right-hand
 /// sides. [`forward_sub_in_place`] eliminates column by column
 /// (`x_i -= l[i,j]·x_j` for every `i > j` as soon as `x_j` is known); here
 /// each `x_i` collects the same subtractions, in the same ascending `j`,
 /// in a register before its division by `l[i,i]` — the two forms run the
 /// identical operation sequence on every element.
-fn forward_tile(packed_rows: &[f64], x: &mut [[f64; RHS_TILE]]) {
+fn forward_tile<const W: usize>(packed_rows: &[f64], x: &mut [[f64; W]]) {
     let mut start = 0;
     for i in 0..x.len() {
         let row = &packed_rows[start..start + i + 1];
@@ -342,8 +331,8 @@ fn forward_tile(packed_rows: &[f64], x: &mut [[f64; RHS_TILE]]) {
         let (solved, rest) = x.split_at_mut(i);
         let mut s = rest[0];
         for (&lij, xj) in row[..i].iter().zip(solved.iter()) {
-            for (sc, &xc) in s.iter_mut().zip(xj) {
-                *sc -= lij * xc;
+            for c in 0..W {
+                s[c] -= lij * xj[c];
             }
         }
         let d = row[i];
@@ -358,30 +347,31 @@ fn forward_tile(packed_rows: &[f64], x: &mut [[f64; RHS_TILE]]) {
 /// mirroring [`backward_sub_in_place`]: `x_j = (x_j − dot(l[j+1.., j],
 /// x[j+1..])) / l[j,j]` with [`crate::dot`]'s association — four strided
 /// partial sums plus a sequential tail, added as `((a0+a1)+a2)+a3)+tail`.
-fn backward_tile(l: &Mat, x: &mut [[f64; RHS_TILE]]) {
+fn backward_tile<const W: usize>(l: &Mat, x: &mut [[f64; W]]) {
     let n = x.len();
     for j in (0..n).rev() {
         let col = &l.col(j)[j + 1..];
         let (head, below) = x.split_at_mut(j + 1);
         let chunks = col.len() / 4;
-        let mut acc = [[0.0; RHS_TILE]; 4];
+        let mut acc = [[0.0; W]; 4];
         for (lane, a) in acc.iter_mut().enumerate() {
             for k in 0..chunks {
                 let lij = col[4 * k + lane];
-                for (ac, &xc) in a.iter_mut().zip(&below[4 * k + lane]) {
-                    *ac += lij * xc;
+                let xi = &below[4 * k + lane];
+                for c in 0..W {
+                    a[c] += lij * xi[c];
                 }
             }
         }
-        let mut tail = [0.0; RHS_TILE];
+        let mut tail = [0.0; W];
         for (&lij, xi) in col[4 * chunks..].iter().zip(&below[4 * chunks..]) {
-            for (tc, &xc) in tail.iter_mut().zip(xi) {
-                *tc += lij * xc;
+            for c in 0..W {
+                tail[c] += lij * xi[c];
             }
         }
         let d = l[(j, j)];
         let xj = &mut head[j];
-        for c in 0..RHS_TILE {
+        for c in 0..W {
             let s = acc[0][c] + acc[1][c] + acc[2][c] + acc[3][c] + tail[c];
             xj[c] = (xj[c] - s) / d;
         }
@@ -504,26 +494,44 @@ mod tests {
         assert!(collapsed >= 4, "only {collapsed} of the singular matrices lost a pivot");
     }
 
+    /// Solve one random `W`-lane tile and compare every lane with the
+    /// one-right-hand-side solve, bit for bit.
+    fn assert_tile_matches_solve<const W: usize>(c: &Cholesky, rng: &mut impl rand::Rng) {
+        let n = c.dim();
+        let mut tile = vec![[0.0; W]; n];
+        for t in &mut tile {
+            t.fill_with(|| rng.random_range(-5.0..5.0));
+        }
+        let lanes: Vec<Vec<f64>> = (0..W).map(|k| tile.iter().map(|t| t[k]).collect()).collect();
+        c.tile_solver().solve(&mut tile);
+        for (lane, b) in lanes.iter().enumerate() {
+            let want: Vec<u64> = c.solve(b).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = tile.iter().map(|t| t[lane].to_bits()).collect();
+            assert_eq!(got, want, "n = {n}, {W}-lane tile, lane {lane}");
+        }
+    }
+
     #[test]
-    fn solve_many_matches_per_row_solve_bitwise() {
-        use rand::{Rng, SeedableRng};
+    fn tile_solve_matches_per_lane_solve_bitwise() {
+        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x50_17e);
-        // Every n (each `dot` tail length, n < 4) against right-hand-side
-        // counts around the tile width, including the one-row fast path.
+        // Every n (each `dot` tail length, n < 4) against the full tile and
+        // each narrower width; banded factors exercise exact-zero entries,
+        // and a factor grown by `append` packs its new row like the rest.
         for n in 1..=130 {
-            let c = Cholesky::factor(&random_spd(&mut rng, n, None)).unwrap();
-            let m = [1, 2, 7, 8, 9, 13, 16, 17][n % 8];
-            let rhs = Mat::from_fn(m, n, |_, _| rng.random_range(-5.0..5.0));
-            let mut x = rhs.clone();
-            c.solve_many(&mut x);
-            for r in 0..m {
-                let want = c.solve(&rhs.row(r));
-                let got = x.row(r);
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "n = {n}, m = {m}, row {r}"
-                );
+            let band = [None, Some(3)][n % 2];
+            let a = random_spd(&mut rng, n, band);
+            let c = Cholesky::factor(&a).unwrap();
+            assert_tile_matches_solve::<RHS_TILE>(&c, &mut rng);
+            assert_tile_matches_solve::<4>(&c, &mut rng);
+            assert_tile_matches_solve::<2>(&c, &mut rng);
+            assert_tile_matches_solve::<1>(&c, &mut rng);
+            if n > 1 {
+                let m = n - 1;
+                let mut grown = Cholesky::factor(&Mat::from_fn(m, m, |i, j| a[(i, j)])).unwrap();
+                let col: Vec<f64> = (0..m).map(|i| a[(m, i)]).collect();
+                grown.append(&col, a[(m, m)], &mut Vec::new()).unwrap();
+                assert_tile_matches_solve::<RHS_TILE>(&grown, &mut rng);
             }
         }
     }

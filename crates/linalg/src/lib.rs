@@ -40,7 +40,7 @@ mod stats;
 mod triangular;
 mod vector;
 
-pub use cholesky::Cholesky;
+pub use cholesky::{Cholesky, TileSolver, RHS_TILE};
 pub use error::LinalgError;
 pub use gls::{gls_solve, GlsFit};
 pub use kernels::{flops, gemm_update, potrf_tile, syrk_update, trsm_right_lt, TileKernel};
