@@ -1,12 +1,13 @@
 //! Plain GP-UCB (paper Section IV-D, first variant): constant trend,
 //! hyper-parameters estimated by maximum likelihood, no problem structure.
 //!
-//! Every proposal re-runs the (θ, α) likelihood grid — α's scale and σ²_N
+//! Every proposal re-runs the (θ, α) likelihood search — α's scale and σ²_N
 //! are re-estimated from the data each time, so no factorization survives
-//! from one proposal to the next. What keeps the grid cheap is its size:
-//! the GP is fitted on one row per *distinct action* (the replicates'
-//! sufficient statistics), while the two estimators keep reading every
-//! observation.
+//! from one proposal to the next. What keeps the search cheap is that it
+//! screens all 27 candidates in O(d) each (the paper's exponential kernel
+//! is Markov on a line) and factorizes only the leader, on one row per
+//! *distinct action* (the replicates' sufficient statistics), while the
+//! two estimators keep reading every observation.
 
 use crate::strategy::{hyper_of, lcb_diagnostics, posterior_points, NOISE_FLOOR};
 use crate::warm::{active_prior, prior_best_action, prior_obs, records_with_prior};
@@ -60,8 +61,8 @@ pub struct GpUcb {
     /// Cross-session prior folded into every fit, if warm-started.
     prior: Option<SurrogatePrior>,
     /// Pairwise distances of the distinct actions tried, shared by every
-    /// (θ, α) candidate of the MLE grid and kept across `propose` calls: a
-    /// replayed action appends nothing, a new one a bordered row. The
+    /// dense fit of the likelihood search and kept across `propose` calls:
+    /// a replayed action appends nothing, a new one a bordered row. The
     /// factorizations cannot be kept (α and σ²_N move at every proposal).
     dists: PairwiseDistances,
     /// The inputs and model of the last `propose` that fitted, so that a

@@ -53,7 +53,8 @@ fn explaining_the_proposal_just_made_fits_nothing() {
     g.posterior_snapshot(&space, &hist);
     g.surrogate_hyper(&space, &hist);
     assert!(fits() - before >= 3.0, "each of the three fits afresh");
-    // GP-UCB: one 27-fit likelihood grid per proposal, none for its trace.
+    // GP-UCB: one likelihood search per proposal — its 9 θ × 3 α grid
+    // screened, the leader alone fitted densely here — none for its trace.
     let searches = || registry.counter_value("gp.mle.searches");
     let mut g = GpUcb::new(&space);
     let mut hist = History::new();
@@ -63,7 +64,7 @@ fn explaining_the_proposal_just_made_fits_nothing() {
     }
     let before = (searches(), fits());
     let action = g.propose(&space, &hist);
-    assert_eq!((searches() - before.0, fits() - before.1), (1.0, 27.0), "9 θ × 3 α, once");
+    assert_eq!((searches() - before.0, fits() - before.1), (1.0, 1.0), "one screen, one dense fit");
 
     let before = searches();
     let trace = g.explain(&space, &hist);

@@ -108,16 +108,6 @@ impl Kernel {
         }
     }
 
-    /// Same family with a different length scale (used by the MLE search).
-    pub fn with_theta(&self, theta: f64) -> Kernel {
-        match *self {
-            Kernel::Exponential { .. } => Kernel::Exponential { theta },
-            Kernel::SquaredExponential { .. } => Kernel::SquaredExponential { theta },
-            Kernel::Matern32 { .. } => Kernel::Matern32 { theta },
-            Kernel::Matern52 { .. } => Kernel::Matern52 { theta },
-        }
-    }
-
     /// Family name for reports.
     pub fn family(&self) -> &'static str {
         match self {
@@ -134,16 +124,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const FAMILIES: [Kernel; 4] = [
-        Kernel::Exponential { theta: 1.0 },
-        Kernel::SquaredExponential { theta: 1.0 },
-        Kernel::Matern32 { theta: 1.0 },
-        Kernel::Matern52 { theta: 1.0 },
-    ];
+    /// One kernel of each family, all with length scale `theta`.
+    fn families(theta: f64) -> [Kernel; 4] {
+        [
+            Kernel::Exponential { theta },
+            Kernel::SquaredExponential { theta },
+            Kernel::Matern32 { theta },
+            Kernel::Matern52 { theta },
+        ]
+    }
 
     #[test]
     fn unit_correlation_at_zero() {
-        for k in FAMILIES {
+        for k in families(1.0) {
             assert_eq!(k.corr(0.0), 1.0, "{}", k.family());
         }
     }
@@ -167,22 +160,12 @@ mod tests {
         assert!(exp < m32 && m32 < m52 && m52 < se);
     }
 
-    #[test]
-    fn with_theta_preserves_family() {
-        for k in FAMILIES {
-            let k2 = k.with_theta(3.5);
-            assert_eq!(k.family(), k2.family());
-            assert_eq!(k2.theta(), 3.5);
-        }
-    }
-
     proptest! {
         /// Correlations are in (0, 1], symmetric in sign, and monotonically
         /// non-increasing in distance.
         #[test]
         fn prop_kernel_shape(theta in 0.1f64..10.0, d1 in 0.0f64..20.0, d2 in 0.0f64..20.0) {
-            for base in FAMILIES {
-                let k = base.with_theta(theta);
+            for k in families(theta) {
                 let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
                 let rl = k.corr(lo);
                 let rh = k.corr(hi);
@@ -196,10 +179,8 @@ mod tests {
         /// Longer length scales give higher correlation at the same distance.
         #[test]
         fn prop_theta_monotone(d in 0.01f64..10.0) {
-            for base in FAMILIES {
-                let short = base.with_theta(0.5).corr(d);
-                let long = base.with_theta(5.0).corr(d);
-                prop_assert!(long >= short);
+            for (short, long) in families(0.5).iter().zip(families(5.0)) {
+                prop_assert!(long.corr(d) >= short.corr(d));
             }
         }
     }
