@@ -94,9 +94,30 @@ impl History {
     }
 }
 
+/// The median of `v`: its middle element once sorted (the upper one of an
+/// even count).
+pub(crate) fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v[v.len() / 2]
+}
+
+/// The [`median`] of `xs` and the median absolute deviation from it — the
+/// robust location and scale behind GP-disc's stage-2 variance and the
+/// session's outlier fence.
+pub(crate) fn median_mad(xs: &[f64]) -> (f64, f64) {
+    let m = median(xs.to_vec());
+    (m, median(xs.iter().map(|x| (x - m).abs()).collect()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_and_mad_take_the_upper_middle() {
+        assert_eq!(median_mad(&[4.0, 1.0, 9.0, 2.0]), (4.0, 3.0));
+        assert_eq!(median_mad(&[5.0, 5.0, 5.0]), (5.0, 0.0));
+    }
 
     fn hist() -> History {
         let mut h = History::new();

@@ -10,9 +10,8 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::{
-    ActionSpace, AllNodes, BrentSearch, DivideConquer, GpDiscontinuous, GpUcb, NelderMead1d,
-    Oracle, RandomSearch, RightLeft, SimulatedAnnealing, StochasticApproximation, Strategy, Ucb,
-    UcbStruct,
+    ActionSpace, AllNodes, BrentSearch, DivideConquer, GpDiscontinuous, NelderMead1d, Oracle,
+    RandomSearch, RightLeft, SimulatedAnnealing, StochasticApproximation, Strategy, Ucb, UcbStruct,
 };
 
 /// Every strategy the evaluation can construct, by canonical identity.
@@ -136,7 +135,7 @@ impl StrategyKind {
             StrategyKind::Brent => Box::new(BrentSearch::new(space)),
             StrategyKind::Ucb => Box::new(Ucb::new(space)),
             StrategyKind::UcbStruct => Box::new(UcbStruct::new(space)),
-            StrategyKind::GpUcb => Box::new(GpUcb::new(space)),
+            StrategyKind::GpUcb => Box::new(GpDiscontinuous::gp_ucb(space)),
             StrategyKind::GpDiscontinuous => Box::new(GpDiscontinuous::new(space)),
             StrategyKind::AllNodes => Box::new(AllNodes::new(space.max_nodes)),
             StrategyKind::Oracle => {

@@ -15,7 +15,7 @@
 //! | Brent | [`BrentSearch`] | good until discontinuities/noise |
 //! | UCB | [`Ucb`] | no-regret but explores everything |
 //! | UCB-struct | [`UcbStruct`] | strong but can miss the optimum |
-//! | GP-UCB | [`GpUcb`] | good on small smooth spaces |
+//! | GP-UCB | [`GpDiscontinuous::gp_ucb`] | good on small smooth spaces |
 //! | **GP-discontinuous** | [`GpDiscontinuous`] | robust everywhere (the contribution) |
 //!
 //! plus the baselines used by the evaluation ([`AllNodes`], [`Oracle`],
@@ -79,7 +79,6 @@ mod brent;
 mod event;
 mod extra;
 mod gp_disc;
-mod gp_ucb;
 mod health;
 mod history;
 mod kind;
@@ -130,6 +129,5 @@ pub use bandit::{Ucb, UcbStruct};
 pub use brent::BrentSearch;
 pub use extra::{NelderMead1d, RandomSearch, SimulatedAnnealing, StochasticApproximation};
 pub use gp_disc::{GpDiscOptions, GpDiscontinuous};
-pub use gp_ucb::GpUcb;
 pub use naive::{DivideConquer, RightLeft};
 pub use strategy::{AllNodes, Oracle};

@@ -239,8 +239,8 @@ pub trait Strategy: Send {
     /// expensive: the GP strategies refit their surrogate).
     ///
     /// The default is a minimal trace carrying only the strategy name;
-    /// [`GpDiscontinuous`](crate::GpDiscontinuous),
-    /// [`GpUcb`](crate::GpUcb), [`Ucb`](crate::Ucb) and
+    /// [`GpDiscontinuous`](crate::GpDiscontinuous) (GP-UCB included),
+    /// [`Ucb`](crate::Ucb) and
     /// [`UcbStruct`](crate::UcbStruct) provide full diagnostics.
     fn explain(&self, space: &ActionSpace, hist: &History) -> DecisionTrace {
         let _ = (space, hist);

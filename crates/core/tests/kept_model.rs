@@ -3,7 +3,7 @@
 //! `gp.fit.full` and `gp.mle.searches` counters are exact only while
 //! nothing else fits.
 
-use adaphet_core::{ActionSpace, GpDiscontinuous, GpUcb, History, Strategy};
+use adaphet_core::{ActionSpace, GpDiscontinuous, History, Strategy};
 use adaphet_gp::GpModel;
 
 fn bits(model: &GpModel, n: usize) -> Vec<(u64, u64)> {
@@ -56,7 +56,7 @@ fn explaining_the_proposal_just_made_fits_nothing() {
     // GP-UCB: one likelihood search per proposal — its 9 θ × 3 α grid
     // screened, the leader alone fitted densely here — none for its trace.
     let searches = || registry.counter_value("gp.mle.searches");
-    let mut g = GpUcb::new(&space);
+    let mut g = GpDiscontinuous::gp_ucb(&space);
     let mut hist = History::new();
     for _ in 0..20 {
         let a = g.propose(&space, &hist);
@@ -71,7 +71,7 @@ fn explaining_the_proposal_just_made_fits_nothing() {
     let snapshot = g.posterior_snapshot(&space, &hist).expect("fitted");
     let hyper = g.surrogate_hyper(&space, &hist).expect("fitted");
     assert_eq!(searches() - before, 0.0, "the model the proposal kept serves all three");
-    let fresh = GpUcb::new(&space);
+    let fresh = GpDiscontinuous::gp_ucb(&space);
     assert_eq!(trace, fresh.explain(&space, &hist));
     assert_eq!(snapshot, fresh.posterior_snapshot(&space, &hist).unwrap());
     assert_eq!(hyper, fresh.surrogate_hyper(&space, &hist).unwrap());

@@ -5,7 +5,7 @@
 //! Output: `results/fig4.csv` with columns
 //! `panel,iteration,n,real_mean,surrogate_mean,surrogate_lcb,count,in_bounds`.
 
-use adaphet_core::{GpDiscontinuous, GpUcb, History, Strategy};
+use adaphet_core::{GpDiscontinuous, History, Strategy};
 use adaphet_eval::{
     build_response_cached, parse_args, space_of, write_csv, AdaphetError, CsvTable, ResponseTable,
 };
@@ -15,37 +15,23 @@ use rand::SeedableRng;
 
 const CHECKPOINTS: [usize; 4] = [5, 8, 20, 100];
 
-enum Surrogate<'a> {
-    Plain(&'a GpUcb),
-    Disc(&'a GpDiscontinuous),
-}
-
 fn dump(
     csv: &mut CsvTable,
     panel: &str,
     iter: usize,
     table: &ResponseTable,
     hist: &History,
-    s: Surrogate<'_>,
+    g: &GpDiscontinuous,
 ) {
+    let curve = g.surrogate_curve(hist);
+    let beta = g.schedule.beta(iter, table.n_actions());
     for n in 1..=table.n_actions() {
-        let (mean, lcb, in_bounds) = match &s {
-            Surrogate::Plain(g) => match g.fit(hist) {
-                Some(model) => {
-                    let p = model.predict(n as f64);
-                    let beta = g.beta(iter);
-                    (p.mean, p.mean - beta.sqrt() * p.sd(), true)
-                }
-                None => (f64::NAN, f64::NAN, true),
-            },
-            Surrogate::Disc(g) => match g.surrogate_curve(hist) {
-                Some(curve) => {
-                    let pt = &curve[n - 1];
-                    let beta = g.schedule.beta(iter, table.n_actions());
-                    (pt.mean, pt.mean - beta.sqrt() * pt.sd, !pt.excluded)
-                }
-                None => (f64::NAN, f64::NAN, true),
-            },
+        let (mean, lcb, in_bounds) = match &curve {
+            Some(curve) => {
+                let pt = &curve[n - 1];
+                (pt.mean, pt.mean - beta.sqrt() * pt.sd, !pt.excluded)
+            }
+            None => (f64::NAN, f64::NAN, true),
         };
         csv.push(vec![
             panel.to_string(),
@@ -62,17 +48,16 @@ fn dump(
 
 fn run_panel(csv: &mut CsvTable, panel: &str, table: &ResponseTable, use_disc: bool, seed: u64) {
     let space = space_of(table);
-    let mut plain = GpUcb::new(&space);
-    let mut disc = GpDiscontinuous::new(&space);
+    let mut g =
+        if use_disc { GpDiscontinuous::new(&space) } else { GpDiscontinuous::gp_ucb(&space) };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut hist = History::new();
     println!("\npanel {panel} — {}", table.label);
     for it in 1..=*CHECKPOINTS.last().unwrap() {
-        let a = if use_disc { disc.propose(&space, &hist) } else { plain.propose(&space, &hist) };
+        let a = g.propose(&space, &hist);
         hist.record(a, table.draw(a, &mut rng));
         if CHECKPOINTS.contains(&it) {
-            let s = if use_disc { Surrogate::Disc(&disc) } else { Surrogate::Plain(&plain) };
-            dump(csv, panel, it, table, &hist, s);
+            dump(csv, panel, it, table, &hist, &g);
             let counts: Vec<(usize, usize)> = (1..=table.n_actions())
                 .map(|n| (n, hist.count_for(n)))
                 .filter(|&(_, c)| c > 0)

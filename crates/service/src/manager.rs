@@ -194,6 +194,7 @@ fn session_err(id: u64, e: SessionError) -> Response {
     let code = match e {
         SessionError::UnknownTicket(_) => ErrorCode::UnknownTicket,
         SessionError::TooManyInFlight { .. } => ErrorCode::TooManyInFlight,
+        SessionError::InvalidDuration(_) => ErrorCode::BadRequest,
     };
     err(code, format!("session {id}: {e}"))
 }
@@ -291,15 +292,6 @@ fn answer(
             }
         }
         Request::SubmitObservation { ticket, duration, .. } => {
-            // A measurement that is not a duration never reaches the
-            // strategy (an infinite one would poison the surrogate, a
-            // negative one would become the session's best); the ticket
-            // stays open for the real measurement.
-            if !(*duration >= 0.0 && duration.is_finite()) {
-                entry.events.push(stats.uptime_s(), "error", Some(*ticket), None, None, None);
-                let what = format!("session {id}: duration {duration} is not finite and >= 0");
-                return err(ErrorCode::BadRequest, what);
-            }
             let span = stats.spans().enter("session.observe", parent);
             let observed = session.observe(Ticket::from_id(*ticket), Observation::of(*duration));
             span.exit();

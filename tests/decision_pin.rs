@@ -19,7 +19,7 @@
 use adaphet::gp::{GpModel, Prediction};
 use adaphet::store::GpHyper;
 use adaphet::tuner::{
-    ActionSpace, GpDiscontinuous, GpUcb, History, Strategy, SurrogatePrior, PRIOR_NOISE_INFLATION,
+    ActionSpace, GpDiscontinuous, History, Strategy, SurrogatePrior, PRIOR_NOISE_INFLATION,
 };
 use rand::{Rng, SeedableRng};
 
@@ -109,7 +109,7 @@ fn gp_disc_reference(scratch: &GpDiscontinuous, space: &ActionSpace, hist: &Hist
 
 /// GP-UCB's decision rule (`ucb_argmin`'s tie-breaking included) over a
 /// scratch MLE fit and a scalar scan.
-fn gp_ucb_reference(scratch: &GpUcb, space: &ActionSpace, hist: &History) -> usize {
+fn gp_ucb_reference(scratch: &GpDiscontinuous, space: &ActionSpace, hist: &History) -> usize {
     let n = space.max_nodes;
     let model = scratch.fit(hist).expect("the GP phase has a fittable history");
     let beta = scratch.schedule.beta(hist.len().max(1), n);
@@ -170,8 +170,8 @@ fn gp_disc_sessions_match_the_scratch_scalar_driver() {
 fn gp_ucb_sessions_match_the_scratch_scalar_driver() {
     let t = table(11);
     let session = |prior: Option<SurrogatePrior>| {
-        let mut live = warmed(GpUcb::new(&t.space), &prior);
-        let scratch = warmed(GpUcb::new(&t.space), &prior);
+        let mut live = warmed(GpDiscontinuous::gp_ucb(&t.space), &prior);
+        let scratch = warmed(GpDiscontinuous::gp_ucb(&t.space), &prior);
         pinned_session(&t, &mut live, |h| gp_ucb_reference(&scratch, &t.space, h))
     };
     let cold = session(None);
@@ -363,7 +363,7 @@ fn gp_ucb_pinned_session(
     pin: &UcbPin,
     prior: Option<SurrogatePrior>,
 ) -> History {
-    let mut live = warmed(GpUcb::new(&t.space), &prior);
+    let mut live = warmed(GpDiscontinuous::gp_ucb(&t.space), &prior);
     let (hist, hypers) = parent_pinned_session(t, label, &mut live, &pin.actions, &prior, |_, y| y);
     for (got, (theta, alpha)) in hypers.iter().zip(pin.hypers) {
         assert!(
