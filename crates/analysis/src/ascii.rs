@@ -174,7 +174,6 @@ mod tests {
             health: Vec::new(),
             sim: None,
             metrics: None,
-            history: None,
         };
         let text = render_ascii(&r);
         assert!(text.contains("strategy summary"));

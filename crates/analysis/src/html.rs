@@ -6,7 +6,6 @@
 //! gracefully — sections whose inputs are absent (no snapshots, no
 //! re-simulation, no metrics file) are simply omitted.
 
-use crate::jsonl::Json;
 use crate::report::{format_num, Report, SimDiagnosis};
 use adaphet_runtime::{ResourceKind, Trace};
 
@@ -152,7 +151,6 @@ pub fn render_html(report: &Report) -> String {
         sim_section(sim, &mut out);
     }
     metrics_section(report, &mut out);
-    history_section(report, &mut out);
 
     out.push_str(
         "<p class=\"meta\">generated by <code>adaphet report</code> — \
@@ -771,84 +769,6 @@ fn health_timeline_section(report: &Report, out: &mut String) {
     }
 }
 
-/// Maximum metric-history panels drawn before the section elides.
-const HISTORY_PANEL_CAP: usize = 12;
-
-/// Extract `(name, points)` rows from a `/metrics/history` document.
-/// Series with fewer than two finite points carry no line and are
-/// dropped; order follows the document.
-fn parse_history_series(doc: &Json) -> Vec<(String, Vec<(f64, f64)>)> {
-    let Some(Json::Arr(items)) = doc.get("series") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for item in items {
-        let Some(Json::Str(name)) = item.get("name") else {
-            continue;
-        };
-        let Some(Json::Arr(points)) = item.get("points") else {
-            continue;
-        };
-        let pts: Vec<(f64, f64)> = points
-            .iter()
-            .filter_map(|p| {
-                let Json::Arr(tv) = p else {
-                    return None;
-                };
-                let t = tv.first().and_then(Json::as_f64)?;
-                let v = tv.get(1).and_then(Json::as_f64)?;
-                (t.is_finite() && v.is_finite()).then_some((t, v))
-            })
-            .collect();
-        if pts.len() >= 2 {
-            out.push((name.clone(), pts));
-        }
-    }
-    out
-}
-
-/// Small-multiple panels of the daemon's sampled metric history — the
-/// historical-dashboard counterpart of the live sparklines in
-/// `adaphet-top`. One panel per series over the full retained window.
-fn history_section(report: &Report, out: &mut String) {
-    let Some(doc) = &report.history else {
-        return;
-    };
-    let series = parse_history_series(doc);
-    if series.is_empty() {
-        return;
-    }
-    out.push_str("<h2>Metric history</h2>\n");
-    out.push_str(
-        "<p class=\"meta\">sampled by the daemon's embedded time-series store \
-         (<code>GET /metrics/history</code>); time is seconds since the store epoch.</p>\n<div>",
-    );
-    for (idx, (name, pts)) in series.iter().take(HISTORY_PANEL_CAP).enumerate() {
-        let (t0, t1) = (pts[0].0, pts[pts.len() - 1].0);
-        let (lo, hi) = pts
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &(_, v)| (a.min(v), b.max(v)));
-        let f = Frame::new(300.0, 110.0, t0, t1, lo.min(0.0), hi);
-        out.push_str("<figure class=\"small\">");
-        out.push_str(&f.open());
-        out.push_str(&f.axes("t (s)", ""));
-        let line: Vec<(f64, f64)> = pts.iter().map(|&(t, v)| (f.px(t), f.py(v))).collect();
-        out.push_str(&polyline(&line, color(idx), ""));
-        out.push_str("</svg>");
-        out.push_str(&format!(
-            "<figcaption><code>{}</code></figcaption></figure>",
-            html_escape(name)
-        ));
-    }
-    out.push_str("</div>\n");
-    if series.len() > HISTORY_PANEL_CAP {
-        out.push_str(&format!(
-            "<p class=\"meta\">{} further series retained but not drawn.</p>\n",
-            series.len() - HISTORY_PANEL_CAP
-        ));
-    }
-}
-
 fn metrics_section(report: &Report, out: &mut String) {
     let rows = report.metrics_rows();
     if rows.is_empty() {
@@ -918,15 +838,6 @@ mod tests {
             health: vec![vec!["ok", "warn"]],
             sim: Some(sim),
             metrics: Some(crate::jsonl::Json::parse(r#"{"wall_s":1.5}"#).unwrap()),
-            history: Some(
-                crate::jsonl::Json::parse(
-                    r#"{"version":1,"epoch_s":0,"series":[
-                        {"name":"service.request","points":[[0,1],[5,3],[10,7]],"coarse":[]},
-                        {"name":"service.sessions.live","points":[[0,1],[10,1]],"coarse":[]},
-                        {"name":"too.short","points":[[0,1]],"coarse":[]}]}"#,
-                )
-                .unwrap(),
-            ),
         }
     }
 
@@ -982,7 +893,6 @@ mod tests {
             health: Vec::new(),
             sim: None,
             metrics: None,
-            history: None,
         };
         let html = render_html(&r);
         assert!(html.starts_with("<!doctype html>"));
@@ -996,10 +906,6 @@ mod tests {
         // The handed-in states change at iteration 1.
         assert!(html.contains("ok &rarr; warn @ 1"), "transition recorded in the caption");
         assert!(html.contains(&format!("fill=\"{}\"", health_color("warn"))));
-        assert!(html.contains("Metric history"));
-        assert!(html.contains("service.request"));
-        // A one-point series draws no line and therefore no panel.
-        assert!(!html.contains("too.short"));
     }
 
     #[test]

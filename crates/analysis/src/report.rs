@@ -71,10 +71,6 @@ pub struct Report {
     pub sim: Option<SimDiagnosis>,
     /// Optional metrics-registry export (parsed JSON document).
     pub metrics: Option<Json>,
-    /// Optional metric-history document, as served by the daemon's
-    /// `GET /metrics/history` endpoint (the time-series store's JSON
-    /// export: `{"series":[{"name":…,"points":[[t,v],…]},…]}`).
-    pub history: Option<Json>,
 }
 
 impl Report {
@@ -162,7 +158,6 @@ mod tests {
             health: Vec::new(),
             sim: None,
             metrics: Some(doc),
-            history: None,
         };
         assert_eq!(
             r.metrics_rows(),

@@ -2,12 +2,8 @@
 //! (or an ASCII rendering with `--ascii`).
 //!
 //! Usage: `report <telemetry.jsonl> [--out REPORT.html]
-//! [--metrics METRICS.json] [--history HISTORY.json] [--ascii]
-//! [--scenario a-p] [--test|--reduced|--full] [--seed N] [--no-sim]`
-//!
-//! `--history` takes a saved `GET /metrics/history` body (the daemon's
-//! embedded time-series export) and renders it as historical-dashboard
-//! panels alongside the telemetry sections.
+//! [--metrics METRICS.json] [--ascii] [--scenario a-p]
+//! [--test|--reduced|--full] [--seed N] [--no-sim]`
 //!
 //! The HTML file embeds every figure as inline SVG — no JavaScript, no
 //! external fetches — and includes a re-simulated trace diagnosis

@@ -30,9 +30,6 @@ pub struct ReportArgs {
     pub out: Option<PathBuf>,
     /// Optional metrics-report JSON to include.
     pub metrics: Option<PathBuf>,
-    /// Optional metric-history JSON (a saved `GET /metrics/history`
-    /// body) to render as historical-dashboard panels.
-    pub history: Option<PathBuf>,
     /// Print an ASCII report to stdout instead of writing HTML.
     pub ascii: bool,
     /// Scenario letter to re-simulate for the trace-level sections.
@@ -51,7 +48,6 @@ impl Default for ReportArgs {
             input: PathBuf::new(),
             out: None,
             metrics: None,
-            history: None,
             ascii: false,
             scenario: 'a',
             scale: Scale::Reduced,
@@ -62,8 +58,7 @@ impl Default for ReportArgs {
 }
 
 const USAGE: &str = "usage: report <telemetry.jsonl> [--out REPORT.html] [--metrics METRICS.json] \
-                     [--history HISTORY.json] [--ascii] [--scenario a-p] \
-                     [--test|--reduced|--full] [--seed N] [--no-sim]";
+                     [--ascii] [--scenario a-p] [--test|--reduced|--full] [--seed N] [--no-sim]";
 
 /// Parse the `report` binary's argument vector (without the program name).
 pub fn parse_report_args(argv: Vec<String>) -> Result<ReportArgs, AdaphetError> {
@@ -83,10 +78,6 @@ pub fn parse_report_args(argv: Vec<String>) -> Result<ReportArgs, AdaphetError> 
             "--metrics" => {
                 i += 1;
                 out.metrics = Some(PathBuf::from(value(&argv, i, "--metrics")?));
-            }
-            "--history" => {
-                i += 1;
-                out.history = Some(PathBuf::from(value(&argv, i, "--history")?));
             }
             "--ascii" => out.ascii = true,
             "--no-sim" => out.no_sim = true,
@@ -222,19 +213,15 @@ pub fn build_report(args: &ReportArgs) -> Result<Report, AdaphetError> {
         std::fs::read_to_string(&args.input).map_err(|e| AdaphetError::io(&args.input, e))?;
     let telemetry = TelemetryRun::parse(&text)
         .map_err(|e| AdaphetError::usage(format!("{}: {e}", args.input.display())))?;
-    let parse_json = |p: &Option<PathBuf>| -> Result<Option<Json>, AdaphetError> {
-        match p {
-            None => Ok(None),
-            Some(p) => {
-                let text = std::fs::read_to_string(p).map_err(|e| AdaphetError::io(p, e))?;
-                Json::parse(&text)
-                    .map(Some)
-                    .map_err(|e| AdaphetError::usage(format!("{}: {e}", p.display())))
-            }
+    let metrics = match &args.metrics {
+        None => None,
+        Some(p) => {
+            let text = std::fs::read_to_string(p).map_err(|e| AdaphetError::io(p, e))?;
+            let json = Json::parse(&text)
+                .map_err(|e| AdaphetError::usage(format!("{}: {e}", p.display())))?;
+            Some(json)
         }
     };
-    let metrics = parse_json(&args.metrics)?;
-    let history = parse_json(&args.history)?;
     let sim = if args.no_sim {
         None
     } else {
@@ -258,7 +245,6 @@ pub fn build_report(args: &ReportArgs) -> Result<Report, AdaphetError> {
         health,
         sim,
         metrics,
-        history,
     })
 }
 

@@ -1,8 +1,8 @@
 //! The workspace's one JSON layer.
 //!
 //! No serde in the offline build, so every emitter and reader in the
-//! workspace (telemetry JSONL, metrics reports, `/health`,
-//! `/metrics/history`, the wire frames, fault plans) goes through this
+//! workspace (telemetry JSONL, metrics reports, `/health`, the wire
+//! frames, fault plans) goes through this
 //! module: the [`Json`] value and its recursive-descent parser,
 //! [`json_escape`], a writer that pushes into one `String` ([`object`],
 //! [`array`], [`ObjectWriter`]) and the [`ToJson`] / [`FromJson`] pair for

@@ -5,8 +5,6 @@
 //! adaphet-serve --uds /tmp/adaphet.sock [--workers 4] [--idle-timeout 600]
 //!               [--telemetry-dir DIR] [--store-dir DIR] [--max-in-flight 8]
 //!               [--metrics] [--metrics-addr 127.0.0.1:9601]
-//!               [--history-interval SECS] [--history-capacity N]
-//!               [--history-file FILE]
 //! adaphet-serve --tcp 127.0.0.1:7601 [...]
 //! ```
 //!
@@ -16,18 +14,10 @@
 //! installs the daemon's registry as the process-wide recorder, which adds
 //! the libraries' `gp.*` / `tuner.*` names to it, and prints it as a table
 //! on stdout at exit), plus `GET /health` with every live session's
-//! convergence-health report.
-//!
-//! `--history-interval` enables the embedded metrics-history sampler:
-//! the service metrics are frozen into a bounded time-series store every
-//! interval and served on `GET /metrics/history`. `--history-capacity`
-//! bounds samples kept per series; `--history-file` persists the store
-//! across daemon restarts (checksummed binary chunk, loaded at startup,
-//! saved at shutdown).
+//! convergence-health report. The daemon keeps no metric history: a
+//! Prometheus server scraping `GET /metrics` builds it.
 
-use adaphet_service::{
-    Endpoint, HistoryConfig, MetricsServer, Server, ServiceConfig, SessionManager,
-};
+use adaphet_service::{Endpoint, MetricsServer, Server, ServiceConfig, SessionManager};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,8 +25,7 @@ use std::time::Duration;
 const USAGE: &str = "usage: adaphet-serve (--uds PATH | --tcp ADDR) \
                      [--workers N] [--idle-timeout SECS] [--telemetry-dir DIR] \
                      [--store-dir DIR] [--max-in-flight N] [--metrics] \
-                     [--metrics-addr ADDR] [--history-interval SECS] \
-                     [--history-capacity N] [--history-file FILE]\n  \
+                     [--metrics-addr ADDR]\n  \
                      --workers N  session-map shards; requests run on their \
                      connection's thread (default 4)";
 
@@ -86,25 +75,6 @@ fn parse(argv: &[String]) -> Result<ServeArgs, String> {
             }
             "--metrics" => metrics = true,
             "--metrics-addr" => metrics_addr = Some(value("--metrics-addr", it.next())?),
-            "--history-interval" => {
-                let secs =
-                    adaphet_service::top::parse_interval(&value("--history-interval", it.next())?)
-                        .map_err(|e| e.replace("--interval", "--history-interval"))?;
-                config.history.get_or_insert_with(HistoryConfig::default).interval = secs;
-            }
-            "--history-capacity" => {
-                let capacity: usize = value("--history-capacity", it.next())?
-                    .parse()
-                    .map_err(|_| "--history-capacity needs a positive integer".to_string())?;
-                if capacity == 0 {
-                    return Err("--history-capacity must be positive".into());
-                }
-                config.history.get_or_insert_with(HistoryConfig::default).capacity = capacity;
-            }
-            "--history-file" => {
-                config.history.get_or_insert_with(HistoryConfig::default).persist =
-                    Some(PathBuf::from(value("--history-file", it.next())?));
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
         }

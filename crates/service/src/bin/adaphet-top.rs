@@ -11,18 +11,17 @@
 //! one-shot self-contained HTML page instead of text (implies a single
 //! poll). `--http ADDR` points at the daemon's metrics sidecar (the
 //! `--metrics` listen address of `adaphet-serve`): the dashboard then
-//! appends a per-session health table from `GET /health` and metric
-//! sparklines from `GET /metrics/history` (history rows appear only
-//! when the daemon samples history). Without `--once`/`--html`, the
-//! dashboard refreshes every `--interval` seconds (default 2) until the
-//! daemon goes away or the user interrupts.
+//! appends a per-session health table from `GET /health`. Without
+//! `--once`/`--html`, the dashboard refreshes every `--interval` seconds
+//! (default 2) until the daemon goes away or the user interrupts, and
+//! draws sparklines of its last 40 polls (request, session and
+//! in-flight counts, plus the warn/stalled session counts with `--http`).
 
 use adaphet_service::top::{
-    parse_interval, render_ascii, render_health_ascii, render_history_ascii, render_html_full,
+    http_get, parse_interval, render_ascii, render_health_ascii, render_html_full, PanelHistory,
 };
 use adaphet_service::{Client, ClientError, StatsSnapshot};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -68,26 +67,6 @@ fn parse(argv: &[String]) -> Result<TopArgs, String> {
     Ok(TopArgs { target, interval, once, html, http })
 }
 
-/// One-shot `GET` against the metrics sidecar, returning the body.
-/// Any failure degrades to `None` — a sidecar outage must not kill the
-/// dashboard the operator opened to diagnose it.
-fn http_get(addr: &str, path: &str) -> Option<String> {
-    let mut conn = TcpStream::connect(addr).ok()?;
-    write!(conn, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").ok()?;
-    let mut response = String::new();
-    conn.read_to_string(&mut response).ok()?;
-    let (head, body) = response.split_once("\r\n\r\n")?;
-    head.starts_with("HTTP/1.1 200").then(|| body.to_string())
-}
-
-/// Fetch the optional sidecar documents: `(health, history)`.
-fn poll_sidecar(http: &Option<String>) -> (Option<String>, Option<String>) {
-    match http {
-        None => (None, None),
-        Some(addr) => (http_get(addr, "/health"), http_get(addr, "/metrics/history")),
-    }
-}
-
 /// One fresh-connection poll — the daemon treats each scrape as a
 /// throwaway client, exactly like a human running it would.
 fn poll(target: &Target) -> Result<StatsSnapshot, ClientError> {
@@ -118,8 +97,8 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let (health, history) = poll_sidecar(&args.http);
-        let page = render_html_full(&snap, health.as_deref(), history.as_deref());
+        let health = args.http.as_deref().and_then(|addr| http_get(addr, "/health"));
+        let page = render_html_full(&snap, health.as_deref());
         if let Err(e) = std::fs::write(path, page) {
             eprintln!("adaphet-top: cannot write {}: {e}", path.display());
             std::process::exit(1);
@@ -129,18 +108,18 @@ fn main() {
     }
 
     let mut failures = 0u32;
+    let mut panel = PanelHistory::new(40);
     loop {
         match poll(&args.target) {
             Ok(snap) => {
                 failures = 0;
                 let mut frame = render_ascii(&snap);
-                let (health, history) = poll_sidecar(&args.http);
-                if let Some(health) = health {
-                    frame.push_str(&render_health_ascii(&health));
+                let health = args.http.as_deref().and_then(|addr| http_get(addr, "/health"));
+                panel.push(&snap, health.as_deref());
+                if let Some(health) = &health {
+                    frame.push_str(&render_health_ascii(health));
                 }
-                if let Some(history) = history {
-                    frame.push_str(&render_history_ascii(&history, 40));
-                }
+                frame.push_str(&panel.render_ascii());
                 if args.once {
                     print!("{frame}");
                     return;

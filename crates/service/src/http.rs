@@ -4,20 +4,22 @@
 //! This is deliberately not a web framework: one accept loop, one
 //! short-lived thread per connection, `Connection: close` on every
 //! response. The routes are `GET /metrics` (the exposition),
-//! `GET /health` (every live session's convergence-health report),
-//! `GET /metrics/history` (the embedded time-series store, when the
-//! manager has a sampler configured) and `GET /` (a one-line pointer);
-//! everything else is a 404 and non-GET methods are a 405. Request
-//! bodies are never read — the request line and headers are consumed up
-//! to the blank line and the rest is ignored, which is exactly what a
-//! scraper sends anyway.
+//! `GET /health` (every live session's convergence-health report) and
+//! `GET /` (a one-line pointer); everything else is a 404 and non-GET
+//! methods are a 405. Request bodies are never read — the request line
+//! and headers are consumed up to the blank line and the rest is
+//! ignored, which is exactly what a scraper sends anyway. A head longer
+//! than `MAX_HEAD` (8 KiB) is answered 431 unread.
 
 use crate::manager::SessionManager;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// The most bytes of request line and headers a scrape may send.
+const MAX_HEAD: u64 = 8 * 1024;
 
 /// A running `/metrics` listener. Dropping it stops the accept loop.
 pub struct MetricsServer {
@@ -77,23 +79,42 @@ fn accept_loop(listener: TcpListener, manager: Arc<SessionManager>, stop: Arc<At
     }
 }
 
-/// Read one request head and answer it; always closes the connection.
-fn serve_scrape(stream: TcpStream, manager: &SessionManager) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
+/// Read the request head up to its blank line, reading at most
+/// `MAX_HEAD` bytes. Returns the request line, or `None` when the head
+/// does not end within the cap.
+fn read_request_line(stream: &TcpStream) -> std::io::Result<Option<String>> {
+    let mut reader = BufReader::new(stream.take(MAX_HEAD));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // Drain headers up to the blank line so well-behaved clients don't
     // see a reset before the response.
+    let mut header = String::new();
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
+        header.clear();
+        if reader.read_line(&mut header)? == 0 {
+            // End of input: the peer hung up, or the cap was reached.
+            return Ok((reader.get_ref().limit() > 0).then_some(request_line));
+        }
+        if header == "\r\n" || header == "\n" {
+            return Ok(Some(request_line));
         }
     }
-    let mut parts = request_line.split_whitespace();
+}
+
+/// Read one request head and answer it; always closes the connection.
+fn serve_scrape(mut stream: TcpStream, manager: &SessionManager) -> std::io::Result<()> {
+    let text = "text/plain; charset=utf-8";
+    let request_line = read_request_line(&stream)?;
+    let mut parts = request_line.as_deref().unwrap_or("").split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, content_type, body) = if method != "GET" {
-        ("405 Method Not Allowed", "text/plain; charset=utf-8", "only GET is supported\n".into())
+    let (status, content_type, body) = if request_line.is_none() {
+        (
+            "431 Request Header Fields Too Large",
+            text,
+            format!("request head exceeds {MAX_HEAD} bytes\n"),
+        )
+    } else if method != "GET" {
+        ("405 Method Not Allowed", text, "only GET is supported\n".into())
     } else {
         match path {
             "/metrics" => (
@@ -103,23 +124,10 @@ fn serve_scrape(stream: TcpStream, manager: &SessionManager) -> std::io::Result<
                 manager.stats().report(manager.is_draining()).to_prometheus(),
             ),
             "/health" => ("200 OK", "application/json", manager.health_json()),
-            "/metrics/history" => match manager.history_json() {
-                Some(body) => ("200 OK", "application/json", body),
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "history sampling is not enabled on this daemon\n".into(),
-                ),
-            },
-            "/" => ("200 OK", "text/plain; charset=utf-8", "adaphet-serve: see /metrics\n".into()),
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "unknown path; try /metrics\n".into(),
-            ),
+            "/" => ("200 OK", text, "adaphet-serve: see /metrics\n".into()),
+            _ => ("404 Not Found", text, "unknown path; try /metrics\n".into()),
         }
     };
-    let mut stream = reader.into_inner();
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -162,8 +170,10 @@ mod tests {
 
         let root = get(server.addr(), "/");
         assert!(root.starts_with("HTTP/1.1 200 OK\r\n"), "{root}");
-        let missing = get(server.addr(), "/nope");
-        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        for path in ["/nope", "/metrics/history"] {
+            let missing = get(server.addr(), path);
+            assert!(missing.starts_with("HTTP/1.1 404"), "{path}: {missing}");
+        }
 
         server.stop();
     }
@@ -203,36 +213,6 @@ mod tests {
         };
         let body = get(server.addr(), "/health");
         assert!(body.contains(&format!("\"session\":{id},\"state\":\"ok\"")), "{body}");
-        server.stop();
-    }
-
-    #[test]
-    fn history_endpoint_is_404_without_a_sampler_and_json_with_one() {
-        let disabled = Arc::new(SessionManager::new(ServiceConfig {
-            idle_timeout: None,
-            ..ServiceConfig::default()
-        }));
-        let mut server = MetricsServer::bind("127.0.0.1:0", disabled).unwrap();
-        let missing = get(server.addr(), "/metrics/history");
-        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
-        server.stop();
-
-        let enabled = Arc::new(SessionManager::new(ServiceConfig {
-            idle_timeout: None,
-            history: Some(crate::manager::HistoryConfig {
-                // A long interval: the test samples deterministically.
-                interval: std::time::Duration::from_secs(3600),
-                ..crate::manager::HistoryConfig::default()
-            }),
-            ..ServiceConfig::default()
-        }));
-        let _ = enabled.handle(Request::Ping);
-        assert!(enabled.sample_history_now());
-        let mut server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&enabled)).unwrap();
-        let body = get(server.addr(), "/metrics/history");
-        assert!(body.starts_with("HTTP/1.1 200 OK\r\n"), "{body}");
-        assert!(body.contains("\"series\":["), "{body}");
-        assert!(body.contains("service.request"), "{body}");
         server.stop();
     }
 
@@ -302,6 +282,36 @@ mod tests {
         drop(conn);
 
         // The listener is still healthy afterwards.
+        let ok = get(server.addr(), "/metrics");
+        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
+    }
+
+    #[test]
+    fn an_endless_request_line_is_cut_off_at_the_head_cap() {
+        let manager = Arc::new(SessionManager::new(ServiceConfig {
+            idle_timeout: None,
+            ..ServiceConfig::default()
+        }));
+        let server = MetricsServer::bind("127.0.0.1:0", manager).unwrap();
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        let limit = Some(std::time::Duration::from_secs(5));
+        conn.set_read_timeout(limit).unwrap();
+        conn.set_write_timeout(limit).unwrap();
+        // 64 KiB and no newline. The server stops reading at the cap, so
+        // the write may see the connection reset; either way it returns.
+        let _ = conn.write_all(&[b'a'; 64 * 1024]);
+        let mut response = Vec::new();
+        match conn.read_to_end(&mut response) {
+            Ok(_) => {
+                let text = String::from_utf8_lossy(&response);
+                assert!(text.is_empty() || text.starts_with("HTTP/1.1 431"), "{text}");
+            }
+            Err(e) => assert!(
+                !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+                "no reply and no close within 5 s: {e}"
+            ),
+        }
+        // A head that fits the cap is still served.
         let ok = get(server.addr(), "/metrics");
         assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
     }

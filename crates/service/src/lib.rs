@@ -40,16 +40,14 @@
 //! `GET /metrics`, and the `adaphet-top` binary renders it as a live
 //! terminal dashboard.
 //!
-//! # Health & history
+//! # Health
 //!
 //! Each session carries a convergence [`HealthTracker`](adaphet_core::HealthTracker)
 //! folded to `ok / warn / stalled / diverging`; the `get_health` verb,
 //! the sidecar's `GET /health` endpoint, and per-state gauges in the
-//! exposition all read from the same published summaries. With
-//! [`HistoryConfig`] attached, a background sampler freezes the metrics
-//! registry into an embedded bounded time-series store
-//! ([`adaphet_tsdb::TimeSeriesStore`]) served on `GET /metrics/history`
-//! and optionally persisted across daemon restarts.
+//! exposition all read from the same published summaries. The daemon
+//! keeps no metric history of its own: a Prometheus server scraping
+//! `GET /metrics` builds it.
 //!
 //! ```no_run
 //! use adaphet_core::StrategyKind;
@@ -78,7 +76,7 @@ pub mod top;
 
 pub use client::{Client, ClientError, ClosedSession, InspectedSession, PongInfo, Submitted};
 pub use http::MetricsServer;
-pub use manager::{HistoryConfig, ServiceConfig, SessionManager};
+pub use manager::{ServiceConfig, SessionManager};
 pub use protocol::{
     ErrorCode, HealthInfo, Request, Response, SessionEvent, SessionSpec, ShardStats, StatsSnapshot,
     VerbStats, MAX_FRAME,

@@ -41,7 +41,6 @@ use adaphet_core::{
     Ticket, WarmStart,
 };
 use adaphet_metrics::json;
-use adaphet_tsdb::{TimeSeriesStore, TsdbConfig};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,44 +49,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Configuration of the embedded metrics-history sampler.
-///
-/// When attached to a [`ServiceConfig`], the manager spawns one sampler
-/// thread that freezes the service metrics every `interval` into a
-/// bounded [`TimeSeriesStore`] — the backing data of the sidecar's
-/// `/metrics/history` endpoint and `adaphet-top`'s sparklines. With
-/// `persist` set, the store is loaded at startup and saved at shutdown,
-/// so a restarted daemon keeps its history.
-#[derive(Debug, Clone)]
-pub struct HistoryConfig {
-    /// Sampling period of the background thread.
-    pub interval: Duration,
-    /// Raw samples retained per series (coarse rings share the bound).
-    pub capacity: usize,
-    /// Downsampling bucket widths, seconds per point.
-    pub resolutions: Vec<f64>,
-    /// When set, the store persists to this file across restarts.
-    pub persist: Option<PathBuf>,
-}
-
-impl Default for HistoryConfig {
-    fn default() -> Self {
-        let tsdb = TsdbConfig::default();
-        HistoryConfig {
-            interval: Duration::from_secs(5),
-            capacity: tsdb.capacity,
-            resolutions: tsdb.resolutions,
-            persist: None,
-        }
-    }
-}
-
-impl HistoryConfig {
-    fn tsdb_config(&self) -> TsdbConfig {
-        TsdbConfig { capacity: self.capacity, resolutions: self.resolutions.clone() }
-    }
-}
 
 /// Tuning knobs for a [`SessionManager`].
 #[derive(Debug, Clone)]
@@ -111,10 +72,6 @@ pub struct ServiceConfig {
     /// strategy from the nearest stored snapshot — including snapshots
     /// left by a previous daemon run on the same directory.
     pub store_dir: Option<PathBuf>,
-    /// When set, a background sampler records metrics history into an
-    /// embedded [`TimeSeriesStore`] (`None` = no sampler thread, no
-    /// history state: the zero-perturbation default).
-    pub history: Option<HistoryConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -126,7 +83,6 @@ impl Default for ServiceConfig {
             telemetry_dir: None,
             events_capacity: 64,
             store_dir: None,
-            history: None,
         }
     }
 }
@@ -176,9 +132,8 @@ pub struct SessionManager {
     shards: Arc<Vec<Mutex<Shard>>>,
     config: ServiceConfig,
     store: Option<SurrogateStore>,
-    /// The eviction ticker and the history sampler, until `shutdown`.
-    background: Mutex<Vec<Background>>,
-    history: Option<Arc<Mutex<TimeSeriesStore>>>,
+    /// The eviction ticker, until `shutdown`.
+    ticker: Mutex<Option<Background>>,
     next_id: AtomicU64,
     draining: Arc<AtomicBool>,
     stats: Arc<ServiceStats>,
@@ -381,68 +336,20 @@ impl SessionManager {
         }
         let shards: Arc<Vec<Mutex<Shard>>> =
             Arc::new((0..config.workers).map(|_| Mutex::default()).collect());
-        let mut background = Vec::new();
-        if let Some(timeout) = config.idle_timeout {
+        let ticker = config.idle_timeout.map(|timeout| {
             let tick = (timeout / 4).clamp(Duration::from_millis(50), Duration::from_secs(30));
             let (shards, stats) = (Arc::clone(&shards), Arc::clone(&stats));
-            background.push(every(tick, move || sweep(&shards, timeout, &stats)));
-        }
-        let draining = Arc::new(AtomicBool::new(false));
-        // The history plane only exists when asked for: no config means
-        // no store, no mutex, no sampler thread — nothing for the
-        // session hot path to even share a cache line with.
-        let mut history = None;
-        if let Some(h) = &config.history {
-            let store = match &h.persist {
-                None => TimeSeriesStore::new(h.tsdb_config()),
-                Some(path) => {
-                    let (store, warn) = TimeSeriesStore::load_or_new(path, h.tsdb_config());
-                    if warn.is_some() {
-                        stats.count("service.history.load_error", 1.0);
-                    }
-                    store
-                }
-            };
-            let store = Arc::new(Mutex::new(store));
-            let interval = h.interval.max(Duration::from_millis(10));
-            let (sampled, stats, draining) =
-                (Arc::clone(&store), Arc::clone(&stats), Arc::clone(&draining));
-            background.push(every(interval, move || {
-                let report = stats.report(draining.load(Ordering::SeqCst));
-                sampled.lock().unwrap().ingest(&report);
-            }));
-            history = Some(store);
-        }
+            every(tick, move || sweep(&shards, timeout, &stats))
+        });
         SessionManager {
             shards,
             config,
             store,
-            background: Mutex::new(background),
-            history,
+            ticker: Mutex::new(ticker),
             next_id: AtomicU64::new(1),
-            draining,
+            draining: Arc::new(AtomicBool::new(false)),
             stats,
         }
-    }
-
-    /// Take one history sample right now, bypassing the sampler's clock
-    /// (deterministic alternative for tests and operator tooling).
-    /// Returns `false` when history is disabled.
-    pub fn sample_history_now(&self) -> bool {
-        match &self.history {
-            None => false,
-            Some(store) => {
-                let report = self.stats.report(self.is_draining());
-                store.lock().unwrap().ingest(&report);
-                true
-            }
-        }
-    }
-
-    /// The history store's full JSON document (the `/metrics/history`
-    /// body), or `None` when no sampler is configured.
-    pub fn history_json(&self) -> Option<String> {
-        self.history.as_ref().map(|store| store.lock().unwrap().to_json())
     }
 
     /// The `/health` endpoint body: every live session's latest health
@@ -669,8 +576,8 @@ impl SessionManager {
         self.draining.store(true, Ordering::SeqCst);
         // Runs on drop too, so a poisoned lock must not panic here. Held to
         // the end: a concurrent second caller returns after the drain too.
-        let mut background = self.background.lock().unwrap_or_else(PoisonError::into_inner);
-        for (stop, handle) in background.drain(..) {
+        let mut ticker = self.ticker.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((stop, handle)) = ticker.take() {
             let _ = stop.send(());
             let _ = handle.join();
         }
@@ -681,17 +588,6 @@ impl SessionManager {
                 retire(id, entry, "service.session.drained", &self.stats);
             }
             self.stats.set_shard_sessions(i, 0);
-        }
-        // Persist the history last, with a final sample covering the
-        // drain itself, so a restarted daemon resumes a complete record.
-        let persist = self.config.history.as_ref().and_then(|h| h.persist.as_ref());
-        if let (Some(store), Some(path)) = (&self.history, persist) {
-            let report = self.stats.report(true);
-            let mut store = store.lock().unwrap();
-            store.ingest(&report);
-            if store.save(path).is_err() {
-                self.stats.count("service.history.save_error", 1.0);
-            }
         }
     }
 }

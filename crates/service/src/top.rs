@@ -3,11 +3,34 @@
 //!
 //! Pure functions of the snapshot — the binary owns polling, screen
 //! clearing and file writing — so the exact layout is unit-testable
-//! without a daemon.
+//! without a daemon. The sparkline panel's memory ([`PanelHistory`]) and
+//! the sidecar fetch ([`http_get`]) live here too, for the same reason.
 
 use crate::protocol::StatsSnapshot;
 use adaphet_analysis::{html_escape, Json, STYLE};
+use std::io::{Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// Connect, read and write timeout of [`http_get`].
+const HTTP_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// One-shot `GET` against the metrics sidecar, returning the body of a
+/// `200` answer. Any failure, a timeout included, degrades to `None` — a
+/// sidecar outage must not kill or hang the dashboard the operator
+/// opened to diagnose it. A stopped daemon still completes the connect
+/// from its kernel backlog, so the reads need the timeout too.
+pub fn http_get(addr: &str, path: &str) -> Option<String> {
+    let sock = addr.to_socket_addrs().ok()?.next()?;
+    let mut conn = TcpStream::connect_timeout(&sock, HTTP_TIMEOUT).ok()?;
+    conn.set_read_timeout(Some(HTTP_TIMEOUT)).ok()?;
+    conn.set_write_timeout(Some(HTTP_TIMEOUT)).ok()?;
+    write!(conn, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").ok()?;
+    let mut response = String::new();
+    conn.read_to_string(&mut response).ok()?;
+    let (head, body) = response.split_once("\r\n\r\n")?;
+    head.starts_with("HTTP/1.1 200").then(|| body.to_string())
+}
 
 /// Parse the `--interval SECS` flag value shared by the top binaries:
 /// a positive, finite number of seconds (fractions allowed).
@@ -131,28 +154,6 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
     format!("{}{out}", " ".repeat(width - tail.len().min(width)))
 }
 
-/// Parse a `/metrics/history` document into `(series name, raw values
-/// oldest-first)` pairs, in document order. Unparseable input yields an
-/// empty list rather than an error — the dashboard degrades, it does
-/// not die.
-pub fn parse_history(json: &str) -> Vec<(String, Vec<f64>)> {
-    let Ok(doc) = Json::parse(json) else { return Vec::new() };
-    let Some(series) = doc.get("series").and_then(Json::as_arr) else { return Vec::new() };
-    series
-        .iter()
-        .filter_map(|s| {
-            let name = s.get("name").and_then(Json::as_str)?.to_string();
-            let values = s
-                .get("points")
-                .and_then(Json::as_arr)?
-                .iter()
-                .filter_map(|p| p.as_arr().filter(|a| a.len() == 2).and_then(|a| a[1].as_f64()))
-                .collect();
-            Some((name, values))
-        })
-        .collect()
-}
-
 /// The metric series the history panel highlights, in display order.
 pub const HISTORY_PANEL: &[&str] = &[
     "service.request",
@@ -162,27 +163,71 @@ pub const HISTORY_PANEL: &[&str] = &[
     "service.health.sessions.stalled",
 ];
 
-/// Render the history panel: one sparkline row per panel series present
-/// in the document (plus the latest value). Empty when nothing matches.
-pub fn render_history_ascii(history_json: &str, width: usize) -> String {
-    let all = parse_history(history_json);
-    let mut out = String::new();
-    for &name in HISTORY_PANEL {
-        let Some((_, values)) = all.iter().find(|(n, _)| n == name) else { continue };
-        if values.is_empty() {
-            continue;
+/// The sparkline panel's memory: the last `width` polled values of each
+/// [`HISTORY_PANEL`] series, oldest first. The dashboard feeds it from
+/// its own polls; the daemon keeps no history.
+pub struct PanelHistory {
+    width: usize,
+    /// One buffer per [`HISTORY_PANEL`] entry, in the same order.
+    series: Vec<Vec<f64>>,
+}
+
+impl PanelHistory {
+    /// An empty panel keeping `width` polls per series.
+    pub fn new(width: usize) -> PanelHistory {
+        let width = width.max(1);
+        PanelHistory { width, series: vec![Vec::with_capacity(width); HISTORY_PANEL.len()] }
+    }
+
+    /// Take one poll: the `get_stats` snapshot, plus the sidecar's
+    /// `/health` document when there is one. The health series only grow
+    /// on polls that carry it.
+    pub fn push(&mut self, snap: &StatsSnapshot, health_json: Option<&str>) {
+        let health = health_json.and_then(|doc| Json::parse(doc).ok());
+        let sessions = health.as_ref().and_then(|doc| doc.get("sessions")?.as_arr());
+        let in_state = |state: &str| {
+            sessions.map(|all| {
+                all.iter().filter(|s| s.get("state").and_then(Json::as_str) == Some(state)).count()
+                    as f64
+            })
+        };
+        let values = [
+            Some(snap.requests as f64),
+            Some(snap.sessions_live as f64),
+            Some(snap.in_flight as f64),
+            in_state("warn"),
+            in_state("stalled"),
+        ];
+        for (buffer, value) in self.series.iter_mut().zip(values) {
+            let Some(value) = value else { continue };
+            if buffer.len() == self.width {
+                buffer.remove(0);
+            }
+            buffer.push(value);
         }
-        out.push_str(&format!(
-            "{:<32} {} {:>10.2}\n",
-            name,
-            sparkline(values, width),
-            values.last().copied().unwrap_or(0.0),
-        ));
     }
-    if !out.is_empty() {
-        out = format!("\nhistory ({} series sampled)\n{out}", all.len());
+
+    /// Render the panel: one sparkline row per series with at least two
+    /// polls (plus the latest value). Empty until then.
+    pub fn render_ascii(&self) -> String {
+        let mut out = String::new();
+        for (name, buffer) in HISTORY_PANEL.iter().zip(&self.series) {
+            if buffer.len() < 2 {
+                continue;
+            }
+            out.push_str(&format!(
+                "{:<32} {} {:>10.2}\n",
+                name,
+                sparkline(buffer, self.width),
+                buffer[buffer.len() - 1],
+            ));
+        }
+        if !out.is_empty() {
+            let polls = self.series.iter().map(Vec::len).max().unwrap_or(0);
+            out = format!("\nhistory (last {polls} polls)\n{out}");
+        }
+        out
     }
-    out
 }
 
 /// Render the `/health` document as a fixed-width session table. Empty
@@ -218,16 +263,12 @@ pub fn render_health_ascii(health_json: &str) -> String {
 /// Render the dashboard as a self-contained HTML page (inline CSS shared
 /// with the `adaphet report` output, no scripts, no external fetches).
 pub fn render_html(snap: &StatsSnapshot) -> String {
-    render_html_full(snap, None, None)
+    render_html_full(snap, None)
 }
 
-/// [`render_html`] plus optional health and history sections sourced
-/// from the sidecar's `/health` and `/metrics/history` documents.
-pub fn render_html_full(
-    snap: &StatsSnapshot,
-    health_json: Option<&str>,
-    history_json: Option<&str>,
-) -> String {
+/// [`render_html`] plus an optional health section sourced from the
+/// sidecar's `/health` document.
+pub fn render_html_full(snap: &StatsSnapshot, health_json: Option<&str>) -> String {
     let mut out = render_html_base(snap);
     let tail = "<p class=\"meta\">generated by";
     let split = out.find(tail).unwrap_or(out.len());
@@ -237,14 +278,6 @@ pub fn render_html_full(
         if !table.is_empty() {
             extra.push_str("<h2>Session health</h2>\n<pre>");
             extra.push_str(&html_escape(table.trim_start_matches('\n')));
-            extra.push_str("</pre>\n");
-        }
-    }
-    if let Some(history) = history_json {
-        let panel = render_history_ascii(history, 48);
-        if !panel.is_empty() {
-            extra.push_str("<h2>Metric history</h2>\n<pre>");
-            extra.push_str(&html_escape(panel.trim_start_matches('\n')));
             extra.push_str("</pre>\n");
         }
     }
@@ -425,25 +458,54 @@ mod tests {
         assert!(sparkline(&[], 2).is_ascii());
     }
 
-    const HISTORY_DOC: &str = r#"{"version":1,"capacity":8,"resolutions":[30],
-        "epoch_s":0,"series":[
-        {"name":"service.request","points":[[0,1],[1,4],[2,9]],"coarse":[]},
-        {"name":"service.sessions.live","points":[[0,2],[1,2]],"coarse":[]}]}"#;
+    #[test]
+    fn panel_fills_from_polls_and_keeps_the_latest_width() {
+        let poll = |requests: u64| StatsSnapshot { requests, ..snap() };
+        let row = |values: &[f64], latest: f64| {
+            format!("{:<32} {} {:>10.2}\n", "service.request", sparkline(values, 3), latest)
+        };
+        let mut panel = PanelHistory::new(3);
+        panel.push(&poll(1), None);
+        assert_eq!(panel.render_ascii(), "", "one poll is no sparkline");
+
+        panel.push(&poll(4), None);
+        panel.push(&poll(9), None);
+        let text = panel.render_ascii();
+        assert!(text.starts_with("\nhistory (last 3 polls)\n"), "{text}");
+        assert!(text.contains(&row(&[1.0, 4.0, 9.0], 9.0)), "three cells, latest 9: {text}");
+        assert_eq!(sparkline(&[1.0, 4.0, 9.0], 3).len(), 3);
+        assert!(text.contains("service.sessions.live"), "{text}");
+        assert!(!text.contains("service.health"), "no /health polls, no health rows: {text}");
+        assert!(text.is_ascii());
+
+        panel.push(&poll(16), Some(HEALTH_DOC));
+        let text = panel.render_ascii();
+        assert!(text.contains(&row(&[4.0, 9.0, 16.0], 16.0)), "1 fell off: {text}");
+        assert!(text.starts_with("\nhistory (last 3 polls)\n"), "{text}");
+        assert!(!text.contains("service.health"), "one health poll is no sparkline: {text}");
+        panel.push(&poll(16), Some(HEALTH_DOC));
+        let text = panel.render_ascii();
+        assert!(text.contains("service.health.sessions.warn"), "{text}");
+        assert!(text.contains("service.health.sessions.stalled"), "{text}");
+    }
 
     #[test]
-    fn history_parses_and_renders_panel_series() {
-        let parsed = parse_history(HISTORY_DOC);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "service.request");
-        assert_eq!(parsed[0].1, vec![1.0, 4.0, 9.0]);
-        let panel = render_history_ascii(HISTORY_DOC, 10);
-        assert!(panel.contains("service.request"), "{panel}");
-        assert!(panel.contains("service.sessions.live"), "{panel}");
-        assert!(panel.contains("9.00"), "latest value column: {panel}");
-        assert!(panel.is_ascii());
-        // Garbage degrades to nothing instead of failing.
-        assert!(render_history_ascii("not json", 10).is_empty());
-        assert!(parse_history("{}").is_empty());
+    fn http_get_gives_up_on_a_silent_sidecar() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        // Accepts and never writes, like a stopped daemon.
+        let silent = std::thread::spawn(move || {
+            let held = listener.accept();
+            let _ = done_rx.recv();
+            drop(held);
+        });
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || got_tx.send(http_get(&addr, "/health")));
+        let got = got_rx.recv_timeout(HTTP_TIMEOUT * 2).expect("http_get hung on a silent sidecar");
+        assert_eq!(got, None);
+        done_tx.send(()).unwrap();
+        silent.join().unwrap();
     }
 
     const HEALTH_DOC: &str = r#"{"uptime_s":3.5,"draining":false,"sessions":[
@@ -470,13 +532,12 @@ mod tests {
 
     #[test]
     fn html_full_embeds_health_and_history_sections() {
-        let html = render_html_full(&snap(), Some(HEALTH_DOC), Some(HISTORY_DOC));
+        let html = render_html_full(&snap(), Some(HEALTH_DOC));
         assert!(html.contains("<h2>Session health</h2>"), "{html}");
-        assert!(html.contains("<h2>Metric history</h2>"), "{html}");
         assert!(html.contains("fault-pressure"), "{html}");
         assert!(!html.contains("<script"), "still self-contained");
         assert!(html.ends_with("</html>\n"));
         // Without the documents the page is byte-identical to render_html.
-        assert_eq!(render_html_full(&snap(), None, None), render_html(&snap()));
+        assert_eq!(render_html_full(&snap(), None), render_html(&snap()));
     }
 }

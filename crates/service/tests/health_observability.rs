@@ -1,15 +1,9 @@
 //! Health-plane integration: the pinned `get_health` / `GET /health`
 //! schema (golden strings — changing them is a wire-compatibility
-//! break), live state transitions observed through the verb, and
-//! metric-history persistence across manager restarts.
+//! break) and live state transitions observed through the verb.
 
-use adaphet_analysis::Json;
 use adaphet_core::StrategyKind;
-use adaphet_service::{
-    HealthInfo, HistoryConfig, Request, Response, ServiceConfig, SessionManager, SessionSpec,
-};
-use std::path::PathBuf;
-use std::time::Duration;
+use adaphet_service::{HealthInfo, Request, Response, ServiceConfig, SessionManager, SessionSpec};
 
 fn create(manager: &SessionManager, spec: SessionSpec) -> u64 {
     match manager.handle(Request::CreateSession(spec)) {
@@ -129,57 +123,4 @@ fn get_health_observes_stall_and_recovery() {
         .find(|(name, _)| name == "service.health.sessions.ok")
         .map(|&(_, v)| v);
     assert_eq!(ok_sessions, Some(1.0));
-}
-
-// -------------------------------------------------------- persistence
-
-fn temp_history_file(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("adaphet-hist-{tag}-{}.adts", std::process::id()))
-}
-
-/// The history store written at shutdown is the history store a
-/// restarted daemon serves: samples survive the restart and new samples
-/// append after them.
-#[test]
-fn history_persists_across_manager_restarts() {
-    let file = temp_history_file("restart");
-    let _ = std::fs::remove_file(&file);
-    let config = || ServiceConfig {
-        workers: 1,
-        history: Some(HistoryConfig {
-            interval: Duration::from_secs(3600), // never fires on its own
-            persist: Some(file.clone()),
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-
-    let points_of = |manager: &SessionManager, series: &str| -> usize {
-        let doc = Json::parse(&manager.history_json().expect("history enabled")).unwrap();
-        let Some(Json::Arr(all)) = doc.get("series") else { panic!("no series array") };
-        all.iter()
-            .find(|s| s.get("name").and_then(Json::as_str) == Some(series))
-            .and_then(|s| match s.get("points") {
-                Some(Json::Arr(p)) => Some(p.len()),
-                _ => None,
-            })
-            .unwrap_or(0)
-    };
-
-    let first = SessionManager::new(config());
-    create(&first, SessionSpec::new(StrategyKind::DivideConquer, 1, 4));
-    assert!(first.sample_history_now());
-    let before = points_of(&first, "service.sessions.live");
-    assert!(before >= 1, "sampled at least once");
-    first.shutdown(); // final ingest + save
-
-    let second = SessionManager::new(config());
-    assert!(second.sample_history_now());
-    let after = points_of(&second, "service.sessions.live");
-    assert!(
-        after > before,
-        "restarted store must carry the saved samples plus the new one \
-         (before {before}, after {after})"
-    );
-    let _ = std::fs::remove_file(&file);
 }

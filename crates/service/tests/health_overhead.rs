@@ -1,22 +1,12 @@
-//! The zero-perturbation guard for the health/history plane.
-//!
-//! Two claims, both loose enough to hold in debug builds (CI also runs
-//! them in release mode where the margins are enormous):
-//!
-//! 1. the always-on health fold (`HealthTracker::on_record`) costs
-//!    within noise of the same loop without it — it is pure windowed
-//!    arithmetic, no allocation beyond the bounded window;
-//! 2. a daemon with the history sampler *enabled but idle* answers the
-//!    session hot path (propose → observe) within noise of a daemon with
-//!    the sampler disabled entirely — the sampler thread parks in
-//!    `recv_timeout` and touches nothing the request path locks.
+//! The zero-perturbation guard for the health plane: the always-on
+//! health fold (`HealthTracker::on_record`) costs within noise of the
+//! same loop without it — it is pure windowed arithmetic, no allocation
+//! beyond the bounded window. The bound is loose enough to hold in debug
+//! builds (CI also runs it in release mode where the margin is enormous).
 
-use adaphet_core::{HealthPolicy, HealthTracker, StrategyKind};
-use adaphet_service::{
-    HistoryConfig, Request, Response, ServiceConfig, SessionManager, SessionSpec,
-};
+use adaphet_core::{HealthPolicy, HealthTracker};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A work quantum heavy enough to dominate any per-call bookkeeping:
 /// ~400 dependent float ops, the metrics crate's overhead-guard idiom.
@@ -73,62 +63,5 @@ fn health_fold_costs_within_noise_of_uninstrumented() {
     assert!(
         tracked <= bare * 1.5 + 1e-4,
         "health fold too slow on the record path: {tracked:.6}s vs bare {bare:.6}s"
-    );
-}
-
-/// Drive `rounds` propose→observe rounds against a fresh session.
-fn run_manager_rounds(manager: &SessionManager, rounds: usize) -> f64 {
-    let session = match manager.handle(Request::CreateSession(SessionSpec::new(
-        StrategyKind::DivideConquer,
-        1,
-        16,
-    ))) {
-        Response::SessionCreated { session } => session,
-        other => panic!("create failed: {other:?}"),
-    };
-    let mut acc = 0.0;
-    for t in 0..rounds {
-        let ticket = match manager.handle(Request::GetProposal { session }) {
-            Response::Proposal { ticket, .. } => ticket,
-            other => panic!("proposal failed: {other:?}"),
-        };
-        let duration = 4.0 + (t % 5) as f64 * 0.05;
-        acc += duration;
-        match manager.handle(Request::SubmitObservation { session, ticket, duration }) {
-            Response::Recorded { .. } | Response::Retry { .. } => {}
-            other => panic!("submit failed: {other:?}"),
-        }
-    }
-    let _ = manager.handle(Request::CloseSession { session });
-    acc
-}
-
-#[test]
-fn idle_sampler_does_not_perturb_the_request_path() {
-    const ROUNDS: usize = 600;
-    const RUNS: usize = 7;
-    let plain = SessionManager::new(ServiceConfig { workers: 1, ..Default::default() });
-    let sampled = SessionManager::new(ServiceConfig {
-        workers: 1,
-        history: Some(HistoryConfig {
-            interval: Duration::from_secs(3600), // parked for the whole test
-            ..Default::default()
-        }),
-        ..Default::default()
-    });
-    black_box(run_manager_rounds(&plain, ROUNDS));
-    black_box(run_manager_rounds(&sampled, ROUNDS));
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    for _ in 0..RUNS {
-        off = off.min(min_time(|| run_manager_rounds(&plain, ROUNDS), 1));
-        on = on.min(min_time(|| run_manager_rounds(&sampled, ROUNDS), 1));
-    }
-    // Loose two-sided-in-spirit bound: an idle sampler must stay within
-    // noise of no sampler at all (generous slack for scheduler jitter —
-    // the manager path is mutex-and-channel bound, not compute bound).
-    assert!(
-        on <= off * 2.0 + 2e-3,
-        "idle sampler perturbs the request path: {on:.6}s vs {off:.6}s without"
     );
 }

@@ -1,14 +1,12 @@
-//! Little-endian primitive reader/writer helpers shared by the snapshot
-//! codec — and exported for sibling crates (`adaphet-tsdb`) that follow
-//! the same magic/version/CRC/tagged-section file discipline. Reads are
-//! bounds-checked and return [`StoreError::Truncated`] instead of
-//! panicking.
+//! Little-endian primitive reader/writer helpers behind the snapshot
+//! codec and the signature key. Reads are bounds-checked and return
+//! [`StoreError::Truncated`] instead of panicking.
 
 use crate::error::StoreError;
 
 /// Append-only byte writer.
 #[derive(Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
@@ -58,7 +56,7 @@ impl Writer {
 }
 
 /// Cursor over a byte slice; every read is bounds-checked.
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }

@@ -40,7 +40,6 @@ mod signature;
 mod snapshot;
 mod store;
 
-pub use codec::{Reader, Writer};
 pub use error::StoreError;
 pub use signature::{GroupSig, PlatformSignature};
 pub use snapshot::{GpHyper, SurrogateSnapshot, FORMAT_VERSION, MAGIC};
@@ -61,7 +60,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes` —
 /// the checksum guarding every snapshot body.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {

@@ -43,7 +43,7 @@ impl PlatformSignature {
     /// the store's filename component. Equal signatures, equal keys;
     /// float features hash by bit pattern.
     pub fn key(&self) -> u64 {
-        let mut w = crate::Writer::new();
+        let mut w = crate::codec::Writer::new();
         w.u64(self.workload);
         w.u64(self.groups.len() as u64);
         for g in &self.groups {

@@ -28,9 +28,6 @@
 //!   classification, telemetry parsing, and self-contained HTML reports;
 //! * [`metrics`] — runtime metrics registry (counters, gauges, histograms)
 //!   behind a no-op-by-default [`metrics::Recorder`];
-//! * [`tsdb`] — the embedded bounded time-series store sampling that
-//!   registry into ring-buffered, downsampled, optionally persisted
-//!   metric history (the daemon's `/metrics/history` backing);
 //! * [`linalg`] — the dense linear-algebra core.
 //!
 //! See `examples/quickstart.rs` for the 40-line tour and DESIGN.md for the
@@ -48,7 +45,6 @@ pub use adaphet_runtime as runtime;
 pub use adaphet_scenarios as scenarios;
 pub use adaphet_service as service;
 pub use adaphet_store as store;
-pub use adaphet_tsdb as tsdb;
 
 /// The curated one-import surface for embedding the tuner.
 ///
