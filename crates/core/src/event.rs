@@ -3,37 +3,7 @@
 //! its pinned JSONL schema) coming out.
 
 use crate::strategy::{DecisionTrace, PosteriorSnapshot};
-use adaphet_metrics::json::{self, ToJson};
-use adaphet_metrics::GroupProfile;
-
-/// Time attributed to one named application phase within an iteration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseSlice {
-    /// Phase name (e.g. `"factorization"`).
-    pub name: String,
-    /// Busy time of the phase in seconds.
-    pub seconds: f64,
-}
-
-impl PhaseSlice {
-    /// Convenience constructor.
-    pub fn new(name: impl Into<String>, seconds: f64) -> Self {
-        PhaseSlice { name: name.into(), seconds }
-    }
-}
-
-/// Wall-clock decomposition of one iteration: disjoint per-phase slices
-/// (which sum to the iteration duration, unlike the busy-time
-/// [`Observation::phases`] which overlap under concurrency) plus per-group
-/// utilization.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PhaseBreakdown {
-    /// Disjoint wall-clock slices in completion order; sums to the
-    /// iteration duration.
-    pub phases: Vec<PhaseSlice>,
-    /// Busy vs. idle time per homogeneous node group.
-    pub groups: Vec<GroupProfile>,
-}
+use adaphet_metrics::{json, PhaseBreakdown, PhaseSlice};
 
 /// What the executor measured for one iteration.
 ///
@@ -113,22 +83,6 @@ pub struct IterationEvent {
     /// when a sink asked for decision traces and the strategy maintains a
     /// surrogate.
     pub snapshot: Option<PosteriorSnapshot>,
-}
-
-impl ToJson for PhaseSlice {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("name", &self.name).field("seconds", &self.seconds);
-        });
-    }
-}
-
-impl ToJson for PhaseBreakdown {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("phases", &self.phases).field("groups", &self.groups);
-        });
-    }
 }
 
 impl IterationEvent {

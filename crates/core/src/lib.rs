@@ -92,8 +92,8 @@ mod warm;
 //
 // The loop (`Session`), its configuration, what goes in (`Observation`)
 // and what comes out (`IterationEvent` → sinks).
-pub use adaphet_metrics::GroupProfile;
-pub use event::{IterationEvent, Observation, PhaseBreakdown, PhaseSlice};
+pub use adaphet_metrics::{GroupProfile, PhaseBreakdown, PhaseSlice};
+pub use event::{IterationEvent, Observation};
 pub use health::{HealthPolicy, HealthReport, HealthSignals, HealthState, HealthTracker};
 pub use session::{
     DriverBuildError, Observed, Proposal, ResiliencePolicy, Session, SessionBuilder, SessionError,

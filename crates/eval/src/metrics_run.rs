@@ -8,9 +8,7 @@
 //! telemetry stream. Binaries write the report's JSON form next to their
 //! regular outputs and print its aligned-text table.
 
-use adaphet_core::{
-    ActionSpace, MemorySink, Observation, PhaseBreakdown, PhaseSlice, Session, StrategyKind,
-};
+use adaphet_core::{ActionSpace, MemorySink, Observation, PhaseBreakdown, Session, StrategyKind};
 use adaphet_geostat::IterationChoice;
 use adaphet_metrics::{install_global, IterationProfile, MetricsReport, Registry};
 use adaphet_scenarios::{Scale, Scenario};
@@ -48,10 +46,7 @@ pub fn run_metrics_session(
         .expect("GP-discontinuous needs no oracle");
     session.run(iters, |n_fact| {
         let (report, m) = app.run_iteration_profiled(IterationChoice::fact_only(n, n_fact));
-        let breakdown = PhaseBreakdown {
-            phases: m.phases.iter().map(|&(p, s)| PhaseSlice::new(p, s)).collect(),
-            groups: m.groups,
-        };
+        let breakdown = PhaseBreakdown { phases: m.phases, groups: m.groups };
         Observation::with_breakdown(report.duration(), breakdown.phases.clone(), breakdown)
     });
     let _ = session.into_history();
@@ -61,15 +56,13 @@ pub fn run_metrics_session(
         .events()
         .iter()
         .map(|e| {
-            let b = e.phase_breakdown.as_ref();
+            let b = e.phase_breakdown.clone().unwrap_or_default();
             IterationProfile {
                 iteration: e.iteration,
                 action: e.action,
                 makespan_s: e.duration,
-                phases: b
-                    .map(|b| b.phases.iter().map(|p| (p.name.clone(), p.seconds)).collect())
-                    .unwrap_or_default(),
-                groups: b.map(|b| b.groups.clone()).unwrap_or_default(),
+                phases: b.phases,
+                groups: b.groups,
             }
         })
         .collect();
@@ -98,7 +91,7 @@ mod tests {
         assert_eq!(report.iterations.len(), 8);
         for it in &report.iterations {
             assert!(!it.phases.is_empty(), "iteration {} lost its phases", it.iteration);
-            let sum: f64 = it.phases.iter().map(|(_, s)| s).sum();
+            let sum: f64 = it.phases.iter().map(|p| p.seconds).sum();
             assert!(
                 (sum - it.makespan_s).abs() <= 0.05 * it.makespan_s,
                 "iteration {}: phase slices sum to {sum}, makespan {}",

@@ -23,6 +23,12 @@
 //!   threaded executor over in-memory tiles, validated against a dense
 //!   reference likelihood; it provides genuine wall-clock iterations for
 //!   the overhead study (paper Fig. 7).
+//!
+//! Both take their tasks from one enumeration: the crate-private
+//! `phases::for_each_task` yields each phase's tasks (kernel, tile
+//! coordinates, accesses, flops) in submission order; the simulator
+//! turns each into a runtime task description, the real executor into
+//! its kernel closure, so the two DAGs cannot drift apart.
 
 mod covariance;
 mod dense;
@@ -37,10 +43,7 @@ pub use covariance::{CovParams, Covariance};
 pub use dense::{dense_covariance, dense_log_likelihood, sample_field, Locations};
 pub use dist::{Distribution, TileDist};
 pub use mle::golden_section_max;
-pub use phases::{
-    register_data, submit_cholesky, submit_determinant, submit_dot, submit_generation,
-    submit_solve, GeoClasses, GeoData, Phase,
-};
+pub use phases::{GeoClasses, Phase};
 pub use real_app::GeoRealApp;
 pub use sim_app::{lp_bound_for, GeoSimApp, IterationChoice, IterationMetrics};
 pub use workload::Workload;

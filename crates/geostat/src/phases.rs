@@ -1,9 +1,13 @@
-//! Task classes and phase DAG builders for the five application phases.
+//! The five application phases: their task classes, their data, and the
+//! one enumeration of an iteration's tasks ([`for_each_task`]) that both
+//! the simulator ([`submit_phase`]) and the real executor consume.
 
 use crate::dist::TileDist;
 use crate::workload::Workload;
 use adaphet_linalg::{flops, TileKernel};
-use adaphet_runtime::{Access, ClassId, ClassSpec, ClassTable, DataHandle, SimRuntime, TaskDesc};
+use adaphet_runtime::{
+    Access, ClassId, ClassSpec, ClassTable, DataHandle, NodeId, SimRuntime, TaskDesc,
+};
 
 /// The five application phases, used as trace tags (paper Fig. 1 colors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,205 +124,239 @@ impl GeoClasses {
     }
 }
 
-/// Handles of the application's registered data.
+/// A datum of the iteration, by its coordinates in the workload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Datum {
+    /// Lower tile `(i, j)` of Σ.
+    Tile(usize, usize),
+    /// Block `i` of the observation vector (constant input).
+    Z(usize),
+    /// Block `i` of the work vector (overwritten per iteration).
+    X(usize),
+    /// Scalar accumulator of the log-determinant.
+    Det,
+    /// Scalar accumulator of the dot product.
+    Dot,
+}
+
+/// The handles of every [`Datum`] of a workload, registered once.
 #[derive(Debug, Clone)]
-pub struct GeoData {
-    /// Lower tiles of Σ (linear index per [`Workload::tile_index`]).
-    pub tiles: Vec<DataHandle>,
-    /// Observation vector blocks (constant input).
-    pub z: Vec<DataHandle>,
-    /// Work vector blocks (overwritten per iteration).
-    pub x: Vec<DataHandle>,
-    /// Scalar accumulator for the log-determinant.
-    pub det: DataHandle,
-    /// Scalar accumulator for the dot product.
-    pub dot: DataHandle,
+pub(crate) struct GeoData<H> {
+    tiles: Vec<H>,
+    z: Vec<H>,
+    x: Vec<H>,
+    det: H,
+    dot: H,
 }
 
-/// Register all application data on the runtime, initially placed by
-/// `dist`.
-pub fn register_data(rt: &mut SimRuntime, w: Workload, dist: &TileDist) -> GeoData {
-    let mut tiles = Vec::with_capacity(w.n_tiles_lower());
-    for i in 0..w.nt {
-        for j in 0..=i {
-            debug_assert_eq!(tiles.len(), w.tile_index(i, j));
-            tiles.push(rt.register_data(w.tile_bytes(), dist.owner(i, j)));
-        }
+impl<H: Copy> GeoData<H> {
+    /// Register every datum of `w` through `register`: the lower tiles in
+    /// [`Workload::tile_index`] order, then `z`, `x`, `det` and `dot`.
+    pub(crate) fn register(w: Workload, mut register: impl FnMut(Datum) -> H) -> Self {
+        let tiles = (0..w.nt).flat_map(|i| (0..=i).map(move |j| (i, j)));
+        let tiles = tiles.map(|(i, j)| register(Datum::Tile(i, j))).collect();
+        let z = (0..w.nt).map(|i| register(Datum::Z(i))).collect();
+        let x = (0..w.nt).map(|i| register(Datum::X(i))).collect();
+        let det = register(Datum::Det);
+        let dot = register(Datum::Dot);
+        GeoData { tiles, z, x, det, dot }
     }
-    let z = (0..w.nt).map(|i| rt.register_data(w.vec_block_bytes(), dist.vec_owner(i))).collect();
-    let x = (0..w.nt).map(|i| rt.register_data(w.vec_block_bytes(), dist.vec_owner(i))).collect();
-    let det = rt.register_data(8, adaphet_runtime::NodeId(0));
-    let dot = rt.register_data(8, adaphet_runtime::NodeId(0));
-    GeoData { tiles, z, x, det, dot }
-}
 
-/// Submit the generation phase: one CPU-only `Generate` task per stored
-/// tile, writing it in place (`W` mode — previous contents are dead).
-pub fn submit_generation(rt: &mut SimRuntime, c: &GeoClasses, w: Workload, data: &GeoData) {
-    let fl = flops(TileKernel::Generate, w.tile);
-    for i in 0..w.nt {
-        for j in 0..=i {
-            rt.submit(TaskDesc {
-                class: c.generate,
-                flops: fl,
-                priority: 0,
-                phase: Phase::Generation as u32,
-                accesses: vec![(data.tiles[w.tile_index(i, j)], Access::Write)],
-            });
+    /// The handle of `d`.
+    pub(crate) fn get(&self, w: Workload, d: Datum) -> H {
+        match d {
+            Datum::Tile(i, j) => self.tiles[w.tile_index(i, j)],
+            Datum::Z(i) => self.z[i],
+            Datum::X(i) => self.x[i],
+            Datum::Det => self.det,
+            Datum::Dot => self.dot,
         }
     }
 }
 
-/// Submit the tiled Cholesky factorization DAG with critical-path-aware
-/// priorities (POTRF > TRSM > SYRK > GEMM, earlier panels first).
-pub fn submit_cholesky(rt: &mut SimRuntime, c: &GeoClasses, w: Workload, data: &GeoData) {
-    let nt = w.nt;
-    let b = w.tile;
-    let t = |i: usize, j: usize| data.tiles[w.tile_index(i, j)];
-    let phase = Phase::Factorization as u32;
-    for k in 0..nt {
-        let base = 4 * (nt - k) as i32;
-        rt.submit(TaskDesc {
-            class: c.potrf,
-            flops: flops(TileKernel::Potrf, b),
-            priority: base + 3,
-            phase,
-            accesses: vec![(t(k, k), Access::ReadWrite)],
-        });
-        for i in k + 1..nt {
-            rt.submit(TaskDesc {
-                class: c.trsm,
-                flops: flops(TileKernel::Trsm, b),
-                priority: base + 2,
-                phase,
-                accesses: vec![(t(k, k), Access::Read), (t(i, k), Access::ReadWrite)],
-            });
-        }
-        for i in k + 1..nt {
-            rt.submit(TaskDesc {
-                class: c.syrk,
-                flops: flops(TileKernel::Syrk, b),
-                priority: base + 1,
-                phase,
-                accesses: vec![(t(i, k), Access::Read), (t(i, i), Access::ReadWrite)],
-            });
-            for j in k + 1..i {
-                rt.submit(TaskDesc {
-                    class: c.gemm,
-                    flops: flops(TileKernel::Gemm, b),
-                    priority: base,
-                    phase,
-                    accesses: vec![
-                        (t(i, k), Access::Read),
-                        (t(j, k), Access::Read),
-                        (t(i, j), Access::ReadWrite),
-                    ],
-                });
+/// One task of an iteration: its kernel and tile coordinates. The
+/// simulator and the real executor both submit exactly the tasks
+/// [`for_each_task`] yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GeoTask {
+    /// Generate tile `(i, j)` in place.
+    Generate { i: usize, j: usize },
+    /// Factor diagonal tile `(k, k)`.
+    Potrf { k: usize },
+    /// Panel solve of tile `(i, k)` against `(k, k)`.
+    Trsm { k: usize, i: usize },
+    /// Diagonal update of `(i, i)` by `(i, k)`.
+    Syrk { k: usize, i: usize },
+    /// Off-diagonal update of `(i, j)` by `(i, k)` and `(j, k)`.
+    Gemm { k: usize, i: usize, j: usize },
+    /// `x_i := z_i`.
+    Copy { i: usize },
+    /// `x_k := L(k,k)⁻¹ x_k`.
+    Forward { k: usize },
+    /// `x_i -= L(i,k) x_k`.
+    ForwardUpdate { k: usize, i: usize },
+    /// `x_k := L(k,k)⁻ᵀ x_k`.
+    Backward { k: usize },
+    /// `x_j -= L(k,j)ᵀ x_k`.
+    BackwardUpdate { k: usize, j: usize },
+    /// `det += 2 Σ log L(k,k)_rr`.
+    LogDet { k: usize },
+    /// `dot += x_kᵀ z_k`.
+    Dot { k: usize },
+}
+
+impl GeoTask {
+    /// The data the task touches, each mapped to a handle by `h`, in the
+    /// order the kernels read them: inputs first, the updated datum last.
+    pub(crate) fn accesses<H>(self, mut h: impl FnMut(Datum) -> H) -> Vec<(H, Access)> {
+        use Access::{Read, ReadWrite, Write};
+        use Datum::{Tile, X, Z};
+        match self {
+            GeoTask::Generate { i, j } => vec![(h(Tile(i, j)), Write)],
+            GeoTask::Potrf { k } => vec![(h(Tile(k, k)), ReadWrite)],
+            GeoTask::Trsm { k, i } => vec![(h(Tile(k, k)), Read), (h(Tile(i, k)), ReadWrite)],
+            GeoTask::Syrk { k, i } => vec![(h(Tile(i, k)), Read), (h(Tile(i, i)), ReadWrite)],
+            GeoTask::Gemm { k, i, j } => {
+                vec![(h(Tile(i, k)), Read), (h(Tile(j, k)), Read), (h(Tile(i, j)), ReadWrite)]
+            }
+            GeoTask::Copy { i } => vec![(h(Z(i)), Read), (h(X(i)), Write)],
+            GeoTask::Forward { k } | GeoTask::Backward { k } => {
+                vec![(h(Tile(k, k)), Read), (h(X(k)), ReadWrite)]
+            }
+            GeoTask::ForwardUpdate { k, i } => {
+                vec![(h(Tile(i, k)), Read), (h(X(k)), Read), (h(X(i)), ReadWrite)]
+            }
+            GeoTask::BackwardUpdate { k, j } => {
+                vec![(h(Tile(k, j)), Read), (h(X(k)), Read), (h(X(j)), ReadWrite)]
+            }
+            GeoTask::LogDet { k } => vec![(h(Tile(k, k)), Read), (h(Datum::Det), ReadWrite)],
+            GeoTask::Dot { k } => {
+                vec![(h(X(k)), Read), (h(Z(k)), Read), (h(Datum::Dot), ReadWrite)]
             }
         }
     }
+
+    /// Useful flops of the task on tiles of side `b`.
+    pub(crate) fn flops(self, b: usize) -> f64 {
+        match self {
+            GeoTask::Generate { .. } => flops(TileKernel::Generate, b),
+            GeoTask::Potrf { .. } => flops(TileKernel::Potrf, b),
+            GeoTask::Trsm { .. } => flops(TileKernel::Trsm, b),
+            GeoTask::Syrk { .. } => flops(TileKernel::Syrk, b),
+            GeoTask::Gemm { .. } => flops(TileKernel::Gemm, b),
+            GeoTask::Copy { .. } => 2.0 * b as f64,
+            GeoTask::Forward { .. } | GeoTask::Backward { .. } => flops(TileKernel::SolveTrsm, b),
+            GeoTask::ForwardUpdate { .. } | GeoTask::BackwardUpdate { .. } => 2.0 * (b * b) as f64,
+            GeoTask::LogDet { .. } => flops(TileKernel::Determinant, b),
+            GeoTask::Dot { .. } => flops(TileKernel::DotProduct, b),
+        }
+    }
+
+    /// Scheduling priority in a workload of `nt` tiles per side: the
+    /// factorization is critical-path aware (POTRF > TRSM > SYRK > GEMM,
+    /// earlier panels first), then the solve, then the reductions.
+    fn priority(self, nt: usize) -> i32 {
+        let panel = |k: usize| 4 * (nt - k) as i32;
+        match self {
+            GeoTask::Generate { .. } => 0,
+            GeoTask::Potrf { k } => panel(k) + 3,
+            GeoTask::Trsm { k, .. } => panel(k) + 2,
+            GeoTask::Syrk { k, .. } => panel(k) + 1,
+            GeoTask::Gemm { k, .. } => panel(k),
+            GeoTask::Copy { .. }
+            | GeoTask::Forward { .. }
+            | GeoTask::ForwardUpdate { .. }
+            | GeoTask::Backward { .. }
+            | GeoTask::BackwardUpdate { .. } => 2,
+            GeoTask::LogDet { .. } | GeoTask::Dot { .. } => 1,
+        }
+    }
+
+    fn class(self, c: &GeoClasses) -> ClassId {
+        match self {
+            GeoTask::Generate { .. } => c.generate,
+            GeoTask::Potrf { .. } => c.potrf,
+            GeoTask::Trsm { .. } => c.trsm,
+            GeoTask::Syrk { .. } => c.syrk,
+            GeoTask::Gemm { .. } => c.gemm,
+            _ => c.small,
+        }
+    }
 }
 
-/// Submit the solve phase: copy `z` into the work vector `x`, then
-/// `L y = z` (forward) and `Lᵀ x = y` (backward) over vector blocks.
-pub fn submit_solve(rt: &mut SimRuntime, c: &GeoClasses, w: Workload, data: &GeoData) {
+/// Yield the tasks of `phase` in submission order:
+/// - generation: one task per stored tile, writing it in place (`W` mode —
+///   previous contents are dead);
+/// - factorization: the right-looking tiled Cholesky, panel by panel;
+/// - solve: `x := z`, then `L y = z` (forward) and `Lᵀ x = y` (backward)
+///   over vector blocks;
+/// - determinant and dot product: a serial reduction of tiny tasks into
+///   one scalar each, as in ExaGeoStat.
+pub(crate) fn for_each_task(w: Workload, phase: Phase, mut f: impl FnMut(GeoTask)) {
     let nt = w.nt;
-    let b = w.tile;
-    let t = |i: usize, j: usize| data.tiles[w.tile_index(i, j)];
-    let phase = Phase::Solve as u32;
-    let trsv_fl = flops(TileKernel::SolveTrsm, b);
-    // x := z (copies may land on whichever node owns x's block).
-    for i in 0..nt {
-        rt.submit(TaskDesc {
-            class: c.small,
-            flops: 2.0 * b as f64,
-            priority: 2,
-            phase,
-            accesses: vec![(data.z[i], Access::Read), (data.x[i], Access::Write)],
-        });
-    }
-    // Forward sweep.
-    for k in 0..nt {
-        rt.submit(TaskDesc {
-            class: c.small,
-            flops: trsv_fl,
-            priority: 2,
-            phase,
-            accesses: vec![(t(k, k), Access::Read), (data.x[k], Access::ReadWrite)],
-        });
-        for i in k + 1..nt {
-            rt.submit(TaskDesc {
-                class: c.small,
-                flops: 2.0 * (b * b) as f64,
-                priority: 2,
-                phase,
-                accesses: vec![
-                    (t(i, k), Access::Read),
-                    (data.x[k], Access::Read),
-                    (data.x[i], Access::ReadWrite),
-                ],
-            });
+    match phase {
+        Phase::Generation => {
+            for i in 0..nt {
+                (0..=i).for_each(|j| f(GeoTask::Generate { i, j }));
+            }
         }
-    }
-    // Backward sweep (Lᵀ).
-    for k in (0..nt).rev() {
-        rt.submit(TaskDesc {
-            class: c.small,
-            flops: trsv_fl,
-            priority: 2,
-            phase,
-            accesses: vec![(t(k, k), Access::Read), (data.x[k], Access::ReadWrite)],
-        });
-        for j in 0..k {
-            rt.submit(TaskDesc {
-                class: c.small,
-                flops: 2.0 * (b * b) as f64,
-                priority: 2,
-                phase,
-                accesses: vec![
-                    (t(k, j), Access::Read),
-                    (data.x[k], Access::Read),
-                    (data.x[j], Access::ReadWrite),
-                ],
-            });
+        Phase::Factorization => {
+            for k in 0..nt {
+                f(GeoTask::Potrf { k });
+                (k + 1..nt).for_each(|i| f(GeoTask::Trsm { k, i }));
+                for i in k + 1..nt {
+                    f(GeoTask::Syrk { k, i });
+                    (k + 1..i).for_each(|j| f(GeoTask::Gemm { k, i, j }));
+                }
+            }
         }
+        Phase::Solve => {
+            (0..nt).for_each(|i| f(GeoTask::Copy { i }));
+            for k in 0..nt {
+                f(GeoTask::Forward { k });
+                (k + 1..nt).for_each(|i| f(GeoTask::ForwardUpdate { k, i }));
+            }
+            for k in (0..nt).rev() {
+                f(GeoTask::Backward { k });
+                (0..k).for_each(|j| f(GeoTask::BackwardUpdate { k, j }));
+            }
+        }
+        Phase::Determinant => (0..nt).for_each(|k| f(GeoTask::LogDet { k })),
+        Phase::DotProduct => (0..nt).for_each(|k| f(GeoTask::Dot { k })),
     }
 }
 
-/// Submit the determinant phase: accumulate `2 Σ log L_kk` into the `det`
-/// scalar (a serial reduction of tiny tasks, as in ExaGeoStat).
-pub fn submit_determinant(rt: &mut SimRuntime, c: &GeoClasses, w: Workload, data: &GeoData) {
-    let fl = flops(TileKernel::Determinant, w.tile);
-    for k in 0..w.nt {
-        rt.submit(TaskDesc {
-            class: c.small,
-            flops: fl,
-            priority: 1,
-            phase: Phase::Determinant as u32,
-            accesses: vec![
-                (data.tiles[w.tile_index(k, k)], Access::Read),
-                (data.det, Access::ReadWrite),
-            ],
-        });
-    }
+/// Register all application data on the simulated runtime, initially
+/// placed by `dist`.
+pub(crate) fn register_data(
+    rt: &mut SimRuntime,
+    w: Workload,
+    dist: &TileDist,
+) -> GeoData<DataHandle> {
+    GeoData::register(w, |d| match d {
+        Datum::Tile(i, j) => rt.register_data(w.tile_bytes(), dist.owner(i, j)),
+        Datum::Z(i) | Datum::X(i) => rt.register_data(w.vec_block_bytes(), dist.vec_owner(i)),
+        Datum::Det | Datum::Dot => rt.register_data(8, NodeId(0)),
+    })
 }
 
-/// Submit the dot-product phase: accumulate `xᵀ z` into the `dot` scalar.
-pub fn submit_dot(rt: &mut SimRuntime, c: &GeoClasses, w: Workload, data: &GeoData) {
-    let fl = flops(TileKernel::DotProduct, w.tile);
-    for k in 0..w.nt {
+/// Submit the tasks of `phase` to the simulated runtime.
+pub(crate) fn submit_phase(
+    rt: &mut SimRuntime,
+    c: &GeoClasses,
+    w: Workload,
+    data: &GeoData<DataHandle>,
+    phase: Phase,
+) {
+    for_each_task(w, phase, |task| {
         rt.submit(TaskDesc {
-            class: c.small,
-            flops: fl,
-            priority: 1,
-            phase: Phase::DotProduct as u32,
-            accesses: vec![
-                (data.x[k], Access::Read),
-                (data.z[k], Access::Read),
-                (data.dot, Access::ReadWrite),
-            ],
+            class: task.class(c),
+            flops: task.flops(w.tile),
+            priority: task.priority(w.nt),
+            phase: phase as u32,
+            accesses: task.accesses(|d| data.get(w, d)),
         });
-    }
+    });
 }
 
 #[cfg(test)]
@@ -341,7 +379,7 @@ mod tests {
         Platform::new_sorted(nodes, NetworkSpec { backbone_gbps: 100.0, latency_s: 0.0 })
     }
 
-    fn setup(nt: usize, n_nodes: usize) -> (SimRuntime, GeoClasses, Workload, GeoData) {
+    fn setup(nt: usize, n_nodes: usize) -> (SimRuntime, GeoClasses, Workload, GeoData<DataHandle>) {
         setup_tile(nt, n_nodes, 32)
     }
 
@@ -349,7 +387,7 @@ mod tests {
         nt: usize,
         n_nodes: usize,
         tile: usize,
-    ) -> (SimRuntime, GeoClasses, Workload, GeoData) {
+    ) -> (SimRuntime, GeoClasses, Workload, GeoData<DataHandle>) {
         let (table, classes) = GeoClasses::register();
         let mut rt = SimRuntime::new(platform(n_nodes), table, SimConfig::default());
         let w = Workload::new(nt, tile);
@@ -362,7 +400,7 @@ mod tests {
     #[test]
     fn generation_task_count() {
         let (mut rt, c, w, data) = setup(5, 2);
-        submit_generation(&mut rt, &c, w, &data);
+        submit_phase(&mut rt, &c, w, &data, Phase::Generation);
         rt.run();
         let gen_events =
             rt.trace().events().iter().filter(|e| e.phase == Phase::Generation as u32).count();
@@ -376,8 +414,8 @@ mod tests {
         // equality below means every task carried `flops(kernel, b)`.
         let (nt, b) = (6, 48);
         let (mut rt, c, w, data) = setup_tile(nt, 2, b);
-        submit_generation(&mut rt, &c, w, &data);
-        submit_cholesky(&mut rt, &c, w, &data);
+        submit_phase(&mut rt, &c, w, &data, Phase::Generation);
+        submit_phase(&mut rt, &c, w, &data, Phase::Factorization);
         rt.run();
         let count = |cls: ClassId| rt.trace().events().iter().filter(|e| e.class == cls).count();
         let (panel, trailing) = (nt * (nt - 1) / 2, nt * (nt - 1) * (nt - 2) / 6);
@@ -395,11 +433,9 @@ mod tests {
     #[test]
     fn full_iteration_completes_and_phases_ordered_per_tile() {
         let (mut rt, c, w, data) = setup(4, 2);
-        submit_generation(&mut rt, &c, w, &data);
-        submit_cholesky(&mut rt, &c, w, &data);
-        submit_solve(&mut rt, &c, w, &data);
-        submit_determinant(&mut rt, &c, w, &data);
-        submit_dot(&mut rt, &c, w, &data);
+        for phase in Phase::all() {
+            submit_phase(&mut rt, &c, w, &data, phase);
+        }
         let r = rt.run();
         assert!(r.duration() > 0.0);
         // The potrf of tile (0,0) must start after its generation ends.
@@ -421,8 +457,8 @@ mod tests {
         // that is exactly the paper's left-side-of-the-curve effect).
         let run_with = |n_nodes: usize| {
             let (mut rt, c, w, data) = setup_tile(8, n_nodes, 256);
-            submit_generation(&mut rt, &c, w, &data);
-            submit_cholesky(&mut rt, &c, w, &data);
+            submit_phase(&mut rt, &c, w, &data, Phase::Generation);
+            submit_phase(&mut rt, &c, w, &data, Phase::Factorization);
             rt.run().duration()
         };
         let d1 = run_with(1);

@@ -1,14 +1,17 @@
-//! The real (numerical) application: the same five phases executed as
-//! actual kernels on the threaded executor, validated against the dense
+//! The real (numerical) application: the same five phases, task for task
+//! as the simulator submits them ([`for_each_task`]), executed as actual
+//! kernels on the threaded executor and validated against the dense
 //! reference likelihood.
 
 use crate::covariance::{CovParams, Covariance};
 use crate::dense::{dense_log_likelihood, sample_field, Locations};
+use crate::phases::{for_each_task, Datum, GeoData, GeoTask, Phase};
 use crate::workload::Workload;
 use adaphet_linalg::{
     backward_sub, forward_sub, gemm_update, potrf_tile, syrk_update, trsm_right_lt, Mat,
 };
-use adaphet_runtime::{Access, BlockHandle, RealRuntime};
+use adaphet_metrics::PhaseSlice;
+use adaphet_runtime::{Access, BlockHandle, RealRuntime, StoreView};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,6 +59,87 @@ impl Block {
     }
 }
 
+/// What a generation task needs beyond its tile: the covariance kernel,
+/// its diagonal nugget, the locations and the tile side.
+struct Generator {
+    cov: Covariance,
+    nugget: f64,
+    loc: Arc<Locations>,
+    b: usize,
+}
+
+/// Run `task`'s kernel on the blocks `h` of its accesses, in the order
+/// [`GeoTask::accesses`] lists them.
+fn run_kernel(task: GeoTask, h: &[BlockHandle], s: &StoreView<Block>, gen: &Generator) {
+    match task {
+        GeoTask::Generate { i, j } => {
+            let b = gen.b;
+            let mut g = s.write(h[0]);
+            let tile = g.tile_mut();
+            for c in 0..b {
+                for r in 0..b {
+                    let gi = i * b + r;
+                    let gj = j * b + c;
+                    let mut v = gen.cov.cov(gen.loc.dist(gi, gj));
+                    if gi == gj {
+                        v += gen.nugget;
+                    }
+                    tile[(r, c)] = v;
+                }
+            }
+        }
+        GeoTask::Potrf { .. } => {
+            potrf_tile(s.write(h[0]).tile_mut()).expect("covariance tile is SPD");
+        }
+        GeoTask::Trsm { .. } => {
+            trsm_right_lt(s.read(h[0]).tile(), s.write(h[1]).tile_mut()).expect("trsm dims");
+        }
+        GeoTask::Syrk { .. } => {
+            syrk_update(s.read(h[0]).tile(), s.write(h[1]).tile_mut()).expect("syrk dims");
+        }
+        GeoTask::Gemm { .. } => {
+            let (a, bb) = (s.read(h[0]), s.read(h[1]));
+            gemm_update(a.tile(), bb.tile(), s.write(h[2]).tile_mut()).expect("gemm dims");
+        }
+        GeoTask::Copy { .. } => {
+            let zv = s.read(h[0]);
+            *s.write(h[1]).vector_mut() = zv.vector().clone();
+        }
+        GeoTask::Forward { .. } | GeoTask::Backward { .. } => {
+            let dg = s.read(h[0]);
+            let mut xg = s.write(h[1]);
+            let sol = if matches!(task, GeoTask::Forward { .. }) {
+                forward_sub(dg.tile(), xg.vector())
+            } else {
+                backward_sub(dg.tile(), xg.vector())
+            };
+            *xg.vector_mut() = sol.expect("nonsingular");
+        }
+        GeoTask::ForwardUpdate { .. } | GeoTask::BackwardUpdate { .. } => {
+            // x_i -= L(i,k) x_k, or x_j -= L(k,j)ᵀ x_k.
+            let (a, xk) = (s.read(h[0]), s.read(h[1]));
+            let y = if matches!(task, GeoTask::ForwardUpdate { .. }) {
+                a.tile().matvec(xk.vector())
+            } else {
+                a.tile().matvec_t(xk.vector())
+            };
+            for (o, v) in s.write(h[2]).vector_mut().iter_mut().zip(&y) {
+                *o -= v;
+            }
+        }
+        GeoTask::LogDet { .. } => {
+            let dg = s.read(h[0]);
+            let tile = dg.tile();
+            let part: f64 = (0..gen.b).map(|r| tile[(r, r)].ln()).sum::<f64>() * 2.0;
+            *s.write(h[1]).scalar_mut() += part;
+        }
+        GeoTask::Dot { .. } => {
+            let part = adaphet_linalg::dot(s.read(h[0]).vector(), s.read(h[1]).vector());
+            *s.write(h[2]).scalar_mut() += part;
+        }
+    }
+}
+
 /// The shared-memory ExaGeoStat-like application.
 ///
 /// Holds synthetic spatial data and evaluates the exact log-likelihood of
@@ -67,11 +151,7 @@ pub struct GeoRealApp {
     workload: Workload,
     loc: Arc<Locations>,
     z: Vec<f64>,
-    tiles: Vec<BlockHandle>,
-    zb: Vec<BlockHandle>,
-    xb: Vec<BlockHandle>,
-    det: BlockHandle,
-    dot: BlockHandle,
+    data: GeoData<BlockHandle>,
     /// Diagonal jitter matching the dense reference.
     nugget: f64,
 }
@@ -86,21 +166,15 @@ impl GeoRealApp {
         let z = sample_field(&loc, &cov, seed ^ 0x5eed);
         let mut rt = RealRuntime::new(n_workers);
         let b = workload.tile;
-        let mut tiles = Vec::with_capacity(workload.n_tiles_lower());
-        for i in 0..workload.nt {
-            for j in 0..=i {
-                debug_assert_eq!(tiles.len(), workload.tile_index(i, j));
-                tiles.push(rt.register(Block::Tile(Mat::zeros(b, b))));
-            }
-        }
-        let zb: Vec<BlockHandle> = (0..workload.nt)
-            .map(|k| rt.register(Block::Vector(z[k * b..(k + 1) * b].to_vec())))
-            .collect();
-        let xb: Vec<BlockHandle> =
-            (0..workload.nt).map(|_| rt.register(Block::Vector(vec![0.0; b]))).collect();
-        let det = rt.register(Block::Scalar(0.0));
-        let dot = rt.register(Block::Scalar(0.0));
-        GeoRealApp { rt, workload, loc, z, tiles, zb, xb, det, dot, nugget: 1e-10 }
+        let data = GeoData::register(workload, |d| {
+            rt.register(match d {
+                Datum::Tile(..) => Block::Tile(Mat::zeros(b, b)),
+                Datum::Z(k) => Block::Vector(z[k * b..(k + 1) * b].to_vec()),
+                Datum::X(_) => Block::Vector(vec![0.0; b]),
+                Datum::Det | Datum::Dot => Block::Scalar(0.0),
+            })
+        });
+        GeoRealApp { rt, workload, loc, z, data, nugget: 1e-10 }
     }
 
     /// The observations (for external checks).
@@ -127,248 +201,72 @@ impl GeoRealApp {
 
     /// Like [`GeoRealApp::eval_likelihood`], but with a barrier after each
     /// phase so the returned breakdown holds *measured* per-phase wall
-    /// times `(phase name, seconds)` that sum to the returned total. Each
-    /// phase also reports wall time, task count, and flops to the global
-    /// metrics recorder (`real.phase.*`) when one is installed. The
+    /// times that sum to the returned total. Each phase also reports wall
+    /// time and the task count and flops of the tasks it submitted to the
+    /// global metrics recorder (`real.phase.*`) when one is installed. The
     /// barriers forgo inter-phase task overlap, so the total can exceed
     /// an unprofiled evaluation's.
     pub fn eval_likelihood_profiled(
         &mut self,
         params: CovParams,
-    ) -> (f64, Duration, Vec<(&'static str, f64)>) {
+    ) -> (f64, Duration, Vec<PhaseSlice>) {
         self.eval_inner(params, true)
-    }
-
-    /// Wait for all submitted tasks of one phase, then record its profile.
-    fn profile_barrier(
-        &mut self,
-        name: &'static str,
-        tasks: u64,
-        flops: f64,
-        walls: &mut Vec<(&'static str, f64)>,
-        total: &mut Duration,
-    ) {
-        let d = self.rt.run();
-        *total += d;
-        walls.push((name, d.as_secs_f64()));
-        let r = adaphet_metrics::global();
-        if r.enabled() {
-            r.observe(&format!("real.phase.{name}.wall_s"), d.as_secs_f64());
-            r.add(&format!("real.phase.{name}.tasks"), tasks as f64);
-            r.add(&format!("real.phase.{name}.flops"), flops);
-        }
     }
 
     fn eval_inner(
         &mut self,
         params: CovParams,
         profiled: bool,
-    ) -> (f64, Duration, Vec<(&'static str, f64)>) {
-        use adaphet_linalg::{flops, TileKernel};
+    ) -> (f64, Duration, Vec<PhaseSlice>) {
         let w = self.workload;
-        let b = w.tile;
-        let nt = w.nt;
-        let tiles = self.tiles.clone();
-        let t = move |i: usize, j: usize| tiles[w.tile_index(i, j)];
-        let mut walls: Vec<(&'static str, f64)> = Vec::new();
+        let gen = Arc::new(Generator {
+            cov: Covariance::new(params),
+            nugget: self.nugget * params.variance,
+            loc: Arc::clone(&self.loc),
+            b: w.tile,
+        });
+        let mut walls = Vec::new();
         let mut total = Duration::ZERO;
-        let cov = Covariance::new(params);
-        let nugget = self.nugget * params.variance;
-
-        // Phase 1: generation.
-        for i in 0..nt {
-            for j in 0..=i {
-                let h = t(i, j);
-                let loc = Arc::clone(&self.loc);
-                self.rt.submit(vec![(h, Access::Write)], move |s| {
-                    let mut g = s.write(h);
-                    let tile = g.tile_mut();
-                    for c in 0..b {
-                        for r in 0..b {
-                            let gi = i * b + r;
-                            let gj = j * b + c;
-                            let mut v = cov.cov(loc.dist(gi, gj));
-                            if gi == gj {
-                                v += nugget;
-                            }
-                            tile[(r, c)] = v;
-                        }
-                    }
-                });
+        for phase in Phase::all() {
+            let (mut tasks, mut flops) = (0u64, 0.0);
+            // The reductions restart from zero at every evaluation.
+            let acc = match phase {
+                Phase::Determinant => Some(self.data.get(w, Datum::Det)),
+                Phase::DotProduct => Some(self.data.get(w, Datum::Dot)),
+                _ => None,
+            };
+            if let Some(acc) = acc {
+                self.rt
+                    .submit(vec![(acc, Access::Write)], move |s| *s.write(acc).scalar_mut() = 0.0);
+                tasks += 1;
             }
-        }
-        if profiled {
-            let tasks = (nt * (nt + 1) / 2) as u64;
-            self.profile_barrier("generation", tasks, w.generation_flops(), &mut walls, &mut total);
-        }
-
-        // Phase 2: tiled Cholesky.
-        for k in 0..nt {
-            let d = t(k, k);
-            self.rt.submit(vec![(d, Access::ReadWrite)], move |s| {
-                potrf_tile(s.write(d).tile_mut()).expect("covariance tile is SPD");
+            for_each_task(w, phase, |task| {
+                let accesses = task.accesses(|d| self.data.get(w, d));
+                let h: Vec<BlockHandle> = accesses.iter().map(|&(h, _)| h).collect();
+                let gen = Arc::clone(&gen);
+                self.rt.submit(accesses, move |s| run_kernel(task, &h, s, &gen));
+                tasks += 1;
+                flops += task.flops(w.tile);
             });
-            for i in k + 1..nt {
-                let a = t(i, k);
-                self.rt.submit(vec![(d, Access::Read), (a, Access::ReadWrite)], move |s| {
-                    let dg = s.read(d);
-                    let mut ag = s.write(a);
-                    trsm_right_lt(dg.tile(), ag.tile_mut()).expect("trsm dims");
-                });
-            }
-            for i in k + 1..nt {
-                let a = t(i, k);
-                let c = t(i, i);
-                self.rt.submit(vec![(a, Access::Read), (c, Access::ReadWrite)], move |s| {
-                    let ag = s.read(a);
-                    syrk_update(ag.tile(), s.write(c).tile_mut()).expect("syrk dims");
-                });
-                for j in k + 1..i {
-                    let a = t(i, k);
-                    let bb = t(j, k);
-                    let c = t(i, j);
-                    self.rt.submit(
-                        vec![(a, Access::Read), (bb, Access::Read), (c, Access::ReadWrite)],
-                        move |s| {
-                            let ag = s.read(a);
-                            let bg = s.read(bb);
-                            let mut cg = s.write(c);
-                            gemm_update(ag.tile(), bg.tile(), cg.tile_mut()).expect("gemm dims");
-                        },
-                    );
+            if profiled {
+                let d = self.rt.run();
+                total += d;
+                let name = phase.name();
+                walls.push(PhaseSlice::new(name, d.as_secs_f64()));
+                let r = adaphet_metrics::global();
+                if r.enabled() {
+                    r.observe(&format!("real.phase.{name}.wall_s"), d.as_secs_f64());
+                    r.add(&format!("real.phase.{name}.tasks"), tasks as f64);
+                    r.add(&format!("real.phase.{name}.flops"), flops);
                 }
             }
         }
-        if profiled {
-            let gemms = if nt >= 3 { nt * (nt - 1) * (nt - 2) / 6 } else { 0 };
-            let tasks = (nt + nt * (nt - 1) + gemms) as u64;
-            self.profile_barrier(
-                "factorization",
-                tasks,
-                w.cholesky_flops(),
-                &mut walls,
-                &mut total,
-            );
-        }
-
-        // Phase 3: solve. x := z, then L y = z, Lᵀ x = y over blocks.
-        for k in 0..nt {
-            let (zk, xk) = (self.zb[k], self.xb[k]);
-            self.rt.submit(vec![(zk, Access::Read), (xk, Access::Write)], move |s| {
-                let zv = s.read(zk);
-                *s.write(xk).vector_mut() = zv.vector().clone();
-            });
-        }
-        for k in 0..nt {
-            let (d, xk) = (t(k, k), self.xb[k]);
-            self.rt.submit(vec![(d, Access::Read), (xk, Access::ReadWrite)], move |s| {
-                let dg = s.read(d);
-                let mut xg = s.write(xk);
-                let sol = forward_sub(dg.tile(), xg.vector()).expect("nonsingular");
-                *xg.vector_mut() = sol;
-            });
-            for i in k + 1..nt {
-                let (a, xk, xi) = (t(i, k), self.xb[k], self.xb[i]);
-                self.rt.submit(
-                    vec![(a, Access::Read), (xk, Access::Read), (xi, Access::ReadWrite)],
-                    move |s| {
-                        let ag = s.read(a);
-                        let xkg = s.read(xk);
-                        let mut xig = s.write(xi);
-                        let y = ag.tile().matvec(xkg.vector());
-                        for (o, v) in xig.vector_mut().iter_mut().zip(&y) {
-                            *o -= v;
-                        }
-                    },
-                );
-            }
-        }
-        for k in (0..nt).rev() {
-            let (d, xk) = (t(k, k), self.xb[k]);
-            self.rt.submit(vec![(d, Access::Read), (xk, Access::ReadWrite)], move |s| {
-                let dg = s.read(d);
-                let mut xg = s.write(xk);
-                let sol = backward_sub(dg.tile(), xg.vector()).expect("nonsingular");
-                *xg.vector_mut() = sol;
-            });
-            for j in 0..k {
-                let (a, xk, xj) = (t(k, j), self.xb[k], self.xb[j]);
-                self.rt.submit(
-                    vec![(a, Access::Read), (xk, Access::Read), (xj, Access::ReadWrite)],
-                    move |s| {
-                        // x_j -= L(k,j)ᵀ x_k.
-                        let ag = s.read(a);
-                        let xkg = s.read(xk);
-                        let mut xjg = s.write(xj);
-                        let y = ag.tile().matvec_t(xkg.vector());
-                        for (o, v) in xjg.vector_mut().iter_mut().zip(&y) {
-                            *o -= v;
-                        }
-                    },
-                );
-            }
-        }
-        if profiled {
-            let tasks = (3 * nt + nt * (nt - 1)) as u64;
-            let fl = nt as f64 * 2.0 * b as f64
-                + 2.0
-                    * (nt as f64 * flops(TileKernel::SolveTrsm, b)
-                        + (nt * (nt - 1) / 2) as f64 * 2.0 * (b * b) as f64);
-            self.profile_barrier("solve", tasks, fl, &mut walls, &mut total);
-        }
-
-        // Phase 4: determinant (reset + accumulate 2·Σ log L_kk).
-        let det = self.det;
-        self.rt.submit(vec![(det, Access::Write)], move |s| {
-            *s.write(det).scalar_mut() = 0.0;
-        });
-        for k in 0..nt {
-            let d = t(k, k);
-            self.rt.submit(vec![(d, Access::Read), (det, Access::ReadWrite)], move |s| {
-                let dg = s.read(d);
-                let tile = dg.tile();
-                let part: f64 = (0..b).map(|r| tile[(r, r)].ln()).sum::<f64>() * 2.0;
-                *s.write(det).scalar_mut() += part;
-            });
-        }
-        if profiled {
-            let fl = nt as f64 * flops(TileKernel::Determinant, b);
-            self.profile_barrier("determinant", (nt + 1) as u64, fl, &mut walls, &mut total);
-        }
-
-        // Phase 5: dot product xᵀ z.
-        let dot = self.dot;
-        self.rt.submit(vec![(dot, Access::Write)], move |s| {
-            *s.write(dot).scalar_mut() = 0.0;
-        });
-        for k in 0..nt {
-            let (xk, zk) = (self.xb[k], self.zb[k]);
-            self.rt.submit(
-                vec![(xk, Access::Read), (zk, Access::Read), (dot, Access::ReadWrite)],
-                move |s| {
-                    let xg = s.read(xk);
-                    let zg = s.read(zk);
-                    let part = adaphet_linalg::dot(xg.vector(), zg.vector());
-                    *s.write(dot).scalar_mut() += part;
-                },
-            );
-        }
-
-        let wall = if profiled {
-            let fl = nt as f64 * flops(TileKernel::DotProduct, b);
-            self.profile_barrier("dot-product", (nt + 1) as u64, fl, &mut walls, &mut total);
-            total
-        } else {
-            self.rt.run()
-        };
-        let det_v = match &*self.rt.block(self.det) {
+        let wall = if profiled { total } else { self.rt.run() };
+        let scalar = |d| match &*self.rt.block(self.data.get(w, d)) {
             Block::Scalar(s) => *s,
             _ => unreachable!(),
         };
-        let dot_v = match &*self.rt.block(self.dot) {
-            Block::Scalar(s) => *s,
-            _ => unreachable!(),
-        };
+        let (det_v, dot_v) = (scalar(Datum::Det), scalar(Datum::Dot));
         let n = w.n() as f64;
         let ll = -0.5 * (dot_v + det_v + n * (2.0 * std::f64::consts::PI).ln());
         (ll, wall, walls)
@@ -437,9 +335,9 @@ mod tests {
         let (ll, _) = app.eval_likelihood(params(0.15));
         let (llp, wall, phases) = app.eval_likelihood_profiled(params(0.15));
         assert!((ll - llp).abs() < 1e-9, "{ll} vs {llp}");
-        let names: Vec<&str> = phases.iter().map(|&(n, _)| n).collect();
+        let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["generation", "factorization", "solve", "determinant", "dot-product"]);
-        let sum: f64 = phases.iter().map(|&(_, s)| s).sum();
+        let sum: f64 = phases.iter().map(|p| p.seconds).sum();
         assert!(
             (sum - wall.as_secs_f64()).abs() < 1e-9,
             "barriered slices must sum to the total: {sum} vs {:?}",
@@ -463,6 +361,24 @@ mod tests {
         assert_eq!(reg.counter_value("real.phase.factorization.tasks") - fact0, 20.0);
         assert_eq!(reg.counter_value("real.phase.solve.tasks") - solve0, 24.0);
         assert!(reg.counter_value("real.phase.factorization.flops") > 0.0);
+    }
+
+    #[test]
+    fn likelihood_is_bit_identical_across_worker_counts() {
+        // The solve updates, the determinant and the dot product each
+        // accumulate through `ReadWrite` accesses, so they run in
+        // submission order whatever the size of the pool.
+        let w = Workload::new(5, 8);
+        for range in [0.05, 0.1, 0.2] {
+            let bits: Vec<u64> = [1, 2, 4]
+                .iter()
+                .map(|&workers| {
+                    let mut app = GeoRealApp::new(w, params(0.1), 5, workers);
+                    app.eval_likelihood(params(range)).0.to_bits()
+                })
+                .collect();
+            assert!(bits.iter().all(|&b| b == bits[0]), "range {range}: {bits:x?}");
+        }
     }
 
     #[test]

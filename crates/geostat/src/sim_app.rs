@@ -1,11 +1,11 @@
 //! The simulated multi-phase application driver.
 
 use crate::dist::TileDist;
-use crate::phases::{self, GeoClasses, GeoData};
+use crate::phases::{self, Datum, GeoClasses, GeoData, Phase};
 use crate::workload::Workload;
 use adaphet_lp::proportional_share_bound;
-use adaphet_metrics::{GroupProfile, NoopRecorder, Recorder};
-use adaphet_runtime::{NodeId, Platform, RunReport, SimConfig, SimRuntime};
+use adaphet_metrics::{GroupProfile, NoopRecorder, PhaseSlice, Recorder};
+use adaphet_runtime::{DataHandle, NodeId, Platform, RunReport, SimConfig, SimRuntime};
 use std::sync::Arc;
 
 /// Node-count choice of one iteration: how many (fastest-first) nodes each
@@ -41,7 +41,7 @@ pub struct GeoSimApp {
     rt: SimRuntime,
     classes: GeoClasses,
     workload: Workload,
-    data: GeoData,
+    data: GeoData<DataHandle>,
     iterations: usize,
     recorder: Arc<dyn Recorder>,
 }
@@ -49,15 +49,14 @@ pub struct GeoSimApp {
 /// Per-iteration profile produced by [`GeoSimApp::run_iteration_profiled`].
 ///
 /// `phases` holds *disjoint wall-clock slices* that tile the iteration
-/// window (they sum to `makespan_s` when tracing is on), unlike
-/// [`GeoSimApp::phase_breakdown`], whose per-phase busy times overlap.
+/// window (they sum to `makespan_s` when tracing is on).
 #[derive(Debug, Clone)]
 pub struct IterationMetrics {
     /// Simulated iteration duration in seconds.
     pub makespan_s: f64,
-    /// Disjoint wall-clock phase slices `(phase name, seconds)` in
-    /// completion order; empty when trace recording is disabled.
-    pub phases: Vec<(&'static str, f64)>,
+    /// Disjoint wall-clock phase slices in completion order; empty when
+    /// trace recording is disabled.
+    pub phases: Vec<PhaseSlice>,
     /// Tasks executed per phase `(phase name, count)` this iteration.
     pub phase_tasks: Vec<(&'static str, u64)>,
     /// Useful flops per phase `(phase name, flops)` this iteration.
@@ -165,50 +164,27 @@ impl GeoSimApp {
         // their placement is ownership-only (no bytes).
         for i in 0..w.nt {
             for j in 0..=i {
-                self.rt.reassign(self.data.tiles[w.tile_index(i, j)], gen.owner(i, j));
+                self.rt.reassign(self.data.get(w, Datum::Tile(i, j)), gen.owner(i, j));
             }
         }
-        phases::submit_generation(&mut self.rt, &self.classes, w, &self.data);
+        phases::submit_phase(&mut self.rt, &self.classes, w, &self.data, Phase::Generation);
 
         // Redistribution to the factorization layout: real transfers,
         // asynchronous and overlapping with the ongoing generation.
         for i in 0..w.nt {
             for j in 0..=i {
-                self.rt.migrate(self.data.tiles[w.tile_index(i, j)], fact.owner(i, j));
+                self.rt.migrate(self.data.get(w, Datum::Tile(i, j)), fact.owner(i, j));
             }
         }
         for i in 0..w.nt {
-            self.rt.reassign(self.data.x[i], fact.vec_owner(i));
+            self.rt.reassign(self.data.get(w, Datum::X(i)), fact.vec_owner(i));
         }
-
-        phases::submit_cholesky(&mut self.rt, &self.classes, w, &self.data);
-        phases::submit_solve(&mut self.rt, &self.classes, w, &self.data);
-        phases::submit_determinant(&mut self.rt, &self.classes, w, &self.data);
-        phases::submit_dot(&mut self.rt, &self.classes, w, &self.data);
+        for phase in &Phase::all()[1..] {
+            phases::submit_phase(&mut self.rt, &self.classes, w, &self.data, *phase);
+        }
 
         self.iterations += 1;
         self.rt.run()
-    }
-
-    /// Per-phase busy time (summed over all workers) within the time
-    /// window of `report` — the phase breakdown that tuner telemetry
-    /// attaches to each iteration. Phases with no busy time are omitted;
-    /// the result is empty when trace recording is disabled.
-    pub fn phase_breakdown(&self, report: &RunReport) -> Vec<(&'static str, f64)> {
-        let trace = self.rt.trace();
-        phases::Phase::all()
-            .into_iter()
-            .map(|p| {
-                let busy: f64 = trace
-                    .events()
-                    .iter()
-                    .filter(|e| e.phase == p as u32)
-                    .map(|e| (e.end.min(report.end) - e.start.max(report.start)).max(0.0))
-                    .sum();
-                (p.name(), busy)
-            })
-            .filter(|&(_, busy)| busy > 0.0)
-            .collect()
     }
 
     /// Run one iteration and return, alongside the report, an
@@ -225,7 +201,7 @@ impl GeoSimApp {
         &mut self,
         choice: IterationChoice,
     ) -> (RunReport, IterationMetrics) {
-        let all = phases::Phase::all();
+        let all = Phase::all();
         let before: Vec<(u64, f64)> = all.iter().map(|&p| self.rt.phase_totals(p as u32)).collect();
         let report = self.run_iteration(choice);
         let mut phase_tasks = Vec::with_capacity(all.len());
@@ -246,8 +222,8 @@ impl GeoSimApp {
             let r = &*self.recorder;
             r.add("app.iterations", 1.0);
             r.observe("app.iteration.makespan_s", metrics.makespan_s);
-            for &(name, s) in &metrics.phases {
-                r.observe(&format!("app.phase.{name}.wall_s"), s);
+            for p in &metrics.phases {
+                r.observe(&format!("app.phase.{}.wall_s", p.name), p.seconds);
             }
             for &(name, tasks) in &metrics.phase_tasks {
                 r.add(&format!("app.phase.{name}.tasks"), tasks as f64);
@@ -263,8 +239,8 @@ impl GeoSimApp {
     /// phase extends from where the previous phase's last task completed
     /// to where its own last task completes (completion order). Anchored
     /// at `report.start`, so the slices sum to the makespan exactly.
-    fn phase_wall_slices(&self, report: &RunReport) -> Vec<(&'static str, f64)> {
-        let all = phases::Phase::all();
+    fn phase_wall_slices(&self, report: &RunReport) -> Vec<PhaseSlice> {
+        let all = Phase::all();
         let mut last_end = vec![f64::NEG_INFINITY; all.len()];
         for e in self.rt.trace().events() {
             if e.end <= report.start || e.start >= report.end {
@@ -282,7 +258,7 @@ impl GeoSimApp {
         order
             .into_iter()
             .map(|i| {
-                let slice = (all[i].name(), last_end[i] - prev);
+                let slice = PhaseSlice::new(all[i].name(), last_end[i] - prev);
                 prev = last_end[i];
                 slice
             })
@@ -465,29 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_breakdown_covers_the_iteration_window() {
-        let mut app = small_app(1, 2, 6);
-        let n = app.n_nodes();
-        let r1 = app.run_iteration(IterationChoice::all(n));
-        let r2 = app.run_iteration(IterationChoice::fact_only(n, 2));
-        for r in [&r1, &r2] {
-            let breakdown = app.phase_breakdown(r);
-            assert!(!breakdown.is_empty(), "tracing is on by default");
-            let names: Vec<&str> = breakdown.iter().map(|&(p, _)| p).collect();
-            assert!(names.contains(&"generation"), "{names:?}");
-            assert!(names.contains(&"factorization"), "{names:?}");
-            for &(name, busy) in &breakdown {
-                assert!(busy > 0.0, "{name} has zero busy time");
-            }
-        }
-        // The two windows select disjoint work: total busy time within
-        // each report stays within that report's window bounds.
-        let b1: f64 = app.phase_breakdown(&r1).iter().map(|&(_, b)| b).sum();
-        let b2: f64 = app.phase_breakdown(&r2).iter().map(|&(_, b)| b).sum();
-        assert!(b1 > 0.0 && b2 > 0.0);
-    }
-
-    #[test]
     fn profiled_wall_slices_tile_the_iteration_window() {
         let mut app = small_app(1, 2, 6);
         let n = app.n_nodes();
@@ -495,14 +448,14 @@ mod tests {
             let (report, m) = app.run_iteration_profiled(choice);
             assert!((m.makespan_s - report.duration()).abs() < 1e-12);
             assert!(!m.phases.is_empty(), "tracing is on by default");
-            let sum: f64 = m.phases.iter().map(|&(_, s)| s).sum();
+            let sum: f64 = m.phases.iter().map(|p| p.seconds).sum();
             assert!(
                 (sum - m.makespan_s).abs() <= 0.05 * m.makespan_s,
                 "slices must tile the window: {sum} vs {}",
                 m.makespan_s
             );
-            for &(name, s) in &m.phases {
-                assert!(s >= 0.0, "{name} slice negative: {s}");
+            for p in &m.phases {
+                assert!(p.seconds >= 0.0, "{} slice negative: {}", p.name, p.seconds);
             }
             // Every phase executed its tasks and burned flops.
             assert_eq!(m.phase_tasks.len(), 5);

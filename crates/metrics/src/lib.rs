@@ -13,6 +13,13 @@
 //!   named counters, gauges and log-spaced-bucket histograms. Snapshots
 //!   export as a [`MetricsReport`] (JSON or aligned text).
 //!
+//! One iteration's phase profile has one spelling from the application
+//! to the report: [`PhaseSlice`] (a named phase and its seconds),
+//! [`GroupProfile`] (busy/idle time of a node group) and
+//! [`PhaseBreakdown`] (both, for one iteration) live here, the lowest
+//! crate the application, the tuner and the figure binaries share, so an
+//! [`IterationProfile`] takes them as they are.
+//!
 //! Durations are captured with the scoped [`Timer`] guard, which only reads
 //! the clock when the recorder is enabled and observes into a histogram on
 //! drop.
@@ -39,7 +46,8 @@ pub use json::{json_escape, Json};
 pub use recorder::{NoopRecorder, Recorder, Timer};
 pub use registry::{HistogramSnapshot, Registry, SECONDS_BUCKETS};
 pub use report::{
-    prometheus_name, GroupProfile, IterationProfile, MetricsReport, METRICS_SCHEMA_VERSION,
+    prometheus_name, GroupProfile, IterationProfile, MetricsReport, PhaseBreakdown, PhaseSlice,
+    METRICS_SCHEMA_VERSION,
 };
 pub use span::{Span, SpanRecord, Spans};
 

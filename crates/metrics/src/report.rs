@@ -33,6 +33,34 @@ impl GroupProfile {
     }
 }
 
+/// Time attributed to one named application phase within an iteration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseSlice {
+    /// Phase name (e.g. `"factorization"`).
+    pub name: String,
+    /// Seconds of the phase.
+    pub seconds: f64,
+}
+
+impl PhaseSlice {
+    /// Convenience constructor.
+    pub fn new(name: impl Into<String>, seconds: f64) -> Self {
+        PhaseSlice { name: name.into(), seconds }
+    }
+}
+
+/// Wall-clock decomposition of one iteration: disjoint per-phase slices
+/// (which sum to the iteration duration, unlike per-phase busy times,
+/// which overlap under concurrency) plus per-group utilization.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PhaseBreakdown {
+    /// Disjoint wall-clock slices in completion order; sums to the
+    /// iteration duration.
+    pub phases: Vec<PhaseSlice>,
+    /// Busy vs. idle time per homogeneous node group.
+    pub groups: Vec<GroupProfile>,
+}
+
 /// Phase-resolved profile of one tuner iteration.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IterationProfile {
@@ -42,9 +70,9 @@ pub struct IterationProfile {
     pub action: usize,
     /// Simulated makespan of the iteration (seconds).
     pub makespan_s: f64,
-    /// Disjoint per-phase wall-clock slices `(phase name, seconds)`, in
-    /// completion order; they sum to `makespan_s`.
-    pub phases: Vec<(String, f64)>,
+    /// Disjoint per-phase wall-clock slices in completion order; they sum
+    /// to `makespan_s`.
+    pub phases: Vec<PhaseSlice>,
     /// Busy vs. idle time per homogeneous node group.
     pub groups: Vec<GroupProfile>,
 }
@@ -99,6 +127,22 @@ impl ToJson for GroupProfile {
     }
 }
 
+impl ToJson for PhaseSlice {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("name", &self.name).field("seconds", &self.seconds);
+        });
+    }
+}
+
+impl ToJson for PhaseBreakdown {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("phases", &self.phases).field("groups", &self.groups);
+        });
+    }
+}
+
 fn write_map(out: &mut String, entries: &[(String, f64)]) {
     json::object(out, |o| {
         for (k, v) in entries {
@@ -130,13 +174,9 @@ impl MetricsReport {
                 json::object(out, |o| {
                     o.field("iteration", &it.iteration)
                         .field("action", &it.action)
-                        .field("makespan_s", &it.makespan_s);
-                    json::array(o.key("phases"), &it.phases, |out, (name, seconds)| {
-                        json::object(out, |o| {
-                            o.field("name", name).field("seconds", seconds);
-                        });
-                    });
-                    o.field("groups", &it.groups);
+                        .field("makespan_s", &it.makespan_s)
+                        .field("phases", &it.phases)
+                        .field("groups", &it.groups);
                 });
             });
         });
@@ -258,9 +298,9 @@ impl MetricsReport {
             let mut phase_names: Vec<&str> = Vec::new();
             let mut group_names: Vec<&str> = Vec::new();
             for it in &self.iterations {
-                for (n, _) in &it.phases {
-                    if !phase_names.contains(&n.as_str()) {
-                        phase_names.push(n);
+                for p in &it.phases {
+                    if !phase_names.contains(&p.name.as_str()) {
+                        phase_names.push(&p.name);
                     }
                 }
                 for g in &it.groups {
@@ -284,8 +324,8 @@ impl MetricsReport {
                     it.iteration, it.action, it.makespan_s
                 ));
                 for p in &phase_names {
-                    match it.phases.iter().find(|(n, _)| n == p) {
-                        Some((_, s)) => out.push_str(&format!("  {s:>13.4}")),
+                    match it.phases.iter().find(|s| s.name == *p) {
+                        Some(s) => out.push_str(&format!("  {:>13.4}", s.seconds)),
                         None => out.push_str(&format!("  {:>13}", "-")),
                     }
                 }
@@ -324,7 +364,10 @@ mod tests {
                 iteration: 0,
                 action: 4,
                 makespan_s: 2.5,
-                phases: vec![("generation".into(), 1.0), ("factorization".into(), 1.5)],
+                phases: vec![
+                    PhaseSlice::new("generation", 1.0),
+                    PhaseSlice::new("factorization", 1.5),
+                ],
                 groups: vec![GroupProfile {
                     name: "chifflot:1-2".into(),
                     busy_s: 3.0,

@@ -5,7 +5,8 @@
 //! string only together with a `METRICS_SCHEMA_VERSION` bump.
 
 use adaphet_metrics::{
-    GroupProfile, HistogramSnapshot, IterationProfile, MetricsReport, METRICS_SCHEMA_VERSION,
+    GroupProfile, HistogramSnapshot, IterationProfile, MetricsReport, PhaseSlice,
+    METRICS_SCHEMA_VERSION,
 };
 
 #[test]
@@ -28,7 +29,7 @@ fn golden_metrics_report_json() {
             iteration: 1,
             action: 4,
             makespan_s: 2.5,
-            phases: vec![("generation".into(), 1.0), ("factorization".into(), 1.5)],
+            phases: vec![PhaseSlice::new("generation", 1.0), PhaseSlice::new("factorization", 1.5)],
             groups: vec![GroupProfile { name: "chifflot:1-2".into(), busy_s: 3.0, idle_s: 1.0 }],
         }],
     };

@@ -14,7 +14,9 @@
 
 use crate::stf::DepTracker;
 use crate::task::{Access, TaskId};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{
     Arc, Condvar, LockResult, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
@@ -130,6 +132,11 @@ impl<T: Send + Sync + 'static> RealRuntime<T> {
 
     /// Execute every pending task, respecting dependencies; returns the
     /// wall-clock duration of the run.
+    ///
+    /// # Panics
+    /// If a task panics, the run stops starting tasks, waits for the ones
+    /// already running, and re-raises the first task's panic. The tasks of
+    /// the stopped run are dropped, so the runtime stays usable.
     pub fn run(&mut self) -> Duration {
         let started = Instant::now();
         let pending: Vec<usize> = (0..self.tasks.len()).filter(|&i| !self.tasks[i].done).collect();
@@ -140,13 +147,14 @@ impl<T: Send + Sync + 'static> RealRuntime<T> {
         let total = pending.len();
 
         // Shared scheduling state, all under one mutex; `wake` signals a
-        // new ready task or the end of the run.
+        // new ready task or the end of the run, by completion or by panic.
         struct Shared<T> {
             unmet: Vec<usize>,
             dependents: Vec<Vec<usize>>,
             closures: Vec<Option<TaskFn<T>>>,
             ready: VecDeque<usize>,
             completed: usize,
+            panic: Option<Box<dyn Any + Send>>,
         }
         // (A done task gave its closure to the run that finished it.)
         let shared = Mutex::new(Shared {
@@ -155,6 +163,7 @@ impl<T: Send + Sync + 'static> RealRuntime<T> {
             closures: self.tasks.iter_mut().map(|t| t.closure.take()).collect(),
             ready: pending.iter().copied().filter(|&i| self.tasks[i].unmet == 0).collect(),
             completed: 0,
+            panic: None,
         });
         let wake = Condvar::new();
 
@@ -164,9 +173,9 @@ impl<T: Send + Sync + 'static> RealRuntime<T> {
                     let mut s = unpoisoned(shared.lock());
                     loop {
                         // Pop a ready task or wait for one; leave once
-                        // every task has completed.
+                        // every task has completed or one has panicked.
                         let i = loop {
-                            if s.completed == total {
+                            if s.completed == total || s.panic.is_some() {
                                 return;
                             }
                             match s.ready.pop_front() {
@@ -176,10 +185,16 @@ impl<T: Send + Sync + 'static> RealRuntime<T> {
                         };
                         let closure = s.closures[i].take();
                         drop(s);
-                        if let Some(f) = closure {
-                            f(&view);
-                        }
+                        let outcome = match closure {
+                            Some(f) => panic::catch_unwind(AssertUnwindSafe(|| f(&view))),
+                            None => Ok(()),
+                        };
                         s = unpoisoned(shared.lock());
+                        if let Err(payload) = outcome {
+                            s.panic.get_or_insert(payload);
+                            wake.notify_all();
+                            return;
+                        }
                         s.completed += 1;
                         let deps = std::mem::take(&mut s.dependents[i]);
                         for d in deps {
@@ -200,6 +215,9 @@ impl<T: Send + Sync + 'static> RealRuntime<T> {
         for &i in &pending {
             self.tasks[i].done = true;
             self.tasks[i].unmet = 0;
+        }
+        if let Some(payload) = unpoisoned(shared.into_inner()).panic {
+            panic::resume_unwind(payload);
         }
         started.elapsed()
     }
@@ -333,6 +351,28 @@ mod tests {
         });
         rt.run();
         assert_eq!(*rt.block(d), 11 * 12);
+    }
+
+    #[test]
+    fn a_panicking_task_panics_out_of_run_with_two_workers() {
+        // The second task waits on the first, so the other worker sleeps
+        // on the wake-up the panicking one must still send.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = panic::catch_unwind(|| {
+                let mut rt: RealRuntime<i64> = RealRuntime::new(2);
+                let h = rt.register(0);
+                rt.submit(vec![(h, Access::ReadWrite)], |_| panic!("task failed"));
+                rt.submit(vec![(h, Access::ReadWrite)], move |s| *s.write(h) += 1);
+                rt.run();
+            });
+            let message =
+                outcome.err().and_then(|p| p.downcast_ref::<&str>().map(|m| m.to_string()));
+            let _ = tx.send(message);
+        });
+        let message =
+            rx.recv_timeout(Duration::from_secs(5)).expect("run hung after a task panicked");
+        assert_eq!(message.as_deref(), Some("task failed"));
     }
 
     #[test]

@@ -111,16 +111,6 @@ impl Trace {
         self.meta.clear();
     }
 
-    /// Total busy time per (node, phase) pair — the aggregate behind the
-    /// colored areas of the paper's Fig. 1.
-    pub fn busy_time(&self, node: NodeId, phase: u32) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.node == node && e.phase == phase)
-            .map(|e| e.end - e.start)
-            .sum()
-    }
-
     /// Per-node utilization profile: for each time bin of width `dt` over
     /// `[t0, t1)`, the fraction of the node's `n_workers` busy with tasks of
     /// `phase` (or any phase when `phase` is `None`).
@@ -272,18 +262,6 @@ mod tests {
             start,
             end,
         }
-    }
-
-    #[test]
-    fn busy_time_filters_node_and_phase() {
-        let mut t = Trace::new();
-        t.push(ev(0, 0, 0.0, 1.0));
-        t.push(ev(0, 1, 1.0, 3.0));
-        t.push(ev(1, 0, 0.0, 5.0));
-        assert_eq!(t.busy_time(NodeId(0), 0), 1.0);
-        assert_eq!(t.busy_time(NodeId(0), 1), 2.0);
-        assert_eq!(t.busy_time(NodeId(1), 0), 5.0);
-        assert_eq!(t.busy_time(NodeId(1), 1), 0.0);
     }
 
     #[test]

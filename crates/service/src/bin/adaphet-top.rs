@@ -18,9 +18,10 @@
 //! in-flight counts, plus the warn/stalled session counts with `--http`).
 
 use adaphet_service::top::{
-    http_get, parse_interval, render_ascii, render_health_ascii, render_html_full, PanelHistory,
+    http_get, parse_interval, poll, render_ascii, render_health_ascii, render_html_full,
+    PanelHistory,
 };
-use adaphet_service::{Client, ClientError, StatsSnapshot};
+use adaphet_service::Endpoint;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -28,13 +29,8 @@ use std::time::Duration;
 const USAGE: &str = "usage: adaphet-top (--uds PATH | --tcp ADDR) \
                      [--interval SECS] [--once] [--html FILE] [--http ADDR]";
 
-enum Target {
-    Tcp(String),
-    Uds(PathBuf),
-}
-
 struct TopArgs {
-    target: Target,
+    target: Endpoint,
     interval: Duration,
     once: bool,
     html: Option<PathBuf>,
@@ -42,7 +38,7 @@ struct TopArgs {
 }
 
 fn parse(argv: &[String]) -> Result<TopArgs, String> {
-    let mut target: Option<Target> = None;
+    let mut target: Option<Endpoint> = None;
     let mut interval = Duration::from_secs(2);
     let mut once = false;
     let mut html = None;
@@ -53,8 +49,8 @@ fn parse(argv: &[String]) -> Result<TopArgs, String> {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--uds" => target = Some(Target::Uds(PathBuf::from(value("--uds", it.next())?))),
-            "--tcp" => target = Some(Target::Tcp(value("--tcp", it.next())?)),
+            "--uds" => target = Some(Endpoint::Uds(PathBuf::from(value("--uds", it.next())?))),
+            "--tcp" => target = Some(Endpoint::Tcp(value("--tcp", it.next())?)),
             "--interval" => interval = parse_interval(&value("--interval", it.next())?)?,
             "--once" => once = true,
             "--html" => html = Some(PathBuf::from(value("--html", it.next())?)),
@@ -65,15 +61,6 @@ fn parse(argv: &[String]) -> Result<TopArgs, String> {
     }
     let target = target.ok_or("one of --uds or --tcp is required")?;
     Ok(TopArgs { target, interval, once, html, http })
-}
-
-/// One fresh-connection poll — the daemon treats each scrape as a
-/// throwaway client, exactly like a human running it would.
-fn poll(target: &Target) -> Result<StatsSnapshot, ClientError> {
-    match target {
-        Target::Tcp(addr) => Client::connect_tcp(addr)?.get_stats(),
-        Target::Uds(path) => Client::connect_uds(path)?.get_stats(),
-    }
 }
 
 fn main() {

@@ -1,19 +1,51 @@
 //! Renderers for `adaphet-top`: turn a [`StatsSnapshot`] into a
 //! fixed-width ASCII dashboard or a self-contained HTML page.
 //!
-//! Pure functions of the snapshot — the binary owns polling, screen
-//! clearing and file writing — so the exact layout is unit-testable
-//! without a daemon. The sparkline panel's memory ([`PanelHistory`]) and
-//! the sidecar fetch ([`http_get`]) live here too, for the same reason.
+//! Pure functions of the snapshot — the binary owns the refresh loop,
+//! screen clearing and file writing — so the exact layout is unit-testable
+//! without a daemon. The sparkline panel's memory ([`PanelHistory`]), the
+//! `get_stats` poll ([`poll`]) and the sidecar fetch ([`http_get`]) live
+//! here too, for the same reason.
 
+use crate::client::{Client, ClientError};
 use crate::protocol::StatsSnapshot;
+use crate::server::Endpoint;
 use adaphet_analysis::{html_escape, Json, STYLE};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-/// Connect, read and write timeout of [`http_get`].
-const HTTP_TIMEOUT: Duration = Duration::from_secs(2);
+/// Connect, read and write timeout of [`poll`] and [`http_get`].
+const TIMEOUT: Duration = Duration::from_secs(2);
+
+/// One fresh-connection `get_stats` poll — the daemon treats each scrape
+/// as a throwaway client, exactly like a human running it would. A
+/// stopped daemon still accepts from its kernel backlog, so every read
+/// and write gives up after [`TIMEOUT`] with a [`ClientError::Io`]; so
+/// does a TCP connect (std has no connect timeout for a Unix socket).
+pub fn poll(daemon: &Endpoint) -> Result<StatsSnapshot, ClientError> {
+    match daemon {
+        Endpoint::Tcp(addr) => {
+            let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
+                std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("no address {addr}"))
+            })?;
+            let conn = TcpStream::connect_timeout(&sock, TIMEOUT)?;
+            conn.set_nodelay(true)?;
+            conn.set_read_timeout(Some(TIMEOUT))?;
+            conn.set_write_timeout(Some(TIMEOUT))?;
+            Client::new(conn).get_stats()
+        }
+        #[cfg(unix)]
+        Endpoint::Uds(path) => {
+            let conn = UnixStream::connect(path)?;
+            conn.set_read_timeout(Some(TIMEOUT))?;
+            conn.set_write_timeout(Some(TIMEOUT))?;
+            Client::new(conn).get_stats()
+        }
+    }
+}
 
 /// One-shot `GET` against the metrics sidecar, returning the body of a
 /// `200` answer. Any failure, a timeout included, degrades to `None` — a
@@ -22,9 +54,9 @@ const HTTP_TIMEOUT: Duration = Duration::from_secs(2);
 /// from its kernel backlog, so the reads need the timeout too.
 pub fn http_get(addr: &str, path: &str) -> Option<String> {
     let sock = addr.to_socket_addrs().ok()?.next()?;
-    let mut conn = TcpStream::connect_timeout(&sock, HTTP_TIMEOUT).ok()?;
-    conn.set_read_timeout(Some(HTTP_TIMEOUT)).ok()?;
-    conn.set_write_timeout(Some(HTTP_TIMEOUT)).ok()?;
+    let mut conn = TcpStream::connect_timeout(&sock, TIMEOUT).ok()?;
+    conn.set_read_timeout(Some(TIMEOUT)).ok()?;
+    conn.set_write_timeout(Some(TIMEOUT)).ok()?;
     write!(conn, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").ok()?;
     let mut response = String::new();
     conn.read_to_string(&mut response).ok()?;
@@ -502,10 +534,35 @@ mod tests {
         });
         let (got_tx, got_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || got_tx.send(http_get(&addr, "/health")));
-        let got = got_rx.recv_timeout(HTTP_TIMEOUT * 2).expect("http_get hung on a silent sidecar");
+        let got = got_rx.recv_timeout(TIMEOUT * 2).expect("http_get hung on a silent sidecar");
         assert_eq!(got, None);
         done_tx.send(()).unwrap();
         silent.join().unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn poll_gives_up_on_a_silent_daemon() {
+        let dir = std::env::temp_dir().join(format!("adaphet-top-poll-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("silent.sock");
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        // Accepts and never replies, like a stopped daemon.
+        let silent = std::thread::spawn(move || {
+            let held = listener.accept();
+            let _ = done_rx.recv();
+            drop(held);
+        });
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        let daemon = Endpoint::Uds(path.clone());
+        std::thread::spawn(move || got_tx.send(poll(&daemon).is_err()));
+        let failed = got_rx.recv_timeout(TIMEOUT * 2).expect("poll hung on a silent daemon");
+        assert!(failed, "a silent daemon answered a poll");
+        done_tx.send(()).unwrap();
+        silent.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     const HEALTH_DOC: &str = r#"{"uptime_s":3.5,"draining":false,"sessions":[

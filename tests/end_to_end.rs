@@ -5,7 +5,7 @@ use adaphet::eval::{build_response, replay_many, space_of, StrategyKind};
 use adaphet::geostat::{GeoSimApp, IterationChoice, Workload};
 use adaphet::runtime::{NetworkSpec, NodeSpec, Platform, SimConfig};
 use adaphet::scenarios::{Scale, Scenario};
-use adaphet::tuner::{MemorySink, Observation, PhaseSlice, Session};
+use adaphet::tuner::{MemorySink, Observation, Session};
 
 fn toy_platform(n_gpu: usize, n_cpu: usize) -> Platform {
     let gpu = NodeSpec {
@@ -43,13 +43,8 @@ fn online_tuning_beats_all_nodes_on_a_heterogeneous_cluster() {
         .expect("a strategy was provided");
     for _ in 0..20 {
         driver.step(|k| {
-            let report = app.run_iteration(IterationChoice::fact_only(n, k));
-            let phases = app
-                .phase_breakdown(&report)
-                .into_iter()
-                .map(|(name, secs)| PhaseSlice::new(name, secs))
-                .collect();
-            Observation::with_phases(report.duration(), phases)
+            let (report, m) = app.run_iteration_profiled(IterationChoice::fact_only(n, k));
+            Observation::with_phases(report.duration(), m.phases)
         });
     }
     let hist = driver.into_history();
