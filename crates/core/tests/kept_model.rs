@@ -1,6 +1,7 @@
-//! A traced iteration explains the proposal it has just made without
-//! fitting it again. One test, alone in its binary: the process-wide
-//! `gp.fit.full` and `gp.mle.searches` counters are exact only while
+//! A proposal the state-space screen decides fits nothing densely, and a
+//! traced iteration explains it with one dense fit shared by every reader.
+//! One test, alone in its binary: the process-wide `gp.fit.full`,
+//! `gp.mle.searches` and `gp.screen.*` counters are exact only while
 //! nothing else fits.
 
 use adaphet_core::{ActionSpace, GpDiscontinuous, History, Strategy};
@@ -25,17 +26,19 @@ fn explaining_the_proposal_just_made_fits_nothing() {
         hist.record(a, f(a));
     }
 
-    let before = fits();
+    let decided = || registry.counter_value("gp.screen.decided");
+    let before = (fits(), decided());
     let action = g.propose(&space, &hist);
-    let per_proposal = fits() - before;
-    assert!((1.0..=2.0).contains(&per_proposal), "a proposal is a pilot and at most a tuned fit");
+    assert_eq!(decided() - before.1, 1.0, "the screen decides this proposal");
+    assert_eq!(fits() - before.0, 0.0, "a decided proposal fits nothing densely");
 
     let before = fits();
     let trace = g.explain(&space, &hist);
     let snapshot = g.posterior_snapshot(&space, &hist).expect("fitted");
     let hyper = g.surrogate_hyper(&space, &hist).expect("fitted");
     let kept = g.fit(&hist).expect("fitted");
-    assert_eq!(fits() - before, 0.0, "the model the proposal kept serves all four");
+    let per_trace = fits() - before;
+    assert!((1.0..=2.0).contains(&per_trace), "one two-stage fit serves all four");
 
     // What they return is what a strategy that never proposed computes.
     let fresh = GpDiscontinuous::new(&space);
@@ -53,8 +56,9 @@ fn explaining_the_proposal_just_made_fits_nothing() {
     g.posterior_snapshot(&space, &hist);
     g.surrogate_hyper(&space, &hist);
     assert!(fits() - before >= 3.0, "each of the three fits afresh");
-    // GP-UCB: one likelihood search per proposal — its 9 θ × 3 α grid
-    // screened, the leader alone fitted densely here — none for its trace.
+    // GP-UCB: a decided proposal reads its (θ, α) off the likelihood
+    // screen and runs no search; its trace runs one — the 9 θ × 3 α grid
+    // screened, the leader alone fitted densely here — for all three.
     let searches = || registry.counter_value("gp.mle.searches");
     let mut g = GpDiscontinuous::gp_ucb(&space);
     let mut hist = History::new();
@@ -62,15 +66,20 @@ fn explaining_the_proposal_just_made_fits_nothing() {
         let a = g.propose(&space, &hist);
         hist.record(a, f(a));
     }
-    let before = (searches(), fits());
+    let before = (searches(), fits(), decided());
     let action = g.propose(&space, &hist);
-    assert_eq!((searches() - before.0, fits() - before.1), (1.0, 1.0), "one screen, one dense fit");
+    assert_eq!(decided() - before.2, 1.0, "the screen decides this proposal");
+    assert_eq!((searches() - before.0, fits() - before.1), (0.0, 0.0), "no search, no dense fit");
 
-    let before = searches();
+    let before = (searches(), fits());
     let trace = g.explain(&space, &hist);
     let snapshot = g.posterior_snapshot(&space, &hist).expect("fitted");
     let hyper = g.surrogate_hyper(&space, &hist).expect("fitted");
-    assert_eq!(searches() - before, 0.0, "the model the proposal kept serves all three");
+    assert_eq!(
+        (searches() - before.0, fits() - before.1),
+        (1.0, 1.0),
+        "one search serves all three"
+    );
     let fresh = GpDiscontinuous::gp_ucb(&space);
     assert_eq!(trace, fresh.explain(&space, &hist));
     assert_eq!(snapshot, fresh.posterior_snapshot(&space, &hist).unwrap());

@@ -14,16 +14,13 @@
 //! The noise variance σ²_N is estimated from replicated observations with
 //! the paper's pooled estimator in both regimes.
 
-use crate::{GpConfig, GpModel, Kernel, ReplicateGroups, Trend};
+use crate::markov::nuggets;
+use crate::{GpConfig, GpModel, Kernel, MarkovChain, ReplicateGroups, Trend};
 use adaphet_linalg::{sample_variance, Mat};
 
 /// Width of the screen's confirmation band, relative to `1 + |best screen|`
 /// (DESIGN.md §"Screen rule").
 const SCREEN_TOL: f64 = 1e-6;
-
-/// The conditioning guard: below this bound on `1 / cond(K)` of some
-/// candidate, every candidate of the search is fitted densely.
-const GUARD: f64 = 1e-6;
 
 /// Estimate σ²_N from replicated x locations (the paper's estimator,
 /// Section IV-D): [`ReplicateGroups::noise_variance`] over the groups of
@@ -51,6 +48,40 @@ pub struct MleSearch {
 impl Default for MleSearch {
     fn default() -> Self {
         MleSearch { alpha_grid: vec![0.25, 1.0, 4.0], theta_points: 9, theta_center: None }
+    }
+}
+
+impl MleSearch {
+    /// The configuration [`fit_profile_likelihood_with_noise`] returns for
+    /// these arguments, read off its screen alone: `Some` only when the
+    /// conditioning guard is quiet and the screen confirms its leader and
+    /// no other candidate, so that the search would fit that candidate
+    /// densely and nothing else. The (θ, α) are grid values, so the
+    /// configuration is the dense winner's, bit for bit. Neither a search
+    /// nor a fit is run or counted.
+    pub fn screened_winner(
+        &self,
+        x: &[f64],
+        y: &[f64],
+        var_y: f64,
+        noise_var: f64,
+        noise_mults: &[f64],
+    ) -> Option<GpConfig> {
+        let var_y = var_y.max(1e-12);
+        let thetas = theta_grid(self, input_span(x));
+        let (screens, guard) = screen(self, &thetas, x, y, var_y, noise_var, noise_mults);
+        let marks = confirmed(&screens, guard);
+        let mut marked = (0..marks.len()).filter(|&i| marks[i]);
+        let (Some(i), None) = (marked.next(), marked.next()) else {
+            return None;
+        };
+        let per_theta = self.alpha_grid.len();
+        (!guard && screens[i].is_finite()).then(|| GpConfig {
+            kernel: Kernel::Exponential { theta: thetas[i / per_theta] },
+            process_var: self.alpha_grid[i % per_theta] * var_y,
+            noise_var,
+            trend: Trend::constant(),
+        })
     }
 }
 
@@ -110,11 +141,9 @@ fn more_likely(best: Option<GpModel>, model: GpModel) -> Option<GpModel> {
 /// observations) supplied by the caller and per-point noise multipliers
 /// applied to every candidate fit (see [`GpModel::fit_with_corr`]; empty =
 /// all ones). The distances depend only on the history, so they are
-/// computed once and shared by every dense fit — and across repeated
-/// searches when the caller keeps a [`crate::PairwiseDistances`] synced to
-/// the growing history. Warm starts use the multipliers so the prior
-/// pseudo-points stay soft during the hyper-parameter search, not just in
-/// the final fit.
+/// computed once and shared by every dense fit. Warm starts use the
+/// multipliers so the prior pseudo-points stay soft during the
+/// hyper-parameter search, not just in the final fit.
 ///
 /// The rows may be the sufficient statistics of a replicated history
 /// ([`crate::ReplicateGroups::collapse`]) as long as `var_y` and
@@ -212,13 +241,11 @@ pub fn fit_profile_likelihood_with_noise(
 }
 
 /// The screen of every (θ, α) candidate, in nested order: its profile log
-/// likelihood by [`markov_log_likelihood`]. Also whether the conditioning
-/// guard fires for any candidate, that is whether
-/// `λ_min(K) ≥ α·(1 − φ)/(1 + φ) + σ²_N·min m` falls below [`GUARD`] times
-/// `λ_max(K) ≤ α·min(d, (1 + φ)/(1 − φ)) + σ²_N·max m` — `φ = exp(−Δ_min/θ)`
-/// at the smallest gap between inputs, 1 for a replicated input — so that
-/// the dense fit's rounding (or its jitter ladder) could part from the
-/// screen.
+/// likelihood by the Kalman filter of [`MarkovChain`] — the forward pass
+/// alone, under a constant trend, over the inputs and no candidates. Also
+/// whether the conditioning guard ([`MarkovChain`]'s) fires for any
+/// candidate, so that the dense fit's rounding (or its jitter ladder) could
+/// part from the screen.
 fn screen(
     search: &MleSearch,
     thetas: &[f64],
@@ -228,76 +255,22 @@ fn screen(
     noise_var: f64,
     noise_mults: &[f64],
 ) -> (Vec<f64>, bool) {
-    let d = x.len();
-    let mut order: Vec<usize> = (0..d).collect();
-    order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
-    // Per sorted input: its observation and its nugget σ²_N·m (the
-    // expression `fit_with_corr` puts on the diagonal).
-    let ys: Vec<f64> = order.iter().map(|&i| y[i]).collect();
-    let nugget: Vec<f64> =
-        order.iter().map(|&i| noise_mults.get(i).map_or(noise_var, |m| noise_var * m)).collect();
-    let gaps: Vec<f64> = order.windows(2).map(|w| x[w[1]] - x[w[0]]).collect();
+    let (nugget, lo, hi) = nuggets(noise_var, noise_mults, x.len());
     let alphas: Vec<f64> = search.alpha_grid.iter().map(|&am| (am * var_y).max(1e-12)).collect();
-
-    let (lo, hi) =
-        nugget.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &s| (lo.min(s), hi.max(s)));
-    let min_gap = gaps.iter().copied().fold(f64::INFINITY, f64::min);
     let mut guard = false;
-
-    // The first input's state has the stationary variance: φ = 0, q = 1.
-    let (mut phi, mut q) = (vec![0.0; d], vec![1.0; d]);
     let mut screens = Vec::with_capacity(thetas.len() * alphas.len());
+    let trend = Trend::constant();
+    let kernel = Kernel::Exponential { theta: thetas.first().copied().unwrap_or(1.0) };
+    let mut chain = MarkovChain::new(&kernel, x, &[]).expect("an exponential kernel");
     for &theta in thetas {
-        for (k, &gap) in gaps.iter().enumerate() {
-            phi[k + 1] = (-gap / theta).exp();
-            q[k + 1] = -(-2.0 * gap / theta).exp_m1();
-        }
-        // λ_min(R) of an AR(1) chain is at least 1 / (the largest absolute
-        // row sum of its tridiagonal R⁻¹), which the closest inputs set;
-        // λ_max(R) is at most R's own largest row sum, `1/spread` or `d`.
-        let closest = (-min_gap / theta).exp();
-        let spread = (1.0 - closest) / (1.0 + closest);
-        let widest = (d as f64).min(spread.recip());
+        chain.set_theta(theta);
         for &alpha in &alphas {
-            guard |= alpha * spread + lo < GUARD * (alpha * widest + hi);
-            screens.push(markov_log_likelihood(&phi, &q, &ys, &nugget, alpha));
+            guard |= chain.ill_conditioned(alpha, lo, hi);
+            let fit = chain.filter(alpha, &nugget, &trend, y).expect("a one-term trend");
+            screens.push(fit.log_likelihood());
         }
     }
     (screens, guard)
-}
-
-/// The profile log likelihood [`GpModel::log_likelihood`] reports for the
-/// exponential kernel and a constant trend, in O(d). On sorted inputs the
-/// process is an AR(1) chain: the state at input `k` is `φ_k` times the
-/// state at `k − 1` plus a shock of variance `α·q_k` (`φ_k = exp(−Δ_k/θ)`,
-/// `q_k = 1 − φ_k²`). One scalar Kalman filter, observing each state
-/// through its nugget, whitens the trend's column of ones and the sorted
-/// observations `y` with the same gains; the innovation variances give
-/// `ln det K`, three running sums of the scaled innovations the GLS
-/// quadratic form.
-fn markov_log_likelihood(phi: &[f64], q: &[f64], y: &[f64], nugget: &[f64], alpha: f64) -> f64 {
-    // Filtered means of the ones column and of the observations.
-    let (mut one, mut obs) = (0.0, 0.0);
-    let (mut var, mut log_det) = (0.0, 0.0);
-    // Σ g²/S, Σ g·e/S and Σ e²/S over the innovations g (ones) and e (y).
-    let (mut gg, mut ge, mut ee) = (0.0, 0.0, 0.0);
-    for (((&phi, &q), &y), &nugget) in phi.iter().zip(q).zip(y).zip(nugget) {
-        let prior = phi * phi * var + alpha * q;
-        let s = prior + nugget;
-        let gain = prior / s;
-        let (one_ahead, obs_ahead) = (phi * one, phi * obs);
-        let (g, e) = (1.0 - one_ahead, y - obs_ahead);
-        one = one_ahead + gain * g;
-        obs = obs_ahead + gain * e;
-        var = prior * nugget / s;
-        log_det += s.ln();
-        gg += g / s * g;
-        ge += g / s * e;
-        ee += e / s * e;
-    }
-    // ỹᵀỹ − (g̃ᵀỹ)² / g̃ᵀg̃, the whitened residual sum of squares.
-    let quad = ee - ge * ge / gg;
-    -0.5 * (quad + log_det + y.len() as f64 * (2.0 * std::f64::consts::PI).ln())
 }
 
 /// Which candidates a search fits densely: every one whose screen is within

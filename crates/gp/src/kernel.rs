@@ -51,51 +51,38 @@ impl Kernel {
     }
 
     /// Correlation matrix `R[(i, j)] = r(dists[(i, j)])` of a symmetric
-    /// pairwise-distance matrix (see [`crate::PairwiseDistances`]).
+    /// pairwise-distance matrix.
     ///
     /// Equal to `Mat::from_fn(n, n, |i, j| self.corr(dists[(i, j)]))` bit
     /// for bit while evaluating far fewer `exp`s: only the lower triangle
     /// is evaluated (and mirrored), and a point at distance zero from an
-    /// earlier one — a replicate — copies that point's row.
+    /// earlier one — a replicate — copies that point's row, the values the
+    /// kernel would return again.
     pub fn corr_matrix(&self, dists: &Mat) -> Mat {
         assert!(dists.is_square(), "distance matrix must be square");
         let n = dists.rows();
         let mut r = Mat::zeros(n, n);
         for i in 0..n {
-            self.fill_corr_row(dists, &mut r, i);
+            // Column i of the symmetric matrices is row i, contiguously.
+            let twin = dists.col(i)[..i].iter().position(|&d| d == 0.0);
+            for k in 0..i {
+                let v = match twin {
+                    Some(j) => r[(j, k)],
+                    None => self.corr(dists[(k, i)]),
+                };
+                r[(i, k)] = v;
+                r[(k, i)] = v;
+            }
+            r[(i, i)] = self.corr(dists[(i, i)]);
         }
         r
     }
 
     /// [`Kernel::corr_matrix`] of the inputs `xs` themselves, over their
-    /// pairwise distances `|xs[i] − xs[j]|` — what a one-off scratch fit
-    /// needs; a growing history keeps both matrices in a
-    /// [`crate::PairwiseDistances`] instead.
+    /// pairwise distances `|xs[i] − xs[j]|`.
     pub fn corr_matrix_of(&self, xs: &[f64]) -> Mat {
         let n = xs.len();
         self.corr_matrix(&Mat::from_fn(n, n, |i, j| (xs[i] - xs[j]).abs()))
-    }
-
-    /// Fill row `i` of `r` (columns `0..=i`) and mirror it into column `i`,
-    /// given that rows `0..i` are already complete — the bordered-row step
-    /// shared by [`Kernel::corr_matrix`] and the incremental growth in
-    /// [`crate::PairwiseDistances`].
-    ///
-    /// Replicate rule: if `dists[(i, j)] == 0.0` for some `j < i`, every
-    /// distance from `i` equals the one from `j`, so `r[(i, k)]` is copied
-    /// from `r[(j, k)]` — the value the kernel would return again.
-    pub(crate) fn fill_corr_row(&self, dists: &Mat, r: &mut Mat, i: usize) {
-        // Column i of the symmetric matrices is row i, contiguously.
-        let twin = dists.col(i)[..i].iter().position(|&d| d == 0.0);
-        for k in 0..i {
-            let v = match twin {
-                Some(j) => r[(j, k)],
-                None => self.corr(dists[(k, i)]),
-            };
-            r[(i, k)] = v;
-            r[(k, i)] = v;
-        }
-        r[(i, i)] = self.corr(dists[(i, i)]);
     }
 
     /// Current length scale θ.

@@ -35,20 +35,20 @@
 //! ```
 
 mod acquisition;
-mod distances;
 mod fit;
 mod kernel;
+mod markov;
 mod model;
 mod replicates;
 mod trend;
 
 pub use acquisition::{ucb_argmin, UcbSchedule};
-pub use distances::PairwiseDistances;
 pub use fit::{
     estimate_noise_from_replicates, fit_profile_likelihood, fit_profile_likelihood_with_noise,
     MleSearch,
 };
 pub use kernel::Kernel;
+pub use markov::{MarkovChain, MarkovFit};
 pub use model::{GpConfig, GpModel, Prediction};
 pub use replicates::ReplicateGroups;
 pub use trend::{Basis, Trend};

@@ -529,7 +529,7 @@ impl GpModel {
     /// The trend mean `Σ γ̂_i g_i(x)` alone, without the GP correction —
     /// useful for plotting the learned discontinuous trend (Fig. 4C).
     pub fn trend_mean(&self, xq: f64) -> f64 {
-        self.config.trend.row(xq).iter().zip(&self.gls.coefficients).map(|(g, c)| g * c).sum()
+        self.config.trend.mean(xq, &self.gls.coefficients)
     }
 }
 

@@ -98,6 +98,11 @@ impl Trend {
     pub fn row(&self, x: f64) -> Vec<f64> {
         self.terms.iter().map(|b| b.eval(x)).collect()
     }
+
+    /// The trend mean `Σ γ_i g_i(x)` under the coefficients `coefficients`.
+    pub fn mean(&self, x: f64, coefficients: &[f64]) -> f64 {
+        self.terms.iter().zip(coefficients).map(|(b, c)| b.eval(x) * c).sum()
+    }
 }
 
 #[cfg(test)]
