@@ -17,7 +17,7 @@
 
 use crate::error::AdaphetError;
 use adaphet_core::{ActionSpace, History, ResiliencePolicy, Session, StrategyKind, TelemetrySink};
-use adaphet_geostat::{lp_bound_for, GeoClasses, GeoSimApp, IterationChoice, Workload};
+use adaphet_geostat::{lp_curve, GeoSimApp, IterationChoice, Workload};
 use adaphet_runtime::{FaultPlan, Platform, SimConfig};
 use adaphet_scenarios::{Scale, Scenario};
 
@@ -39,12 +39,8 @@ pub struct FaultRunOutcome {
 /// homogeneous groups plus the LP lower-bound curve, recomputed so that
 /// after a node death the bound describes the *surviving* cluster.
 pub fn space_for_platform(platform: &Platform, workload: Workload) -> ActionSpace {
-    let (_, classes) = GeoClasses::register();
-    let n = platform.nodes.len();
-    let lp: Vec<f64> = (1..=n)
-        .map(|k| lp_bound_for(platform, &classes, workload, IterationChoice::fact_only(n, k)))
-        .collect();
-    ActionSpace::new(n, platform.homogeneous_groups(), Some(lp))
+    let lp = lp_curve(platform, workload);
+    ActionSpace::new(platform.nodes.len(), platform.homogeneous_groups(), Some(lp))
 }
 
 /// The tuner-side knobs of a faulted session: which strategy, for how

@@ -45,5 +45,5 @@ pub use dist::{Distribution, TileDist};
 pub use mle::golden_section_max;
 pub use phases::{GeoClasses, Phase};
 pub use real_app::GeoRealApp;
-pub use sim_app::{lp_bound_for, GeoSimApp, IterationChoice, IterationMetrics};
+pub use sim_app::{lp_curve, GeoSimApp, IterationChoice, IterationMetrics};
 pub use workload::Workload;

@@ -311,20 +311,19 @@ impl GeoSimApp {
     pub fn lp_bound(&self, choice: IterationChoice) -> f64 {
         lp_bound_for(self.rt.platform(), &self.classes, self.workload, choice)
     }
-
-    /// Ideal per-node factorization work shares from the LP (used by the
-    /// heterogeneous distribution and reported in diagnostics).
-    pub fn lp_shares(&self, n_fact: usize) -> Vec<f64> {
-        let unit_times: Vec<f64> = (0..n_fact)
-            .map(|i| 1.0 / (self.classes.fact_gflops(self.rt.platform().node(NodeId(i))) * 1e9))
-            .collect();
-        proportional_share_bound(self.workload.cholesky_flops(), &unit_times).shares
-    }
 }
 
-/// Free-standing LP bound (also used by the evaluation harness without
-/// instantiating a full app).
-pub fn lp_bound_for(
+/// The LP lower-bound curve `LP(k)` for `k = 1..=N` factorization nodes on
+/// `platform`, all `N` nodes generating: the bound an action space carries.
+pub fn lp_curve(platform: &Platform, w: Workload) -> Vec<f64> {
+    let (_, classes) = GeoClasses::register();
+    let n = platform.nodes.len();
+    (1..=n).map(|k| lp_bound_for(platform, &classes, w, IterationChoice::fact_only(n, k))).collect()
+}
+
+/// The bound of one iteration: the max over its two heavy phases of the
+/// closed-form proportional-share bound.
+fn lp_bound_for(
     platform: &Platform,
     classes: &GeoClasses,
     w: Workload,
@@ -336,8 +335,8 @@ pub fn lp_bound_for(
     let fact_times: Vec<f64> = (0..choice.n_fact)
         .map(|i| 1.0 / (classes.fact_gflops(platform.node(NodeId(i))) * 1e9))
         .collect();
-    let gen = proportional_share_bound(w.generation_flops(), &gen_times).makespan;
-    let fact = proportional_share_bound(w.cholesky_flops(), &fact_times).makespan;
+    let gen = proportional_share_bound(w.generation_flops(), &gen_times);
+    let fact = proportional_share_bound(w.cholesky_flops(), &fact_times);
     gen.max(fact)
 }
 
@@ -421,16 +420,6 @@ mod tests {
             let measured = app.run_iteration(choice).duration();
             assert!(bound <= measured + 1e-9, "LP({k}) = {bound} exceeds measured {measured}");
         }
-    }
-
-    #[test]
-    fn lp_shares_sum_to_total_work() {
-        let app = small_app(2, 2, 6);
-        let shares = app.lp_shares(3);
-        let total: f64 = shares.iter().sum();
-        assert!((total - app.workload().cholesky_flops()).abs() < 1e-3 * total);
-        // The GPU nodes (fastest) get the lion's share.
-        assert!(shares[0] > shares[2]);
     }
 
     #[test]

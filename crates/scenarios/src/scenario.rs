@@ -1,7 +1,7 @@
 //! The 16 evaluation scenarios (paper Figs. 5 and 6).
 
 use crate::catalogue::{Machine, Site};
-use adaphet_geostat::{lp_bound_for, GeoClasses, GeoSimApp, IterationChoice, Workload};
+use adaphet_geostat::{GeoSimApp, Workload};
 use adaphet_runtime::{Platform, SimConfig};
 
 /// Problem scale: the paper's sizes, a reduced default that preserves the
@@ -202,13 +202,7 @@ impl Scenario {
     /// The LP lower-bound curve `LP(n)` for `n = 1..=N` (all nodes used
     /// for generation).
     pub fn lp_curve(&self, scale: Scale) -> Vec<f64> {
-        let platform = self.platform();
-        let (_, classes) = GeoClasses::register();
-        let w = self.workload(scale);
-        let n = self.n_nodes();
-        (1..=n)
-            .map(|k| lp_bound_for(&platform, &classes, w, IterationChoice::fact_only(n, k)))
-            .collect()
+        adaphet_geostat::lp_curve(&self.platform(), self.workload(scale))
     }
 }
 

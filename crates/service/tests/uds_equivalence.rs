@@ -1,6 +1,7 @@
 //! The acceptance test: N concurrent sessions over a Unix-domain
 //! socket produce proposals and histories **bit-identical** to N
-//! single-threaded `Session::run` loops with the same seeds.
+//! single-threaded `Session::run` loops with the same seeds; a session
+//! over TCP is bit-identical to the same session over UDS.
 //!
 //! Exactness holds end to end because (a) each session is pinned to one
 //! shard worker, so its propose/observe order is the driver's order no
@@ -11,8 +12,9 @@
 
 use adaphet_core::{Observation, Session, StrategyKind};
 use adaphet_service::{
-    Client, Endpoint, Server, ServiceConfig, SessionManager, SessionSpec, Submitted,
+    Client, ClosedSession, Endpoint, Server, ServiceConfig, SessionManager, SessionSpec, Submitted,
 };
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -122,6 +124,42 @@ fn eight_concurrent_uds_sessions_match_sequential_drivers_bitwise() {
         );
         assert_eq!(closed.iterations, ITERS);
     }
+}
+
+/// One GP-disc session of 20 iterations, driven through `client`.
+fn drive_gp_disc<S: Read + Write>(client: &mut Client<S>) -> ClosedSession {
+    let id = client.create_session(spec(StrategyKind::GpDiscontinuous, 5)).unwrap();
+    for _ in 0..20 {
+        let (ticket, _, action) = client.get_proposal(id).unwrap();
+        client.submit(id, ticket, response(action)).unwrap();
+    }
+    client.close_session(id).unwrap()
+}
+
+/// The typed TCP client (the only path that sets `TCP_NODELAY`) carries a
+/// session exactly as the UDS client does.
+#[test]
+fn tcp_client_session_matches_the_same_session_over_uds() {
+    let manager = Arc::new(SessionManager::new(ServiceConfig::default()));
+    let mut tcp_server =
+        Server::bind(Endpoint::Tcp("127.0.0.1:0".into()), Arc::clone(&manager)).unwrap();
+    let Endpoint::Tcp(addr) = tcp_server.endpoint().clone() else { unreachable!() };
+    let over_tcp = drive_gp_disc(&mut Client::connect_tcp(&addr).unwrap());
+    tcp_server.stop();
+
+    let path = uds_path("tcp-twin");
+    let mut uds_server = Server::bind(Endpoint::Uds(path.clone()), manager).unwrap();
+    let over_uds = drive_gp_disc(&mut Client::connect_uds(&path).unwrap());
+    uds_server.stop();
+
+    assert_eq!(over_tcp.iterations, 20);
+    assert_eq!(over_tcp.history.len(), over_uds.history.len());
+    for (t, u) in over_tcp.history.iter().zip(&over_uds.history) {
+        assert_eq!(t.0, u.0, "action diverged between transports");
+        assert_eq!(t.1.to_bits(), u.1.to_bits(), "duration diverged between transports");
+    }
+    assert_eq!(over_tcp.total_time.to_bits(), over_uds.total_time.to_bits());
+    assert_eq!(over_tcp.best_action, over_uds.best_action);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! * [`tuner`] — the paper's contribution: online exploration strategies
 //!   over node counts ([`tuner::GpDiscontinuous`] being the proposed one);
 //! * [`gp`] — Gaussian-process regression (universal kriging) substrate;
-//! * [`lp`] — simplex solver + heterogeneous makespan lower bounds;
+//! * [`lp`] — the paper's heterogeneous makespan lower bound, in closed form;
 //! * [`runtime`] — StarPU-like task runtime with a simulated (SimGrid-like)
 //!   and a real (threaded) backend;
 //! * [`geostat`] — the ExaGeoStat-like five-phase application;
