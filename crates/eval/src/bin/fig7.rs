@@ -1,22 +1,22 @@
 //! Figure 7: wall-clock overhead of the online GP-discontinuous strategy,
-//! measured against the *real* (threaded, numerical) application: ten
-//! repetitions of a run where each iteration evaluates the likelihood and
-//! the [`Session`] proposes/records around it.
+//! measured against the *real* (threaded, numerical) application:
+//! `--reps` repetitions of a run where each iteration evaluates the
+//! likelihood and the [`Session`] proposes/records around it.
 //!
 //! The paper reports ~0.04–0.06 s of tuner time against 10–30 s
 //! iterations; our shared-memory iterations are smaller, so the claim
 //! checked here is the same *relative* one: tuner cost ≪ iteration cost
 //! and roughly constant per iteration after the initialization phase.
 //!
-//! `--test` runs the small study: at most 10 repetitions × 25 iterations
-//! over 14 pretend actions. The default and `--full` run the paper's
-//! 128-action case, scenario (p)'s two groups, for `--reps` × `--iters`
-//! (30 × 127 by default). The real executor is one node, so no simulated
-//! bound describes it: (p)'s LP curve at the requested scale is rescaled
-//! so that `LP(N)` is a quarter of the fastest of three warm-up
-//! iterations. That keeps the bound below the all-nodes measurements
-//! despite their jitter, and lets it exclude the slow left of the curve
-//! as it does in the paper.
+//! The default and `--full` run the paper's 128-action case, scenario
+//! (p)'s two groups, for `--reps` × `--iters` (30 × 127 by default);
+//! `--test` runs scenario (b)'s 14 actions in three groups for at most
+//! 10 repetitions × 25 iterations. The real executor is one node, so no
+//! simulated bound describes it: the scenario's LP curve at the requested
+//! scale is rescaled so that `LP(N)` is a quarter of the fastest of three
+//! warm-up iterations. That keeps the bound below the all-nodes
+//! measurements despite their jitter, and lets it exclude the slow left
+//! of the curve as it does in the paper.
 //!
 //! Overhead is measured as (driver step time − application time), i.e.
 //! propose + record + event dispatch. With `--telemetry <path>` the
@@ -51,20 +51,18 @@ fn main() -> Result<(), AdaphetError> {
     let params = CovParams { variance: 1.0, range: 0.15, smoothness: 0.5 };
     // Cluster structure for the tuner (the real executor is one node; the
     // tuner's cost does not depend on where durations come from).
-    let (reps, iters, space) = if args.scale == Scale::Test {
-        let n_actions = 14;
-        let lp: Vec<f64> = (1..=n_actions).map(|n| 3.0 / n as f64).collect();
-        let space = ActionSpace::new(n_actions, vec![(1, 2), (3, 8), (9, 14)], Some(lp));
-        (args.reps.min(10), args.iters.min(25), space)
-    } else {
-        let scen = Scenario::by_id('p').expect("scenario (p) exists");
-        let curve = scen.lp_curve(args.scale);
-        let mut warm_up = GeoRealApp::new(workload, params, args.seed, 4);
-        let fastest = (0..3).map(|_| warm_up.eval_likelihood(params).1).min();
-        let fastest = fastest.expect("three warm-up iterations").as_secs_f64();
-        let to_real = 0.25 * fastest / curve[curve.len() - 1];
-        let lp = curve.iter().map(|b| b * to_real).collect();
-        (args.reps, args.iters, ActionSpace::new(scen.n_nodes(), scen.groups(), Some(lp)))
+    let scen_id = if args.scale == Scale::Test { 'b' } else { 'p' };
+    let scen = Scenario::by_id(scen_id).expect("scenarios (b) and (p) exist");
+    let curve = scen.lp_curve(args.scale);
+    let mut warm_up = GeoRealApp::new(workload, params, args.seed, 4);
+    let fastest = (0..3).map(|_| warm_up.eval_likelihood(params).1).min();
+    let fastest = fastest.expect("three warm-up iterations").as_secs_f64();
+    let to_real = 0.25 * fastest / curve[curve.len() - 1];
+    let lp = curve.iter().map(|b| b * to_real).collect();
+    let space = ActionSpace::new(scen.n_nodes(), scen.groups(), Some(lp));
+    let (reps, iters) = match args.scale {
+        Scale::Test => (args.reps.min(10), args.iters.min(25)),
+        _ => (args.reps, args.iters),
     };
 
     let mut csv = CsvTable::new(&["repetition", "iteration", "overhead_s", "iteration_s"]);

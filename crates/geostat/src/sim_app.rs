@@ -304,13 +304,6 @@ impl GeoSimApp {
             })
             .collect()
     }
-
-    /// The LP lower bound `LP(n_fact)` of one iteration (paper Section II):
-    /// the max over phases of the heterogeneous work bound — optimistic,
-    /// ignoring communications and the critical path.
-    pub fn lp_bound(&self, choice: IterationChoice) -> f64 {
-        lp_bound_for(self.rt.platform(), &self.classes, self.workload, choice)
-    }
 }
 
 /// The LP lower-bound curve `LP(k)` for `k = 1..=N` factorization nodes on
@@ -321,8 +314,9 @@ pub fn lp_curve(platform: &Platform, w: Workload) -> Vec<f64> {
     (1..=n).map(|k| lp_bound_for(platform, &classes, w, IterationChoice::fact_only(n, k))).collect()
 }
 
-/// The bound of one iteration: the max over its two heavy phases of the
-/// closed-form proportional-share bound.
+/// The LP lower bound `LP(n_fact)` of one iteration (paper Section II):
+/// the max over its two heavy phases of the closed-form proportional-share
+/// bound — optimistic, ignoring communications and the critical path.
 fn lp_bound_for(
     platform: &Platform,
     classes: &GeoClasses,
@@ -396,30 +390,34 @@ mod tests {
     }
 
     #[test]
-    fn lp_bound_decreases_with_fact_nodes_and_floors_at_generation() {
+    fn lp_bound_decreases_with_fact_nodes() {
         let app = small_app(2, 4, 8);
-        let n = app.n_nodes();
-        let mut prev = f64::INFINITY;
-        for k in 1..=n {
-            let b = app.lp_bound(IterationChoice::fact_only(n, k));
-            assert!(b > 0.0 && b <= prev + 1e-12, "bound must be non-increasing");
-            prev = b;
-        }
-        // Bound can never drop below the generation-phase bound.
-        let gen_floor = app.lp_bound(IterationChoice { n_gen: n, n_fact: n });
-        assert!(gen_floor > 0.0);
+        let curve = lp_curve(app.rt.platform(), app.workload);
+        assert!(curve.iter().all(|&b| b > 0.0));
+        assert!(curve.windows(2).all(|p| p[1] <= p[0] + 1e-12), "bound must be non-increasing");
     }
 
     #[test]
-    fn lp_bound_is_a_true_lower_bound() {
-        let mut app = small_app(1, 2, 6);
-        let n = app.n_nodes();
-        for k in [1, 2, 3] {
-            let choice = IterationChoice::fact_only(n, k);
-            let bound = app.lp_bound(choice);
-            let measured = app.run_iteration(choice).duration();
-            assert!(bound <= measured + 1e-9, "LP({k}) = {bound} exceeds measured {measured}");
+    fn lp_bound_is_the_max_of_the_two_phase_bounds() {
+        // 2 GPU + 4 CPU nodes at nt = 8: the Cholesky bound dominates on
+        // one node, the CPU-only generation bound once all six factorize.
+        let app = small_app(2, 4, 8);
+        let (platform, w) = (app.rt.platform(), app.workload);
+        let times = |k: usize, gflops: fn(&GeoClasses, &NodeSpec) -> f64| -> Vec<f64> {
+            (0..k).map(|i| 1.0 / (gflops(&app.classes, platform.node(NodeId(i))) * 1e9)).collect()
+        };
+        let curve = lp_curve(platform, w);
+        let gen_times = times(curve.len(), GeoClasses::gen_gflops);
+        let gen = proportional_share_bound(w.generation_flops(), &gen_times);
+        let (mut gen_wins, mut fact_wins) = (false, false);
+        for (k, b) in (1..).zip(curve) {
+            let fact =
+                proportional_share_bound(w.cholesky_flops(), &times(k, GeoClasses::fact_gflops));
+            assert_eq!(b.to_bits(), gen.max(fact).to_bits(), "k = {k}");
+            gen_wins |= gen > fact;
+            fact_wins |= fact > gen;
         }
+        assert!(gen_wins && fact_wins, "both phases must dominate somewhere");
     }
 
     #[test]

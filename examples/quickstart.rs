@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use adaphet::geostat::{GeoSimApp, IterationChoice, Workload};
+use adaphet::geostat::{lp_curve, GeoSimApp, IterationChoice, Workload};
 use adaphet::runtime::{NetworkSpec, NodeSpec, Platform, SimConfig};
 use adaphet::tuner::{ActionSpace, Observation, Session, StrategyKind};
 
@@ -27,12 +27,13 @@ fn main() {
     let groups = platform.homogeneous_groups();
 
     // The multi-phase application (generation + Cholesky + solve + ...).
-    let mut app = GeoSimApp::new(platform, Workload::new(24, 512), SimConfig::default());
+    let workload = Workload::new(24, 512);
+    let lp = lp_curve(&platform, workload);
+    let mut app = GeoSimApp::new(platform, workload, SimConfig::default());
     let n = app.n_nodes();
 
     // The tuner: GP-discontinuous with the LP bound and machine groups,
     // run by a Session (propose -> execute -> record).
-    let lp: Vec<f64> = (1..=n).map(|k| app.lp_bound(IterationChoice::fact_only(n, k))).collect();
     let space = ActionSpace::new(n, groups, Some(lp));
     let tuner = StrategyKind::GpDiscontinuous.build(&space, 42, None).expect("known strategy");
     let mut session = Session::builder(&space).strategy(tuner).build().expect("strategy set");

@@ -2,7 +2,7 @@
 //! tuned application, at test scale.
 
 use adaphet::eval::{build_response, replay_many, space_of, StrategyKind};
-use adaphet::geostat::{GeoSimApp, IterationChoice, Workload};
+use adaphet::geostat::{lp_curve, GeoSimApp, IterationChoice, Workload};
 use adaphet::runtime::{NetworkSpec, NodeSpec, Platform, SimConfig};
 use adaphet::scenarios::{Scale, Scenario};
 use adaphet::tuner::{MemorySink, Observation, Session};
@@ -29,10 +29,11 @@ fn online_tuning_beats_all_nodes_on_a_heterogeneous_cluster() {
     // per iteration than the all-nodes default. Telemetry (with per-phase
     // breakdowns from the runtime) is collected along the way and must
     // stay consistent with the recorded history.
-    let mut app = GeoSimApp::new(toy_platform(2, 6), Workload::new(16, 512), SimConfig::default());
+    let workload = Workload::new(16, 512);
+    let mut app = GeoSimApp::new(toy_platform(2, 6), workload, SimConfig::default());
     let n = app.n_nodes();
     let groups = app.runtime().platform().homogeneous_groups();
-    let lp: Vec<f64> = (1..=n).map(|k| app.lp_bound(IterationChoice::fact_only(n, k))).collect();
+    let lp = lp_curve(app.runtime().platform(), workload);
     let space = adaphet::tuner::ActionSpace::new(n, groups, Some(lp));
     let strat = StrategyKind::GpDiscontinuous.build(&space, 1, None).expect("no oracle needed");
     let sink = MemorySink::new();
