@@ -7,6 +7,7 @@
 //! re-simulation, no metrics file) are simply omitted.
 
 use crate::report::{format_num, Report, SimDiagnosis};
+use adaphet_core::PosteriorPoint;
 use adaphet_runtime::{ResourceKind, Trace};
 
 /// Fixed qualitative palette (cycled) for phases and strategies.
@@ -328,15 +329,17 @@ fn posterior_section(report: &Report, out: &mut String) {
         }
         out.push_str(&format!("<h3>{}</h3>\n<div>", html_escape(&run.name)));
         for rec in pick_spread(&with_snap, 6) {
-            let snap = rec.snapshot.as_ref().expect("filtered to Some above");
+            let snap = &rec.snapshot.as_ref().expect("filtered to Some above").points;
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             let (mut a0, mut a1) = (usize::MAX, 0usize);
+            // A mean or sd written `null` reads back as NaN: no band there.
+            let banded = |p: &PosteriorPoint| !p.mean.is_nan() && !p.sd.is_nan();
             for p in snap {
                 a0 = a0.min(p.action);
                 a1 = a1.max(p.action);
-                if let (Some(m), Some(sd)) = (p.mean, p.sd) {
-                    lo = lo.min(m - sd);
-                    hi = hi.max(m + sd);
+                if banded(p) {
+                    lo = lo.min(p.mean - p.sd);
+                    hi = hi.max(p.mean + p.sd);
                 }
                 if let Some(b) = p.lp_bound {
                     lo = lo.min(b);
@@ -351,22 +354,21 @@ fn posterior_section(report: &Report, out: &mut String) {
             out.push_str(&f.open());
             out.push_str(&f.axes("nodes", ""));
             // Band: mean+sd forward, mean−sd backward.
-            let known: Vec<_> =
-                snap.iter().filter(|p| p.mean.is_some() && p.sd.is_some()).collect();
+            let known: Vec<_> = snap.iter().filter(|p| banded(p)).collect();
             if known.len() > 1 {
                 let mut poly = String::from("<polygon points=\"");
                 for p in &known {
-                    let (m, sd) = (p.mean.unwrap(), p.sd.unwrap());
+                    let (m, sd) = (p.mean, p.sd);
                     poly.push_str(&format!("{:.2},{:.2} ", f.px(p.action as f64), f.py(m + sd)));
                 }
                 for p in known.iter().rev() {
-                    let (m, sd) = (p.mean.unwrap(), p.sd.unwrap());
+                    let (m, sd) = (p.mean, p.sd);
                     poly.push_str(&format!("{:.2},{:.2} ", f.px(p.action as f64), f.py(m - sd)));
                 }
                 poly.push_str(&format!("\" fill=\"{}33\" stroke=\"none\"/>", color(si)));
                 out.push_str(&poly);
                 let mean_pts: Vec<(f64, f64)> =
-                    known.iter().map(|p| (f.px(p.action as f64), f.py(p.mean.unwrap()))).collect();
+                    known.iter().map(|p| (f.px(p.action as f64), f.py(p.mean))).collect();
                 out.push_str(&polyline(&mean_pts, color(si), ""));
             }
             let lp_pts: Vec<(f64, f64)> = snap
@@ -374,9 +376,8 @@ fn posterior_section(report: &Report, out: &mut String) {
                 .filter_map(|p| p.lp_bound.map(|b| (f.px(p.action as f64), f.py(b))))
                 .collect();
             out.push_str(&polyline(&lp_pts, "#444", "stroke-dasharray=\"3 2\""));
-            for p in snap {
-                let Some(m) = p.mean else { continue };
-                let (x, y) = (f.px(p.action as f64), f.py(m));
+            for p in snap.iter().filter(|p| !p.mean.is_nan()) {
+                let (x, y) = (f.px(p.action as f64), f.py(p.mean));
                 let fill = if p.excluded { "none" } else { color(si) };
                 out.push_str(&format!(
                     "<circle cx=\"{x:.2}\" cy=\"{y:.2}\" r=\"2.4\" fill=\"{fill}\" \

@@ -3,7 +3,8 @@
 //! its pinned JSONL schema) coming out.
 
 use crate::strategy::{DecisionTrace, PosteriorSnapshot};
-use adaphet_metrics::{json, PhaseBreakdown, PhaseSlice};
+use adaphet_metrics::json::{self, FromJson, Json};
+use adaphet_metrics::{PhaseBreakdown, PhaseSlice};
 
 /// What the executor measured for one iteration.
 ///
@@ -98,7 +99,8 @@ impl IterationEvent {
     /// iterations, and `snapshot` is `null` when the strategy has no
     /// surrogate posterior to report (it was appended last so parsers of
     /// the older 14-key schema keep reading a stable prefix). Non-finite
-    /// floats serialize as `null`.
+    /// floats serialize as `null`. [`IterationEvent::from_json`] reads a
+    /// line back.
     pub fn to_json(&self) -> String {
         let trace = self.trace.as_ref();
         let mut s = String::with_capacity(256);
@@ -120,6 +122,40 @@ impl IterationEvent {
                 .field("snapshot", &self.snapshot);
         });
         s
+    }
+}
+
+/// Reads a line [`IterationEvent::to_json`] wrote, and the older 14-key
+/// prefix: only `iteration`, `strategy` and `action` are required; a float
+/// written `null` reads as NaN, and `posterior`, `excluded` and `note` fold
+/// back into `trace`, `None` when all three are empty. Writing the result
+/// gives back the line it was read from.
+impl FromJson for IterationEvent {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let (iteration, strategy, action) =
+            (v.field("iteration")?, v.field("strategy")?, v.field("action")?);
+        let trace = DecisionTrace {
+            diagnostics: v.field_or("posterior", Vec::new())?,
+            excluded: v.field_or("excluded", Vec::new())?,
+            note: v.field_or("note", String::new())?,
+        };
+        let traced =
+            !(trace.diagnostics.is_empty() && trace.excluded.is_empty() && trace.note.is_empty());
+        Ok(IterationEvent {
+            iteration,
+            strategy,
+            action,
+            duration: v.field_or("duration", f64::NAN)?,
+            cumulative_time: v.field_or("cumulative_time", f64::NAN)?,
+            best_known: v.field("best_known")?,
+            regret: v.field("regret")?,
+            phases: v.field_or("phases", Vec::new())?,
+            trace: traced.then_some(trace),
+            phase_breakdown: v.field("phase_breakdown")?,
+            retries: v.field_or("retries", 0)?,
+            fault: v.field("fault")?,
+            snapshot: v.field("snapshot")?,
+        })
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::{ActionSpace, History, SurrogatePrior};
 use adaphet_gp::{GpModel, Prediction};
-use adaphet_metrics::json::{self, FromJson, Json, ToJson};
+use adaphet_metrics::wire_struct;
 use adaphet_store::GpHyper;
 
 /// Lower clamp on the process/noise variances of the GP strategies' fits
@@ -99,16 +99,9 @@ pub struct ActionDiagnostic {
     pub acquisition: f64,
 }
 
-impl ToJson for ActionDiagnostic {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("action", &self.action)
-                .field("mean", &self.mean)
-                .field("sd", &self.sd)
-                .field("acquisition", &self.acquisition);
-        });
-    }
-}
+// An element of the telemetry `posterior` list; a non-finite float (an
+// untried arm's infinite bonus) is written `null` and reads back as NaN.
+wire_struct!(ActionDiagnostic { action, mean = f64::NAN, sd = f64::NAN, acquisition = f64::NAN });
 
 /// Why a strategy proposed what it proposed.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -154,33 +147,10 @@ pub struct PosteriorPoint {
     pub excluded: bool,
 }
 
-/// The point object of the telemetry `snapshot` field and of the service's
-/// `posterior` frame: `{action, mean, sd, lp_bound, excluded}`.
-impl ToJson for PosteriorPoint {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("action", &self.action)
-                .field("mean", &self.mean)
-                .field("sd", &self.sd)
-                .field("lp_bound", &self.lp_bound)
-                .field("excluded", &self.excluded);
-        });
-    }
-}
-
-/// Reads a point back; a `null` mean or sd (a non-finite float at the
-/// emitter) is NaN.
-impl FromJson for PosteriorPoint {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(PosteriorPoint {
-            action: v.field("action")?,
-            mean: v.field_or("mean", f64::NAN)?,
-            sd: v.field_or("sd", f64::NAN)?,
-            lp_bound: v.field("lp_bound")?,
-            excluded: v.field_or("excluded", false)?,
-        })
-    }
-}
+// The point object of the telemetry `snapshot` field and of the service's
+// `posterior` frame; a `null` mean or sd (a non-finite float at the
+// emitter) reads back as NaN.
+wire_struct!(PosteriorPoint { action, mean = f64::NAN, sd = f64::NAN, lp_bound, excluded = false });
 
 /// The surrogate's posterior over the whole action space at one instant.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -189,13 +159,7 @@ pub struct PosteriorSnapshot {
     pub points: Vec<PosteriorPoint>,
 }
 
-impl ToJson for PosteriorSnapshot {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("points", &self.points);
-        });
-    }
-}
+wire_struct!(PosteriorSnapshot { points });
 
 /// An online exploration strategy over node counts.
 ///

@@ -15,7 +15,7 @@ use adaphet_analysis::{
     render_ascii, render_html, CriticalPath, IdleBreakdown, Json, Report, SimDiagnosis,
     StrategyRun, TelemetryRun,
 };
-use adaphet_core::{HealthPolicy, HealthTracker, PosteriorPoint, PosteriorSnapshot};
+use adaphet_core::{HealthPolicy, HealthTracker};
 use adaphet_geostat::{IterationChoice, Phase};
 use adaphet_runtime::NodeId;
 use adaphet_scenarios::{Scale, Scenario};
@@ -177,26 +177,15 @@ fn health_states(run: &StrategyRun) -> Vec<&'static str> {
         .records
         .iter()
         .find_map(|r| r.snapshot.as_ref())
-        .and_then(|points| points.iter().filter_map(|p| p.lp_bound).reduce(f64::min))
+        .and_then(|snap| snap.points.iter().filter_map(|p| p.lp_bound).reduce(f64::min))
         .filter(|m| m.is_finite());
     let best_known = run.records.iter().find_map(|r| r.best_known);
     let mut tracker = HealthTracker::new(HealthPolicy::default(), 0, best_known, lp_min, false);
     run.records
         .iter()
         .map(|r| {
-            if let Some(points) = &r.snapshot {
-                tracker.on_posterior(&PosteriorSnapshot {
-                    points: points
-                        .iter()
-                        .map(|p| PosteriorPoint {
-                            action: p.action,
-                            mean: p.mean.unwrap_or(f64::NAN),
-                            sd: p.sd.unwrap_or(f64::NAN),
-                            lp_bound: p.lp_bound,
-                            excluded: p.excluded,
-                        })
-                        .collect(),
-                });
+            if let Some(snap) = &r.snapshot {
+                tracker.on_posterior(snap);
             }
             // A platform fault is any annotation beyond the retry marker.
             let faulted =

@@ -7,7 +7,10 @@
 //! [`json_escape`], a writer that pushes into one `String` ([`object`],
 //! [`array`], [`ObjectWriter`]) and the [`ToJson`] / [`FromJson`] pair for
 //! the scalar and container types frames are made of — `f64`'s is the one
-//! finite-or-`null` number formatter. A format bug has one place to live.
+//! finite-or-`null` number formatter. A record that travels as an object
+//! declares its member list once, with [`wire_struct!`](crate::wire_struct),
+//! and that list both writes and reads it. A format bug has one place to
+//! live.
 
 use std::fmt::Write as _;
 
@@ -28,10 +31,16 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a cap one small document of
+/// brackets overflows the stack of the thread that reads it; the deepest
+/// document the workspace writes is about five levels.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Parse one complete JSON document.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -55,11 +64,6 @@ impl Json {
             Json::Num(x) => Some(*x),
             _ => None,
         }
-    }
-
-    /// Numeric value truncated to usize.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_f64().map(|x| x as usize)
     }
 
     /// String value.
@@ -88,8 +92,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -127,8 +134,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -145,9 +159,9 @@ impl Parser<'_> {
         }
         // `"1e999".parse::<f64>()` is `Ok(inf)`: the writer spells a
         // non-finite float `null`, so the reader takes none either.
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .filter(|x| x.is_finite())
             .map(Json::Num)
             .ok_or_else(|| format!("bad number at byte {start}"))
@@ -157,13 +171,22 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Everything up to the next quote or backslash is copied whole
+            // (both are ASCII, so the run ends on a character boundary).
+            let run = self.pos;
+            self.pos += self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - run);
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: the run stopped at one of the two.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -185,14 +208,6 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the full UTF-8 character, not just one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -516,6 +531,76 @@ impl<'a> ObjectWriter<'a> {
         value.write_json(self.key(name));
         self
     }
+}
+
+/// A struct that travels as the members of a JSON object, in declared
+/// order — implemented by [`wire_struct!`](crate::wire_struct), which also
+/// derives the struct's [`ToJson`] / [`FromJson`] from the same list.
+pub trait WireFields: Sized {
+    /// Write the members, with no enclosing braces.
+    fn write_members(&self, o: &mut ObjectWriter<'_>);
+    /// Read the members of the object `v`.
+    fn read_members(v: &Json) -> Result<Self, String>;
+}
+
+/// `wire_struct!(Type { member, member = default, member as Adapter,
+/// "name" { sub: field, … }, … })` — the one list of a record's members,
+/// in the order they are written. A member is named after the Rust field
+/// that holds it and decodes through that field's [`FromJson`]: required,
+/// except that an `Option` reads an absent or `null` member as `None`.
+/// `= default` is what an absent or `null` member decodes to instead
+/// (members added after the first release, floats an emitter may have
+/// written as `null`); `as Adapter` travels as the newtype `Adapter`'s
+/// spelling of the field; the `"name" { … }` form is a nested object of
+/// counters that read 0 when absent. Generates [`WireFields`], plus
+/// `ToJson`/`FromJson` as a braced object so the struct can be a member
+/// of another record.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $(
+        $( $group:literal { $( $sub:ident : $subfield:ident ),* } )?
+        $( $field:ident $( as $adapter:ident )? $( = $default:expr )? )?
+    ),* }) => {
+        impl $crate::json::WireFields for $ty {
+            fn write_members(&self, o: &mut $crate::json::ObjectWriter<'_>) {
+                $(
+                    $( o.field(stringify!($field), $crate::wire_struct!(@out self.$field $(, $adapter)?)); )?
+                    $( $crate::json::object(o.key($group), |g| {
+                        $( g.field(stringify!($sub), &self.$subfield); )*
+                    }); )?
+                )*
+            }
+
+            fn read_members(v: &$crate::json::Json) -> Result<Self, String> {
+                Ok($ty { $(
+                    $( $field: $crate::wire_struct!(@in v, $field $( as $adapter )? $( = $default )?), )?
+                    $( $( $subfield: v.get($group).unwrap_or(&$crate::json::Json::Null)
+                        .field_or(stringify!($sub), 0)?, )* )?
+                )* })
+            }
+        }
+
+        impl $crate::json::ToJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                $crate::json::object(out, |o| $crate::json::WireFields::write_members(self, o));
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                <Self as $crate::json::WireFields>::read_members(v)
+            }
+        }
+    };
+    (@out $value:expr) => { &$value };
+    (@out $value:expr, $adapter:ident) => { &$adapter($value) };
+    (@in $v:ident, $field:ident) => { $v.field(stringify!($field))? };
+    (@in $v:ident, $field:ident = $default:expr) => {
+        $v.field_or(stringify!($field), $default)?
+    };
+    (@in $v:ident, $field:ident as $adapter:ident) => {
+        $v.field::<$adapter>(stringify!($field))?.0
+    };
 }
 
 #[cfg(test)]

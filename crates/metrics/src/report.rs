@@ -1,6 +1,6 @@
 //! [`MetricsReport`]: a frozen, serializable view of a metrics run.
 
-use crate::json::{self, ToJson};
+use crate::json::{self, FromJson, Json, ToJson};
 use crate::registry::HistogramSnapshot;
 
 /// Version stamped into every report; bump on any schema change (the golden
@@ -127,21 +127,21 @@ impl ToJson for GroupProfile {
     }
 }
 
-impl ToJson for PhaseSlice {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("name", &self.name).field("seconds", &self.seconds);
-        });
+/// Reads the three measured members back; `utilization` is derived from
+/// them, so it is written and never read.
+impl FromJson for GroupProfile {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(GroupProfile {
+            name: v.field("name")?,
+            busy_s: v.field_or("busy_s", f64::NAN)?,
+            idle_s: v.field_or("idle_s", f64::NAN)?,
+        })
     }
 }
 
-impl ToJson for PhaseBreakdown {
-    fn write_json(&self, out: &mut String) {
-        json::object(out, |o| {
-            o.field("phases", &self.phases).field("groups", &self.groups);
-        });
-    }
-}
+crate::wire_struct!(PhaseSlice { name, seconds = f64::NAN });
+
+crate::wire_struct!(PhaseBreakdown { phases, groups });
 
 fn write_map(out: &mut String, entries: &[(String, f64)]) {
     json::object(out, |o| {

@@ -52,8 +52,6 @@ fn integers_reject_what_a_cast_would_mangle() {
     }
     assert!(usize::from_json(&Json::Num(2.5)).is_err());
     assert!(u32::from_json(&Json::Num(5e9)).is_err());
-    // `as_usize` keeps its truncating behaviour for the callers that want it.
-    assert_eq!(Json::Num(7.9).as_usize(), Some(7));
 }
 
 #[test]
@@ -88,4 +86,38 @@ fn literals_that_overflow_to_infinity_do_not_parse() {
     assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
     assert_eq!(Json::parse("-0.0").unwrap().as_f64(), Some(0.0));
     assert_eq!(Json::parse("1e-999").unwrap().as_f64(), Some(0.0), "underflow is finite");
+}
+
+/// The parser recurses once per array or object level; a document nested
+/// deeper than `MAX_DEPTH` is refused instead of overflowing the stack of
+/// the thread that reads it (a wire frame is read on a default-sized
+/// spawned thread, and may be up to 1 MiB).
+#[test]
+fn nesting_deeper_than_the_cap_is_an_error_not_a_stack_overflow() {
+    let deep = "[".repeat(1 << 20);
+    let err = std::thread::spawn(move || Json::parse(&deep)).join().unwrap().unwrap_err();
+    assert!(err.starts_with("nesting deeper than"), "{err}");
+    let nest = |depth: usize, open: &str, inner: &str, close: &str| {
+        format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+    };
+    let max = adaphet_metrics::json::MAX_DEPTH;
+    assert!(Json::parse(&nest(max, "[", "", "]")).is_ok());
+    assert!(Json::parse(&nest(max + 1, "[", "", "]")).is_err());
+    assert!(Json::parse(&nest(max, "{\"a\":", "1", "}")).is_ok());
+    assert!(Json::parse(&nest(max + 1, "{\"a\":", "1", "}")).is_err());
+}
+
+/// Strings are copied a run at a time, so reading one is linear in its
+/// length whatever its characters are: a quarter mebibyte of non-ASCII
+/// text with escapes round-trips (quadratic copying took seconds here).
+#[test]
+fn long_non_ascii_strings_round_trip() {
+    let text: String = "é→\"\\\n\u{1}𝄞 ".repeat(1 << 15);
+    assert!(text.len() >= 256 << 10);
+    let mut doc = String::new();
+    object(&mut doc, |o| {
+        o.field("s", &text);
+    });
+    let back = Json::parse(&doc).unwrap();
+    assert_eq!(back.field::<String>("s").unwrap(), text);
 }

@@ -26,7 +26,8 @@
 //! `adaphet-core` is the single source of truth, aliases included.
 
 use adaphet_core::{ActionSpace, PosteriorPoint, PosteriorSnapshot, StrategyKind};
-use adaphet_metrics::json::{self, FromJson, Json, ObjectWriter, ToJson};
+use adaphet_metrics::json::{self, FromJson, Json, ObjectWriter, ToJson, WireFields};
+use adaphet_metrics::wire_struct;
 use std::io::{self, Read, Write};
 
 /// Hard cap on one frame's payload size (1 MiB).
@@ -523,13 +524,10 @@ pub enum Response {
 // ---- The frame format ------------------------------------------------
 //
 // Everything below the adapters is the one list of what travels: per
-// carried struct and per frame, the members in wire order. A member is
-// named after the Rust field that holds it and decodes through that
-// field's `FromJson`: required, except that an `Option` reads an absent or
-// `null` member as `None`. `= default` is what an absent or `null` member
-// decodes to instead (members added after the first release, floats an
-// emitter may have written as `null`); `as Adapter` travels under one of
-// the spellings defined next. DESIGN.md "Wire frames" tabulates the same
+// carried struct and per frame, the members in wire order, in the member
+// grammar of `adaphet_metrics::wire_struct!` (`= default` for what an
+// absent or `null` member decodes to, `as Adapter` for one of the
+// spellings defined next). DESIGN.md "Wire frames" tabulates the same
 // lists for client authors.
 
 /// A strategy travels as its canonical registry name; aliases are
@@ -608,64 +606,6 @@ impl FromJson for ErrorCode {
     fn from_json(v: &Json) -> Result<Self, String> {
         Ok(v.as_str().and_then(ErrorCode::parse).unwrap_or(ErrorCode::Internal))
     }
-}
-
-/// A struct that travels as the members of a JSON object, in wire order.
-trait WireFields: Sized {
-    fn write_members(&self, o: &mut ObjectWriter<'_>);
-    fn read_members(v: &Json) -> Result<Self, String>;
-}
-
-/// `wire_struct!(Type { member, member = default, member as Adapter,
-/// "name" { sub: field, … }, … })` — the last form is a nested object of
-/// counters that read 0 when absent. Generates [`WireFields`], plus
-/// `ToJson`/`FromJson` as a braced object so the struct can be a member
-/// of another frame.
-macro_rules! wire_struct {
-    ($ty:ident { $(
-        $( $group:literal { $( $sub:ident : $subfield:ident ),* } )?
-        $( $field:ident $( as $adapter:ident )? $( = $default:expr )? )?
-    ),* }) => {
-        impl WireFields for $ty {
-            fn write_members(&self, o: &mut ObjectWriter<'_>) {
-                $(
-                    $( o.field(stringify!($field), wire_struct!(@out self.$field $(, $adapter)?)); )?
-                    $( json::object(o.key($group), |g| {
-                        $( g.field(stringify!($sub), &self.$subfield); )*
-                    }); )?
-                )*
-            }
-
-            fn read_members(v: &Json) -> Result<Self, String> {
-                Ok($ty { $(
-                    $( $field: wire_struct!(@in v, $field $( as $adapter )? $( = $default )?), )?
-                    $( $( $subfield: v.get($group).unwrap_or(&Json::Null)
-                        .field_or(stringify!($sub), 0)?, )* )?
-                )* })
-            }
-        }
-
-        impl ToJson for $ty {
-            fn write_json(&self, out: &mut String) {
-                json::object(out, |o| self.write_members(o));
-            }
-        }
-
-        impl FromJson for $ty {
-            fn from_json(v: &Json) -> Result<Self, String> {
-                Self::read_members(v)
-            }
-        }
-    };
-    (@out $value:expr) => { &$value };
-    (@out $value:expr, $adapter:ident) => { &$adapter($value) };
-    (@in $v:ident, $field:ident) => { $v.field(stringify!($field))? };
-    (@in $v:ident, $field:ident = $default:expr) => {
-        $v.field_or(stringify!($field), $default)?
-    };
-    (@in $v:ident, $field:ident as $adapter:ident) => {
-        $v.field::<$adapter>(stringify!($field))?.0
-    };
 }
 
 /// `wire_enum!(Type, "what" { "wire_name" => Variant, "wire_name" =>

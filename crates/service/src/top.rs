@@ -8,9 +8,10 @@
 //! here too, for the same reason.
 
 use crate::client::{Client, ClientError};
-use crate::protocol::StatsSnapshot;
+use crate::protocol::{HealthInfo, StatsSnapshot};
 use crate::server::Endpoint;
-use adaphet_analysis::{html_escape, Json, STYLE};
+use adaphet_analysis::{html_escape, STYLE};
+use adaphet_metrics::Json;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -215,13 +216,9 @@ impl PanelHistory {
     /// `/health` document when there is one. The health series only grow
     /// on polls that carry it.
     pub fn push(&mut self, snap: &StatsSnapshot, health_json: Option<&str>) {
-        let health = health_json.and_then(|doc| Json::parse(doc).ok());
-        let sessions = health.as_ref().and_then(|doc| doc.get("sessions")?.as_arr());
+        let sessions = health_json.and_then(health_sessions);
         let in_state = |state: &str| {
-            sessions.map(|all| {
-                all.iter().filter(|s| s.get("state").and_then(Json::as_str) == Some(state)).count()
-                    as f64
-            })
+            sessions.as_ref().map(|all| all.iter().filter(|s| s.state == state).count() as f64)
         };
         let values = [
             Some(snap.requests as f64),
@@ -262,13 +259,16 @@ impl PanelHistory {
     }
 }
 
+/// The `sessions` of a `/health` document, read through the codec that
+/// wrote them (`None` when the document does not decode).
+fn health_sessions(health_json: &str) -> Option<Vec<HealthInfo>> {
+    Json::parse(health_json).ok()?.field("sessions").ok()
+}
+
 /// Render the `/health` document as a fixed-width session table. Empty
 /// string when the daemon has no live sessions.
 pub fn render_health_ascii(health_json: &str) -> String {
-    let Ok(doc) = Json::parse(health_json) else { return String::new() };
-    let Some(sessions) = doc.get("sessions").and_then(Json::as_arr) else {
-        return String::new();
-    };
+    let sessions = health_sessions(health_json).unwrap_or_default();
     if sessions.is_empty() {
         return String::new();
     }
@@ -277,16 +277,15 @@ pub fn render_health_ascii(health_json: &str) -> String {
         "{:<8} {:<10} {:<24} {:>8} {:>10} {:>6}\n",
         "session", "state", "reason", "records", "since-best", "trans"
     ));
-    for s in sessions {
-        let num = |key: &str| s.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+    for s in &sessions {
         out.push_str(&format!(
             "{:<8} {:<10} {:<24} {:>8} {:>10} {:>6}\n",
-            num("session") as u64,
-            s.get("state").and_then(Json::as_str).unwrap_or("?"),
-            s.get("reason").and_then(Json::as_str).unwrap_or("-"),
-            num("records") as u64,
-            num("since_best") as u64,
-            num("transitions") as u64,
+            s.session,
+            s.state,
+            s.reason.as_deref().unwrap_or("-"),
+            s.records,
+            s.since_best,
+            s.transitions,
         ));
     }
     out

@@ -4,9 +4,10 @@
 
 #![cfg(unix)]
 
-use adaphet_analysis::Json;
+use adaphet_analysis::{Json, TelemetryRun};
 use adaphet_core::StrategyKind;
-use adaphet_service::protocol::{read_frame, write_frame, Request, Response};
+use adaphet_service::protocol::{read_frame, write_frame, HealthInfo, Request, Response};
+use adaphet_service::top::{render_health_ascii, PanelHistory};
 use adaphet_service::{
     Client, ClientError, Endpoint, ErrorCode, Server, ServiceConfig, SessionManager, SessionSpec,
     Submitted,
@@ -67,7 +68,18 @@ fn malformed_frames_get_typed_errors_and_the_connection_lives_on() {
         other => panic!("{other:?}"),
     }
 
-    // After all four, the same connection still serves real traffic.
+    // 5. A frame of brackets nested far past the parser's depth cap: a
+    // typed error, not a stack overflow on the connection's thread.
+    write_frame(&mut conn, &"[".repeat(100_000)).unwrap();
+    match read_reply(&mut conn) {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::MalformedFrame);
+            assert!(message.contains("nesting deeper than"), "{message}");
+        }
+        other => panic!("{other:?}"),
+    }
+
+    // After all five, the same connection still serves real traffic.
     write_frame(&mut conn, &Request::Ping.to_json()).unwrap();
     assert!(matches!(read_reply(&mut conn), Response::Pong { .. }));
 
@@ -261,4 +273,151 @@ fn a_closed_server_socket_reads_as_clean_eof_for_the_client() {
         other => panic!("expected a transport failure, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// A fully populated telemetry line (the golden of
+/// `tests/telemetry_schema.rs`).
+const TELEMETRY_LINE: &str = "{\"iteration\":3,\"strategy\":\"GP-discontinuous\",\"action\":7,\
+    \"duration\":1.5,\"cumulative_time\":12.25,\"best_known\":1.25,\"regret\":0.25,\
+    \"phases\":[{\"name\":\"factorization\",\"seconds\":1},{\"name\":\"solve\",\"seconds\":0.5}],\
+    \"posterior\":[{\"action\":7,\"mean\":1.5,\"sd\":0.125,\"acquisition\":1.25}],\
+    \"excluded\":[1,2],\"note\":\"gp-lcb\",\"phase_breakdown\":{\"phases\":[\
+    {\"name\":\"generation\",\"seconds\":0.25},{\"name\":\"solve\",\"seconds\":1.25}],\
+    \"groups\":[{\"name\":\"chifflot:1-2\",\"busy_s\":3,\"idle_s\":1,\"utilization\":0.75}]},\
+    \"retries\":1,\"fault\":\"node-death:rank=5;rebaseline\",\"snapshot\":{\"points\":[\
+    {\"action\":1,\"mean\":8.5,\"sd\":0.5,\"lp_bound\":10,\"excluded\":true},\
+    {\"action\":7,\"mean\":1.5,\"sd\":0.125,\"lp_bound\":null,\"excluded\":false}]}}";
+
+/// The `/health` document of `adaphet-top`'s unit tests.
+const HEALTH_DOC: &str = r#"{"uptime_s":3.5,"draining":false,"sessions":[
+    {"session":1,"state":"ok","reason":null,"records":12,"since_best":2,
+     "regret_slope":-0.01,"retries_window":0,"faults_window":0,
+     "posterior_sd_max":null,"lp_gap":null,"band_record":4,
+     "warm_started":false,"transitions":0},
+    {"session":2,"state":"warn","reason":"fault-pressure","records":17,
+     "since_best":5,"regret_slope":0.002,"retries_window":1,
+     "faults_window":1,"posterior_sd_max":0.4,"lp_gap":1.5,
+     "band_record":null,"warm_started":true,"transitions":2}]}"#;
+
+/// One response frame of every kind, as the daemon writes them.
+const RESPONSES: [&str; 12] = [
+    r#"{"type":"session_created","session":5}"#,
+    r#"{"type":"proposal","session":5,"ticket":2,"iteration":9,"action":7}"#,
+    r#"{"type":"recorded","session":5,"iteration":3,"action":7,"duration":1.5,"cumulative_time":4}"#,
+    r#"{"type":"retry","session":5,"ticket":2,"action":7,"attempt":1}"#,
+    r#"{"type":"posterior","session":5,"points":[{"action":1,"mean":2.5,"sd":0.25,"lp_bound":1.5,"excluded":true},{"action":2,"mean":null,"sd":0.5,"lp_bound":null,"excluded":false}]}"#,
+    r#"{"type":"closed","session":5,"iterations":40,"total_time":123.5,"best_action":6,"history":[[10,3.25],[6,2]]}"#,
+    r#"{"type":"stats","version":"0.1.0","uptime_s":12.5,"draining":true,"sessions":{"live":3,"created":8,"closed":4,"evicted":1,"drained":2},"in_flight":5,"connections":9,"requests":120,"malformed":1,"errors":2,"verbs":[{"verb":"ping","count":1,"p50":0,"p95":0,"p99":0}],"shards":[{"shard":0,"sessions":2,"queue_depth":1}]}"#,
+    r#"{"type":"inspected","session":5,"strategy":"UCB","iterations":7,"cumulative_time":12.25,"pending":[[3,8]],"events":[{"seq":1,"t_s":0.75,"kind":"recorded","ticket":0,"action":8,"iteration":0,"duration":1.5}],"events_dropped":17}"#,
+    r#"{"type":"health","session":0,"state":"ok","reason":null,"records":0,"since_best":0,"regret_slope":null,"retries_window":0,"faults_window":0,"posterior_sd_max":null,"lp_gap":null,"band_record":null,"warm_started":false,"transitions":0}"#,
+    r#"{"type":"pong","version":"0.1.0","uptime_s":3.5}"#,
+    r#"{"type":"shutting_down"}"#,
+    r#"{"type":"error","code":"unknown-session","message":"session 99: \"gone\"\n\u0001"}"#,
+];
+
+/// splitmix64: a fixed seed gives the same mutants on every run.
+struct Mutator(u64);
+
+impl Mutator {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+
+    /// `doc` after one to three byte mutations: a flipped bit, a
+    /// truncation, a duplicated stretch or an inserted byte (JSON syntax
+    /// more often than not).
+    fn mutate(&mut self, doc: &str) -> Vec<u8> {
+        const SYNTAX: &[u8] = b"{}[]\",:\\-.eE+0123456789nultrfas \x00\xc3\xff";
+        let mut bytes = doc.as_bytes().to_vec();
+        for _ in 0..1 + self.below(3) {
+            let at = self.below(bytes.len() + 1);
+            match self.below(4) {
+                0 if at < bytes.len() => bytes[at] ^= 1 << self.below(8),
+                1 => bytes.truncate(at),
+                2 => {
+                    let len = self.below(16).min(bytes.len() - at);
+                    let stretch = bytes[at..at + len].to_vec();
+                    let to = self.below(bytes.len() + 1);
+                    bytes.splice(to..to, stretch);
+                }
+                _ => {
+                    let byte = if self.below(4) == 0 {
+                        self.next() as u8
+                    } else {
+                        SYNTAX[self.below(SYNTAX.len())]
+                    };
+                    bytes.insert(at, byte);
+                }
+            }
+        }
+        bytes
+    }
+}
+
+/// Every reader of the JSON the workspace writes answers a mangled
+/// document with `Ok` or `Err` — never a panic. Fixed-seed byte mutants of
+/// a telemetry line, one frame per request verb and response kind, and a
+/// `/health` document go through `Json::parse` into the frame decoders,
+/// the telemetry reader and the `/health` readers of `adaphet-top`.
+#[test]
+fn mutated_documents_never_panic_a_reader() {
+    let mut spec = SessionSpec::new(StrategyKind::GpDiscontinuous, 7, 4);
+    spec.groups = vec![(1, 2), (3, 4)];
+    spec.lp = Some(vec![8.0, 4.0, 3.0, 2.0]);
+    spec.iters = Some(40);
+    spec.best_known = Some(1.5);
+    spec.max_in_flight = Some(2);
+    spec.warm_start = Some(0.5);
+    let requests = [
+        Request::CreateSession(spec),
+        Request::GetProposal { session: 12 },
+        Request::SubmitObservation { session: 12, ticket: 3, duration: 1.25 },
+        Request::GetPosterior { session: 12 },
+        Request::CloseSession { session: 12 },
+        Request::GetStats,
+        Request::Inspect { session: 12 },
+        Request::GetHealth { session: 12 },
+        Request::Ping,
+        Request::Shutdown,
+    ];
+    let mut docs: Vec<String> = requests.iter().map(Request::to_json).collect();
+    docs.extend(RESPONSES.iter().map(|r| r.to_string()));
+    docs.push(TELEMETRY_LINE.to_string());
+    docs.push(HEALTH_DOC.to_string());
+
+    let mut rng = Mutator(0x5eed);
+    let (mut decoded, mut refused) = (0usize, 0usize);
+    for doc in &docs {
+        for _ in 0..64 {
+            let mutant = rng.mutate(doc);
+            let text = String::from_utf8_lossy(&mutant);
+            let results = [
+                TelemetryRun::parse(&text).map(drop),
+                Json::parse(&text).and_then(|v| {
+                    let request = Request::from_json(&v).map(drop);
+                    let response = Response::from_json(&v).map(drop);
+                    let health = v.field::<Vec<HealthInfo>>("sessions").map(drop);
+                    request.or(response).or(health)
+                }),
+            ];
+            for result in results {
+                if result.is_ok() {
+                    decoded += 1;
+                } else {
+                    refused += 1;
+                }
+            }
+            let _ = render_health_ascii(&text);
+            PanelHistory::new(4).push(&Default::default(), Some(&text));
+        }
+    }
+    assert!(decoded > 0 && refused > 0, "{decoded} decoded, {refused} refused");
 }

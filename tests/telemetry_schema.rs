@@ -5,6 +5,7 @@
 //! are a contract. These tests fail on any schema drift — bump them
 //! deliberately, never incidentally.
 
+use adaphet::metrics::json::{FromJson, Json};
 use adaphet::tuner::{
     ActionDiagnostic, ActionSpace, DecisionTrace, GroupProfile, IterationEvent, JsonlSink,
     MemorySink, Observation, PhaseBreakdown, PhaseSlice, PosteriorPoint, PosteriorSnapshot,
@@ -31,6 +32,14 @@ const KEYS: [&str; 15] = [
     "\"fault\":",
     "\"snapshot\":",
 ];
+
+/// `IterationEvent::from_json`, the reader beside `to_json`, gives back
+/// every byte of a line `to_json` wrote.
+fn assert_reads_back(line: &str) {
+    let v = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    let event = IterationEvent::from_json(&v).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(event.to_json(), line);
+}
 
 #[test]
 fn golden_fully_populated_event() {
@@ -88,6 +97,7 @@ fn golden_fully_populated_event() {
          {\"action\":1,\"mean\":8.5,\"sd\":0.5,\"lp_bound\":10,\"excluded\":true},\
          {\"action\":7,\"mean\":1.5,\"sd\":0.125,\"lp_bound\":null,\"excluded\":false}]}}"
     );
+    assert_reads_back(&e.to_json());
 }
 
 #[test]
@@ -114,6 +124,7 @@ fn golden_minimal_event_keeps_every_key() {
          \"phases\":[],\"posterior\":[],\"excluded\":[],\"note\":\"\",\
          \"phase_breakdown\":null,\"retries\":0,\"fault\":null,\"snapshot\":null}"
     );
+    assert_reads_back(&e.to_json());
 }
 
 #[test]
@@ -137,6 +148,7 @@ fn non_finite_floats_serialize_as_null() {
     assert!(json.contains("\"duration\":null"), "{json}");
     assert!(json.contains("\"cumulative_time\":null"), "{json}");
     assert!(json.contains("\"best_known\":null"), "{json}");
+    assert_reads_back(&json);
 }
 
 /// `Write` handle sharing a buffer with the test (the driver owns the sink).
@@ -214,6 +226,9 @@ fn driver_emits_one_ordered_json_line_per_iteration() {
     let last_snap = events.last().unwrap().snapshot.as_ref().expect("snapshot in memory sink");
     assert_eq!(last_snap.points.len(), n);
     assert!(last_snap.points[0].excluded, "action 1 is bounded out");
+    for line in &lines {
+        assert_reads_back(line);
+    }
 }
 
 #[test]
@@ -248,4 +263,5 @@ fn golden_snapshot_point_sub_schema() {
         "\"snapshot\":{\"points\":[\
          {\"action\":3,\"mean\":null,\"sd\":0.25,\"lp_bound\":null,\"excluded\":false}]}}"
     ));
+    assert_reads_back(&e.to_json());
 }
