@@ -67,7 +67,7 @@ pub struct IterationEvent {
     pub regret: Option<f64>,
     /// Per-phase breakdown reported by the executor (may be empty).
     pub phases: Vec<PhaseSlice>,
-    /// Strategy introspection for this decision, when a sink asked for it.
+    /// Strategy introspection for this decision, when a sink is attached.
     pub trace: Option<DecisionTrace>,
     /// Wall-clock phase/utilization decomposition, when the executor
     /// profiled the iteration.
@@ -81,7 +81,7 @@ pub struct IterationEvent {
     pub fault: Option<String>,
     /// The strategy's full posterior over the live space right before
     /// this decision ([`Strategy::posterior_snapshot`](crate::Strategy::posterior_snapshot)),
-    /// when a sink asked for decision traces and the strategy maintains a
+    /// when a sink is attached and the strategy maintains a
     /// surrogate.
     pub snapshot: Option<PosteriorSnapshot>,
 }

@@ -179,7 +179,6 @@ struct WindowRecord {
 /// and a predicate from signals to a state. Rules are evaluated in table
 /// order; the first `Some` wins.
 struct Rule {
-    #[allow(dead_code)] // documentation + future introspection
     name: &'static str,
     check: fn(&HealthSignals, &HealthPolicy) -> Option<HealthState>,
 }

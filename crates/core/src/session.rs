@@ -7,7 +7,7 @@
 //! live in one place:
 //!
 //! * [`Session::propose`] picks the next action, computes the decision
-//!   trace/posterior snapshot (when a sink asked for it), and parks the
+//!   trace/posterior snapshot (when a sink is attached), and parks the
 //!   proposal in a ledger under a fresh [`Ticket`];
 //! * [`Session::observe`] resolves a ticket with the measured
 //!   [`Observation`], applying the [`ResiliencePolicy`] verdicts: a
@@ -614,8 +614,8 @@ impl Session {
         );
         // Explain before the measurement: the trace must describe the
         // history state the decision was actually made from. Skipped
-        // entirely when no sink wants it (GP explain refits a surrogate).
-        let (trace, snapshot) = if self.sinks.iter().any(|s| s.wants_decision_trace()) {
+        // entirely when no sink is attached (GP explain refits a surrogate).
+        let (trace, snapshot) = if !self.sinks.is_empty() {
             (
                 Some(self.strategy.explain(&self.space, &self.history)),
                 self.strategy.posterior_snapshot(&self.space, &self.history),

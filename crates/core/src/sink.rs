@@ -20,14 +20,6 @@ use crate::event::IterationEvent;
 /// thread (sinks with shared buffers use `Arc<Mutex<…>>`, never
 /// `Rc<RefCell<…>>`).
 pub trait TelemetrySink: Send {
-    /// Whether the session should compute
-    /// [`Strategy::explain`](crate::Strategy::explain) for this sink's
-    /// events. Defaults to `true`; return `false` for cheap sinks
-    /// (counters, progress bars) to keep GP refits off the loop.
-    fn wants_decision_trace(&self) -> bool {
-        true
-    }
-
     /// Called once per session iteration, after the observation is
     /// recorded.
     fn on_iteration(&mut self, event: &IterationEvent);

@@ -199,7 +199,7 @@ pub trait Strategy: Send {
 
     /// Describe the decision [`propose`](Strategy::propose) would make on
     /// `hist` over the live `space` — called by the session right before
-    /// `propose`, only when a telemetry sink asked for it (it may be
+    /// `propose`, only when a telemetry sink is attached (it may be
     /// expensive: the GP strategies refit their surrogate).
     ///
     /// The default is a minimal trace carrying only the strategy name;

@@ -25,7 +25,6 @@ mod replay;
 mod report;
 mod response;
 mod sweep;
-mod telemetry;
 mod transfer;
 
 pub use cache::{build_response_cached, CACHE_VERSION};
@@ -44,7 +43,6 @@ pub use replay::{
 pub use report::{ascii_curve, write_csv, CsvTable};
 pub use response::{build_response, build_response_2d, build_rigid_curve, ResponseTable};
 pub use sweep::{sweep, sweep_response_tables};
-pub use telemetry::{ChromeTraceSink, TUNER_PID};
 pub use transfer::{
     donor_snapshot, iterations_to_band, leave_one_out, replay_warm, transfer_table, warm_wins,
     TransferOutcome, ORACLE_TOLERANCE,

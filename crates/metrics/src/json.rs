@@ -195,15 +195,26 @@ impl Parser<'_> {
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            let unit = self
+                                .hex4(self.pos + 1)
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
                             self.pos += 4;
+                            // A high surrogate followed by an escaped low
+                            // one is one character; a lone half reads as
+                            // U+FFFD.
+                            let mut code = unit;
+                            if (0xD800..0xDC00).contains(&unit)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                            {
+                                if let Some(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                                    code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
@@ -211,6 +222,12 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The code unit spelled by exactly four hex digits at byte `at`.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.bytes.get(at..at + 4)?;
+        digits.iter().try_fold(0, |unit, &d| Some(unit * 16 + char::from(d).to_digit(16)?))
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -314,9 +331,8 @@ fn escape_into(out: &mut String, s: &str) {
 
 /// Escape a string for embedding inside a JSON string literal (quotes,
 /// backslashes, and control characters). The workspace's only escaper:
-/// [`ToJson`] for strings is built on the same code, and the emitters
-/// still assembled with `format!` (the runtime's Chrome trace) call it
-/// for the names they embed.
+/// [`ToJson`] for strings is built on the same code, and emitters
+/// assembled with `format!` call it for the names they embed.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     escape_into(&mut out, s);

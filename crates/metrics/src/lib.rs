@@ -24,11 +24,6 @@
 //! the clock when the recorder is enabled and observes into a histogram on
 //! drop.
 //!
-//! For *where time goes inside one operation* (rather than aggregate
-//! counts), the [`Spans`] collector records enter/exit events with parent
-//! ids into a bounded ring of recent [`SpanRecord`]s; a disabled handle
-//! makes every guard a clock-free no-op, mirroring [`NoopRecorder`].
-//!
 //! Components that cannot thread a recorder handle through their call sites
 //! (solver internals, the response cache) use the process-wide recorder:
 //! [`global()`] is a no-op until [`install_global`] activates a registry.
@@ -40,7 +35,6 @@ pub mod json;
 mod recorder;
 mod registry;
 mod report;
-mod span;
 
 pub use json::{json_escape, Json};
 pub use recorder::{NoopRecorder, Recorder, Timer};
@@ -49,7 +43,6 @@ pub use report::{
     prometheus_name, GroupProfile, IterationProfile, MetricsReport, PhaseBreakdown, PhaseSlice,
     METRICS_SCHEMA_VERSION,
 };
-pub use span::{Span, SpanRecord, Spans};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

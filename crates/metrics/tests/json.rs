@@ -121,3 +121,25 @@ fn long_non_ascii_strings_round_trip() {
     let back = Json::parse(&doc).unwrap();
     assert_eq!(back.field::<String>("s").unwrap(), text);
 }
+
+/// String escapes follow RFC 8259 §7: all eight one-letter escapes, a
+/// UTF-16 surrogate pair read as the one character it encodes, and
+/// exactly four hex digits after `\u`. A lone surrogate has no character
+/// and reads as U+FFFD.
+#[test]
+fn string_escapes_follow_rfc_8259() {
+    let read = |doc: &str| Json::parse(doc).map(|v| v.as_str().map(str::to_owned));
+    assert_eq!(read(r#""\ud834\udd1e""#), Ok(Some("\u{1d11e}".into())));
+    assert_eq!(read(r#""a\uD83D\uDE00b""#), Ok(Some("a\u{1f600}b".into())));
+    assert_eq!(read(r#""\b\f\n\r\t\"\\\/""#), Ok(Some("\u{8}\u{c}\n\r\t\"\\/".into())));
+    assert_eq!(read(r#""\u00e9\u0041""#), Ok(Some("\u{e9}A".into())));
+    // Lone surrogates, either half, followed by anything but their pair.
+    assert_eq!(read(r#""\ud834""#), Ok(Some("\u{FFFD}".into())));
+    assert_eq!(read(r#""\ud834x""#), Ok(Some("\u{FFFD}x".into())));
+    assert_eq!(read(r#""\ud834\u0041""#), Ok(Some("\u{FFFD}A".into())));
+    assert_eq!(read(r#""\udd1e\ud834""#), Ok(Some("\u{FFFD}\u{FFFD}".into())));
+    for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#, r#""\ud834\u+c00""#] {
+        assert!(Json::parse(bad).is_err(), "{bad} parsed");
+    }
+    assert!(Json::parse(r#""\x""#).is_err());
+}

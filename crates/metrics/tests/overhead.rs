@@ -80,38 +80,3 @@ fn noop_recorder_costs_within_noise_of_uninstrumented() {
 fn both_paths_compute_the_same_result() {
     assert_eq!(run_bare(512), run_instrumented(512, &NoopRecorder));
 }
-
-fn run_spanned(tasks: usize, spans: &adaphet_metrics::Spans) -> f64 {
-    let mut acc = 0.0;
-    let root = spans.enter("overhead.batch", None);
-    for t in 0..tasks {
-        let _span = spans.enter("overhead.task", root.id());
-        acc += work(black_box(t as f64));
-    }
-    acc
-}
-
-#[test]
-fn disabled_spans_cost_within_noise_of_uninstrumented() {
-    const TASKS: usize = 20_000;
-    const RUNS: usize = 7;
-    let off = adaphet_metrics::Spans::disabled();
-    black_box(run_bare(TASKS));
-    black_box(run_spanned(TASKS, &off));
-    let mut bare = f64::INFINITY;
-    let mut spanned = f64::INFINITY;
-    for _ in 0..RUNS {
-        bare = bare.min(min_time(|| run_bare(TASKS), 1));
-        spanned = spanned.min(min_time(|| run_spanned(TASKS, &off), 1));
-    }
-    assert!(
-        spanned <= bare * 1.5 + 1e-4,
-        "disabled-span path too slow: {spanned:.6}s vs bare {bare:.6}s"
-    );
-}
-
-#[test]
-fn spanned_path_computes_the_same_result() {
-    assert_eq!(run_bare(512), run_spanned(512, &adaphet_metrics::Spans::disabled()));
-    assert_eq!(run_bare(512), run_spanned(512, &adaphet_metrics::Spans::with_capacity(8)));
-}

@@ -61,7 +61,4 @@ pub use real::{BlockHandle, RealRuntime, StoreView};
 pub use sim::{RunReport, SimConfig, SimRuntime};
 pub use stf::DepTracker;
 pub use task::{Access, ClassId, ClassSpec, ClassTable, TaskDesc, TaskId};
-pub use trace::{
-    chrome_trace_document, ChromeMicros, ResourceKind, TaskMeta, Trace, TraceEvent,
-    TRACE_CSV_VERSION,
-};
+pub use trace::{ResourceKind, TaskMeta, Trace, TraceEvent};

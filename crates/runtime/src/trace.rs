@@ -2,9 +2,7 @@
 
 use crate::platform::NodeId;
 use crate::task::{ClassId, TaskId};
-use adaphet_metrics::json::{self, ToJson};
 use std::collections::HashMap;
-use std::fmt::Write;
 
 /// Kind of worker a task executed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,95 +155,6 @@ impl Trace {
     pub fn makespan(&self) -> f64 {
         self.events.iter().map(|e| e.end).fold(0.0, f64::max)
     }
-
-    /// Serialize each task as one Chrome-trace "complete" event
-    /// (`"ph":"X"`, times in microseconds), named by `phase_name` and laid
-    /// out with one process per node and one thread per worker. The
-    /// returned strings are individual JSON objects so callers can splice
-    /// additional events (e.g. tuner decisions) into the same timeline
-    /// before wrapping with [`chrome_trace_document`].
-    pub fn chrome_events<F: Fn(u32) -> String>(&self, phase_name: F) -> Vec<String> {
-        self.events
-            .iter()
-            .map(|e| {
-                // GPUs get a disjoint thread-id band so they never collide
-                // with CPU core lanes inside a node's process group.
-                let tid = match e.resource {
-                    ResourceKind::CpuCore(i) => i,
-                    ResourceKind::Gpu(i) => 1000 + i,
-                };
-                let mut out = String::new();
-                json::object(&mut out, |o| {
-                    o.field("name", &phase_name(e.phase))
-                        .field("cat", "task")
-                        .field("ph", "X")
-                        .field("ts", &ChromeMicros(e.start * 1e6))
-                        .field("dur", &ChromeMicros((e.end - e.start) * 1e6))
-                        .field("pid", &e.node.0)
-                        .field("tid", &tid);
-                    json::object(o.key("args"), |a| {
-                        a.field("task", &e.task.0).field("class", &e.class.0);
-                    });
-                });
-                out
-            })
-            .collect()
-    }
-
-    /// Export as a StarVZ-style CSV
-    /// (`task,class,phase,node,resource,start,end`) for external
-    /// visualization tools. The first line is a versioned schema comment
-    /// ([`TRACE_CSV_VERSION`]) so downstream parsers can detect drift;
-    /// the column header follows on the second line.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("# adaphet-trace-csv v{TRACE_CSV_VERSION}\n");
-        out.push_str("task,class,phase,node,resource,start,end\n");
-        for e in &self.events {
-            let res = match e.resource {
-                ResourceKind::CpuCore(i) => format!("cpu{i}"),
-                ResourceKind::Gpu(i) => format!("gpu{i}"),
-            };
-            out.push_str(&format!(
-                "{},{},{},{},{},{:.9},{:.9}\n",
-                e.task.0, e.class.0, e.phase, e.node.0, res, e.start, e.end
-            ));
-        }
-        out
-    }
-}
-
-/// Schema version of [`Trace::to_csv`]'s leading comment line. Bump when
-/// columns are added, removed or re-ordered.
-pub const TRACE_CSV_VERSION: u32 = 1;
-
-/// A Chrome-trace `ts`/`dur` value: microseconds printed with three
-/// decimals (nanosecond resolution); a non-finite time is `null`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChromeMicros(pub f64);
-
-impl ToJson for ChromeMicros {
-    fn write_json(&self, out: &mut String) {
-        if self.0.is_finite() {
-            let _ = write!(out, "{:.3}", self.0);
-        } else {
-            out.push_str("null");
-        }
-    }
-}
-
-/// Wrap pre-serialized Chrome-trace event objects into a complete
-/// `{"traceEvents":[...]}` document loadable by `chrome://tracing` and
-/// Perfetto.
-pub fn chrome_trace_document(events: &[String]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(e);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
 }
 
 #[cfg(test)]
@@ -294,19 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_has_version_line_header_and_rows() {
-        let mut t = Trace::new();
-        t.push(ev(2, 1, 0.5, 1.5));
-        let csv = t.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), format!("# adaphet-trace-csv v{TRACE_CSV_VERSION}"));
-        assert_eq!(lines.next().unwrap(), "task,class,phase,node,resource,start,end");
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("0,0,1,2,cpu0,"));
-        assert!(row.contains("0.5"));
-    }
-
-    #[test]
     fn utilization_degenerate_window_is_empty_not_a_panic() {
         let mut t = Trace::new();
         t.push(ev(0, 0, 0.0, 1.0));
@@ -314,19 +210,6 @@ mod tests {
         assert!(t.utilization(NodeId(0), 1, None, 2.0, 1.0, 0.5).is_empty());
         assert!(t.utilization(NodeId(0), 1, None, 0.0, 1.0, 0.0).is_empty());
         assert!(t.utilization(NodeId(0), 1, None, 0.0, f64::NAN, 0.5).is_empty());
-    }
-
-    #[test]
-    fn chrome_events_escape_phase_names() {
-        let mut t = Trace::new();
-        t.push(ev(0, 3, 0.0, 1.0));
-        let evs = t.chrome_events(|p| format!("pha\"se\\{p}"));
-        assert_eq!(evs.len(), 1);
-        assert!(evs[0].contains("\"name\":\"pha\\\"se\\\\3\""), "{}", evs[0]);
-        // The escaped event must parse as part of a valid document: no raw
-        // quote may terminate the name string early.
-        let doc = chrome_trace_document(&evs);
-        assert!(!doc.contains("\"pha\"se"), "{doc}");
     }
 
     #[test]
@@ -345,39 +228,6 @@ mod tests {
         t.clear();
         assert!(t.meta(TaskId(2)).is_none(), "clear drops metadata too");
         assert_eq!(t.metas().count(), 0);
-    }
-
-    #[test]
-    fn chrome_events_are_complete_events_in_microseconds() {
-        let mut t = Trace::new();
-        t.push(ev(2, 1, 0.5, 1.5));
-        let evs = t.chrome_events(|p| format!("phase{p}"));
-        assert_eq!(evs.len(), 1);
-        let e = &evs[0];
-        assert!(e.contains("\"name\":\"phase1\""), "{e}");
-        assert!(e.contains("\"ph\":\"X\""), "{e}");
-        assert!(e.contains("\"ts\":500000.000"), "{e}");
-        assert!(e.contains("\"dur\":1000000.000"), "{e}");
-        assert!(e.contains("\"pid\":2"), "{e}");
-        let doc = chrome_trace_document(&evs);
-        assert!(doc.starts_with("{\"traceEvents\":["), "{doc}");
-        assert!(doc.ends_with("],\"displayTimeUnit\":\"ms\"}"), "{doc}");
-    }
-
-    #[test]
-    fn gpu_lanes_do_not_collide_with_cpu_lanes() {
-        let mut t = Trace::new();
-        t.push(TraceEvent {
-            task: TaskId(1),
-            class: ClassId(0),
-            phase: 0,
-            node: NodeId(0),
-            resource: ResourceKind::Gpu(0),
-            start: 0.0,
-            end: 1.0,
-        });
-        let evs = t.chrome_events(|_| "x".into());
-        assert!(evs[0].contains("\"tid\":1000"), "{}", evs[0]);
     }
 
     #[test]

@@ -32,13 +32,12 @@
 //!
 //! The daemon watches itself: [`ServiceStats`] keeps an always-on
 //! registry of `service.*` counters, per-verb latency histograms
-//! (surfaced as p50/p95/p99), per-shard queue-depth gauges and a ring of
-//! recent request-lifecycle spans; each session carries a bounded
-//! [`EventRing`] of its recent lifecycle events. The `get_stats` and
-//! `inspect` verbs expose all of that over the ordinary wire protocol,
-//! [`MetricsServer`] serves the Prometheus text exposition on
-//! `GET /metrics`, and the `adaphet-top` binary renders it as a live
-//! terminal dashboard.
+//! (surfaced as p50/p95/p99) and per-shard queue-depth gauges; each
+//! session carries a bounded [`EventRing`] of its recent lifecycle
+//! events. The `get_stats` and `inspect` verbs expose all of that over
+//! the ordinary wire protocol, [`MetricsServer`] serves the Prometheus
+//! text exposition on `GET /metrics`, and the `adaphet-top` binary
+//! renders it as a live terminal dashboard.
 //!
 //! # Health
 //!

@@ -139,7 +139,7 @@ pub struct SessionManager {
     stats: Arc<ServiceStats>,
 }
 
-// Error responses are counted centrally in `handle_traced`, which every
+// Error responses are counted centrally in `handle`, which every
 // path returns through — `err` only shapes the reply.
 fn err(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error { code, message: message.into() }
@@ -207,50 +207,36 @@ fn sweep(shards: &[Mutex<Shard>], timeout: Duration, stats: &ServiceStats) {
 }
 
 /// Answer one session-routed request against its live session, recording
-/// the session's lifecycle events and the propose/observe spans.
-fn answer(
-    id: u64,
-    entry: &mut Entry,
-    request: &Request,
-    stats: &ServiceStats,
-    parent: Option<u64>,
-) -> Response {
+/// the session's lifecycle events.
+fn answer(id: u64, entry: &mut Entry, request: &Request, stats: &ServiceStats) -> Response {
     let session = &mut entry.session;
     match request {
-        Request::GetProposal { .. } => {
-            let span = stats.spans().enter("session.propose", parent);
-            let proposed = session.propose();
-            span.exit();
-            match proposed {
-                Ok(p) => {
-                    stats.count("service.proposal", 1.0);
-                    stats.in_flight_add(1);
-                    entry.events.push(
-                        stats.uptime_s(),
-                        "propose",
-                        Some(p.ticket.id()),
-                        Some(p.action),
-                        Some(p.iteration),
-                        None,
-                    );
-                    Response::Proposal {
-                        session: id,
-                        ticket: p.ticket.id(),
-                        iteration: p.iteration,
-                        action: p.action,
-                    }
-                }
-                Err(e) => {
-                    entry.events.push(stats.uptime_s(), "error", None, None, None, None);
-                    session_err(id, e)
+        Request::GetProposal { .. } => match session.propose() {
+            Ok(p) => {
+                stats.count("service.proposal", 1.0);
+                stats.in_flight_add(1);
+                entry.events.push(
+                    stats.uptime_s(),
+                    "propose",
+                    Some(p.ticket.id()),
+                    Some(p.action),
+                    Some(p.iteration),
+                    None,
+                );
+                Response::Proposal {
+                    session: id,
+                    ticket: p.ticket.id(),
+                    iteration: p.iteration,
+                    action: p.action,
                 }
             }
-        }
+            Err(e) => {
+                entry.events.push(stats.uptime_s(), "error", None, None, None, None);
+                session_err(id, e)
+            }
+        },
         Request::SubmitObservation { ticket, duration, .. } => {
-            let span = stats.spans().enter("session.observe", parent);
-            let observed = session.observe(Ticket::from_id(*ticket), Observation::of(*duration));
-            span.exit();
-            match observed {
+            match session.observe(Ticket::from_id(*ticket), Observation::of(*duration)) {
                 Ok(Observed::Recorded(out)) => {
                     stats.count("service.observation", 1.0);
                     stats.in_flight_add(-1);
@@ -383,20 +369,10 @@ impl SessionManager {
     /// service semantics; the wire server and the in-process client are
     /// both thin shells around it.
     pub fn handle(&self, request: Request) -> Response {
-        self.handle_traced(request, None)
-    }
-
-    /// [`handle`](Self::handle) with an explicit parent span id, so the
-    /// wire server's per-request root span encloses the dispatch,
-    /// lock-wait and session spans.
-    pub fn handle_traced(&self, request: Request, parent: Option<u64>) -> Response {
         let latency_key = request.latency_key();
         self.stats.count("service.request", 1.0);
-        let span = self.stats.spans().enter("dispatch", parent);
-        let span_id = span.id();
         let start = Instant::now();
-        let response = self.dispatch(request, span_id);
-        span.exit();
+        let response = self.dispatch(request);
         self.stats.observe(latency_key, start.elapsed().as_secs_f64());
         if matches!(response, Response::Error { .. }) {
             self.stats.count("service.error", 1.0);
@@ -404,7 +380,7 @@ impl SessionManager {
         response
     }
 
-    fn dispatch(&self, request: Request, parent: Option<u64>) -> Response {
+    fn dispatch(&self, request: Request) -> Response {
         match request {
             Request::Ping => Response::Pong {
                 version: env!("CARGO_PKG_VERSION").to_string(),
@@ -432,7 +408,7 @@ impl SessionManager {
                 match guarded(&self.stats, || self.build_entry(id, &spec)) {
                     None => panicked(id),
                     Some(Err(message)) => err(ErrorCode::BadRequest, message),
-                    Some(Ok((entry, health))) => self.route(id, parent, |shard| {
+                    Some(Ok((entry, health))) => self.route(id, |shard| {
                         self.stats.set_health(health);
                         shard.sessions.insert(id, entry);
                         self.stats.count("service.session.created", 1.0);
@@ -451,7 +427,7 @@ impl SessionManager {
             | Request::Inspect { session }
             | Request::GetHealth { session }
             | Request::CloseSession { session } => {
-                self.route(session, parent, |shard| self.serve(shard, session, &request, parent))
+                self.route(session, |shard| self.serve(shard, session, &request))
             }
         }
     }
@@ -501,13 +477,7 @@ impl SessionManager {
     }
 
     /// Answer one session verb against its (locked, live) shard.
-    fn serve(
-        &self,
-        shard: &mut Shard,
-        id: u64,
-        request: &Request,
-        parent: Option<u64>,
-    ) -> Response {
+    fn serve(&self, shard: &mut Shard, id: u64, request: &Request) -> Response {
         let stats = &*self.stats;
         let Some(entry) = shard.sessions.get_mut(&id) else {
             return err(ErrorCode::UnknownSession, format!("session {id} is not registered"));
@@ -520,7 +490,7 @@ impl SessionManager {
         // The in-flight gauge moves only after a verb returns, so this is
         // the session's share of it should the verb panic.
         let open = entry.session.in_flight() as i64;
-        let Some(response) = guarded(stats, || answer(id, entry, request, stats, parent)) else {
+        let Some(response) = guarded(stats, || answer(id, entry, request, stats)) else {
             // Dropped as it is, running no more of its code than `Drop`.
             shard.sessions.remove(&id);
             stats.in_flight_add(-open);
@@ -547,18 +517,11 @@ impl SessionManager {
 
     /// Run `work` on the calling thread under the lock of `id`'s shard, unless
     /// [`shutdown`](Self::shutdown) stopped it. `queue_depth` counts the
-    /// callers waiting here; the `shard.queue_wait` span measures the wait.
-    fn route(
-        &self,
-        id: u64,
-        parent: Option<u64>,
-        work: impl FnOnce(&mut Shard) -> Response,
-    ) -> Response {
+    /// callers waiting here.
+    fn route(&self, id: u64, work: impl FnOnce(&mut Shard) -> Response) -> Response {
         let index = (id % self.shards.len() as u64) as usize;
         self.stats.queue_push(index);
-        let wait = self.stats.spans().enter("shard.queue_wait", parent);
         let mut shard = lock(&self.shards[index]);
-        wait.exit();
         self.stats.queue_pop(index);
         if shard.stopped {
             return err(ErrorCode::ShuttingDown, "daemon has shut down; sessions are flushed");

@@ -197,31 +197,19 @@ fn serve_connection(
 ) {
     // A clean disconnect, an unresynchronizable stream, or an I/O error
     // ends the connection; sessions live on in the manager.
-    let spans = manager.stats().spans().clone();
     while let Ok(Some(payload)) = read_frame(&mut stream) {
-        // The root span covers decode → dispatch → encode/write; the
-        // frame read is excluded because it is mostly the client
-        // thinking, not the daemon working.
-        let request_span = spans.enter("request", None);
-        let root = request_span.id();
         let mut initiated_shutdown = false;
-        let decode_span = spans.enter("decode", root);
-        let decoded = decode(&payload);
-        decode_span.exit();
-        let reply = match decoded {
+        let reply = match decode(&payload) {
             Ok(request) => {
                 initiated_shutdown = request == Request::Shutdown;
-                manager.handle_traced(request, root)
+                manager.handle(request)
             }
             Err(error_reply) => {
                 manager.stats().count("service.malformed", 1.0);
                 *error_reply
             }
         };
-        let encode_span = spans.enter("encode", root);
         let write_ok = write_frame(&mut stream, &reply.to_json()).is_ok();
-        encode_span.exit();
-        request_span.exit();
         if initiated_shutdown {
             // The acknowledgement is this connection's last frame; wake
             // the accept loop so it can observe the stop flag and exit.

@@ -1,5 +1,5 @@
 //! The service's always-on observability state: counters, per-verb
-//! latency histograms, live gauges, spans, and per-session event rings.
+//! latency histograms, live gauges, and per-session event rings.
 //!
 //! [`ServiceStats`] owns a [`Registry`] that is *always* collecting —
 //! `GetStats` and `GET /metrics` must answer even when the operator never
@@ -16,18 +16,14 @@
 
 use crate::protocol::{HealthInfo, SessionEvent, ShardStats, StatsSnapshot, VerbStats};
 use adaphet_core::{IndexStats, SurrogateStore};
-use adaphet_metrics::{MetricsReport, Recorder, Registry, Spans};
+use adaphet_metrics::{MetricsReport, Recorder, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Default capacity of the recent-span ring kept by the manager.
-pub const DEFAULT_SPANS_CAPACITY: usize = 256;
-
 /// Shared observability state for one [`SessionManager`](crate::SessionManager).
 pub struct ServiceStats {
     registry: Registry,
-    spans: Spans,
     in_flight: AtomicI64,
     queue_depth: Vec<AtomicU64>,
     shard_sessions: Vec<AtomicU64>,
@@ -43,7 +39,6 @@ impl ServiceStats {
     pub fn new(workers: usize, store: Option<SurrogateStore>) -> Self {
         ServiceStats {
             registry: Registry::new(),
-            spans: Spans::with_capacity(DEFAULT_SPANS_CAPACITY),
             in_flight: AtomicI64::new(0),
             queue_depth: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             shard_sessions: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -75,11 +70,6 @@ impl ServiceStats {
     /// Latest published health reports, ordered by session id.
     pub fn health_infos(&self) -> Vec<HealthInfo> {
         self.health.lock().unwrap().values().cloned().collect()
-    }
-
-    /// The span collector for request-lifecycle tracing.
-    pub fn spans(&self) -> &Spans {
-        &self.spans
     }
 
     /// Monotonic seconds since the manager started.

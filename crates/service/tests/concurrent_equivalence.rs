@@ -4,8 +4,8 @@
 //! `Session::run` loops with the same seeds. Determinism is per-session
 //! (the shard's lock serializes a session's operations); the OS thread
 //! schedule must be irrelevant. Below the property: the lock as the one
-//! serialization point — contention, shutdown and creates racing it, and
-//! what the wait leaves in the gauges and the span ring.
+//! serialization point — contention, shutdown and creates racing it, what
+//! the wait leaves in the gauges, and the request accounting.
 
 use adaphet_core::{Observation, Session, StrategyKind};
 use adaphet_service::{ErrorCode, Request, Response, ServiceConfig, SessionManager, SessionSpec};
@@ -318,29 +318,47 @@ fn a_create_racing_shutdown_is_drained_or_refused() {
     }
 }
 
-/// After a burst nobody is left waiting on a shard, and each request's
-/// wait for its shard's lock is a `shard.queue_wait` span under that
-/// request's `dispatch` span.
-#[test]
-fn the_lock_wait_shows_in_the_gauges_and_the_span_ring() {
-    let m = manager(2);
+/// Iterations per session of [`burst`].
+const BURST_ITERS: usize = 10;
+
+/// Four threads drive `BURST_ITERS`-iteration sessions on `m` at once;
+/// returns the number of requests they sent.
+fn burst(m: &Arc<SessionManager>) -> u64 {
     let handles: Vec<_> = (0..4u64)
         .map(|seed| {
-            let m = Arc::clone(&m);
+            let m = Arc::clone(m);
             std::thread::spawn(move || {
-                drive(&m, spec(StrategyKind::Ucb, seed, 6, 30.0), 10, |n| 30.0 / n as f64)
+                drive(&m, spec(StrategyKind::Ucb, seed, 6, 30.0), BURST_ITERS, |n| 30.0 / n as f64)
             })
         })
         .collect();
     for handle in handles {
         handle.join().unwrap();
     }
+    // Per session: create, the proposals, the observations, close.
+    4 * (2 * BURST_ITERS as u64 + 2)
+}
+
+/// After a burst nobody is left waiting on a shard.
+#[test]
+fn the_lock_wait_shows_in_the_gauges() {
+    let m = manager(2);
+    burst(&m);
     assert!(m.stats_snapshot().shards.iter().all(|s| s.queue_depth == 0));
-    let reply = m.handle_traced(Request::GetProposal { session: 12345 }, Some(777));
+}
+
+/// `handle` counts every request, times it under its verb and counts
+/// error replies, whichever path the reply took.
+#[test]
+fn handle_counts_requests_verbs_and_errors() {
+    let m = manager(2);
+    let sent = burst(&m);
+    assert_eq!(m.stats_snapshot().errors, 0);
+    let reply = m.handle(Request::GetProposal { session: 12345 });
     assert!(matches!(reply, Response::Error { code: ErrorCode::UnknownSession, .. }));
-    let spans = m.stats().spans().recent();
-    let dispatch = spans.iter().rfind(|s| s.name == "dispatch").expect("a dispatch span");
-    assert_eq!(dispatch.parent, Some(777));
-    let wait = spans.iter().rfind(|s| s.name == "shard.queue_wait").expect("a lock-wait span");
-    assert_eq!(wait.parent, Some(dispatch.id));
+    let snap = m.stats_snapshot();
+    assert_eq!(snap.errors, 1);
+    assert_eq!(snap.requests, sent + 1);
+    let proposals = snap.verbs.iter().find(|v| v.verb == "get_proposal").map(|v| v.count);
+    assert_eq!(proposals, Some(4 * BURST_ITERS as u64 + 1));
 }

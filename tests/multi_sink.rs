@@ -3,7 +3,6 @@
 //! must surface an error instead of silently dropping iterations, and a
 //! driver carrying sinks must move across threads (sinks are `Send`).
 
-use adaphet::eval::ChromeTraceSink;
 use adaphet::tuner::{
     ActionSpace, IterationEvent, JsonlSink, MemorySink, Observation, Session, StrategyKind,
     TelemetrySink,
@@ -39,13 +38,13 @@ fn three_sinks_observe_identical_event_streams() {
     let space = ActionSpace::unstructured(6);
     let buf = Shared::default();
     let memory = MemorySink::new();
-    let chrome = ChromeTraceSink::new();
+    let second = MemorySink::new();
     let mut driver = driver_with(
         &space,
         vec![
             Box::new(JsonlSink::new(buf.clone())),
             Box::new(memory.clone()),
-            Box::new(chrome.clone()),
+            Box::new(second.clone()),
         ],
     );
     let iters = 9;
@@ -63,17 +62,9 @@ fn three_sinks_observe_identical_event_streams() {
         assert_eq!(*line, event.to_json());
     }
 
-    // The chrome sink saw the same iterations: one instant + one counter
-    // event each, with matching action values.
-    let chrome_events = chrome.tuner_events();
-    assert_eq!(chrome_events.len(), 2 * iters);
-    for (i, event) in events.iter().enumerate() {
-        assert!(
-            chrome_events[2 * i].contains(&format!("\"action\":{}", event.action)),
-            "iteration {i}: {}",
-            chrome_events[2 * i]
-        );
-    }
+    // A second memory sink, with its own buffer, saw the same events.
+    let seconds: Vec<String> = second.events().iter().map(IterationEvent::to_json).collect();
+    assert_eq!(seconds, lines);
 }
 
 /// A writer that accepts nothing: every write fails.
@@ -106,14 +97,8 @@ fn failing_writer_surfaces_an_error_and_other_sinks_keep_their_events() {
 fn driver_with_all_sink_kinds_moves_across_threads() {
     let space = ActionSpace::unstructured(5);
     let memory = MemorySink::new();
-    let mut driver = driver_with(
-        &space,
-        vec![
-            Box::new(JsonlSink::new(io::sink())),
-            Box::new(memory.clone()),
-            Box::new(ChromeTraceSink::new()),
-        ],
-    );
+    let mut driver =
+        driver_with(&space, vec![Box::new(JsonlSink::new(io::sink())), Box::new(memory.clone())]);
     let handle = std::thread::spawn(move || {
         driver.run(4, |n| Observation::of(10.0 / n as f64));
         driver.finish().expect("sinks flush");
