@@ -12,21 +12,22 @@ use crate::{ActionDiagnostic, ActionSpace, DecisionTrace, History, Strategy};
 #[derive(Debug, Clone)]
 pub struct Ucb {
     arms: Vec<usize>,
-    /// Exploration constant `c`.
-    pub c: f64,
     label: &'static str,
 }
+
+/// Exploration constant `c` of Eq. 1, applied to rewards scaled to [-1, 0].
+const C: f64 = 1.0;
 
 impl Ucb {
     /// One arm per node count.
     pub fn new(space: &ActionSpace) -> Self {
-        Ucb { arms: space.actions(), c: 1.0, label: "UCB" }
+        Ucb { arms: space.actions(), label: "UCB" }
     }
 
     /// Arbitrary arm set (used by [`UcbStruct`]).
     pub fn with_arms(arms: Vec<usize>, label: &'static str) -> Self {
         assert!(!arms.is_empty(), "need at least one arm");
-        Ucb { arms, c: 1.0, label }
+        Ucb { arms, label }
     }
 }
 
@@ -63,7 +64,7 @@ impl Strategy for Ucb {
             .map(|(&a, &m)| {
                 let n_a = hist.count_for(a) as f64;
                 let reward = -(m - lo) / scale; // in [-1, 0]
-                (a, reward + self.c * (t.ln() / n_a).sqrt())
+                (a, reward + C * (t.ln() / n_a).sqrt())
             })
             .max_by(|x, y| x.1.partial_cmp(&y.1).unwrap())
             .map(|(a, _)| a)
@@ -92,7 +93,7 @@ impl Strategy for Ucb {
             .zip(&means)
             .map(|(&a, &m)| {
                 let n_a = hist.count_for(a) as f64;
-                let bonus = self.c * (t.ln() / n_a).sqrt();
+                let bonus = C * (t.ln() / n_a).sqrt();
                 ActionDiagnostic {
                     action: a,
                     mean: m,

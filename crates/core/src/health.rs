@@ -23,9 +23,10 @@
 //! signals into [`HealthState`] (`Ok / Warn(reason) / Stalled /
 //! Diverging`); the first matching rule wins, so severity is the table
 //! order. Transitions are damped by hysteresis: a candidate state must
-//! win [`HealthPolicy::hysteresis`] consecutive evaluations before it
-//! becomes the published state (and increments the
-//! `tuner.health.transition` counter).
+//! win two consecutive evaluations before it becomes the published state
+//! (and increments the `tuner.health.transition` counter). The thresholds
+//! are fixed, conservative constants, like the rest of the tuner's
+//! choices beside the node count.
 
 use crate::strategy::PosteriorSnapshot;
 use std::collections::VecDeque;
@@ -41,7 +42,7 @@ pub enum HealthState {
     /// `"warm-start-ineffective"`).
     Warn(String),
     /// The best-known band is out of reach and the best has not improved
-    /// in [`HealthPolicy::stall_k`] records.
+    /// in 10 records.
     Stalled,
     /// Recent durations are trending up.
     Diverging,
@@ -77,51 +78,26 @@ impl std::fmt::Display for HealthState {
     }
 }
 
-/// Thresholds of the health rule engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthPolicy {
-    /// Sliding-window length, in recorded observations, over which the
-    /// slope / retry / fault signals are computed.
-    pub window: usize,
-    /// Records without a new session best before the stall rule fires.
-    pub stall_k: usize,
-    /// Fractional band over the best-known duration inside which the
-    /// session counts as converged (`duration <= (1 + band) * best_known`).
-    pub band: f64,
-    /// Normalized slope (per record, relative to the window mean) above
-    /// which the divergence rule fires; requires a full window.
-    pub diverge_slope: f64,
-    /// Retry verdicts inside the window before the retry-pressure rule
-    /// fires.
-    pub warn_retries: usize,
-    /// Posterior sd ceiling, relative to the session best, below which
-    /// exploration counts as collapsed (when the LP gap says the optimum
-    /// may not have been found yet).
-    pub sd_collapse: f64,
-    /// Records a warm-started session gets to reach the best-known band
-    /// before the warm-start-ineffective rule fires; 0 means "derive from
-    /// the action-space size" (`max(8, max_nodes / 2)`), the cold
-    /// baseline estimate.
-    pub cold_baseline: usize,
-    /// Consecutive evaluations a candidate state must win before it is
-    /// published (1 = no damping).
-    pub hysteresis: usize,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            window: 12,
-            stall_k: 10,
-            band: 0.10,
-            diverge_slope: 0.02,
-            warn_retries: 2,
-            sd_collapse: 1e-3,
-            cold_baseline: 0,
-            hysteresis: 2,
-        }
-    }
-}
+/// Sliding-window length, in recorded observations, over which the
+/// slope / retry / fault signals are computed.
+const WINDOW: usize = 12;
+/// Records without a new session best before the stall rule fires.
+const STALL_K: usize = 10;
+/// Fractional band over the best-known duration inside which the session
+/// counts as converged (`duration <= (1 + BAND) * best_known`).
+const BAND: f64 = 0.10;
+/// Normalized slope (per record, relative to the window mean) above which
+/// the divergence rule fires; requires a full window.
+const DIVERGE_SLOPE: f64 = 0.02;
+/// Retry verdicts inside the window before the retry-pressure rule fires.
+const WARN_RETRIES: usize = 2;
+/// Posterior sd ceiling, relative to the LP gap, below which exploration
+/// counts as collapsed (when the LP gap says the optimum may not have been
+/// found yet).
+const SD_COLLAPSE: f64 = 1e-3;
+/// Consecutive evaluations a candidate state must win before it is
+/// published.
+const HYSTERESIS: usize = 2;
 
 /// The raw signals the rule engine folds — exposed so services can put
 /// them on the wire next to the folded state.
@@ -177,10 +153,11 @@ struct WindowRecord {
 
 /// One rule of the engine: a name (the warn reason slug where relevant)
 /// and a predicate from signals to a state. Rules are evaluated in table
-/// order; the first `Some` wins.
+/// order; the first `Some` wins. `cold_baseline` is the session's
+/// warm-start allowance (see [`HealthTracker::new`]).
 struct Rule {
     name: &'static str,
-    check: fn(&HealthSignals, &HealthPolicy) -> Option<HealthState>,
+    check: fn(&HealthSignals, usize) -> Option<HealthState>,
 }
 
 /// The declarative rule table, severity-ordered (see DESIGN.md §9 for
@@ -188,15 +165,15 @@ struct Rule {
 const RULES: &[Rule] = &[
     Rule {
         name: "diverging",
-        check: |s, p| match s.regret_slope {
-            Some(slope) if slope > p.diverge_slope => Some(HealthState::Diverging),
+        check: |s, _| match s.regret_slope {
+            Some(slope) if slope > DIVERGE_SLOPE => Some(HealthState::Diverging),
             _ => None,
         },
     },
     Rule {
         name: "stalled",
-        check: |s, p| {
-            (s.since_best >= p.stall_k && s.in_band == Some(false)).then_some(HealthState::Stalled)
+        check: |s, _| {
+            (s.since_best >= STALL_K && s.in_band == Some(false)).then_some(HealthState::Stalled)
         },
     },
     Rule {
@@ -205,15 +182,15 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "retry-pressure",
-        check: |s, p| {
-            (s.retries_window >= p.warn_retries).then(|| HealthState::Warn("retry-pressure".into()))
+        check: |s, _| {
+            (s.retries_window >= WARN_RETRIES).then(|| HealthState::Warn("retry-pressure".into()))
         },
     },
     Rule {
         name: "exploration-collapse",
-        check: |s, p| match (s.posterior_sd_max, s.lp_gap) {
+        check: |s, _| match (s.posterior_sd_max, s.lp_gap) {
             (Some(sd), Some(gap))
-                if s.in_band == Some(false) && gap > 0.0 && sd < p.sd_collapse * gap =>
+                if s.in_band == Some(false) && gap > 0.0 && sd < SD_COLLAPSE * gap =>
             {
                 Some(HealthState::Warn("exploration-collapse".into()))
             }
@@ -222,11 +199,11 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "warm-start-ineffective",
-        check: |s, p| {
+        check: |s, cold_baseline| {
             (s.warm_started
                 && s.in_band.is_some()
                 && s.band_record.is_none()
-                && s.records > p.cold_baseline)
+                && s.records > cold_baseline)
                 .then(|| HealthState::Warn("warm-start-ineffective".into()))
         },
     },
@@ -236,7 +213,9 @@ const RULES: &[Rule] = &[
 /// stream. Owned by [`Session`](crate::Session); fed on every record /
 /// retry / snapshot, queried via [`Session::health`](crate::Session::health).
 pub struct HealthTracker {
-    policy: HealthPolicy,
+    /// Records a warm-started session gets to reach the best-known band
+    /// before the warm-start-ineffective rule fires.
+    cold_baseline: usize,
     window: VecDeque<WindowRecord>,
     records: usize,
     best: Option<f64>,
@@ -255,22 +234,17 @@ pub struct HealthTracker {
 }
 
 impl HealthTracker {
-    /// A fresh tracker in state `Ok`. `cold_baseline = 0` in the policy
-    /// resolves to `max(8, max_nodes / 2)` here.
+    /// A fresh tracker in state `Ok`. A warm-started session gets the
+    /// cold baseline estimate, `max(8, max_nodes / 2)` records, to reach
+    /// the best-known band.
     pub fn new(
-        mut policy: HealthPolicy,
         max_nodes: usize,
         best_known: Option<f64>,
         lp_min: Option<f64>,
         warm_started: bool,
     ) -> Self {
-        policy.window = policy.window.max(2);
-        policy.hysteresis = policy.hysteresis.max(1);
-        if policy.cold_baseline == 0 {
-            policy.cold_baseline = 8.max(max_nodes / 2);
-        }
         HealthTracker {
-            policy,
+            cold_baseline: 8.max(max_nodes / 2),
             window: VecDeque::new(),
             records: 0,
             best: None,
@@ -285,11 +259,6 @@ impl HealthTracker {
             candidate: None,
             transitions: 0,
         }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &HealthPolicy {
-        &self.policy
     }
 
     /// The rule names, in severity order (for docs and introspection).
@@ -311,13 +280,13 @@ impl HealthTracker {
             }
         }
         if let Some(bk) = self.best_known {
-            let inside = duration <= (1.0 + self.policy.band) * bk;
+            let inside = duration <= (1.0 + BAND) * bk;
             self.in_band = Some(inside);
             if inside && self.band_record.is_none() {
                 self.band_record = Some(self.records);
             }
         }
-        if self.window.len() >= self.policy.window {
+        if self.window.len() >= WINDOW {
             self.window.pop_front();
         }
         self.window.push_back(WindowRecord { duration, retries, faulted });
@@ -374,7 +343,7 @@ impl HealthTracker {
     /// Normalized least-squares slope of the window durations; `None`
     /// until the window is full (a short window's trend is noise).
     fn slope(&self) -> Option<f64> {
-        if self.window.len() < self.policy.window {
+        if self.window.len() < WINDOW {
             return None;
         }
         let n = self.window.len() as f64;
@@ -396,8 +365,10 @@ impl HealthTracker {
     /// Fold the rule table over the current signals and apply hysteresis.
     fn evaluate(&mut self) {
         let signals = self.signals();
-        let verdict =
-            RULES.iter().find_map(|r| (r.check)(&signals, &self.policy)).unwrap_or(HealthState::Ok);
+        let verdict = RULES
+            .iter()
+            .find_map(|r| (r.check)(&signals, self.cold_baseline))
+            .unwrap_or(HealthState::Ok);
         if verdict == self.state {
             self.candidate = None;
             return;
@@ -406,7 +377,7 @@ impl HealthTracker {
             Some((c, streak)) if c == verdict => streak + 1,
             _ => 1,
         };
-        if streak >= self.policy.hysteresis {
+        if streak >= HYSTERESIS {
             self.state = verdict;
             self.transitions += 1;
             adaphet_metrics::global().add("tuner.health.transition", 1.0);
@@ -421,7 +392,7 @@ mod tests {
     use super::*;
 
     fn tracker() -> HealthTracker {
-        HealthTracker::new(HealthPolicy::default(), 10, Some(4.0), Some(3.0), false)
+        HealthTracker::new(10, Some(4.0), Some(3.0), false)
     }
 
     #[test]
@@ -546,7 +517,7 @@ mod tests {
 
     #[test]
     fn ineffective_warm_start_warns_effective_one_does_not() {
-        let mut warm = HealthTracker::new(HealthPolicy::default(), 10, Some(4.0), None, true);
+        let mut warm = HealthTracker::new(10, Some(4.0), None, true);
         // Reaches the band immediately: never warns about warm start.
         for _ in 0..20 {
             warm.on_record(4.1, 0, false);
@@ -554,18 +525,15 @@ mod tests {
         assert_eq!(*warm.state(), HealthState::Ok);
         assert_eq!(warm.signals().band_record, Some(1));
 
-        let mut bad = HealthTracker::new(
-            HealthPolicy { stall_k: usize::MAX, ..HealthPolicy::default() },
-            10,
-            Some(4.0),
-            None,
-            true,
-        );
-        // Stays well above the band past the cold baseline (stall rule
-        // disabled here to isolate the warm-start rule).
+        let mut bad = HealthTracker::new(10, Some(4.0), None, true);
+        // Stays well above the band past the cold baseline, max(8, 10 / 2)
+        // records: the rule matches from record 9 and publishes at record
+        // 10 through hysteresis, one record before the stall rule could
+        // (record 11 is the first with STALL_K records since the best).
         for _ in 0..10 {
             bad.on_record(6.0, 0, false);
         }
+        assert_eq!(bad.signals().since_best, STALL_K - 1, "stall not yet due");
         assert_eq!(*bad.state(), HealthState::Warn("warm-start-ineffective".into()));
     }
 

@@ -94,7 +94,7 @@ mod warm;
 // and what comes out (`IterationEvent` → sinks).
 pub use adaphet_metrics::{GroupProfile, PhaseBreakdown, PhaseSlice};
 pub use event::{IterationEvent, Observation};
-pub use health::{HealthPolicy, HealthReport, HealthSignals, HealthState, HealthTracker};
+pub use health::{HealthReport, HealthSignals, HealthState, HealthTracker};
 pub use session::{
     DriverBuildError, Observed, Proposal, ResiliencePolicy, Session, SessionBuilder, SessionError,
     StepOutcome, Ticket,

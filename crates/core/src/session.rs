@@ -29,7 +29,7 @@
 //! of them across its connection threads.
 
 use crate::event::{IterationEvent, Observation};
-use crate::health::{HealthPolicy, HealthReport, HealthTracker};
+use crate::health::{HealthReport, HealthTracker};
 use crate::history::{median, median_mad};
 use crate::sink::TelemetrySink;
 use crate::strategy::{DecisionTrace, PosteriorSnapshot, Strategy};
@@ -140,58 +140,36 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// When and how the session second-guesses a measurement or a platform
-/// change (the resilience half of the tuning loop).
+/// Declare a measurement suspect when it exceeds this multiple of the
+/// running duration estimate (median of recent iterations).
+const TIMEOUT_FACTOR: f64 = 3.0;
+/// How many times a suspect measurement may be re-taken within one
+/// iteration.
+const MAX_RETRIES: usize = 1;
+/// MAD multiple beyond which a measurement counts as an outlier of its
+/// per-action history (needs ≥ 4 prior observations of the same action).
+const OUTLIER_MAD_K: f64 = 8.0;
+
+/// Whether the session second-guesses a measurement or a platform change
+/// (the resilience half of the tuning loop).
 ///
 /// The [`Default`] policy disables everything — a fault-free run takes
-/// exactly the code path it took before this type existed. Use
-/// [`ResiliencePolicy::standard`] to switch all mechanisms on.
-#[derive(Debug, Clone, PartialEq)]
+/// exactly the code path it took before this type existed.
+/// [`ResiliencePolicy::standard`] switches every mechanism on, with fixed
+/// conservative thresholds: a measurement over 3× the running estimate or
+/// beyond an 8-MAD fence of its action's history is re-taken once,
+/// records of a now-dead node are quarantined, and the next proposal
+/// re-baselines on all live nodes.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResiliencePolicy {
-    /// Declare a measurement suspect when it exceeds `factor ×` the
-    /// running duration estimate (median of recent iterations). `None`
-    /// disables the timeout check.
-    pub timeout_factor: Option<f64>,
-    /// How many times a suspect measurement may be re-taken within one
-    /// iteration. `0` disables retries entirely.
-    pub max_retries: usize,
-    /// MAD multiple beyond which a measurement counts as an outlier of
-    /// its per-action history (needs ≥ 4 prior observations of the same
-    /// action). Only consulted when `max_retries > 0`.
-    pub outlier_mad_k: f64,
-    /// Drop history records whose action no longer exists after a
-    /// platform change (they were measured with a now-dead node).
-    pub quarantine: bool,
-    /// After a platform change that leaves the live all-nodes count
-    /// unmeasured, force the next proposal to all live nodes so bound
-    /// mechanisms regain their `y(N)` reference.
-    pub rebaseline: bool,
-}
-
-impl Default for ResiliencePolicy {
-    fn default() -> Self {
-        ResiliencePolicy {
-            timeout_factor: None,
-            max_retries: 0,
-            outlier_mad_k: 8.0,
-            quarantine: false,
-            rebaseline: false,
-        }
-    }
+    on: bool,
 }
 
 impl ResiliencePolicy {
-    /// All resilience mechanisms on, with conservative thresholds: 3×
-    /// timeout, one retry, 8-MAD outlier fence, quarantine and
-    /// re-baselining enabled.
+    /// All resilience mechanisms on: 3× timeout, one retry, 8-MAD outlier
+    /// fence, quarantine and re-baselining.
     pub fn standard() -> Self {
-        ResiliencePolicy {
-            timeout_factor: Some(3.0),
-            max_retries: 1,
-            outlier_mad_k: 8.0,
-            quarantine: true,
-            rebaseline: true,
-        }
+        ResiliencePolicy { on: true }
     }
 }
 
@@ -388,13 +366,7 @@ impl SessionBuilder {
             .as_ref()
             .and_then(|lp| lp.iter().copied().reduce(f64::min))
             .filter(|m| m.is_finite());
-        let health = HealthTracker::new(
-            HealthPolicy::default(),
-            space.max_nodes,
-            self.best_known,
-            lp_min,
-            warm_started,
-        );
+        let health = HealthTracker::new(space.max_nodes, self.best_known, lp_min, warm_started);
         Ok(Session {
             strategy,
             space,
@@ -662,7 +634,7 @@ impl Session {
             .position(|p| p.ticket == ticket)
             .ok_or(SessionError::UnknownTicket(ticket))?;
         let (action, retries) = (self.ledger[idx].action, self.ledger[idx].retries);
-        if retries < self.resilience.max_retries && self.is_suspect(action, obs.duration) {
+        if self.resilience.on && retries < MAX_RETRIES && self.is_suspect(action, obs.duration) {
             self.ledger[idx].retries = retries + 1;
             adaphet_metrics::global().add("tuner.retry", 1.0);
             // The discarded attempt still cost wall-clock time.
@@ -787,13 +759,13 @@ impl Session {
     ///
     /// `stale_from` names the first action whose past measurements are no
     /// longer trustworthy — for a death of rank `r`, every measurement
-    /// that used `≥ r` nodes ran on the dead node. With
-    /// [`ResiliencePolicy::quarantine`] on, those records are dropped;
-    /// with [`ResiliencePolicy::rebaseline`] on and no surviving
-    /// observation of the new all-nodes count, the next proposal is
-    /// forced to `new_space.max_nodes` (emitting a `tuner.rebaseline`
-    /// count) so bound mechanisms regain their reference. `note` is
-    /// carried into the next [`IterationEvent::fault`] annotation.
+    /// that used `≥ r` nodes ran on the dead node. Under
+    /// [`ResiliencePolicy::standard`] those records are dropped and, with
+    /// no surviving observation of the new all-nodes count, the next
+    /// proposal is forced to `new_space.max_nodes` (emitting a
+    /// `tuner.rebaseline` count) so bound mechanisms regain their
+    /// reference. `note` is carried into the next
+    /// [`IterationEvent::fault`] annotation.
     pub fn apply_platform_change(
         &mut self,
         new_space: &ActionSpace,
@@ -802,7 +774,7 @@ impl Session {
     ) {
         self.space = new_space.clone();
         let mut parts = vec![note.into()];
-        if self.resilience.quarantine {
+        if self.resilience.on {
             if let Some(stale) = stale_from {
                 let dropped = self.history.retain_actions(|a| a < stale);
                 if dropped > 0 {
@@ -811,7 +783,7 @@ impl Session {
                 }
             }
         }
-        if self.resilience.rebaseline && self.history.first_for(self.space.max_nodes).is_none() {
+        if self.resilience.on && self.history.first_for(self.space.max_nodes).is_none() {
             self.pending_rebaseline = true;
         }
         let note = parts.join(";");
@@ -835,23 +807,20 @@ impl Session {
         Some(median(tail.iter().map(|&(_, y)| y).collect()))
     }
 
-    /// Whether the policy wants this measurement re-taken.
+    /// Whether this measurement is to be re-taken: over the timeout, or
+    /// outside the outlier fence of its action's history.
     fn is_suspect(&self, action: usize, duration: f64) -> bool {
-        if let Some(factor) = self.resilience.timeout_factor {
-            if let Some(estimate) = self.running_estimate() {
-                if duration > factor * estimate {
-                    return true;
-                }
+        if let Some(estimate) = self.running_estimate() {
+            if duration > TIMEOUT_FACTOR * estimate {
+                return true;
             }
         }
-        if self.resilience.max_retries > 0 {
-            let prior = self.history.values_for(action);
-            if prior.len() >= 4 {
-                let (median, mad) = median_mad(&prior);
-                let fence = self.resilience.outlier_mad_k * (1.4826 * mad).max(1e-3 * median.abs());
-                if fence > 0.0 && (duration - median).abs() > fence {
-                    return true;
-                }
+        let prior = self.history.values_for(action);
+        if prior.len() >= 4 {
+            let (median, mad) = median_mad(&prior);
+            let fence = OUTLIER_MAD_K * (1.4826 * mad).max(1e-3 * median.abs());
+            if fence > 0.0 && (duration - median).abs() > fence {
+                return true;
             }
         }
         false
@@ -1320,23 +1289,20 @@ pub(crate) mod tests {
         let sp = ActionSpace::unstructured(4);
         let mut d = Session::builder(&sp)
             .strategy(Box::new(crate::AllNodes::new(4)))
-            .resilience(ResiliencePolicy {
-                timeout_factor: None,
-                max_retries: 1,
-                outlier_mad_k: 8.0,
-                quarantine: false,
-                rebaseline: false,
-            })
+            .resilience(ResiliencePolicy::standard())
             .build()
             .unwrap();
-        // Tight per-action history around 1.0 (4 points), then a spike.
-        let mut durations = vec![1.0, 1.01, 0.99, 1.0, 50.0, 1.0].into_iter();
+        // Tight per-action history around 1.0 (4 points), then a spike of
+        // 1.5: under the 3× timeout of the running estimate (≈ 1.0), but
+        // beyond the 8-MAD fence (8 × 1.4826 × 0.01 ≈ 0.12), so the fence
+        // alone calls the retry.
+        let mut durations = vec![1.0, 1.01, 0.99, 1.0, 1.5, 1.0].into_iter();
         let mut executions = 0;
         d.run(5, |_| {
             executions += 1;
             Observation::of(durations.next().unwrap())
         });
-        // Iteration 5 measured 50.0 (an 8-MAD outlier of {≈1.0}×4), was
+        // Iteration 5 measured 1.5 (an 8-MAD outlier of {≈1.0}×4), was
         // retried once, and recorded the clean re-measurement.
         assert_eq!(executions, 6);
         assert_eq!(d.history().records().last(), Some(&(4, 1.0)));

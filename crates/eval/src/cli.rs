@@ -94,6 +94,10 @@ fn parse_argv(argv: Vec<String>) -> Result<RunArgs, AdaphetError> {
             "--reps" => {
                 i += 1;
                 out.reps = number(&argv, i, "--reps")? as usize;
+                if out.reps == 0 {
+                    // An empty pool has no mean to rank actions by.
+                    return Err(AdaphetError::usage("--reps needs at least one repetition"));
+                }
             }
             "--iters" => {
                 i += 1;
@@ -203,6 +207,7 @@ mod tests {
         assert!(matches!(parse_argv(argv(&["--bogus"])), Err(AdaphetError::Usage(_))));
         assert!(matches!(parse_argv(argv(&["--reps"])), Err(AdaphetError::Usage(_))));
         assert!(matches!(parse_argv(argv(&["--reps", "many"])), Err(AdaphetError::Usage(_))));
+        assert!(matches!(parse_argv(argv(&["--reps", "0"])), Err(AdaphetError::Usage(_))));
         assert!(matches!(parse_argv(argv(&["--scenarios", "xyz"])), Err(AdaphetError::Usage(_))));
         assert!(matches!(parse_argv(argv(&["--scenarios", ""])), Err(AdaphetError::Usage(_))));
     }

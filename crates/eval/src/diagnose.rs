@@ -15,7 +15,7 @@ use adaphet_analysis::{
     render_ascii, render_html, CriticalPath, IdleBreakdown, Json, Report, SimDiagnosis,
     StrategyRun, TelemetryRun,
 };
-use adaphet_core::{HealthPolicy, HealthTracker};
+use adaphet_core::HealthTracker;
 use adaphet_geostat::{IterationChoice, Phase};
 use adaphet_runtime::NodeId;
 use adaphet_scenarios::{Scale, Scenario};
@@ -131,7 +131,6 @@ pub fn parse_report_args(argv: Vec<String>) -> Result<ReportArgs, AdaphetError> 
 pub fn diagnose(scen: &Scenario, scale: Scale, seed: u64, action: usize) -> SimDiagnosis {
     assert!(action > 0, "action must be at least one node");
     let mut app = scen.app(scale, seed);
-    app.set_trace_enabled(true);
     let n = app.n_nodes();
     let action = action.min(n);
     let report = app.run_iteration(IterationChoice::fact_only(n, action));
@@ -180,7 +179,7 @@ fn health_states(run: &StrategyRun) -> Vec<&'static str> {
         .and_then(|snap| snap.points.iter().filter_map(|p| p.lp_bound).reduce(f64::min))
         .filter(|m| m.is_finite());
     let best_known = run.records.iter().find_map(|r| r.best_known);
-    let mut tracker = HealthTracker::new(HealthPolicy::default(), 0, best_known, lp_min, false);
+    let mut tracker = HealthTracker::new(0, best_known, lp_min, false);
     run.records
         .iter()
         .map(|r| {

@@ -103,7 +103,7 @@ pub fn build_response(scenario: &Scenario, scale: Scale, reps: usize, seed: u64)
     let mut all: Vec<f64> = sim_base.iter().flatten().copied().collect();
     all.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = all[all.len() / 2];
-    let sigma = scenario.noise_rel(scale) * median;
+    let sigma = Scenario::NOISE_REL * median;
 
     let mut rng = StdRng::seed_from_u64(seed ^ adaphet_store::fnv1a(scenario.label().as_bytes()));
     let noise = Normal::new(0.0, sigma).expect("valid sigma");

@@ -102,11 +102,6 @@ impl GeoSimApp {
         &self.rt
     }
 
-    /// Disable trace recording for long sweeps.
-    pub fn set_trace_enabled(&mut self, on: bool) {
-        self.rt.set_trace_enabled(on);
-    }
-
     /// Slow the node at fastest-first `rank` (1-based) down by `factor`
     /// (>= 1) — the straggler hook of the fault-injection harness; see
     /// [`SimRuntime::set_speed_factor`].

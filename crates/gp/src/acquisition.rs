@@ -69,7 +69,7 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|&x| (x - 5.0).abs() + 1.0).collect();
         GpModel::fit(
             GpConfig {
-                kernel: Kernel::Matern52 { theta: 2.0 },
+                kernel: Kernel::SquaredExponential { theta: 2.0 },
                 process_var: 4.0,
                 noise_var: 1e-6,
                 trend: Trend::constant(),

@@ -14,18 +14,8 @@ pub enum Kernel {
         /// Length scale θ > 0.
         theta: f64,
     },
-    /// `exp(−d²/(2θ²))` — very smooth paths.
+    /// `exp(−d²/(2θ²))` — very smooth paths (the Fig. 3 illustration).
     SquaredExponential {
-        /// Length scale θ > 0.
-        theta: f64,
-    },
-    /// Matérn ν = 3/2: `(1 + √3 d/θ) exp(−√3 d/θ)`.
-    Matern32 {
-        /// Length scale θ > 0.
-        theta: f64,
-    },
-    /// Matérn ν = 5/2: `(1 + √5 d/θ + 5d²/(3θ²)) exp(−√5 d/θ)`.
-    Matern52 {
         /// Length scale θ > 0.
         theta: f64,
     },
@@ -39,14 +29,6 @@ impl Kernel {
         match *self {
             Kernel::Exponential { theta } => (-d / theta).exp(),
             Kernel::SquaredExponential { theta } => (-0.5 * (d / theta).powi(2)).exp(),
-            Kernel::Matern32 { theta } => {
-                let s = 3.0_f64.sqrt() * d / theta;
-                (1.0 + s) * (-s).exp()
-            }
-            Kernel::Matern52 { theta } => {
-                let s = 5.0_f64.sqrt() * d / theta;
-                (1.0 + s + s * s / 3.0) * (-s).exp()
-            }
         }
     }
 
@@ -88,10 +70,7 @@ impl Kernel {
     /// Current length scale θ.
     pub fn theta(&self) -> f64 {
         match *self {
-            Kernel::Exponential { theta }
-            | Kernel::SquaredExponential { theta }
-            | Kernel::Matern32 { theta }
-            | Kernel::Matern52 { theta } => theta,
+            Kernel::Exponential { theta } | Kernel::SquaredExponential { theta } => theta,
         }
     }
 
@@ -100,8 +79,6 @@ impl Kernel {
         match self {
             Kernel::Exponential { .. } => "exponential",
             Kernel::SquaredExponential { .. } => "squared-exponential",
-            Kernel::Matern32 { .. } => "matern32",
-            Kernel::Matern52 { .. } => "matern52",
         }
     }
 }
@@ -112,13 +89,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// One kernel of each family, all with length scale `theta`.
-    fn families(theta: f64) -> [Kernel; 4] {
-        [
-            Kernel::Exponential { theta },
-            Kernel::SquaredExponential { theta },
-            Kernel::Matern32 { theta },
-            Kernel::Matern52 { theta },
-        ]
+    fn families(theta: f64) -> [Kernel; 2] {
+        [Kernel::Exponential { theta }, Kernel::SquaredExponential { theta }]
     }
 
     #[test]
@@ -137,14 +109,12 @@ mod tests {
 
     #[test]
     fn smoothness_ordering_near_zero() {
-        // Near d=0: exponential decays fastest (roughest), then Matérn 3/2,
-        // Matérn 5/2, squared-exponential (smoothest).
+        // Near d=0: exponential decays fastest (rough paths),
+        // squared-exponential slowest (smooth paths).
         let d = 0.05;
         let exp = Kernel::Exponential { theta: 1.0 }.corr(d);
-        let m32 = Kernel::Matern32 { theta: 1.0 }.corr(d);
-        let m52 = Kernel::Matern52 { theta: 1.0 }.corr(d);
         let se = Kernel::SquaredExponential { theta: 1.0 }.corr(d);
-        assert!(exp < m32 && m32 < m52 && m52 < se);
+        assert!(exp < se);
     }
 
     proptest! {

@@ -548,7 +548,7 @@ mod tests {
         let alone = MarkovChain::new(&config.kernel, &[3.0, 7.0], &[]).unwrap();
         let linear = GpConfig { trend: Trend::linear(), ..config.clone() };
         assert!(alone.fit(&linear, &[4.0, 2.0], &[]).unwrap().predict().is_empty());
-        let other = GpConfig { kernel: Kernel::Matern32 { theta: 1.0 }, ..config };
+        let other = GpConfig { kernel: Kernel::SquaredExponential { theta: 1.0 }, ..config };
         assert!(MarkovChain::new(&other.kernel, &[3.0, 7.0], &[1.0]).is_none());
     }
 

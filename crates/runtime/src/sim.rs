@@ -65,8 +65,8 @@ pub struct SimConfig {
     pub task_jitter: Option<f64>,
     /// Record the execution trace (events, dependence edges, lifecycle
     /// timestamps). On by default; sweep harnesses that never read the
-    /// trace start with it off so tracing costs nothing.
-    /// [`SimRuntime::set_trace_enabled`] can still toggle it later.
+    /// trace build their runtime with it off so tracing costs nothing.
+    /// Chosen once, at construction.
     pub trace: bool,
 }
 
@@ -491,12 +491,6 @@ impl SimRuntime {
     /// The default is the no-op recorder.
     pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
         self.recorder = recorder;
-    }
-
-    /// Enable or disable trace recording (disable for large sweeps; see
-    /// also [`SimConfig::trace`] to start disabled).
-    pub fn set_trace_enabled(&mut self, on: bool) {
-        self.trace_enabled = on;
     }
 
     /// Slow one node's compute throughput down by `factor` (>= 1; 1.0
@@ -1505,19 +1499,6 @@ mod tests {
     #[test]
     fn trace_disabled_records_no_meta() {
         let (ct, cpu, _) = classes();
-        let mut rt = SimRuntime::new(small_platform(1, 0), ct, SimConfig::default());
-        rt.set_trace_enabled(false);
-        let h = rt.register_data(8, NodeId(0));
-        rt.submit(task(cpu, 1e9, vec![(h, Access::ReadWrite)]));
-        rt.submit(task(cpu, 1e9, vec![(h, Access::ReadWrite)]));
-        rt.run();
-        assert_eq!(rt.trace().metas().count(), 0);
-        assert!(rt.trace().events().is_empty());
-    }
-
-    #[test]
-    fn config_trace_flag_starts_disabled() {
-        let (ct, cpu, _) = classes();
         let mut rt = SimRuntime::new(
             small_platform(1, 0),
             ct,
@@ -1529,11 +1510,10 @@ mod tests {
         rt.run();
         assert_eq!(rt.trace().metas().count(), 0);
         assert!(rt.trace().events().is_empty());
-        // It can still be re-enabled mid-session.
-        rt.set_trace_enabled(true);
+        // The construction-time choice holds for every later run.
         rt.submit(task(cpu, 1e9, vec![(h, Access::ReadWrite)]));
         rt.run();
-        assert_eq!(rt.trace().events().len(), 1);
+        assert!(rt.trace().events().is_empty());
     }
 
     #[test]

@@ -136,13 +136,7 @@ impl Scenario {
     /// we keep that *relative* magnitude at every scale: the evaluation
     /// harness multiplies this by the median simulated duration, which
     /// lands on ≈0.5 s at paper scale.
-    pub fn noise_rel(&self, scale: Scale) -> f64 {
-        match scale {
-            Scale::Full => 0.04,
-            Scale::Reduced => 0.04,
-            Scale::Test => 0.04,
-        }
-    }
+    pub const NOISE_REL: f64 = 0.04;
 
     /// Build the simulated application. `seed` drives the per-task jitter
     /// of "(Real)" scenarios; "(Simul)" scenarios are deterministic, per
@@ -156,10 +150,9 @@ impl Scenario {
         )
     }
 
-    /// Like [`Scenario::app`], but with trace recording disabled from the
-    /// start — for sweep/measurement paths that never read the trace, so
-    /// tracing costs nothing. It can be re-enabled later via
-    /// `GeoSimApp::set_trace_enabled`.
+    /// Like [`Scenario::app`], but with trace recording disabled — for
+    /// sweep/measurement paths that never read the trace, so tracing costs
+    /// nothing. Tracing is chosen here, at construction, and stays so.
     pub fn app_untraced(&self, scale: Scale, seed: u64) -> GeoSimApp {
         let jitter = if self.real { Some(0.03) } else { None };
         GeoSimApp::new(

@@ -35,7 +35,7 @@ use crate::protocol::{
     health_info, health_response, posterior_response, ErrorCode, HealthInfo, Request, Response,
     SessionSpec,
 };
-use crate::stats::{EventRing, ServiceStats};
+use crate::stats::{EventRing, ServiceStats, SESSION_EVENTS};
 use adaphet_core::{
     JsonlSink, Observation, Observed, ResiliencePolicy, Session, SessionError, SurrogateStore,
     Ticket, WarmStart,
@@ -64,8 +64,6 @@ pub struct ServiceConfig {
     /// When set, every session writes its telemetry to
     /// `<dir>/session-<id>.jsonl`.
     pub telemetry_dir: Option<PathBuf>,
-    /// Lifecycle events retained per session for `Inspect`.
-    pub events_capacity: usize,
     /// When set, a [`SurrogateStore`] is opened at this directory: every
     /// closing/evicted/drained session persists its surrogate snapshot
     /// there, and `CreateSession` specs carrying `warm_start` seed their
@@ -81,7 +79,6 @@ impl Default for ServiceConfig {
             default_max_in_flight: 8,
             idle_timeout: Some(Duration::from_secs(600)),
             telemetry_dir: None,
-            events_capacity: 64,
             store_dir: None,
         }
     }
@@ -469,7 +466,7 @@ impl SessionManager {
                 Err(_) => self.stats.count("service.sink_error", 1.0),
             }
         }
-        let mut events = EventRing::new(self.config.events_capacity);
+        let mut events = EventRing::new(SESSION_EVENTS);
         events.push(self.stats.uptime_s(), "created", None, None, None, None);
         let health = health_info(id, &session.health());
         let strategy = spec.strategy.to_string();

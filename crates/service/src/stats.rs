@@ -211,6 +211,9 @@ impl ServiceStats {
     }
 }
 
+/// Lifecycle events a session's [`EventRing`] retains for `Inspect`.
+pub(crate) const SESSION_EVENTS: usize = 64;
+
 /// A bounded, seq-numbered ring of one session's lifecycle events.
 ///
 /// Lives in the session's entry, so pushes and `Inspect` reads happen

@@ -66,14 +66,15 @@ pub fn http_get(addr: &str, path: &str) -> Option<String> {
 }
 
 /// Parse the `--interval SECS` flag value shared by the top binaries:
-/// a positive, finite number of seconds (fractions allowed).
+/// a positive number of seconds (fractions allowed) that a [`Duration`]
+/// holds and that is at least a nanosecond, so the poll loop never spins.
 pub fn parse_interval(value: &str) -> Result<Duration, String> {
     let secs: f64 =
         value.parse().map_err(|_| "--interval needs a number of seconds".to_string())?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err("--interval must be positive".into());
+    match Duration::try_from_secs_f64(secs) {
+        Ok(interval) if !interval.is_zero() => Ok(interval),
+        _ => Err("--interval must be positive and representable".into()),
     }
-    Ok(Duration::from_secs_f64(secs))
 }
 
 /// Format a duration in seconds with an adaptive unit (`ns`/`us`/`ms`/`s`).
@@ -466,7 +467,7 @@ mod tests {
     fn interval_flag_parses_positive_finite_seconds() {
         assert_eq!(parse_interval("2").unwrap(), Duration::from_secs(2));
         assert_eq!(parse_interval("0.25").unwrap(), Duration::from_millis(250));
-        for bad in ["0", "-1", "nan", "inf", "fast", ""] {
+        for bad in ["0", "-1", "nan", "inf", "fast", "", "1e30", "1e-300"] {
             assert!(parse_interval(bad).is_err(), "{bad:?} must be rejected");
         }
     }

@@ -4,7 +4,7 @@
 //! beyond the bounded window. The bound is loose enough to hold in debug
 //! builds (CI also runs it in release mode where the margin is enormous).
 
-use adaphet_core::{HealthPolicy, HealthTracker};
+use adaphet_core::HealthTracker;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -37,7 +37,7 @@ fn run_bare(records: usize) -> f64 {
 }
 
 fn run_tracked(records: usize) -> f64 {
-    let mut tracker = HealthTracker::new(HealthPolicy::default(), 16, Some(4.0), Some(3.0), false);
+    let mut tracker = HealthTracker::new(16, Some(4.0), Some(3.0), false);
     let mut acc = 0.0;
     for t in 0..records {
         acc += work(black_box(t as f64));

@@ -15,7 +15,7 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Fitted GP hyper-parameters, as carried across sessions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpHyper {
-    /// Kernel family name (`"exponential"`, `"matern32"`, …).
+    /// Kernel family name (`"exponential"` or `"squared-exponential"`).
     pub kernel_family: String,
     /// Correlation length θ.
     pub theta: f64,
