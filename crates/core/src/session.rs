@@ -502,11 +502,6 @@ impl Session {
         &self.space
     }
 
-    /// The active resilience policy.
-    pub fn resilience(&self) -> &ResiliencePolicy {
-        &self.resilience
-    }
-
     /// Observations recorded so far (quarantined records removed).
     pub fn history(&self) -> &History {
         &self.history

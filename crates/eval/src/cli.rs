@@ -102,6 +102,10 @@ fn parse_argv(argv: Vec<String>) -> Result<RunArgs, AdaphetError> {
             "--iters" => {
                 i += 1;
                 out.iters = number(&argv, i, "--iters")? as usize;
+                if out.iters == 0 {
+                    // A zero budget tunes nothing: every mean and gain is 0/0.
+                    return Err(AdaphetError::usage("--iters needs at least one iteration"));
+                }
             }
             "--seed" => {
                 i += 1;
@@ -208,6 +212,7 @@ mod tests {
         assert!(matches!(parse_argv(argv(&["--reps"])), Err(AdaphetError::Usage(_))));
         assert!(matches!(parse_argv(argv(&["--reps", "many"])), Err(AdaphetError::Usage(_))));
         assert!(matches!(parse_argv(argv(&["--reps", "0"])), Err(AdaphetError::Usage(_))));
+        assert!(matches!(parse_argv(argv(&["--iters", "0"])), Err(AdaphetError::Usage(_))));
         assert!(matches!(parse_argv(argv(&["--scenarios", "xyz"])), Err(AdaphetError::Usage(_))));
         assert!(matches!(parse_argv(argv(&["--scenarios", ""])), Err(AdaphetError::Usage(_))));
     }

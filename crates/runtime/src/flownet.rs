@@ -16,23 +16,44 @@
 //! [`FlowNet`] is the production engine: it keeps per-link active-flow
 //! counts (`nflows`) and the sorted set of links currently crossed by at
 //! least one flow (`touched`) as persistent state updated on flow
-//! add/remove, so each progressive-filling pass only walks the populated
-//! link set and reuses scratch buffers — the event hot path performs no
-//! heap allocation. Flow routes live in a shared arena instead of one
-//! `Vec` per flow.
+//! add/remove, and reuses scratch buffers — the event hot path performs no
+//! heap allocation once the buffers have grown. Flow routes live in a
+//! shared arena instead of one `Vec` per flow.
+//!
+//! A rebalance does not re-fill from scratch. The last allocation's rounds
+//! are kept — per round its bottleneck, its share, its flows in fix order
+//! and a snapshot of its live links as (link, flows fixed in earlier rounds
+//! that cross it, residual) — and the next rebalance re-fills from the
+//! first round the change can reach, the way SimGrid's max-min solver
+//! re-solves only what a change touches:
+//! * after completions, from the least round that fixed a finished flow;
+//! * after a batch of starts, from the first round where a new flow
+//!   crosses the bottleneck, gets a smaller share on one of its links, or
+//!   ties the share on a lower link id — or one round earlier if a new flow
+//!   crosses a link already dead at that round (every flow on it fixed),
+//!   whose residual the snapshot does not hold.
+//!
+//! Every round before the restart round comes out bit-identical to a
+//! re-fill: no removed flow was fixed before it, so the bottleneck keeps
+//! its count and share; a removed flow's links can only gain share, so no
+//! other link undercuts or ties ahead of the bottleneck; and an added flow
+//! is, by the rule above, neither on the bottleneck nor undercutting it.
+//! The same flows are fixed at the same share and every residual sees the
+//! same subtractions.
 //!
 //! The two hot loops — the remaining-byte decay of every clock step and
 //! the flow-fixing rounds of every rebalance — perform no division per
 //! flow. The hot per-flow state (`remaining`, `rate`) lives in dense
 //! arrays parallel to `active`; every flow fixed in one progressive-filling
-//! round shares one rate, so the round remembers only the flow with the
-//! least remaining bytes (a `RateGroup`) and the next completion is
-//! folded from one flow per group. DESIGN.md §5d ("The flow-network
-//! arithmetic contract") states which operations are fixed per element and
-//! why this fold yields the same bits as one over every flow.
+//! round shares one rate, so the round remembers the flow with the least
+//! remaining bytes, and both the next completion and the finished flows of
+//! a completion instant are found through those few flows. DESIGN.md §5d
+//! ("The flow-network arithmetic contract") states which operations are
+//! fixed per element and why this yields the same bits as a scan over
+//! every flow.
 //!
 //! `ReferenceFlowNet` is the original from-scratch implementation kept
-//! (test builds only) as an executable specification; a proptest pins the
+//! (test builds only) as an executable specification; proptests pin the
 //! incremental engine to it with bit-exact (`f64::to_bits`)
 //! rate/remaining/busy equality.
 
@@ -43,6 +64,20 @@ pub struct LinkId(pub usize);
 /// Identifier of a flow inside a [`FlowNet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowId(pub usize);
+
+/// Work done by a [`FlowNet`]'s rebalances since it was built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RebalanceWork {
+    /// Rebalances run.
+    pub rebalances: u64,
+    /// Flows fixed by re-filled rounds.
+    pub flows_fixed: u64,
+    /// Flows whose round a rebalance kept from the previous allocation.
+    pub flows_kept: u64,
+}
+
+/// `Flow::slot` of a flow no rebalance has fixed yet.
+const UNFIXED: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
 struct Link {
@@ -61,24 +96,48 @@ struct Flow {
     route_len: u32,
     /// Index into `active` / `remaining` / `rate` (stale once `done`).
     pos: u32,
+    /// Index into `FlowNet::fixed`. The flow is fixed in the current
+    /// allocation iff `fixed[slot]` is its id, so truncating `fixed`
+    /// unfixes every flow past the cut at once.
+    slot: u32,
     done: bool,
-    /// Rebalance epoch at which this flow's rate was fixed (0 = never):
-    /// lets progressive filling skip already-fixed flows in O(1) without a
-    /// per-round membership list.
-    fixed_at: u64,
 }
 
-/// The flows fixed by one progressive-filling round: they share `rate`, so
-/// their completion order is their `remaining` order for as long as the
-/// rates stand, and the one with the least remaining bytes is the only
-/// one the completion fold has to look at.
+impl Flow {
+    fn route<'a>(&self, arena: &'a [LinkId]) -> &'a [LinkId] {
+        &arena[self.route_start as usize..(self.route_start + self.route_len) as usize]
+    }
+}
+
+/// One progressive-filling round of the current allocation.
+///
+/// Its flows share `share`, so their completion order is their `remaining`
+/// order for as long as the round stands, and the one with the least
+/// remaining bytes is the only one the completion fold has to look at.
 #[derive(Debug, Clone, Copy)]
-struct RateGroup {
-    /// The round's fair share.
-    rate: f64,
-    /// Dense position of a flow that held the group's least `remaining`
-    /// when the round fixed it.
-    min_pos: u32,
+struct Round {
+    bottleneck: u32,
+    /// The round's fair share: the rate of every flow it fixed.
+    share: f64,
+    /// Id of a flow that held the round's least `remaining` when the round
+    /// fixed it.
+    min_id: u32,
+    /// Start of the round's flows in `FlowNet::fixed` and of its live links
+    /// in `FlowNet::snap`; each run ends where the next round's starts.
+    fixed_start: u32,
+    snap_start: u32,
+}
+
+/// A link live (crossed by an unfixed flow) at the start of a round.
+#[derive(Debug, Clone, Copy)]
+struct SnapLink {
+    link: u32,
+    /// Route occurrences on the link of flows fixed in earlier rounds: the
+    /// round's unfixed count is `nflows - fixed_before` for any flow set
+    /// that differs only in flows unfixed at the round.
+    fixed_before: u32,
+    /// The link's residual capacity at the start of the round.
+    resid: f64,
 }
 
 /// A set of capacitated links and the flows currently crossing them.
@@ -90,14 +149,22 @@ pub struct FlowNet {
     links: Vec<Link>,
     flows: Vec<Flow>,
     route_arena: Vec<LinkId>,
-    /// Ids of the flows still transferring, ascending.
+    /// Ids of the flows still transferring, in no particular order.
     active: Vec<usize>,
     /// `remaining[k]` / `rate[k]`: bytes left and current rate of flow
-    /// `active[k]`. The three are pushed and compacted together.
+    /// `active[k]`. The three are pushed and swap-removed together.
     remaining: Vec<f64>,
     rate: Vec<f64>,
-    /// One entry per round of the last rebalance; valid until the next.
-    groups: Vec<RateGroup>,
+    /// The rounds of the current allocation, in filling order.
+    rounds: Vec<Round>,
+    /// Flow ids of every round, in fix order (ascending id within a round).
+    fixed: Vec<usize>,
+    /// Live links of every round, ascending link id within a round.
+    snap: Vec<SnapLink>,
+    /// Flows with ids at or past this were started after the last
+    /// rebalance.
+    settled: usize,
+    work: RebalanceWork,
     now: f64,
     /// Per link: number of active flow-route occurrences crossing it
     /// (a route listing a link twice counts twice, matching the
@@ -107,25 +174,25 @@ pub struct FlowNet {
     /// busy-time integration walk this instead of all links.
     touched: Vec<usize>,
     // Scratch buffers reused across rebalances (valid only inside one
-    // call; `counts`/`resid` are per-link and only read at `touched`
+    // call; `counts`/`resid` are per-link and only read at `live`
     // indices that were initialised this call).
     counts: Vec<u32>,
     resid: Vec<f64>,
-    /// Scratch: the subset of `touched` whose links still carry unfixed
-    /// flows, compacted between progressive-filling rounds.
+    /// Scratch: the links that still carry unfixed flows, ascending,
+    /// compacted between progressive-filling rounds.
     live: Vec<usize>,
+    /// Scratch: the flows finished at a completion instant.
+    finished: Vec<usize>,
     /// Per link: ids of flows whose route crosses it (one entry per route
     /// occurrence), ascending. Entries of finished flows are dropped
     /// lazily, whenever progressive filling walks the list.
     link_flows: Vec<Vec<usize>>,
-    /// Monotone rebalance counter backing `Flow::fixed_at`.
-    epoch: u64,
     /// Deferred-rebalance flag: set by [`FlowNet::start_flow_deferred`],
     /// cleared by [`FlowNet::settle`]. Rates (and the completion cache)
     /// are stale while set; every observation path settles first.
     dirty: bool,
     /// Cached [`FlowNet::next_completion`] value, kept current by
-    /// `rebalance` and `integrate_to`: a fold over `groups`, bit-identical
+    /// `rebalance` and `integrate_to`: a fold over `rounds`, bit-identical
     /// to an on-demand scan of every active flow.
     next_done: Option<f64>,
 }
@@ -173,6 +240,12 @@ impl FlowNet {
         self.active.len()
     }
 
+    /// Rebalances run and flows they fixed or kept, since the network was
+    /// built (or recycled).
+    pub fn work(&self) -> RebalanceWork {
+        self.work
+    }
+
     /// Current rate of a flow (0 when done).
     pub fn flow_rate(&self, f: FlowId) -> f64 {
         debug_assert!(!self.dirty, "observed a flow network with deferred starts pending");
@@ -204,7 +277,11 @@ impl FlowNet {
         self.active.clear();
         self.remaining.clear();
         self.rate.clear();
-        self.groups.clear();
+        self.rounds.clear();
+        self.fixed.clear();
+        self.snap.clear();
+        self.settled = 0;
+        self.work = RebalanceWork::default();
         self.now = 0.0;
         self.nflows.clear();
         self.touched.clear();
@@ -215,7 +292,6 @@ impl FlowNet {
         for v in &mut self.link_flows {
             v.clear();
         }
-        self.epoch = 0;
         self.dirty = false;
         self.next_done = None;
     }
@@ -251,8 +327,8 @@ impl FlowNet {
             route_start,
             route_len: route.len() as u32,
             pos: self.active.len() as u32,
+            slot: UNFIXED,
             done: false,
-            fixed_at: 0,
         });
         self.active.push(id);
         self.remaining.push(bytes);
@@ -274,7 +350,8 @@ impl FlowNet {
     pub(crate) fn settle(&mut self) {
         if self.dirty {
             self.dirty = false;
-            self.rebalance();
+            let from = self.first_round_reached_by_starts();
+            self.rebalance(from);
         }
     }
 
@@ -313,56 +390,135 @@ impl FlowNet {
             }
             let step = next.max(self.now);
             self.integrate_to(step);
-            self.finish_flows(completed);
-            self.rebalance();
+            let from = self.finish_flows(completed);
+            self.rebalance(from);
         }
         self.integrate_to(t);
     }
 
     /// Complete, in ascending id order, every active flow with at most
     /// `1e-9` bytes left — or, if rounding kept every `remaining` above
-    /// that, the closest one (first minimum in id order) — and compact the
-    /// active arrays over the survivors.
-    fn finish_flows(&mut self, completed: &mut Vec<FlowId>) {
-        let FlowNet { flows, route_arena, active, remaining, rate, nflows, touched, .. } = self;
+    /// that, the closest one (least `remaining`, then least id) — and
+    /// swap-remove them from the active arrays. Returns the least round
+    /// that fixed a finished flow: every round before it stays valid.
+    ///
+    /// Only rounds whose remembered least-remaining flow is finished can
+    /// hold a finished flow (see [`earliest_completion`]), so only their
+    /// flows are looked at.
+    fn finish_flows(&mut self, completed: &mut Vec<FlowId>) -> usize {
+        let FlowNet {
+            flows,
+            route_arena,
+            active,
+            remaining,
+            rate,
+            rounds,
+            fixed,
+            nflows,
+            touched,
+            finished,
+            ..
+        } = self;
         debug_assert!(!active.is_empty(), "a completion instant without active flows");
-        let first = remaining.iter().position(|&r| r <= 1e-9).unwrap_or_else(|| {
+        finished.clear();
+        for (r, g) in rounds.iter().enumerate() {
+            if remaining[flows[g.min_id as usize].pos as usize] > 1e-9 {
+                continue;
+            }
+            let end = rounds.get(r + 1).map_or(fixed.len(), |n| n.fixed_start as usize);
+            finished.extend(
+                fixed[g.fixed_start as usize..end]
+                    .iter()
+                    .filter(|&&i| remaining[flows[i].pos as usize] <= 1e-9),
+            );
+        }
+        if finished.is_empty() {
             let mut closest = 0;
-            for k in 1..remaining.len() {
-                if remaining[k] < remaining[closest] {
+            for k in 1..active.len() {
+                let (rk, rc) = (remaining[k], remaining[closest]);
+                if rk < rc || (rk == rc && active[k] < active[closest]) {
                     closest = k;
                 }
             }
-            remaining[closest] = 0.0;
-            closest
-        });
-        let mut w = first;
-        for k in first..active.len() {
-            let i = active[k];
+            finished.push(active[closest]);
+        }
+        finished.sort_unstable();
+        let mut first_slot = usize::MAX;
+        for &i in finished.iter() {
             let f = &mut flows[i];
-            if remaining[k] <= 1e-9 {
-                f.done = true;
-                let route =
-                    &route_arena[f.route_start as usize..(f.route_start + f.route_len) as usize];
-                for l in route {
-                    nflows[l.0] -= 1;
-                    if nflows[l.0] == 0 {
-                        let at = touched.binary_search(&l.0).expect("touched link tracked");
-                        touched.remove(at);
-                    }
+            f.done = true;
+            first_slot = first_slot.min(f.slot as usize);
+            for l in f.route(route_arena) {
+                nflows[l.0] -= 1;
+                if nflows[l.0] == 0 {
+                    let at = touched.binary_search(&l.0).expect("touched link tracked");
+                    touched.remove(at);
                 }
-                completed.push(FlowId(i));
-            } else {
-                f.pos = w as u32;
-                active[w] = i;
-                remaining[w] = remaining[k];
-                rate[w] = rate[k];
-                w += 1;
+            }
+            let k = f.pos as usize;
+            active.swap_remove(k);
+            remaining.swap_remove(k);
+            rate.swap_remove(k);
+            if let Some(&moved) = active.get(k) {
+                flows[moved].pos = k as u32;
+            }
+            completed.push(FlowId(i));
+        }
+        rounds.partition_point(|g| g.fixed_start as usize <= first_slot) - 1
+    }
+
+    /// The first round of the current allocation that the starts since the
+    /// last rebalance can reach; every round before it stays valid.
+    ///
+    /// At round `r`, a new flow's link `l` leaves the round as it is if it
+    /// is not the bottleneck and its share with the new flows counted,
+    /// `resid / (nflows − fixed_before)`, is still above the round's share,
+    /// or equal to it with `l` after the bottleneck in scan order. If `l`
+    /// is dead at `r` (an earlier round fixed every flow on it) its
+    /// residual is not in the snapshot, so the restart is `r − 1`, where
+    /// it was last live. The result is the least of these over *all* new
+    /// links: one link undercutting round `r` does not excuse another that
+    /// is dead at `r`.
+    fn first_round_reached_by_starts(&mut self) -> usize {
+        let FlowNet {
+            links,
+            flows,
+            route_arena,
+            rounds,
+            fixed,
+            snap,
+            settled,
+            nflows,
+            link_flows,
+            ..
+        } = self;
+        // A link shared by several new flows is looked at once per
+        // occurrence, which changes nothing but the cost.
+        let (new_flows, flows) = (*settled..flows.len(), &flows[..]);
+        for r in 0..=rounds.len() {
+            let snap_r = round_snap(rounds, snap, r);
+            let fixed_end = rounds.get(r).map_or(fixed.len(), |g| g.fixed_start as usize);
+            let mut reached = false;
+            let new_links = flows[new_flows.clone()].iter().flat_map(|f| f.route(route_arena));
+            for l in new_links.map(|l| l.0) {
+                let (fixed_before, resid) =
+                    match snap_r.binary_search_by_key(&(l as u32), |e| e.link) {
+                        Ok(k) => (snap_r[k].fixed_before, snap_r[k].resid),
+                        Err(_) if r > 0 && fixed_on(&mut link_flows[l], flows, fixed_end) => {
+                            return r - 1
+                        }
+                        Err(_) => (0, links[l].capacity),
+                    };
+                let Some(round) = rounds.get(r) else { continue };
+                let bl = round.bottleneck as usize;
+                let s = resid / (nflows[l] - fixed_before) as f64;
+                reached |= l == bl || s < round.share || (s == round.share && l < bl);
+            }
+            if reached {
+                return r;
             }
         }
-        active.truncate(w);
-        remaining.truncate(w);
-        rate.truncate(w);
+        rounds.len()
     }
 
     /// Move the clock to `t` (no completions in between).
@@ -379,31 +535,36 @@ impl FlowNet {
             for (rem, &rate) in self.remaining.iter_mut().zip(&self.rate) {
                 *rem = (*rem - rate * dt).max(0.0);
             }
-            self.next_done = earliest_completion(&self.groups, &self.remaining, new_now);
+            self.next_done =
+                earliest_completion(&self.rounds, &self.flows, &self.remaining, new_now);
         }
         self.now = new_now;
     }
 
-    /// Progressive-filling max-min fair allocation over the touched links.
+    /// Progressive-filling max-min fair allocation, keeping the rounds
+    /// before `from` and re-filling the rest.
     ///
     /// Invariants that keep this bit-identical to the from-scratch
     /// reference (`ReferenceFlowNet`):
-    /// * `touched` is sorted ascending, so the bottleneck scan considers
+    /// * the kept rounds are the reference's first rounds (module doc);
+    ///   round `from` starts from its snapshot — the unfixed count of a
+    ///   link is `nflows − fixed_before`, its residual the snapshot's — and
+    ///   from `capacity` on touched links no kept round reached;
+    /// * `live` is sorted ascending, so the bottleneck scan considers
     ///   candidate links in the same index order as a full 0..n scan
-    ///   (links with zero unfixed flows are skipped in both);
+    ///   (links with zero unfixed flows are skipped in both), and falls
+    ///   back to the first live link when every share is infinite, so
+    ///   every active flow is fixed;
     /// * each round fixes exactly the unfixed flows crossing the
-    ///   bottleneck, visited in ascending flow id — the same order a scan
-    ///   over an `active`-ordered unfixed list would visit them, because
-    ///   `active` and every per-link list are both id-ascending;
+    ///   bottleneck, visited in ascending flow id — every per-link list is
+    ///   id-ascending;
     /// * residual capacities are decremented per route occurrence in the
     ///   same flow-then-link order as the reference — except on the
     ///   bottleneck link itself: its count reaches zero in this round, so
     ///   its residual is never read again;
-    /// * each round leaves one [`RateGroup`], and the completion cache is
-    ///   folded over those (see [`earliest_completion`]).
-    fn rebalance(&mut self) {
-        self.epoch += 1;
-        let epoch = self.epoch;
+    /// * each round remembers its least-remaining flow, and the completion
+    ///   cache is folded over those (see [`earliest_completion`]).
+    fn rebalance(&mut self, from: usize) {
         let FlowNet {
             links,
             flows,
@@ -411,7 +572,11 @@ impl FlowNet {
             active,
             remaining,
             rate,
-            groups,
+            rounds,
+            fixed,
+            snap,
+            settled,
+            work,
             nflows,
             touched,
             counts,
@@ -422,31 +587,65 @@ impl FlowNet {
             next_done,
             ..
         } = self;
-        for &l in touched.iter() {
-            counts[l] = nflows[l];
-            resid[l] = links[l].capacity;
-        }
+        let from = from.min(rounds.len());
+        let kept = rounds.get(from).map_or(fixed.len(), |g| g.fixed_start as usize);
+        // Unfix the flows of the re-filled rounds.
+        fixed.truncate(kept);
+        // The live links at round `from`: at round 0, every touched link.
+        let snap_from = round_snap(rounds, snap, from);
         live.clear();
-        live.extend_from_slice(touched);
-        groups.clear();
-        let mut unfixed_left = active.len();
+        let mut k = 0;
+        for &l in touched.iter() {
+            if from == 0 {
+                counts[l] = nflows[l];
+                resid[l] = links[l].capacity;
+                live.push(l);
+                continue;
+            }
+            while k < snap_from.len() && (snap_from[k].link as usize) < l {
+                k += 1;
+            }
+            let (fixed_before, res) = match snap_from.get(k) {
+                Some(e) if e.link as usize == l => (e.fixed_before, e.resid),
+                _ if fixed_on(&mut link_flows[l], flows, kept) => continue,
+                _ => (0, links[l].capacity),
+            };
+            counts[l] = nflows[l] - fixed_before;
+            resid[l] = res;
+            live.push(l);
+        }
+        let snap_len = rounds.get(from).map_or(snap.len(), |g| g.snap_start as usize);
+        rounds.truncate(from);
+        snap.truncate(snap_len);
+        work.rebalances += 1;
+        work.flows_kept += kept as u64;
+        work.flows_fixed += (active.len() - kept) as u64;
+
+        let mut unfixed_left = active.len() - kept;
         while unfixed_left > 0 {
+            let snap_start = snap.len() as u32;
             // Bottleneck link: minimal fair share among used links (first
             // strict minimum wins, as in the reference — `live` is the
             // ascending `touched` order minus exhausted links, which the
             // reference scan skips too). Links whose last unfixed flow was
-            // fixed drop out of `live` here.
+            // fixed drop out of `live` here; the others enter the round's
+            // snapshot.
             let mut bl = usize::MAX;
             let mut share = f64::INFINITY;
             let mut w = 0;
-            for r in 0..live.len() {
-                let l = live[r];
+            for k in 0..live.len() {
+                let l = live[k];
                 let c = counts[l];
                 if c == 0 {
                     continue;
                 }
                 live[w] = l;
                 w += 1;
+                snap.push(SnapLink {
+                    link: l as u32,
+                    fixed_before: nflows[l] - c,
+                    resid: resid[l],
+                });
                 let s = resid[l] / c as f64;
                 if s < share {
                     share = s;
@@ -455,50 +654,45 @@ impl FlowNet {
             }
             live.truncate(w);
             if bl == usize::MAX {
-                // Unreachable (every unfixed flow keeps its links' counts
-                // positive), but mirror the reference: leftover flows rate
-                // to zero and do not enter the completion fold.
-                for (k, &i) in active.iter().enumerate() {
-                    if flows[i].fixed_at != epoch {
-                        rate[k] = 0.0;
-                    }
-                }
-                break;
+                // Every share is infinite: like the reference, take the
+                // first live link.
+                bl = live[0];
+                share = resid[bl] / counts[bl] as f64;
             }
             // Fix the unfixed flows crossing the bottleneck at the fair
             // share, walking only that link's own (id-ascending) flow
             // list. Finished entries are compacted out in place; repeat
-            // occurrences (a route listing `bl` twice, or a flow already
-            // fixed via an earlier bottleneck this rebalance) are skipped
-            // by the epoch stamp. At least one flow is fixed (`counts[bl]`
-            // was positive), so `min_pos` is always set; `<=` rather than
-            // `<` so that also holds for flows of infinite size.
+            // occurrences (a route listing `bl` twice, or a flow fixed by
+            // an earlier round) are skipped by the round stamp. At least
+            // one flow is fixed (`counts[bl]` was positive), so `min_id` is
+            // always set; `<=` rather than `<` so that also holds for flows
+            // of infinite size.
+            let fixed_start = fixed.len() as u32;
             let list = &mut link_flows[bl];
             let mut w = 0;
             let mut min_rem = f64::INFINITY;
-            let mut min_pos = u32::MAX;
-            for r in 0..list.len() {
-                let i = list[r];
+            let mut min_id = 0;
+            for k in 0..list.len() {
+                let i = list[k];
                 let f = &mut flows[i];
                 if f.done {
                     continue;
                 }
                 list[w] = i;
                 w += 1;
-                if f.fixed_at == epoch {
+                if fixed.get(f.slot as usize) == Some(&i) {
                     continue;
                 }
-                f.fixed_at = epoch;
+                f.slot = fixed.len() as u32;
+                fixed.push(i);
                 unfixed_left -= 1;
                 let pos = f.pos as usize;
                 rate[pos] = share;
                 if remaining[pos] <= min_rem {
                     min_rem = remaining[pos];
-                    min_pos = f.pos;
+                    min_id = i as u32;
                 }
-                let route =
-                    &route_arena[f.route_start as usize..(f.route_start + f.route_len) as usize];
-                for l in route {
+                for l in f.route(route_arena) {
                     counts[l.0] -= 1;
                     if l.0 != bl {
                         resid[l.0] = (resid[l.0] - share).max(0.0);
@@ -506,32 +700,64 @@ impl FlowNet {
                 }
             }
             list.truncate(w);
-            groups.push(RateGroup { rate: share, min_pos });
+            rounds.push(Round { bottleneck: bl as u32, share, min_id, fixed_start, snap_start });
         }
-        *next_done = earliest_completion(groups, remaining, *now);
+        *settled = flows.len();
+        *next_done = earliest_completion(rounds, flows, remaining, *now);
     }
 }
 
-/// Earliest completion time at clock `now`, folded from one flow per rate
-/// group.
+/// Whether a flow among `fixed[..fixed_end]` crosses a link missing from
+/// a round's snapshot — then the link is dead at that round — or none does
+/// and the link is untouched by the earlier rounds. The first active flow
+/// on the link decides: a link crossed both by a flow fixed before the
+/// round and by one still unfixed at it is live, so it is in the snapshot.
+/// The finished flows ahead of it are dropped from the list.
+fn fixed_on(list: &mut Vec<usize>, flows: &[Flow], fixed_end: usize) -> bool {
+    let done = list.iter().take_while(|&&i| flows[i].done).count();
+    if done > 0 {
+        list.drain(..done);
+    }
+    list.first().is_some_and(|&i| (flows[i].slot as usize) < fixed_end)
+}
+
+/// The snapshot of round `r`: empty past the last round.
+fn round_snap<'a>(rounds: &[Round], snap: &'a [SnapLink], r: usize) -> &'a [SnapLink] {
+    match rounds.get(r) {
+        Some(g) => {
+            let end = rounds.get(r + 1).map_or(snap.len(), |n| n.snap_start as usize);
+            &snap[g.snap_start as usize..end]
+        }
+        None => &[],
+    }
+}
+
+/// Earliest completion time at clock `now`, folded from one flow per
+/// round.
 ///
 /// A flow with `rem` bytes left at rate `r` completes at `now` if
 /// `rem <= 0`, at `now + rem / r` if `r > 0`, and never otherwise. Within
-/// one group `r` is one value, and `rem ↦ rem / r` and `x ↦ now + x` are
-/// monotone under correct rounding, so the group's earliest completion is
+/// one round `r` is one value, and `rem ↦ rem / r` and `x ↦ now + x` are
+/// monotone under correct rounding, so the round's earliest completion is
 /// that of a flow with its least `rem`. The decay step
 /// `rem ↦ max(rem − r·dt, 0)` is monotone too and applies one `r·dt` to
-/// the whole group, so the flow that held the least `rem` when the group
-/// was formed still holds it (possibly tied, then at equal value) after
-/// any number of steps. `min` over the groups is `min` over all flows.
-fn earliest_completion(groups: &[RateGroup], remaining: &[f64], now: f64) -> Option<f64> {
+/// the whole round, so the flow that held the least `rem` when the round
+/// was filled still holds it (possibly tied, then at equal value) after
+/// any number of steps, for as long as later rebalances keep the round.
+/// `min` over the rounds is `min` over all flows.
+fn earliest_completion(
+    rounds: &[Round],
+    flows: &[Flow],
+    remaining: &[f64],
+    now: f64,
+) -> Option<f64> {
     let mut best: Option<f64> = None;
-    for g in groups {
-        let rem = remaining[g.min_pos as usize];
+    for g in rounds {
+        let rem = remaining[flows[g.min_id as usize].pos as usize];
         let t = if rem <= 0.0 {
             now
-        } else if g.rate > 0.0 {
-            now + rem / g.rate
+        } else if g.share > 0.0 {
+            now + rem / g.share
         } else {
             continue;
         };
@@ -907,7 +1133,153 @@ mod tests {
         net.advance_to(1.0);
     }
 
+    /// Cases per bitwise pin: few in debug builds, where tier-1 runs them,
+    /// and many in release, where CI's flow-network step does, so the
+    /// restart paths of the rebalance are covered densely.
+    fn bitwise_cases(debug: u32) -> ProptestConfig {
+        ProptestConfig::with_cases(if cfg!(debug_assertions) { debug } else { 600 })
+    }
+
+    /// Two engines over the same links, fed the same operations.
+    struct Pair {
+        inc: FlowNet,
+        refn: ReferenceFlowNet,
+    }
+
+    impl Pair {
+        fn new(caps: &[f64]) -> Pair {
+            let mut pair = Pair { inc: FlowNet::new(), refn: ReferenceFlowNet::new() };
+            for &c in caps {
+                pair.inc.add_link(c);
+                pair.refn.add_link(c);
+            }
+            pair
+        }
+
+        /// Start flows over `routes` (link ids) as one deferred batch.
+        fn start_deferred(&mut self, routes: &[(&[usize], f64)]) {
+            for &(route, bytes) in routes {
+                let route: Vec<LinkId> = route.iter().map(|&l| LinkId(l)).collect();
+                let id = self.inc.start_flow_deferred(&route, bytes);
+                assert_eq!(id, self.refn.start_flow(&route, bytes));
+            }
+        }
+
+        /// Settle, and check every flow's rate and the next completion
+        /// against the reference, bit for bit. Returns the work of this
+        /// settle.
+        fn settle(&mut self) -> RebalanceWork {
+            let before = self.inc.work();
+            self.inc.settle();
+            self.assert_same();
+            since(before, self.inc.work())
+        }
+
+        fn advance_to_next_completion(&mut self) -> (Vec<FlowId>, RebalanceWork) {
+            let before = self.inc.work();
+            let t = self.inc.next_completion().expect("a flow in flight");
+            let done = self.inc.advance_to(t);
+            assert_eq!(done, self.refn.advance_to(t));
+            self.assert_same();
+            (done, since(before, self.inc.work()))
+        }
+
+        fn assert_same(&self) {
+            for f in 0..self.inc.flows.len() {
+                assert_eq!(
+                    self.inc.flow_rate(FlowId(f)).to_bits(),
+                    self.refn.flow_rate(FlowId(f)).to_bits(),
+                    "flow {f} rate diverged"
+                );
+            }
+            assert_eq!(
+                self.inc.next_completion().map(f64::to_bits),
+                self.refn.next_completion().map(f64::to_bits)
+            );
+        }
+    }
+
+    fn since(before: RebalanceWork, after: RebalanceWork) -> RebalanceWork {
+        RebalanceWork {
+            rebalances: after.rebalances - before.rebalances,
+            flows_fixed: after.flows_fixed - before.flows_fixed,
+            flows_kept: after.flows_kept - before.flows_kept,
+        }
+    }
+
+    #[test]
+    fn completing_a_flow_of_the_last_round_refixes_only_that_round() {
+        // Round 0: link 0 (10 B/s) fixes flow 0. Round 1: link 1
+        // (100 B/s) fixes flows 1 and 2 at 50 B/s each.
+        let mut pair = Pair::new(&[10.0, 100.0]);
+        pair.start_deferred(&[(&[0], 1e6), (&[1], 1e6), (&[1], 100.0)]);
+        let work = pair.settle();
+        assert_eq!(work, RebalanceWork { rebalances: 1, flows_fixed: 3, flows_kept: 0 });
+        assert_eq!(pair.inc.rounds.len(), 2);
+        // Flow 2 finishes at t = 2; round 0 stays and flow 1 is re-fixed
+        // alone, now at 100 B/s.
+        let (done, work) = pair.advance_to_next_completion();
+        assert_eq!(done, vec![FlowId(2)]);
+        assert_eq!(work, RebalanceWork { rebalances: 1, flows_fixed: 1, flows_kept: 1 });
+        assert_eq!(pair.inc.flow_rate(FlowId(1)), 100.0);
+    }
+
+    #[test]
+    fn a_start_that_undercuts_no_round_refixes_only_the_last_round() {
+        // Round 0: link 0 (10 B/s) fixes flow 0. Round 1: link 1
+        // (100 B/s) fixes flow 1, which also crosses link 2 (1000 B/s).
+        let mut pair = Pair::new(&[10.0, 100.0, 1000.0]);
+        pair.start_deferred(&[(&[0], 1e6), (&[1, 2], 1e6)]);
+        pair.settle();
+        // A new flow over link 2 gets 1000/2 there, above both shares, but
+        // link 2 is dead once the last round has fixed flow 1: that round
+        // is re-filled with the new flow, the first is kept.
+        pair.start_deferred(&[(&[2], 1e6)]);
+        assert_eq!(pair.inc.first_round_reached_by_starts(), 1);
+        let work = pair.settle();
+        assert_eq!(work, RebalanceWork { rebalances: 1, flows_fixed: 2, flows_kept: 1 });
+        assert_eq!(pair.inc.flow_rate(FlowId(2)), 900.0);
+    }
+
+    #[test]
+    fn a_start_restarts_where_any_of_its_links_is_dead_not_where_one_undercuts() {
+        // Round 0: link 2 (10 B/s) fixes flow 0 over links 1-4. Round 1:
+        // link 5 (50 B/s) fixes flow 1.
+        let mut pair = Pair::new(&[30.0, 35.0, 10.0, 100.0, 100.0, 50.0]);
+        pair.start_deferred(&[(&[1, 2, 3, 4], 1e6), (&[5], 1e6)]);
+        pair.settle();
+        assert_eq!(pair.inc.rounds.len(), 2);
+        // The new flow leaves round 0 alone (30, 35/2, 100/2 and 100/2 are
+        // all above 10). At round 1 its fresh link 0 undercuts the share
+        // (30 < 50), but links 1, 3 and 4 are dead there, their residuals
+        // unknown: link 1's, 35 − 10 = 25, is the new flow's bottleneck. So
+        // the restart is round 0, not round 1.
+        pair.start_deferred(&[(&[0, 1, 3, 4], 1e6)]);
+        assert_eq!(pair.inc.first_round_reached_by_starts(), 0);
+        let work = pair.settle();
+        assert_eq!(work, RebalanceWork { rebalances: 1, flows_fixed: 3, flows_kept: 0 });
+        assert_eq!(pair.inc.flow_rate(FlowId(2)), 25.0);
+    }
+
+    #[test]
+    fn infinite_shares_fall_back_to_the_first_live_link() {
+        // Both shares are infinite, so link 0 is the first bottleneck, as
+        // in the reference: flow 1 runs at infinity and leaves link 1 a
+        // residual of max(∞ − ∞, 0) = 0 for flow 0.
+        let mut pair = Pair::new(&[f64::INFINITY, f64::INFINITY]);
+        pair.start_deferred(&[(&[1], 10.0), (&[0, 1], 10.0)]);
+        pair.settle();
+        assert_eq!(pair.inc.flow_rate(FlowId(1)), f64::INFINITY);
+        assert_eq!(pair.inc.flow_rate(FlowId(0)), 0.0);
+        // Nothing decays in the zero-length step to `now`, so the
+        // closest-flow fallback forces both out, least id first.
+        let (done, _) = pair.advance_to_next_completion();
+        assert_eq!(done, vec![FlowId(0), FlowId(1)]);
+    }
+
     proptest! {
+        #![proptest_config(bitwise_cases(32))]
+
         /// The incremental engine is bit-identical to the reference
         /// implementation: same rates, same completion order, same busy
         /// times, same clock — compared with `to_bits` after every op.
@@ -1038,7 +1410,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(bitwise_cases(24))]
 
         /// The bitwise pin again, in the regime the simulator drives the
         /// network in: 8-24 nodes, 100-200 concurrent flows of *equal* size
@@ -1126,13 +1498,18 @@ mod tests {
             prop_assert_eq!(inc.advance_to(1e9), refn.advance_to(1e9));
             prop_assert_eq!(inc.active_flows(), 0);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The lemma the completion fold rests on. Under fixed rates, after
         /// any number of decay steps — including steps long enough to clamp
-        /// some flows at zero — the flow a rate group remembered when it was
-        /// formed still holds the least `remaining` among the flows at that
-        /// rate, so the fold over the groups equals the fold over every
-        /// active flow.
+        /// some flows at zero — the flow a round remembered when it was
+        /// filled still holds the least `remaining` among the flows at that
+        /// rate, so the fold over the rounds equals the fold over every
+        /// active flow. The staggered starts keep rounds across rebalances,
+        /// so remembered flows outlive the rebalance that chose them.
         #[test]
         fn prop_remembered_flow_keeps_its_groups_least_remaining(
             seed in 0u64..u64::MAX,
@@ -1170,10 +1547,10 @@ mod tests {
                     *e = e.min(*rem);
                 }
                 let mut remembered: BTreeMap<u64, f64> = BTreeMap::new();
-                for g in &net.groups {
-                    let pos = g.min_pos as usize;
-                    prop_assert_eq!(net.rate[pos].to_bits(), g.rate.to_bits());
-                    let e = remembered.entry(g.rate.to_bits()).or_insert(f64::INFINITY);
+                for g in &net.rounds {
+                    let pos = net.flows[g.min_id as usize].pos as usize;
+                    prop_assert_eq!(net.rate[pos].to_bits(), g.share.to_bits());
+                    let e = remembered.entry(g.share.to_bits()).or_insert(f64::INFINITY);
                     *e = e.min(net.remaining[pos]);
                 }
                 prop_assert_eq!(
@@ -1252,10 +1629,6 @@ mod tests {
         net.links[l].capacity
     }
     fn flow_route(net: &FlowNet, f: FlowId) -> Vec<usize> {
-        let fl = &net.flows[f.0];
-        net.route_arena[fl.route_start as usize..(fl.route_start + fl.route_len) as usize]
-            .iter()
-            .map(|l| l.0)
-            .collect()
+        net.flows[f.0].route(&net.route_arena).iter().map(|l| l.0).collect()
     }
 }

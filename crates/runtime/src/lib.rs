@@ -55,7 +55,7 @@ mod trace;
 
 pub use data::{DataHandle, DataRegistry};
 pub use fault::{FaultEvent, FaultPlan, FaultPlanError};
-pub use flownet::{FlowId, FlowNet, LinkId};
+pub use flownet::{FlowId, FlowNet, LinkId, RebalanceWork};
 pub use platform::{NetworkSpec, NodeId, NodeSpec, Platform};
 pub use real::{BlockHandle, RealRuntime, StoreView};
 pub use sim::{RunReport, SimConfig, SimRuntime};

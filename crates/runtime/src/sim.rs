@@ -37,7 +37,7 @@
 //! cycles stop churning the allocator entirely.
 
 use crate::data::{DataHandle, DataRegistry};
-use crate::flownet::{FlowId, FlowNet, LinkId};
+use crate::flownet::{FlowId, FlowNet, LinkId, RebalanceWork};
 use crate::platform::{NodeId, Platform};
 use crate::stf::DepTracker;
 use crate::task::{Access, ClassId, ClassTable, TaskDesc, TaskId};
@@ -268,6 +268,7 @@ struct MetricsCursor {
     cpu_busy: Vec<f64>,
     gpu_busy: Vec<f64>,
     link_busy: Vec<f64>,
+    net: RebalanceWork,
 }
 
 /// Recyclable backing storage of a [`SimRuntime`].
@@ -383,6 +384,7 @@ impl SimBuffers {
         self.cursor.cpu_busy.clear();
         self.cursor.gpu_busy.clear();
         self.cursor.link_busy.clear();
+        self.cursor.net = RebalanceWork::default();
         self.trace.clear();
     }
 }
@@ -694,8 +696,9 @@ impl SimRuntime {
     /// Emit everything this run added on top of the last flush. Names are
     /// stable: `sim.runs`, `sim.tasks_executed`, `sim.bytes_transferred`,
     /// the `sim.run.makespan_s` histogram (simulated seconds), per-node
-    /// `sim.nodeNNN.{cpu,gpu}_{busy,idle}_s`, and network busy time on the
-    /// backbone and any NIC that moved data.
+    /// `sim.nodeNNN.{cpu,gpu}_{busy,idle}_s`, network busy time on the
+    /// backbone and any NIC that moved data, and the flow network's work:
+    /// `sim.net.rebalances`, `sim.net.flows_fixed` and `sim.net.flows_kept`.
     fn flush_metrics(&mut self, report: &RunReport) {
         let r = &*self.recorder;
         let dur = report.duration();
@@ -724,6 +727,11 @@ impl SimRuntime {
                 );
             }
         }
+        let work = self.b.net.work();
+        let done = std::mem::replace(&mut self.b.cursor.net, work);
+        r.add("sim.net.rebalances", (work.rebalances - done.rebalances) as f64);
+        r.add("sim.net.flows_fixed", (work.flows_fixed - done.flows_fixed) as f64);
+        r.add("sim.net.flows_kept", (work.flows_kept - done.flows_kept) as f64);
         for l in 0..self.b.net.n_links() {
             let busy = self.b.net.link_busy(LinkId(l));
             let delta = busy - self.b.cursor.link_busy[l];
@@ -1426,6 +1434,11 @@ mod tests {
         assert!((reg.counter_value("sim.node000.cpu_busy_s") - 1.0).abs() < 1e-9);
         assert!(reg.counter_value("sim.net.backbone_busy_s") > 0.9);
         assert!(reg.counter_value("sim.net.node001.up_busy_s") > 0.9);
+        // One flow: started (one rebalance fixes it), then finished (one
+        // rebalance over an empty network).
+        assert_eq!(reg.counter_value("sim.net.rebalances"), 2.0);
+        assert_eq!(reg.counter_value("sim.net.flows_fixed"), 1.0);
+        assert_eq!(reg.counter_value("sim.net.flows_kept"), 0.0);
         assert_eq!(reg.histogram("sim.run.makespan_s").unwrap().count, 1);
         // Run 2 flushes only its own delta: no new bytes move.
         rt.submit(task(cpu, 1e9, vec![(local, Access::ReadWrite)]));
@@ -1433,6 +1446,7 @@ mod tests {
         assert_eq!(reg.counter_value("sim.runs"), 2.0);
         assert_eq!(reg.counter_value("sim.tasks_executed"), 2.0);
         assert!((reg.counter_value("sim.bytes_transferred") - 1e9).abs() < 1.0);
+        assert_eq!(reg.counter_value("sim.net.rebalances"), 2.0);
         assert!((reg.counter_value("sim.node000.cpu_busy_s") - 2.0).abs() < 1e-9);
         // Idle time: 2 cores over two 1 s and ~2 s windows, one core busy.
         assert!(reg.counter_value("sim.node000.cpu_idle_s") > 0.0);
