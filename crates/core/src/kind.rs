@@ -10,8 +10,8 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::{
-    ActionSpace, AllNodes, BrentSearch, DivideConquer, GpDiscontinuous, NelderMead1d, Oracle,
-    RandomSearch, RightLeft, SimulatedAnnealing, StochasticApproximation, Strategy, Ucb, UcbStruct,
+    ActionSpace, AllNodes, BrentSearch, DivideConquer, GpDiscontinuous, Oracle, RandomSearch,
+    RightLeft, Strategy, Ucb, UcbStruct,
 };
 
 /// Every strategy the evaluation can construct, by canonical identity.
@@ -37,12 +37,6 @@ pub enum StrategyKind {
     Oracle,
     /// Uniform random search floor.
     Random,
-    /// Simulated annealing.
-    SimulatedAnnealing,
-    /// SPSA-style stochastic approximation.
-    StochasticApproximation,
-    /// 1-d Nelder-Mead.
-    NelderMead,
 }
 
 /// The seven strategies of the paper's comparison, in figure order.
@@ -70,9 +64,6 @@ const NAME_TABLE: &[(StrategyKind, &str, &[&str])] = &[
     (StrategyKind::AllNodes, "all-nodes", &[]),
     (StrategyKind::Oracle, "oracle", &[]),
     (StrategyKind::Random, "Random", &[]),
-    (StrategyKind::SimulatedAnnealing, "SANN", &[]),
-    (StrategyKind::StochasticApproximation, "SPSA", &[]),
-    (StrategyKind::NelderMead, "Nelder-Mead", &[]),
 ];
 
 /// Why a [`StrategyKind`] could not be resolved or built.
@@ -121,7 +112,7 @@ impl StrategyKind {
             .expect("every kind is in the name table")
     }
 
-    /// Construct the strategy. `seed` feeds the stochastic kinds;
+    /// Construct the strategy. `seed` feeds [`StrategyKind::Random`];
     /// `oracle_best` is required only by [`StrategyKind::Oracle`].
     pub fn build(
         self,
@@ -142,9 +133,6 @@ impl StrategyKind {
                 Box::new(Oracle::new(oracle_best.ok_or(UnknownStrategyError::MissingOracleBest)?))
             }
             StrategyKind::Random => Box::new(RandomSearch::new(space, seed)),
-            StrategyKind::SimulatedAnnealing => Box::new(SimulatedAnnealing::new(space, seed)),
-            StrategyKind::StochasticApproximation => Box::new(StochasticApproximation::new(space)),
-            StrategyKind::NelderMead => Box::new(NelderMead1d::new(space)),
         })
     }
 }
@@ -173,14 +161,6 @@ mod tests {
     use crate::History;
 
     #[test]
-    fn every_kind_round_trips_through_display_and_parse() {
-        for k in StrategyKind::all() {
-            let parsed: StrategyKind = k.to_string().parse().unwrap();
-            assert_eq!(parsed, k);
-        }
-    }
-
-    #[test]
     fn aliases_collapse_to_canonical_variant() {
         assert_eq!("UCB-struc".parse::<StrategyKind>().unwrap(), StrategyKind::UcbStruct);
         assert_eq!("UCB-struct".parse::<StrategyKind>().unwrap(), StrategyKind::UcbStruct);
@@ -199,10 +179,12 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_builds_and_proposes_in_range() {
+    fn every_kind_round_trips_builds_under_its_name_and_proposes_in_range() {
         let space = ActionSpace::new(10, vec![(1, 5), (6, 10)], Some(vec![1.0; 10]));
         for k in StrategyKind::all() {
+            assert_eq!(k.to_string().parse::<StrategyKind>().unwrap(), k);
             let mut s = k.build(&space, 1, Some(3)).unwrap();
+            assert_eq!(s.name(), k.name(), "{k:?}");
             let a = s.propose(&space, &History::new());
             assert!((1..=10).contains(&a), "{k} proposed {a}");
         }
@@ -227,16 +209,5 @@ mod tests {
             names,
             ["DC", "Right-Left", "Brent", "UCB", "UCB-struct", "GP-UCB", "GP-discontinuous"]
         );
-    }
-
-    #[test]
-    fn built_strategy_names_match_canonical_names() {
-        let space = ActionSpace::new(10, vec![(1, 5), (6, 10)], Some(vec![1.0; 10]));
-        for k in StrategyKind::all() {
-            let s = k.build(&space, 1, Some(3)).unwrap();
-            // Baseline labels differ stylistically from kind names only
-            // where the paper's figures do (none today).
-            assert_eq!(s.name(), k.name(), "{k:?}");
-        }
     }
 }

@@ -19,8 +19,7 @@
 //! | **GP-discontinuous** | [`GpDiscontinuous`] | robust everywhere (the contribution) |
 //!
 //! plus the baselines used by the evaluation ([`AllNodes`], [`Oracle`],
-//! [`RandomSearch`]) and the non-parsimonious classics the paper tried and
-//! dismissed ([`SimulatedAnnealing`], [`StochasticApproximation`]).
+//! [`RandomSearch`]).
 //!
 //! # Protocol
 //!
@@ -77,7 +76,6 @@ mod action;
 mod bandit;
 mod brent;
 mod event;
-mod extra;
 mod gp_disc;
 mod health;
 mod history;
@@ -127,7 +125,6 @@ pub use history::History;
 // exported for direct construction with non-default options).
 pub use bandit::{Ucb, UcbStruct};
 pub use brent::BrentSearch;
-pub use extra::{NelderMead1d, RandomSearch, SimulatedAnnealing, StochasticApproximation};
 pub use gp_disc::{GpDiscOptions, GpDiscontinuous};
 pub use naive::{DivideConquer, RightLeft};
-pub use strategy::{AllNodes, Oracle};
+pub use strategy::{AllNodes, Oracle, RandomSearch};

@@ -513,13 +513,6 @@ impl Session {
         self.iteration
     }
 
-    /// The iteration budget configured on the builder, if any. Only
-    /// [`run_configured`](Session::run_configured) consumes it — services
-    /// use it as the client-advertised horizon.
-    pub fn configured_iters(&self) -> Option<usize> {
-        self.iters
-    }
-
     /// Sum of every observed duration so far, including measurements the
     /// resilience policy discarded (they still cost wall-clock time).
     pub fn cumulative_time(&self) -> f64 {
@@ -964,7 +957,6 @@ pub(crate) mod tests {
             .iters(6)
             .build()
             .unwrap();
-        assert_eq!(d.configured_iters(), Some(6));
         d.run_configured(|n| Observation::of(response(n)));
         assert_eq!(d.history().len(), 6);
     }

@@ -5,6 +5,8 @@ use crate::{ActionSpace, History, SurrogatePrior};
 use adaphet_gp::{GpModel, Prediction};
 use adaphet_metrics::wire_struct;
 use adaphet_store::GpHyper;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Lower clamp on the process/noise variances of the GP strategies' fits
 /// (keeps K positive definite with degenerate data).
@@ -299,6 +301,32 @@ impl Strategy for Oracle {
     }
 }
 
+/// Uniform random search (a sanity floor for the comparisons, and the one
+/// strategy that reads a session's `seed`).
+#[derive(Debug, Clone)]
+pub struct RandomSearch {
+    n: usize,
+    rng: StdRng,
+}
+
+impl RandomSearch {
+    /// Uniform over `1..=N`, deterministic given `seed`.
+    pub fn new(space: &ActionSpace, seed: u64) -> Self {
+        RandomSearch { n: space.max_nodes, rng: StdRng::seed_from_u64(seed) }
+    }
+}
+
+impl Strategy for RandomSearch {
+    fn name(&self) -> &'static str {
+        "Random"
+    }
+    fn propose(&mut self, space: &ActionSpace, _hist: &History) -> usize {
+        // Draw over the construction space to keep the RNG stream
+        // identical fault-free, then fold into the live platform.
+        self.rng.random_range(1..=self.n).min(space.max_nodes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,5 +360,32 @@ mod tests {
         let h = History::new();
         assert_eq!(all.propose(&live, &h), 4, "all-nodes follows the live platform");
         assert_eq!(oracle.propose(&live, &h), 4, "oracle clamps to the survivors");
+    }
+
+    #[test]
+    fn random_covers_the_space() {
+        let space = ActionSpace::unstructured(10);
+        let mut r = RandomSearch::new(&space, 1);
+        let mut h = History::new();
+        for _ in 0..200 {
+            let a = r.propose(&space, &h);
+            assert!((1..=10).contains(&a), "out of range: {a}");
+            h.record(a, a as f64);
+        }
+        for a in 1..=10 {
+            assert!(h.count_for(a) > 0, "action {a} never tried");
+        }
+    }
+
+    #[test]
+    fn random_is_deterministic_per_seed() {
+        let space = ActionSpace::unstructured(10);
+        let seq = |seed| {
+            let mut r = RandomSearch::new(&space, seed);
+            let h = History::new();
+            (0..10).map(|_| r.propose(&space, &h)).collect::<Vec<_>>()
+        };
+        assert_eq!(seq(5), seq(5));
+        assert_ne!(seq(5), seq(6));
     }
 }

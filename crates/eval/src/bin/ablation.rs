@@ -9,7 +9,8 @@
 
 use adaphet_core::{GpDiscOptions, GpDiscontinuous, History, Strategy};
 use adaphet_eval::{
-    parse_args, space_of, sweep_response_tables, write_csv, AdaphetError, CsvTable, ResponseTable,
+    parse_args, space_of, sweep_response_tables, write_csv, AdaphetError, CsvTable, Flag,
+    ResponseTable,
 };
 use adaphet_scenarios::Scenario;
 use rand::rngs::StdRng;
@@ -40,7 +41,7 @@ fn replay_variant(table: &ResponseTable, opts: &GpDiscOptions, iters: usize, see
 }
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[Flag::Scale, Flag::Reps, Flag::Iters, Flag::Seed, Flag::Sequential])?;
     let variants = ["full", "no-bounds", "no-dummies", "no-lp-residual", "plain"];
     let mut csv = CsvTable::new(&["scenario", "variant", "mean_total", "gain_pct"]);
     println!("GP-discontinuous ablation — {} iterations x {} reps\n", args.iters, args.reps);

@@ -6,13 +6,13 @@
 //! `iteration,node,phase,bin_start,utilization` and an ASCII utilization
 //! strip per node.
 
-use adaphet_eval::{parse_args, write_csv, AdaphetError, CsvTable};
+use adaphet_eval::{parse_args, write_csv, AdaphetError, CsvTable, Flag};
 use adaphet_geostat::IterationChoice;
 use adaphet_runtime::NodeId;
 use adaphet_scenarios::Scenario;
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[Flag::Scale, Flag::Seed])?;
     let scen = Scenario::by_id('b').expect("scenario b exists"); // G5K 2L-6M-6S
     let mut app = scen.app(args.scale, args.seed);
     let n = app.n_nodes();

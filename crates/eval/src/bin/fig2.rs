@@ -6,7 +6,7 @@
 //! `scenario,n,mean,sd,lp,gen_span,fact_span`.
 
 use adaphet_eval::{
-    ascii_curve, build_response_cached, parse_args, write_csv, AdaphetError, CsvTable,
+    ascii_curve, build_response_cached, parse_args, write_csv, AdaphetError, CsvTable, Flag,
 };
 use adaphet_geostat::IterationChoice;
 use adaphet_scenarios::Scenario;
@@ -32,7 +32,7 @@ fn phase_spans(scen: &Scenario, scale: adaphet_scenarios::Scale, n_fact: usize) 
 }
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[Flag::Scale, Flag::Reps, Flag::Seed])?;
     let mut csv = CsvTable::new(&["scenario", "n", "mean", "sd", "lp", "gen_span", "fact_span"]);
     for id in ['c', 'i', 'p'] {
         let scen = Scenario::by_id(id).expect("known scenario");

@@ -5,12 +5,13 @@
 //! Output: `results/fig3.csv` with columns
 //! `x,truth,mean,lo95,hi95,is_next` plus the measurement list.
 
-use adaphet_eval::{write_csv, CsvTable};
+use adaphet_eval::{parse_args, write_csv, AdaphetError, CsvTable};
 use adaphet_gp::{GpConfig, GpModel, Kernel, Trend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), AdaphetError> {
+    parse_args(&[])?;
     let mut rng = StdRng::seed_from_u64(3);
     let sigma_n = 0.1;
     // Eight random measurement locations over [0, 4π].
@@ -66,6 +67,7 @@ fn main() {
     );
     println!("  next point to evaluate (mean + 2sd): x = {next_x:.3}");
     println!("  truth inside the 95% band at {}/{} grid points", inside_band, grid.len());
-    let path = write_csv("fig3", &csv).expect("write results");
+    let path = write_csv("fig3", &csv).map_err(|e| AdaphetError::io("results/fig3.csv", e))?;
     println!("wrote {}", path.display());
+    Ok(())
 }

@@ -7,7 +7,8 @@
 
 use adaphet_core::{GpDiscontinuous, History, Strategy};
 use adaphet_eval::{
-    build_response_cached, parse_args, space_of, write_csv, AdaphetError, CsvTable, ResponseTable,
+    build_response_cached, parse_args, space_of, write_csv, AdaphetError, CsvTable, Flag,
+    ResponseTable,
 };
 use adaphet_scenarios::Scenario;
 use rand::rngs::StdRng;
@@ -74,7 +75,7 @@ fn run_panel(csv: &mut CsvTable, panel: &str, table: &ResponseTable, use_disc: b
 }
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[Flag::Scale, Flag::Reps, Flag::Seed])?;
     let mut csv = CsvTable::new(&[
         "panel",
         "iteration",

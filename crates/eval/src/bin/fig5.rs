@@ -7,12 +7,12 @@
 
 use adaphet_eval::{
     ascii_curve, build_response_cached, build_rigid_curve, parse_args, write_csv, AdaphetError,
-    CsvTable,
+    CsvTable, Flag,
 };
 use adaphet_scenarios::Scenario;
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[Flag::Scale, Flag::Reps, Flag::Seed])?;
     let mut csv = CsvTable::new(&["scenario", "n", "mean", "sd", "lp", "rigid", "group"]);
     for scen in Scenario::all16() {
         let t = build_response_cached(&scen, args.scale, args.reps, args.seed);

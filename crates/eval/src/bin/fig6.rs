@@ -14,14 +14,22 @@
 use adaphet_core::JsonlSink;
 use adaphet_eval::{
     parse_args, replay_instrumented, replay_many, run_metrics_session, sweep_response_tables,
-    write_csv, write_metrics_report, AdaphetError, CsvTable, StrategyKind, PAPER_STRATEGIES,
+    write_csv, write_metrics_report, AdaphetError, CsvTable, Flag, StrategyKind, PAPER_STRATEGIES,
 };
 use adaphet_scenarios::Scenario;
 use std::fs::File;
 use std::io::BufWriter;
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[
+        Flag::Scale,
+        Flag::Reps,
+        Flag::Iters,
+        Flag::Seed,
+        Flag::Telemetry,
+        Flag::Metrics,
+        Flag::Sequential,
+    ])?;
     let telemetry_file = match &args.telemetry {
         Some(p) => Some(File::create(p).map_err(|e| AdaphetError::io(p, e))?),
         None => None,

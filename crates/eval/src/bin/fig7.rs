@@ -28,7 +28,9 @@
 //! `repetition,iteration,overhead_s,iteration_s`.
 
 use adaphet_core::{ActionSpace, JsonlSink, Observation, Session, StrategyKind};
-use adaphet_eval::{parse_args, sweep, write_csv, write_metrics_report, AdaphetError, CsvTable};
+use adaphet_eval::{
+    parse_args, sweep, write_csv, write_metrics_report, AdaphetError, CsvTable, Flag,
+};
 use adaphet_geostat::{CovParams, GeoRealApp, Workload};
 use adaphet_scenarios::{Scale, Scenario};
 use std::fs::File;
@@ -36,7 +38,14 @@ use std::io::BufWriter;
 use std::time::Instant;
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[
+        Flag::Scale,
+        Flag::Reps,
+        Flag::Iters,
+        Flag::Seed,
+        Flag::Telemetry,
+        Flag::Metrics,
+    ])?;
     // With --metrics, install the global recorder up front so GP fits and
     // likelihood phases report while the study runs.
     let metrics_registry = args

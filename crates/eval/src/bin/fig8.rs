@@ -6,11 +6,11 @@
 //!
 //! Output: `results/fig8.csv` with columns `n_gen,n_fact,duration`.
 
-use adaphet_eval::{build_response_2d, parse_args, write_csv, AdaphetError, CsvTable};
+use adaphet_eval::{build_response_2d, parse_args, write_csv, AdaphetError, CsvTable, Flag};
 use adaphet_scenarios::Scenario;
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[Flag::Scale, Flag::Seed])?;
     let scen = Scenario::by_id('f').expect("scenario f");
     let n = scen.n_nodes();
     let grid = build_response_2d(&scen, args.scale, 2, args.seed);

@@ -13,7 +13,7 @@
 
 use adaphet_core::{JsonlSink, ResiliencePolicy, StrategyKind, TelemetrySink};
 use adaphet_eval::{
-    load_fault_plan, parse_args, run_faulted_session, AdaphetError, FaultSessionConfig,
+    load_fault_plan, parse_args, run_faulted_session, AdaphetError, FaultSessionConfig, Flag,
 };
 use adaphet_metrics::{install_global, Registry};
 use adaphet_runtime::FaultPlan;
@@ -22,7 +22,14 @@ use std::fs::File;
 use std::io::BufWriter;
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[
+        Flag::Scale,
+        Flag::Iters,
+        Flag::Seed,
+        Flag::Telemetry,
+        Flag::Metrics,
+        Flag::Faults,
+    ])?;
     let registry = install_global(Registry::new());
     let plan = load_fault_plan(&args)?.unwrap_or_else(|| FaultPlan::new(args.seed));
     let scen = Scenario::by_id('a').expect("scenario a exists");

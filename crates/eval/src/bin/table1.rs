@@ -15,7 +15,9 @@
 //! the first repetition of each measurement streams IterationEvent JSONL.
 
 use adaphet_core::{ActionSpace, JsonlSink, Observation, Session, StrategyKind};
-use adaphet_eval::{parse_args, sweep, write_csv, write_metrics_report, AdaphetError, CsvTable};
+use adaphet_eval::{
+    parse_args, sweep, write_csv, write_metrics_report, AdaphetError, CsvTable, Flag,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs::File;
@@ -133,7 +135,7 @@ fn regret_fraction(kind: StrategyKind, f: fn(usize) -> f64, seed: u64) -> f64 {
 }
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[Flag::Telemetry, Flag::Metrics, Flag::Sequential])?;
     // With --metrics, install the global recorder up front so the GP/LP
     // solver counters of every measurement land in one report.
     let metrics_registry = args

@@ -3,10 +3,11 @@
 //!
 //! Output: `results/table2.csv` and a markdown rendering.
 
-use adaphet_eval::{write_csv, CsvTable};
+use adaphet_eval::{parse_args, write_csv, AdaphetError, CsvTable};
 use adaphet_scenarios::{Machine, Site};
 
-fn main() {
+fn main() -> Result<(), AdaphetError> {
+    parse_args(&[])?;
     let rows = [
         ("S", Site::G5k, "Chetemi", "2x Xeon E5-2630 v4", "-", Machine::Chetemi),
         ("M", Site::G5k, "Chifflet", "2x Xeon E5-2680 v4", "2x GTX 1080", Machine::Chifflet),
@@ -57,6 +58,7 @@ fn main() {
         Site::G5k.network().backbone_gbps,
         Site::SDumont.network().backbone_gbps
     );
-    let path = write_csv("table2", &csv).expect("write results");
+    let path = write_csv("table2", &csv).map_err(|e| AdaphetError::io("results/table2.csv", e))?;
     println!("wrote {}", path.display());
+    Ok(())
 }

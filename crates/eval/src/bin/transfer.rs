@@ -14,13 +14,21 @@
 
 use adaphet_eval::{
     leave_one_out, parse_args, sweep_response_tables, transfer_table, warm_wins, write_csv,
-    AdaphetError,
+    AdaphetError, Flag,
 };
 use adaphet_scenarios::Scenario;
 use adaphet_store::SurrogateStore;
 
 fn main() -> Result<(), AdaphetError> {
-    let args = parse_args()?;
+    let args = parse_args(&[
+        Flag::Scale,
+        Flag::Reps,
+        Flag::Iters,
+        Flag::Seed,
+        Flag::Sequential,
+        Flag::Scenarios,
+        Flag::StoreDir,
+    ])?;
     let scenarios: Vec<Scenario> = if args.scenarios.is_empty() {
         Scenario::all16()
     } else {

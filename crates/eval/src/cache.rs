@@ -6,11 +6,13 @@ use adaphet_scenarios::{Scale, Scenario};
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Format version written as the first line of every cache file. Bump it
-/// whenever the serialized layout changes: files with a different (or
-/// missing) header deserialize to `None` and read as cache misses, so a
-/// stale format can never be silently misparsed as data.
-pub const CACHE_VERSION: &str = "adaphet-response-cache v2";
+/// Header written as the first line of every cache file: a hash of the
+/// code that builds and serializes a table (`build.rs`), so it changes by
+/// itself with the simulator, the application, the scenarios or this
+/// layout. Files with a different (or missing) header deserialize to
+/// `None` and read as cache misses, so a table built by other code is
+/// never served and a stale format is never misparsed as data.
+pub const CACHE_VERSION: &str = concat!("adaphet-response-cache ", env!("ADAPHET_CACHE_CODE_HASH"));
 
 fn cache_dir() -> PathBuf {
     PathBuf::from("target/adaphet-cache")
@@ -177,20 +179,30 @@ mod tests {
     }
 
     #[test]
-    fn stale_version_header_is_a_counted_miss_and_file_is_rewritten() {
+    fn header_of_other_code_is_a_counted_miss_and_file_is_rewritten() {
         let reg = adaphet_metrics::install_global(adaphet_metrics::Registry::new());
         let scen = Scenario::by_id('a').unwrap();
         let path = cache_path(&scen, Scale::Test, 2, 88);
         std::fs::create_dir_all(cache_dir()).unwrap();
-        // A file from a previous format revision: recognizably ours, wrong rev.
-        std::fs::write(&path, "adaphet-response-cache v1\nwhatever came before\n").unwrap();
+        // A well-formed one-action table of this scenario, written by a
+        // build from other sources: recognizably ours, another code hash.
+        let stale = ResponseTable {
+            label: scen.label(),
+            durations: vec![vec![1.0]],
+            sim_base: vec![vec![1.0]],
+            lp: vec![0.5],
+            groups: vec![(1, 1)],
+            sigma: 0.5,
+        };
+        let other = serialize(&stale).replacen(CACHE_VERSION, "adaphet-response-cache 0123abcd", 1);
+        std::fs::write(&path, other).unwrap();
         let mm0 = reg.counter_value("eval.cache.version_mismatches");
         let miss0 = reg.counter_value("eval.cache.misses");
         let t = build_response_cached(&scen, Scale::Test, 2, 88);
-        assert_eq!(t.n_actions(), scen.n_nodes());
+        assert_eq!(t.n_actions(), scen.n_nodes(), "the other build's table is not served");
         assert!(reg.counter_value("eval.cache.version_mismatches") - mm0 >= 1.0);
         assert!(reg.counter_value("eval.cache.misses") - miss0 >= 1.0);
-        // The rebuild replaced the stale file with the current format...
+        // The rebuild replaced the stale file under this build's header...
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(CACHE_VERSION));
         // ...so the next read is a counted hit.

@@ -1,7 +1,8 @@
 //! Typed command-line handling shared by the figure binaries.
 //!
-//! Every `fig*`/`ablation`/`resilience` binary parses the same flag
-//! vocabulary through [`parse_args`] and reports bad input as
+//! Every `fig*`/`table*`/`ablation`/`resilience`/`transfer` binary parses
+//! the flags it reads out of one vocabulary through [`parse_args`] and
+//! reports bad input (including a flag it does not read) as
 //! [`AdaphetError::Usage`] from a `main() -> Result<(), AdaphetError>` —
 //! one-line errors and exit status 1, never a panic or a scattered
 //! `process::exit`.
@@ -37,7 +38,7 @@ pub struct RunArgs {
     /// across cores (see [`sweep`](crate::sweep)). Output must be
     /// byte-identical either way; CI diffs the two fig6 runs.
     pub sequential: bool,
-    /// Scenario letters to restrict a multi-scenario binary to (e.g.
+    /// Scenario letters to restrict `transfer` to (e.g.
     /// `--scenarios aip`); empty means all 16.
     pub scenarios: Vec<char>,
     /// Directory for the persistent surrogate store used by warm-start
@@ -62,32 +63,83 @@ impl Default for RunArgs {
     }
 }
 
-const USAGE: &str = "try --full/--reduced/--test, --reps N, --iters N, --seed N, \
-                     --telemetry PATH, --metrics PATH, --faults PLAN.json, --sequential, \
-                     --scenarios LETTERS, --store-dir DIR";
-
-/// Parse `std::env::args`: `--full | --reduced | --test`,
-/// `--reps <k>`, `--iters <k>`, `--seed <k>`, `--telemetry <path>`,
-/// `--metrics <path>`, `--faults <plan.json>`, `--sequential`.
-pub fn parse_args() -> Result<RunArgs, AdaphetError> {
-    parse_argv(std::env::args().skip(1).collect())
+/// One flag of the shared vocabulary; a binary passes the ones it reads
+/// to [`parse_args`], and any other flag is a usage error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--full | --reduced | --test` ([`RunArgs::scale`]).
+    Scale,
+    /// `--reps N`.
+    Reps,
+    /// `--iters N`.
+    Iters,
+    /// `--seed N`.
+    Seed,
+    /// `--telemetry PATH`.
+    Telemetry,
+    /// `--metrics PATH`.
+    Metrics,
+    /// `--faults PLAN.json`.
+    Faults,
+    /// `--sequential`.
+    Sequential,
+    /// `--scenarios LETTERS`.
+    Scenarios,
+    /// `--store-dir DIR`.
+    StoreDir,
 }
 
-fn parse_argv(argv: Vec<String>) -> Result<RunArgs, AdaphetError> {
+impl Flag {
+    /// How a usage error lists the flag; its first word, split at `/`,
+    /// is what it parses.
+    fn usage(self) -> &'static str {
+        match self {
+            Flag::Scale => "--full/--reduced/--test",
+            Flag::Reps => "--reps N",
+            Flag::Iters => "--iters N",
+            Flag::Seed => "--seed N",
+            Flag::Telemetry => "--telemetry PATH",
+            Flag::Metrics => "--metrics PATH",
+            Flag::Faults => "--faults PLAN.json",
+            Flag::Sequential => "--sequential",
+            Flag::Scenarios => "--scenarios LETTERS",
+            Flag::StoreDir => "--store-dir DIR",
+        }
+    }
+}
+
+/// Parse `std::env::args` against the flags a binary reads (`accepted`);
+/// any other argument is an [`AdaphetError::Usage`] naming the accepted
+/// ones.
+pub fn parse_args(accepted: &[Flag]) -> Result<RunArgs, AdaphetError> {
+    parse_argv(std::env::args().skip(1).collect(), accepted)
+}
+
+fn parse_argv(argv: Vec<String>, accepted: &[Flag]) -> Result<RunArgs, AdaphetError> {
+    let usages: Vec<&str> = accepted.iter().map(|f| f.usage()).collect();
+    let usage = if usages.is_empty() {
+        "this binary takes no arguments".to_string()
+    } else {
+        format!("accepted: {}", usages.join(", "))
+    };
     let mut out = RunArgs::default();
     let mut i = 0;
     // A value-taking flag must be followed by a parseable value.
     let value = |argv: &[String], i: usize, flag: &str| -> Result<String, AdaphetError> {
         argv.get(i)
             .cloned()
-            .ok_or_else(|| AdaphetError::usage(format!("{flag} needs a value ({USAGE})")))
+            .ok_or_else(|| AdaphetError::usage(format!("{flag} needs a value ({usage})")))
     };
     let number = |argv: &[String], i: usize, flag: &str| -> Result<u64, AdaphetError> {
         let v = value(argv, i, flag)?;
         v.parse().map_err(|_| AdaphetError::usage(format!("{flag} needs a number, got {v:?}")))
     };
     while i < argv.len() {
-        match argv[i].as_str() {
+        let arg = argv[i].as_str();
+        if !usages.iter().any(|u| u.split(' ').next().unwrap_or("").split('/').any(|s| s == arg)) {
+            return Err(AdaphetError::usage(format!("unknown argument {arg:?} ({usage})")));
+        }
+        match arg {
             "--full" => out.scale = Scale::Full,
             "--reduced" => out.scale = Scale::Reduced,
             "--test" => out.scale = Scale::Test,
@@ -140,9 +192,7 @@ fn parse_argv(argv: Vec<String>) -> Result<RunArgs, AdaphetError> {
                 i += 1;
                 out.store_dir = Some(PathBuf::from(value(&argv, i, "--store-dir")?));
             }
-            other => {
-                return Err(AdaphetError::usage(format!("unknown argument {other:?} ({USAGE})")));
-            }
+            other => unreachable!("{other} is listed by Flag::usage and parsed above"),
         }
         i += 1;
     }
@@ -164,13 +214,26 @@ pub fn load_fault_plan(args: &RunArgs) -> Result<Option<adaphet_runtime::FaultPl
 mod tests {
     use super::*;
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    const ALL: &[Flag] = &[
+        Flag::Scale,
+        Flag::Reps,
+        Flag::Iters,
+        Flag::Seed,
+        Flag::Telemetry,
+        Flag::Metrics,
+        Flag::Faults,
+        Flag::Sequential,
+        Flag::Scenarios,
+        Flag::StoreDir,
+    ];
+
+    fn parse(args: &[&str]) -> Result<RunArgs, AdaphetError> {
+        parse_argv(args.iter().map(|s| s.to_string()).collect(), ALL)
     }
 
     #[test]
     fn defaults_match_paper() {
-        let d = parse_argv(Vec::new()).unwrap();
+        let d = parse(&[]).unwrap();
         assert_eq!(d.reps, 30);
         assert_eq!(d.iters, 127);
         assert!(d.telemetry.is_none());
@@ -181,13 +244,13 @@ mod tests {
 
     #[test]
     fn sequential_flag_parses() {
-        let d = parse_argv(argv(&["--sequential"])).unwrap();
+        let d = parse(&["--sequential"]).unwrap();
         assert!(d.sequential);
     }
 
     #[test]
     fn flags_parse() {
-        let d = parse_argv(argv(&[
+        let d = parse(&[
             "--test",
             "--reps",
             "5",
@@ -197,7 +260,7 @@ mod tests {
             "9",
             "--faults",
             "plan.json",
-        ]))
+        ])
         .unwrap();
         assert_eq!(d.scale, Scale::Test);
         assert_eq!(d.reps, 5);
@@ -208,21 +271,30 @@ mod tests {
 
     #[test]
     fn bad_input_is_a_usage_error_not_a_panic() {
-        assert!(matches!(parse_argv(argv(&["--bogus"])), Err(AdaphetError::Usage(_))));
-        assert!(matches!(parse_argv(argv(&["--reps"])), Err(AdaphetError::Usage(_))));
-        assert!(matches!(parse_argv(argv(&["--reps", "many"])), Err(AdaphetError::Usage(_))));
-        assert!(matches!(parse_argv(argv(&["--reps", "0"])), Err(AdaphetError::Usage(_))));
-        assert!(matches!(parse_argv(argv(&["--iters", "0"])), Err(AdaphetError::Usage(_))));
-        assert!(matches!(parse_argv(argv(&["--scenarios", "xyz"])), Err(AdaphetError::Usage(_))));
-        assert!(matches!(parse_argv(argv(&["--scenarios", ""])), Err(AdaphetError::Usage(_))));
+        assert!(matches!(parse(&["--bogus"]), Err(AdaphetError::Usage(_))));
+        assert!(matches!(parse(&["--reps"]), Err(AdaphetError::Usage(_))));
+        assert!(matches!(parse(&["--reps", "many"]), Err(AdaphetError::Usage(_))));
+        assert!(matches!(parse(&["--reps", "0"]), Err(AdaphetError::Usage(_))));
+        assert!(matches!(parse(&["--iters", "0"]), Err(AdaphetError::Usage(_))));
+        assert!(matches!(parse(&["--scenarios", "xyz"]), Err(AdaphetError::Usage(_))));
+        assert!(matches!(parse(&["--scenarios", ""]), Err(AdaphetError::Usage(_))));
+        // A flag of the vocabulary that the binary does not read.
+        let fig1 = parse_argv(vec!["--reps".into(), "2".into()], &[Flag::Scale, Flag::Seed]);
+        match fig1 {
+            Err(AdaphetError::Usage(msg)) => {
+                assert!(msg.contains("--reps") && msg.contains("--seed N"), "{msg}")
+            }
+            _ => panic!("an unread flag must be a usage error"),
+        }
+        assert!(matches!(parse_argv(vec!["--test".into()], &[]), Err(AdaphetError::Usage(_))));
     }
 
     #[test]
     fn scenario_subsets_and_store_dir_parse() {
-        let d = parse_argv(argv(&["--scenarios", "aip", "--store-dir", "/tmp/s"])).unwrap();
+        let d = parse(&["--scenarios", "aip", "--store-dir", "/tmp/s"]).unwrap();
         assert_eq!(d.scenarios, vec!['a', 'i', 'p']);
         assert_eq!(d.store_dir.as_deref(), Some(std::path::Path::new("/tmp/s")));
-        assert!(parse_argv(Vec::new()).unwrap().scenarios.is_empty());
+        assert!(parse(&[]).unwrap().scenarios.is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@ mod sweep;
 mod transfer;
 
 pub use cache::{build_response_cached, CACHE_VERSION};
-pub use cli::{load_fault_plan, parse_args, RunArgs};
+pub use cli::{load_fault_plan, parse_args, Flag, RunArgs};
 pub use diagnose::{build_report, diagnose, parse_report_args, run_report, ReportArgs};
 pub use error::AdaphetError;
 pub use faults::{run_faulted_session, space_for_platform, FaultRunOutcome, FaultSessionConfig};

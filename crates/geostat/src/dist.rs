@@ -144,17 +144,6 @@ impl TileDist {
         }
         counts
     }
-
-    /// Weighted work per node (min(i,j)+1 units per tile).
-    pub fn work_per_node(&self, n_nodes: usize) -> Vec<f64> {
-        let mut work = vec![0.0; n_nodes];
-        for i in 0..self.workload.nt {
-            for j in 0..=i {
-                work[self.owner(i, j).0] += (i.min(j) + 1) as f64;
-            }
-        }
-        work
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +171,13 @@ mod tests {
         let w = Workload::new(20, 8);
         // Node 0 four times faster than node 1.
         let d = TileDist::build(w, Distribution::WeightedBalance, &nodes(2), &[4.0, 1.0]);
-        let work = d.work_per_node(2);
+        // Weighted work per node: min(i,j)+1 units per tile.
+        let mut work = [0.0; 2];
+        for i in 0..w.nt {
+            for j in 0..=i {
+                work[d.owner(i, j).0] += (i.min(j) + 1) as f64;
+            }
+        }
         let ratio = work[0] / work[1];
         assert!((ratio - 4.0).abs() < 1.0, "work ratio {ratio}");
     }

@@ -502,16 +502,6 @@ impl GpModel {
         self.jitter
     }
 
-    /// Noise multiplier of observation `i` (1 for every point of a
-    /// homoscedastic fit; above 1 for a warm-start prior pseudo-point).
-    pub fn noise_mult(&self, i: usize) -> f64 {
-        if self.noise_mults.is_empty() {
-            1.0
-        } else {
-            self.noise_mults[i]
-        }
-    }
-
     /// Profile log marginal likelihood of the rows this model was fitted on
     /// (used by the MLE search). For rows produced by
     /// [`crate::ReplicateGroups::collapse`] that is the likelihood of the
@@ -917,8 +907,7 @@ mod tests {
         let s = softened.predict(1.0).mean;
         assert!(s < t, "softened mean {s} should sit below the trusted {t}");
         assert!(s < 25.0, "softened prediction still chases the prior: {s}");
-        assert_eq!(softened.noise_mult(0), 100.0);
-        assert_eq!(softened.noise_mult(3), 1.0);
+        assert_eq!(softened.noise_mults, [100.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -945,7 +934,7 @@ mod tests {
             assert_eq!(inc.predict(xq).mean.to_bits(), scratch.predict(xq).mean.to_bits());
             assert_eq!(inc.predict(xq).var.to_bits(), scratch.predict(xq).var.to_bits());
         }
-        assert_eq!(inc.noise_mult(3), 1.0);
+        assert_eq!(inc.noise_mults, [16.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -53,15 +53,6 @@ impl Mat {
         Mat::from_fn(rows, cols, |i, j| data[i * cols + j])
     }
 
-    /// Build a matrix that owns the given column-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_col_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "from_col_major: wrong element count");
-        Mat { rows, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -284,19 +275,6 @@ impl Mat {
         }
         self.rows = m;
     }
-
-    /// Symmetrize in place: `A := (A + Aᵀ)/2`. Useful to clean numerical
-    /// asymmetry before a Cholesky factorization.
-    pub fn symmetrize(&mut self) {
-        assert!(self.is_square(), "symmetrize: matrix must be square");
-        for j in 0..self.cols {
-            for i in (j + 1)..self.rows {
-                let v = 0.5 * (self[(i, j)] + self[(j, i)]);
-                self[(i, j)] = v;
-                self[(j, i)] = v;
-            }
-        }
-    }
 }
 
 impl Index<(usize, usize)> for Mat {
@@ -425,14 +403,6 @@ mod tests {
         let (a, b) = m.cols_mut_pair(2, 0);
         assert_eq!(a[2], -2.0);
         assert_eq!(b[0], -1.0);
-    }
-
-    #[test]
-    fn symmetrize_produces_symmetric_matrix() {
-        let mut m = Mat::from_rows(2, 2, &[1.0, 2.0, 4.0, 3.0]);
-        m.symmetrize();
-        assert_eq!(m[(0, 1)], 3.0);
-        assert_eq!(m[(1, 0)], 3.0);
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl Registry {
         self.lock().counters.get(name).copied().unwrap_or(0.0)
     }
 
-    /// Current value of gauge `name`, if ever set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).copied()
-    }
-
     /// Snapshot of histogram `name`, if any samples were observed.
     pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
         self.lock().histograms.get(name).map(|h| HistogramSnapshot {
@@ -261,10 +256,10 @@ mod tests {
     #[test]
     fn gauges_keep_the_last_write() {
         let r = Registry::new();
-        assert_eq!(r.gauge_value("g"), None);
+        assert_eq!(r.lock().gauges.get("g"), None);
         r.gauge("g", 1.0);
         r.gauge("g", -4.0);
-        assert_eq!(r.gauge_value("g"), Some(-4.0));
+        assert_eq!(r.lock().gauges.get("g"), Some(&-4.0));
     }
 
     #[test]

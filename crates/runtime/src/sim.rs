@@ -471,12 +471,6 @@ impl SimRuntime {
         self.tasks_executed
     }
 
-    /// Accumulated `(cpu_busy, gpu_busy)` seconds of one node, each summed
-    /// over the node's units of that kind.
-    pub fn node_busy(&self, node: NodeId) -> (f64, f64) {
-        (self.b.cpu_busy[node.0], self.b.gpu_busy[node.0])
-    }
-
     /// Accumulated `(tasks, flops)` of one phase tag (pseudo-tasks with
     /// phase `u32::MAX` are never counted).
     pub fn phase_totals(&self, phase: u32) -> (u64, f64) {
@@ -1408,7 +1402,7 @@ mod tests {
         });
         rt.run();
         assert_eq!(rt.tasks_executed(), 3);
-        let (cpu_busy, gpu_busy) = rt.node_busy(NodeId(0));
+        let (cpu_busy, gpu_busy) = (rt.b.cpu_busy[0], rt.b.gpu_busy[0]);
         assert!((cpu_busy - 2.0).abs() < 1e-9, "{cpu_busy}");
         assert!((gpu_busy - 0.1).abs() < 1e-9, "{gpu_busy}");
         assert_eq!(rt.phase_totals(0), (2, 2e9));

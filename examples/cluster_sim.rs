@@ -34,9 +34,7 @@ fn main() {
 
     println!("strategy race: {iters} iterations x {reps} repetitions");
     let oracle = replay_many(StrategyKind::Oracle, &table, iters, reps, 42);
-    for kind in
-        PAPER_STRATEGIES.into_iter().chain([StrategyKind::Random, StrategyKind::SimulatedAnnealing])
-    {
+    for kind in PAPER_STRATEGIES.into_iter().chain([StrategyKind::Random]) {
         let s = replay_many(kind, &table, iters, reps, 42);
         println!(
             "  {:<14} total {:>9.1}s  gain vs all-nodes {:>6.1}%",

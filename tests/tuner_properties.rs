@@ -237,3 +237,26 @@ proptest! {
         prop_assert_eq!(a.faults_injected, b.faults_injected);
     }
 }
+
+/// The registry holds exactly what the evaluation runs: the paper's seven
+/// strategies, its two reference lines and the seed-reading random floor.
+/// Adding or removing a strategy is a diff of this list.
+#[test]
+fn registry_holds_exactly_the_evaluated_strategies() {
+    let names: Vec<&str> = StrategyKind::all().map(StrategyKind::name).collect();
+    assert_eq!(
+        names,
+        [
+            "DC",
+            "Right-Left",
+            "Brent",
+            "UCB",
+            "UCB-struct",
+            "GP-UCB",
+            "GP-discontinuous",
+            "all-nodes",
+            "oracle",
+            "Random",
+        ]
+    );
+}
